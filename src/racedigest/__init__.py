@@ -12,7 +12,6 @@ from .digest import (
     check_admissibility,
     check_mhp_commutativity,
     generic_mhp,
-    product_mhp,
 )
 from .digests import CANONICAL_ORDER, MUTANTS, build_digests
 from .dsl import DslSyntaxError, parse_program, print_program

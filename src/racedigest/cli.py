@@ -7,7 +7,8 @@ Subcommands:
   conform  -- run the corpus suites (soundness, laws, equivalence, mutants)
 
 Exit codes: 0 no races / suites pass, 1 races flagged / suite failures,
-2 usage or input errors.
+2 usage or input errors (an unreadable input path, such as a directory, or
+a negative --tid-cap included).
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ from .solver import build_system, solve
 def _load(path: str):
     text = Path(path).read_text(encoding="utf-8")
     return instrument_atomicity(parse_program(text))
+
+
+def _tid_cap(arg: str) -> int:
+    try:
+        cap = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {cap}")
+    return cap
 
 
 def _digest_list(arg: str) -> list[str]:
@@ -114,7 +125,7 @@ def main(argv=None) -> int:
     pa.add_argument("--digests", default=",".join(CANONICAL_ORDER))
     pa.add_argument("--predicate", choices=["bespoke", "generic"], default="bespoke")
     pa.add_argument("--format", choices=["text", "json"], default="text")
-    pa.add_argument("--tid-cap", type=int, default=DEFAULT_TID_CAP)
+    pa.add_argument("--tid-cap", type=_tid_cap, default=DEFAULT_TID_CAP)
     pa.set_defaults(func=cmd_analyze)
 
     po = sub.add_parser("oracle", help="bounded ground-truth race search")
@@ -128,18 +139,18 @@ def main(argv=None) -> int:
     pb.add_argument("file")
     pb.add_argument("--digests", default=",".join(CANONICAL_ORDER))
     pb.add_argument("--format", choices=["text", "json"], default="text")
-    pb.add_argument("--tid-cap", type=int, default=DEFAULT_TID_CAP)
+    pb.add_argument("--tid-cap", type=_tid_cap, default=DEFAULT_TID_CAP)
     pb.set_defaults(func=cmd_ablate)
 
     pc = sub.add_parser("conform", help="run the corpus suites")
     pc.add_argument("dir")
-    pc.add_argument("--tid-cap", type=int, default=DEFAULT_TID_CAP)
+    pc.add_argument("--tid-cap", type=_tid_cap, default=DEFAULT_TID_CAP)
     pc.set_defaults(func=cmd_conform)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DslSyntaxError, ValidationError, ConfigError, FileNotFoundError, ValueError) as exc:
+    except (DslSyntaxError, ValidationError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detector import BESPOKE, DISABLED, detect
+from .detector import BESPOKE, ExclusionSweep, detect, sweep
 from .digest import (
     Digest,
     MhpVerdict,
@@ -155,13 +155,17 @@ def _all_predicate_subsets() -> list[tuple[str, ...]]:
     return out
 
 
-def _subset_flags(case: CorpusCase, tid_cap: int) -> dict[tuple[str, ...], set]:
+def _bespoke_sweep(case: CorpusCase, tid_cap: int) -> ExclusionSweep:
     product, sol = case.solution(tuple(CANONICAL_ORDER), tid_cap)
-    flags = {}
-    for subset in _all_predicate_subsets():
-        modes = {n: (BESPOKE if n in subset else DISABLED) for n in CANONICAL_ORDER}
-        flags[subset] = detect(sol, product, modes).site_pairs()
-    return flags
+    return sweep(sol, product, {n: BESPOKE for n in CANONICAL_ORDER})
+
+
+def _subset_flags(case: CorpusCase, tid_cap: int) -> dict[tuple[str, ...], set]:
+    swept = _bespoke_sweep(case, tid_cap)
+    return {
+        subset: swept.site_pairs(swept.mask_of(subset))
+        for subset in _all_predicate_subsets()
+    }
 
 
 def run_expectation_suite(cases, tid_cap: int = 8) -> SuiteSection:
@@ -177,17 +181,14 @@ def run_expectation_suite(cases, tid_cap: int = 8) -> SuiteSection:
         want = case.expected_site_pairs()
         if got != want:
             section.fail(f"{case.name}: oracle races {sorted(got)} != expected {sorted(want)}")
+        swept = _bespoke_sweep(case, tid_cap)
         for subset in case.expected["race_free_subsets"]:
             section.checks += 1
-            product, sol = case.solution(tuple(CANONICAL_ORDER), tid_cap)
-            modes = {
-                n: (BESPOKE if n in subset else DISABLED) for n in CANONICAL_ORDER
-            }
-            report = detect(sol, product, modes)
-            if report.flagged:
+            flagged = swept.site_pairs(swept.mask_of(subset))
+            if flagged:
                 section.fail(
                     f"{case.name}: subset {subset} should prove race freedom but flags "
-                    f"{sorted(p[1:] for p in report.site_pairs())}"
+                    f"{sorted(p[1:] for p in flagged)}"
                 )
     return section
 
@@ -304,12 +305,17 @@ def run_subsumption_suite(cases, tid_cap: int = 8) -> SuiteSection:
 def run_mutant_suite(cases, tid_cap: int = 8) -> SuiteSection:
     """Each registered mutant must be caught by the laws or by soundness."""
     section = SuiteSection("mutants")
+    exhaustive = []
+    for case in cases:
+        try:
+            exhaustive.append((case, case.require_exhaustive()))
+        except InconclusiveBounds:
+            section.fail(f"{case.name}: InconclusiveBounds")
     for target, factory in sorted(MUTANTS.items()):
         mutant = factory() if target not in ("tid", "join") else factory(tid_cap)
         law_failures = 0
         sound_failures = 0
-        for case in cases:
-            ts = case.require_exhaustive()
+        for case, ts in exhaustive:
             law = check_admissibility(mutant, case.program, ts)
             stability = check_access_stability(mutant, case.program, ts)
             law_failures += len(law.violations) + len(stability.violations)

@@ -9,10 +9,16 @@ meet answers top.  Each product component runs in one of three modes:
 * ``generic``  -- the predicate derived from the atomicity-lock step,
 * ``disabled`` -- always top (the ablation mechanism: the digest still
   refines reachability, only its exclusion power is switched off).
+
+One sweep over the record pairs keeps, per site pair, the distinct sets of
+components whose predicates answer false (as bitmasks), so ``detect`` and
+all 2^k rows of ``ablate`` are read off the same masks.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -108,8 +114,7 @@ def _site_text(site: tuple[str, str], program) -> str:
     return f"{typ}@{node}{suffix}"
 
 
-def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> RaceReport:
-    """Pairwise race check over the solution's access accumulators."""
+def _resolve_modes(product: ProductDigest, modes: dict | None) -> dict:
     names = [c.name for c in product.components]
     modes = dict(modes or {})
     for name in names:
@@ -117,75 +122,152 @@ def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> 
     unknown = set(modes) - set(names)
     if unknown:
         raise ValueError(f"modes for inactive digests: {sorted(unknown)}")
+    for mode in modes.values():
+        if mode not in (BESPOKE, GENERIC, DISABLED):
+            raise ValueError(f"unknown mode {mode!r}")
+    return modes
 
-    def verdicts(glob, d0, d1):
-        out = []
-        for comp, a, b in zip(product.components, d0, d1):
-            mode = modes[comp.name]
-            if mode == DISABLED:
-                v = MhpVerdict.TOP
-            elif mode == GENERIC:
-                v = generic_mhp(comp, glob, a, b)
-            elif mode == BESPOKE:
-                v = comp.mhp(glob, a, b)
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
-            out.append((comp.name, v))
+
+@dataclass
+class ExclusionSweep:
+    """The distinct excluded-by masks of every (global, site_a, site_b) key.
+
+    Bit ``i`` of a mask is set when component ``i``'s predicate answers
+    false for a record pair.  ``entries`` maps each key to its masks, in
+    order of first appearance among the key's record pairs, each with the
+    formatted digests of the first record pair that produced it.  Under a
+    set of enabled predicates a key is flagged when some mask is disjoint
+    from it, and the first such mask's pair is the witness.  A key's masks
+    end at the first 0: every later pair would be a later witness of the
+    same sets.
+    """
+
+    names: tuple[str, ...]
+    entries: dict
+    record_counts: dict
+
+    def mask_of(self, names) -> int:
+        return sum(1 << i for i, n in enumerate(self.names) if n in names)
+
+    def witnesses(self, enabled: int) -> dict:
+        """Flagged key -> formatted digests of its witnessing record pair."""
+        out = {}
+        for key, masks in self.entries.items():
+            for mask, pair in masks.items():
+                if not mask & enabled:
+                    out[key] = pair
+                    break
         return out
 
-    flagged: dict[tuple, FlaggedPair] = {}
+    def site_pairs(self, enabled: int) -> set:
+        return {
+            key
+            for key, masks in self.entries.items()
+            if any(not mask & enabled for mask in masks)
+        }
+
+
+def _key_masks(glob: str, rows: list, cols: list, tables: list) -> dict:
+    """Distinct masks of the record pairs rows x cols, in pair order; the
+    pairs within one group (rows is cols) run over i <= j."""
+    masks: dict = {}
+    same = rows is cols
+    for n, (i, label_i) in enumerate(rows):
+        for j, label_j in cols[n:] if same else cols:
+            m = 0
+            for bit, ids, values, width, pred, cache in tables:
+                key = ids[i] * width + ids[j]
+                v = cache.get(key)
+                if v is None:
+                    excluded = pred(glob, values[ids[i]], values[ids[j]]) is MhpVerdict.FALSE
+                    v = cache[key] = bit if excluded else 0
+                m |= v
+            if m not in masks:
+                masks[m] = (label_i, label_j)
+                if not m:
+                    return masks
+    return masks
+
+
+def sweep(sol: Solution, product: ProductDigest, modes: dict) -> ExclusionSweep:
+    """One pass over every record pair with at least one write (identical
+    records included, since equal digests can still belong to different
+    concrete threads).  ``modes`` names each component's predicate; a
+    disabled component sets no bit.  Each predicate runs once per distinct
+    pair of component values: every shipped ``mhp`` is pure, and the
+    values repeat heavily across records."""
+    predicates = []
+    for i, comp in enumerate(product.components):
+        if modes[comp.name] == BESPOKE:
+            predicates.append((i, comp.mhp))
+        elif modes[comp.name] == GENERIC:
+            predicates.append((i, functools.partial(generic_mhp, comp)))
+    entries: dict = {}
     record_counts = {}
     for glob in sorted(sol.races):
         records = sorted(
-            sol.records(glob),
-            key=lambda r: (r.site, r.type, product.format_elem(r.digest)),
+            ((r.site, r.type, product.format_elem(r.digest), r.digest) for r in sol.records(glob)),
+            key=lambda r: r[:3],
         )
         record_counts[glob] = len(records)
-        for i, r0 in enumerate(records):
-            for r1 in records[i:]:  # includes the identical-record pair
-                if WRITE not in (r0.type, r1.type):
-                    continue
-                vs = verdicts(glob, r0.digest, r1.digest)
-                meet = MhpVerdict.TOP
-                for _, v in vs:
-                    meet = meet.meet(v)
-                if meet is not MhpVerdict.TOP:
-                    continue
-                site_a, site_b = sorted(((r0.site, r0.type), (r1.site, r1.type)))
-                key = (glob, site_a, site_b)
-                if key not in flagged:
-                    flagged[key] = FlaggedPair(
-                        glob,
-                        site_a,
-                        site_b,
-                        witness_digests=(
-                            product.format_elem(r0.digest),
-                            product.format_elem(r1.digest),
-                        ),
-                        component_verdicts=tuple((n, v.value) for n, v in vs),
-                    )
+        tables = []
+        for i, pred in predicates:
+            index: dict = {}
+            ids = [index.setdefault(r[3][i], len(index)) for r in records]
+            tables.append((1 << i, ids, list(index), len(index), pred, {}))
+        groups = [
+            (site, [(i, r[2]) for i, r in members])
+            for site, members in itertools.groupby(enumerate(records), key=lambda x: x[1][:2])
+        ]
+        for g, (site_a, rows) in enumerate(groups):
+            for site_b, cols in groups[g:]:
+                if WRITE in (site_a[1], site_b[1]):
+                    entries[(glob, site_a, site_b)] = _key_masks(glob, rows, cols, tables)
+    return ExclusionSweep(
+        tuple(c.name for c in product.components), entries, record_counts
+    )
+
+
+def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> RaceReport:
+    """Race check over the solution's access accumulators: a site pair is
+    flagged when some record pair of it has no enabled predicate answering
+    false."""
+    modes = _resolve_modes(product, modes)
+    swept = sweep(sol, product, modes)
+    enabled = swept.mask_of([n for n in swept.names if modes[n] != DISABLED])
+    # a witness pair has no enabled predicate answering false
+    verdicts = tuple((n, MhpVerdict.TOP.value) for n in swept.names)
+    flagged = [
+        FlaggedPair(glob, site_a, site_b, witness, verdicts)
+        for (glob, site_a, site_b), witness in swept.witnesses(enabled).items()
+    ]
     return RaceReport(
-        digests=tuple(names),
+        digests=swept.names,
         modes=modes,
-        flagged=sorted(flagged.values(), key=FlaggedPair.sort_key),
-        record_counts=record_counts,
+        flagged=sorted(flagged, key=FlaggedPair.sort_key),
+        record_counts=swept.record_counts,
     )
 
 
 def ablate(sol: Solution, product: ProductDigest) -> list[dict]:
     """Flag counts for every subset of predicates, the digests themselves
-    staying active (only their exclusion power is varied)."""
+    staying active (only their exclusion power is varied): one bespoke
+    sweep, then a mask test per subset and distinct mask list."""
     names = [c.name for c in product.components]
+    swept = sweep(sol, product, {n: BESPOKE for n in names})
+    shapes = collections.Counter(tuple(masks) for masks in swept.entries.values())
     rows = []
     for k in range(len(names) + 1):
         for subset in itertools.combinations(names, k):
-            modes = {n: (BESPOKE if n in subset else DISABLED) for n in names}
-            report = detect(sol, product, modes)
+            enabled = swept.mask_of(subset)
+            flagged = sum(
+                n for masks, n in shapes.items() if any(not m & enabled for m in masks)
+            )
             rows.append(
                 {
                     "predicates": list(subset),
-                    "flagged": report.pair_count,
-                    "race_free": report.pair_count == 0,
+                    "flagged": flagged,
+                    "race_free": flagged == 0,
                 }
             )
     return rows

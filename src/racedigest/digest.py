@@ -150,10 +150,6 @@ class ProductDigest(Digest):
         return "(" + " | ".join(c.format_elem(e) for c, e in zip(self.components, elem)) + ")"
 
 
-def product_mhp(p: ProductDigest, glob: str, a, b) -> MhpVerdict:
-    return p.mhp(glob, a, b)
-
-
 # ---------------------------------------------------------------------------
 # Law harness
 # ---------------------------------------------------------------------------

@@ -149,12 +149,6 @@ class Program:
                 out[e.action.create_id] = e
         return out
 
-    def prototype_of_node(self, node: str) -> str:
-        for label, proto in self.prototypes.items():
-            if node in proto.nodes():
-                return label
-        raise KeyError(node)
-
 
 def action_sort_key(a: Action) -> tuple:
     return (a.kind, a.target or "", a.local or "", a.create_id or "")

@@ -1,8 +1,18 @@
 from __future__ import annotations
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
 from racedigest.cli import main
 
 from tests.conftest import CORPUS_DIR
+
+SRC_DIR = CORPUS_DIR.parent / "src"
 
 
 def rlp(name: str) -> str:
@@ -87,3 +97,58 @@ def test_conform_passes_on_shipped_corpus(capsys):
     code, out, _ = run(capsys, "conform", str(CORPUS_DIR))
     assert code == 0
     assert "all suites pass" in out
+
+
+def test_analyze_directory_exit_two(capsys):
+    code, _, err = run(capsys, "analyze", str(CORPUS_DIR))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", rlp("prog0_unsync_writes")),
+        ("ablate", rlp("prog0_unsync_writes")),
+        ("conform", str(CORPUS_DIR)),
+    ],
+)
+def test_negative_tid_cap_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tid-cap", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tid-cap: must be >= 0" in captured.err
+
+
+def test_conform_truncated_case_is_a_suite_failure(capsys, tmp_path):
+    case = tmp_path / "prog1_truncated"
+    shutil.copytree(CORPUS_DIR / "prog1_running_example", case)
+    expected = json.loads((case / "expected.json").read_text(encoding="utf-8"))
+    expected["bounds"] = {"depth": 3, "width": 1}
+    (case / "expected.json").write_text(json.dumps(expected), encoding="utf-8")
+    code, out, err = run(capsys, "conform", str(tmp_path))
+    assert code == 1
+    assert "SUITE FAILURES" in out
+    assert "prog1_truncated: InconclusiveBounds" in out
+    assert "Traceback" not in err
+
+
+def test_reports_do_not_depend_on_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    prog = rlp("prog1_running_example")
+    outputs = []
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        outputs.append(
+            [
+                subprocess.run(
+                    [sys.executable, "-m", "racedigest.cli", *argv, prog, "--format", "json"],
+                    env=env, capture_output=True, check=False, timeout=120,
+                ).stdout
+                for argv in (["analyze"], ["ablate"])
+            ]
+        )
+    assert outputs[0] == outputs[1]
+    assert all(out.startswith(b"{") for out in outputs[0])
