@@ -7,8 +7,10 @@ Subcommands:
   conform  -- run the corpus suites (soundness, laws, equivalence, mutants)
 
 Exit codes: 0 no races / suites pass, 1 races flagged / suite failures,
-2 usage or input errors (an unreadable input path, such as a directory, or
-a negative --tid-cap included).
+2 usage or input errors (including an unreadable input path such as a
+directory, a negative --tid-cap, and a corpus expected.json lacking a
+required key), 3 oracle inconclusive: the enumeration was cut off by its
+bounds and found no race (races found in a truncated run still exit 1).
 """
 
 from __future__ import annotations
@@ -80,12 +82,17 @@ def cmd_oracle(args) -> int:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         if ts.truncated:
-            sys.stdout.write("warning: enumeration truncated by bounds\n")
+            cut = ", ".join(f"{bound} {getattr(ts, bound)}" for bound in ts.truncated_by)
+            sys.stdout.write(f"warning: enumeration truncated by bounds ({cut})\n")
         if not racy:
-            sys.stdout.write("no races within bounds\n")
+            # a cut-off run proves nothing; each race found is still real
+            sys.stdout.write("inconclusive: enumeration truncated by bounds\n" if ts.truncated
+                             else "no races within bounds\n")
         for g, a, b in racy:
             sys.stdout.write(f"race on {g}: {a[1]}@{a[0]} with {b[1]}@{b[0]}\n")
-    return 1 if racy else 0
+    if racy:
+        return 1
+    return 3 if ts.truncated else 0
 
 
 def cmd_ablate(args) -> int:

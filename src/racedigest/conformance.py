@@ -51,6 +51,7 @@ class CorpusCase:
     expected: dict
     _program: object = None
     _traces: TraceSet | None = None
+    _racy: frozenset | None = None
     _solutions: dict = field(default_factory=dict)
 
     @property
@@ -86,10 +87,12 @@ class CorpusCase:
             self._solutions[key] = (product, solve(build_system(self.program, product)))
         return self._solutions[key]
 
-    def oracle_site_pairs(self) -> set:
-        return {
-            (r.glob, r.site_a, r.site_b) for r in find_racy_pairs(self.traces())
-        }
+    def oracle_site_pairs(self) -> frozenset:
+        if self._racy is None:
+            self._racy = frozenset(
+                (r.glob, r.site_a, r.site_b) for r in find_racy_pairs(self.traces())
+            )
+        return self._racy
 
     def expected_site_pairs(self) -> set:
         return {
@@ -98,12 +101,25 @@ class CorpusCase:
         }
 
 
+_REQUIRED_KEYS = (("bounds", "depth"), ("bounds", "width"), ("racy",), ("race_free_subsets",))
+
+
+def _check_expected(name: str, expected) -> None:
+    for path in _REQUIRED_KEYS:
+        node = expected
+        for n, key in enumerate(path, 1):
+            if not isinstance(node, dict) or key not in node:
+                raise ValueError(f"{name}: expected.json lacks {'.'.join(path[:n])}")
+            node = node[key]
+
+
 def load_corpus(directory: Path) -> list[CorpusCase]:
     cases = []
     for sub in sorted(Path(directory).iterdir()):
         if not (sub / "program.rlp").exists():
             continue
         expected = json.loads((sub / "expected.json").read_text(encoding="utf-8"))
+        _check_expected(sub.name, expected)
         cases.append(CorpusCase(sub.name, sub, expected))
     if not cases:
         raise FileNotFoundError(f"no corpus cases under {directory}")

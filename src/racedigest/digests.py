@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .digest import ConfigError, Digest, MhpVerdict
 from .model import Action, Edge, is_atomicity_mutex
-from .oracle import LocalTrace, edge_path
+from .oracle import CausalIndex, LocalTrace, edge_path
 
 ST_MAIN = "ST_main"
 MT_MAIN = "MT_main"
@@ -336,37 +336,27 @@ class OnceDigest(Digest):
                 active[a.target] = a.kind == "startO"
         return (
             frozenset(o for o, v in active.items() if v),
-            self._completed_at(t, t.top),
+            self._completed_at(t),
         )
 
-    def _completed_at(self, t: LocalTrace, event) -> frozenset:
+    @staticmethod
+    def _completed_at(t: LocalTrace) -> frozenset:
         """Completed-set knowledge flows only along program order, thread
         creation, and once observations; other merges discard it."""
-        memo: dict = {}
-        once_deps = {d.dst: d for d in t.deps if d.kind == "once"}
-        create_deps = {d.dst: d for d in t.deps if d.kind == "create"}
-
-        def rec(e) -> frozenset:
-            if e in memo:
-                return memo[e]
-            out: frozenset = frozenset()
-            if e.index > 0:
-                pred = next(
-                    ev for ev in t.events
-                    if ev.instance == e.instance and ev.index == e.index - 1
-                )
-                out = rec(pred)
-                a = e.action
-                if a is not None and a.kind == "endO":
+        idx = CausalIndex(t.events, t.deps)
+        done: list[frozenset] = [frozenset()] * len(idx.events)
+        for i in idx.order:  # causal order: predecessors first
+            a, dep = idx.events[i].action, idx.dep_in[i]
+            if idx.pred[i] is not None:
+                out = done[idx.pred[i]]
+                if a.kind == "endO":
                     out = out | {a.target}
-                elif a is not None and a.kind == "startO":
-                    out = out | rec(once_deps[e].src)
-            elif e in create_deps:
-                out = rec(create_deps[e].src)
-            memo[e] = out
-            return out
-
-        return rec(event)
+                elif a.kind == "startO":
+                    out = out | done[idx.ids[dep.src]]
+                done[i] = out
+            elif dep is not None and dep.kind == "create":
+                done[i] = done[idx.ids[dep.src]]
+        return done[idx.ids[t.top]]
 
     def format_elem(self, elem) -> str:
         return "A{" + ",".join(sorted(elem[0])) + "}C{" + ",".join(sorted(elem[1])) + "}"

@@ -11,7 +11,8 @@ communication happens through lock/unlock pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 # Action kinds, partitioned by how they communicate between threads.
 OBSERVABLE_KINDS = frozenset({"init", "unlock", "endO", "initO", "exit"})
@@ -30,6 +31,25 @@ class ValidationError(Exception):
     """A structurally ill-formed program (duplicate nodes, unknown names, ...)."""
 
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass that sets and dicts hash over
+    and over (the oracle's events hash their edges, which hash their
+    actions): the hash of the compared fields, the same value the dataclass
+    hash gives, is computed once at construction.  Equality is unchanged."""
+    # with two or more names (every user has) attrgetter returns the field tuple
+    compared = attrgetter(*(f.name for f in fields(cls) if f.compare))
+    init = cls.__init__
+
+    def __init__(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        object.__setattr__(self, "_hash", hash(compared(self)))
+
+    cls.__init__ = __init__
+    cls.__hash__ = lambda self: self._hash
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class Action:
     """One CFG action.
@@ -77,6 +97,7 @@ class Action:
         raise ValidationError(f"{self.kind} is not an observing action")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Edge:
     source: str

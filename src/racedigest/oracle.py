@@ -25,7 +25,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .model import READ, WRITE, Action, Edge, Program, atomicity_mutex, fmt_action
+from .model import (READ, WRITE, Action, Edge, Program, access_sequence, atomicity_mutex,
+                    fmt_action, hash_once)
 
 InstanceId = tuple  # tuple[tuple[str, int], ...]; main is ()
 
@@ -43,6 +44,7 @@ def instance_name(instance: InstanceId) -> str:
     return "<" + ",".join(f"{ce}#{k}" for ce, k in instance) + ">"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Event:
     """One configuration of one thread: the start marker (edge=None) or the
@@ -66,12 +68,78 @@ class Event:
         return f"{instance_name(self.instance)}[{self.index}] {what}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class DepEdge:
     kind: str  # "create" | "mutex" | "once" | "join"
     label: str | None
     src: Event
     dst: Event
+
+
+def _members(mask: int, table: list) -> frozenset:
+    """The entries of ``table`` at the set bits of ``mask``."""
+    return frozenset(table[i] for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
+
+
+class CausalIndex:
+    """The causality order of one event set, built in one topological pass:
+    per event (numbered in ``sort_key`` order) its program-order predecessor,
+    incoming dependency and ancestor bitmask (reflexive-transitive, over
+    program order plus deps).  Raises ValueError on a cycle."""
+
+    def __init__(self, events, deps):
+        self.events = sorted(events, key=Event.sort_key)
+        self.ids = {e: i for i, e in enumerate(self.events)}
+        self.pred: list[int | None] = [None] * len(self.events)
+        self.dep_in: list[DepEdge | None] = [None] * len(self.events)
+        for i in range(1, len(self.events)):
+            e, p = self.events[i], self.events[i - 1]
+            if p.instance == e.instance and p.index == e.index - 1:
+                self.pred[i] = i - 1
+        # (predecessor id, the dep edge or None for program order) per event
+        self.preds = [[] if q is None else [(q, None)] for q in self.pred]
+        for d in deps:
+            dst, src = self.ids.get(d.dst), self.ids.get(d.src)
+            if dst is not None and src is not None:
+                self.preds[dst].append((src, d))
+                self.dep_in[dst] = self.dep_in[dst] or d
+        waiting = [len(ps) for ps in self.preds]
+        succs: list[list[int]] = [[] for _ in self.events]
+        for i, ps in enumerate(self.preds):
+            for q, _ in ps:
+                succs[q].append(i)
+        self.order = [i for i, w in enumerate(waiting) if not w]
+        for i in self.order:  # Kahn's algorithm: the list grows as events get ready
+            for j in succs[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    self.order.append(j)
+        if len(self.order) < len(self.events):
+            raise ValueError("cycle in causality order")
+        self.anc = self.ancestor_masks()
+        self._closures: dict[int, LocalTrace] = {}
+
+    def ancestor_masks(self, drop=None) -> list[int]:
+        """Ancestor bitmask per event id, ignoring the deps ``drop`` accepts.
+        Removing deps keeps ``order`` topological, so one pass suffices."""
+        anc = [0] * len(self.events)
+        for i in self.order:
+            mask = 1 << i
+            for q, d in self.preds[i]:
+                if d is None or drop is None or not drop(d):
+                    mask |= anc[q]
+            anc[i] = mask
+        return anc
+
+    def closure(self, i: int) -> LocalTrace:
+        """The local trace topped by event ``i``, built once."""
+        t = self._closures.get(i)
+        if t is None:
+            past = self.anc[i]
+            deps = frozenset(d for j, ps in enumerate(self.preds) if past >> j & 1 for _, d in ps if d)
+            t = self._closures[i] = LocalTrace(_members(past, self.events), deps, self.events[i])
+        return t
 
 
 @dataclass(frozen=True)
@@ -81,30 +149,39 @@ class Pomset:
     events: frozenset[Event]
     deps: frozenset[DepEdge]
 
+    def causality(self) -> CausalIndex:
+        if "_causality" not in self.__dict__:
+            self.__dict__["_causality"] = CausalIndex(self.events, self.deps)
+        return self.__dict__["_causality"]
+
     def sorted_events(self) -> list[Event]:
-        return sorted(self.events, key=Event.sort_key)
+        return list(self.causality().events)
 
     def po_pred(self, e: Event) -> Event | None:
         if e.index == 0:
             return None
-        for ev in self.events:
-            if ev.instance == e.instance and ev.index == e.index - 1:
-                return ev
-        raise ValueError(f"missing program-order predecessor of {e.describe()}")
+        idx = self.causality()
+        q = idx.pred[idx.ids[e]] if e in idx.ids else None
+        if q is None:
+            raise ValueError(f"missing program-order predecessor of {e.describe()}")
+        return idx.events[q]
 
     def dep_to(self, e: Event) -> DepEdge | None:
-        for d in self.deps:
-            if d.dst == e:
-                return d
-        return None
+        idx = self.causality()
+        return idx.dep_in[idx.ids[e]] if e in idx.ids else None
 
     def closure(self, top: Event) -> "LocalTrace":
-        past = pomset_ancestors(self)[top]
-        deps = frozenset(d for d in self.deps if d.dst in past)
-        return LocalTrace(frozenset(past), deps, top)
+        idx = self.causality()
+        return idx.closure(idx.ids[top])
 
     def sort_key(self) -> tuple:
-        return tuple(sorted((e.sort_key(), e.node) for e in self.events))
+        """Configurations, then the edges and deps that tell apart pomsets over
+        the same configurations: a total order, independent of the hash seed."""
+        edges = ((e.sort_key(), e.edge.source, e.action.kind, fmt_action(e.action))
+                 for e in self.events if e.edge is not None)
+        deps = ((d.src.sort_key(), d.dst.sort_key(), d.kind) for d in self.deps)
+        return (tuple(sorted((e.sort_key(), e.node) for e in self.events)),
+                tuple(sorted(edges)), tuple(sorted(deps)))
 
 
 @dataclass(frozen=True)
@@ -170,9 +247,6 @@ class RacePair:
     site_b: tuple[str, str]
     witness: LocalTrace = field(compare=False, hash=False, default=None)
 
-    def sites(self) -> tuple[tuple[str, str], tuple[str, str]]:
-        return (self.site_a, self.site_b)
-
 
 @dataclass(frozen=True)
 class TraceSet:
@@ -184,55 +258,24 @@ class TraceSet:
     truncated: bool
     depth: int
     width: int
+    # the bounds ("depth", "width") that blocked some step, if truncated
+    truncated_by: tuple[str, ...] = field(default=(), compare=False)
 
     def sorted_pomsets(self) -> list[Pomset]:
-        return sorted(self.pomsets, key=Pomset.sort_key)
-
-
-def ancestors(events, deps) -> dict[Event, frozenset[Event]]:
-    """Reflexive-transitive predecessor sets over program order plus deps."""
-    preds: dict[Event, list[Event]] = {e: [] for e in events}
-    by_key = {(e.instance, e.index): e for e in events}
-    for e in events:
-        if e.index > 0:
-            pred = by_key.get((e.instance, e.index - 1))
-            if pred is not None:
-                preds[e].append(pred)
-    for d in deps:
-        if d.dst in preds and d.src in preds:
-            preds[d.dst].append(d.src)
-    out: dict[Event, frozenset[Event]] = {}
-    remaining = dict(preds)
-    while remaining:
-        progressed = False
-        for e in list(remaining):
-            if all(p in out for p in remaining[e]):
-                acc = {e}
-                for p in remaining[e]:
-                    acc |= out[p]
-                out[e] = frozenset(acc)
-                del remaining[e]
-                progressed = True
-        if not progressed:
-            raise ValueError("cycle in causality order")
-    return out
-
-
-@functools.lru_cache(maxsize=4096)
-def pomset_ancestors(pom: Pomset) -> dict:
-    return ancestors(pom.events, pom.deps)
+        if "_sorted_pomsets" not in self.__dict__:
+            self.__dict__["_sorted_pomsets"] = sorted(self.pomsets, key=Pomset.sort_key)
+        return list(self.__dict__["_sorted_pomsets"])
 
 
 def validate_local_trace(t: LocalTrace) -> None:
     """Assert the structural trace invariants; raises ValueError on violation."""
-    anc = ancestors(t.events, t.deps)  # raises on cycles
-    maximal = [e for e in t.events if not any(e in anc[o] and o != e for o in t.events)]
+    idx = CausalIndex(t.events, t.deps)  # raises on cycles
+    below = {q for ps in idx.preds for q, _ in ps}
+    maximal = [e for e in t.events if idx.ids[e] not in below]
     if maximal != [t.top]:
         raise ValueError(f"trace has {len(maximal)} maximal events, expected exactly top")
     for e in t.events:
-        if e.index > 0 and not any(
-            o.instance == e.instance and o.index == e.index - 1 for o in t.events
-        ):
+        if e.index > 0 and idx.pred[idx.ids[e]] is None:
             raise ValueError(f"trace not downward closed at {e.describe()}")
     _check_degrees(t.deps)
 
@@ -252,17 +295,12 @@ def _check_degrees(deps) -> bool:
     return True
 
 
-def _acyclic(events, deps) -> bool:
-    try:
-        ancestors(events, deps)
-        return True
-    except ValueError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Step functions over local traces
 # ---------------------------------------------------------------------------
+
+_DEP_KIND = {"lock": "mutex", "startO": "once", "join": "join"}
+
 
 def _local_guard_ok(edge: Edge, t: LocalTrace) -> bool:
     a = edge.action
@@ -356,16 +394,16 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
         by_key[key] = ev
         if ev.instance == t0.ego and ev.index > t0.top.index:
             return None  # observed trace runs ahead of the ego thread
-    deps = t0.deps | t1.deps
-    kind = {"lock": "mutex", "startO": "once", "join": "join"}[act.kind]
     label = act.target if act.kind in ("lock", "startO") else None
     new = Event(t0.ego, t0.top.index + 1, t0.top.proto, edge.target, edge)
-    deps = deps | {DepEdge(kind, label, top1, new)}
+    deps = t0.deps | t1.deps | {DepEdge(_DEP_KIND[act.kind], label, top1, new)}
     all_events = events | {new}
     if not _check_degrees(deps):
         return None
-    if not _acyclic(all_events, deps):
-        return None
+    try:
+        CausalIndex(all_events, deps)
+    except ValueError:
+        return None  # cyclic
     return LocalTrace(all_events, deps, new)
 
 
@@ -373,224 +411,188 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
 # Exhaustive bounded enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass
+# Events and dep edges get small-int ids per enumeration; a local trace is
+# then (past, deps, top): bitmasks over those ids and the id of its top.
+
+class _Ids:
+    """The interned events and dep edges of one enumeration."""
+
+    def __init__(self, p: Program):
+        self.program = p
+        self.events: list[Event] = []
+        self.deps: list[DepEdge] = []
+        self.ids: dict[Event | DepEdge, int] = {}  # position in events or deps
+        self.steps: dict[tuple[int, Edge], int] = {}  # (prev id, edge) -> event id
+        self.end_o: dict[str, int] = {}  # once variable -> mask of its endO events
+
+    def of(self, item: Event | DepEdge) -> int:
+        if item not in self.ids:
+            table = self.events if isinstance(item, Event) else self.deps
+            self.ids[item] = len(table)
+            table.append(item)
+        return self.ids[item]
+
+    def step(self, prev: int, edge: Edge) -> int:
+        """The event reached from event ``prev`` by taking ``edge``."""
+        key = (prev, edge)
+        if key not in self.steps:
+            p = self.events[prev]
+            self.steps[key] = self.of(Event(p.instance, p.index + 1, p.proto, edge.target, edge))
+        return self.steps[key]
+
+
+@dataclass(slots=True)
 class _State:
-    nodes: dict
+    """One global configuration.  ``last`` holds each instance's local trace;
+    a free mutex or ready once variable holds the trace a lock or startO
+    observes; ``exited`` the final trace of each instance not yet joined."""
+
+    nodes: dict  # instance -> node, None after exit
     last: dict
-    mutex: dict
-    once: dict
-    created: dict
-    last_child: dict
+    mutex: dict  # name -> ("free", trace) | ("held", instance)
+    once: dict  # name -> ("ready", trace) | ("active", instance)
+    created: dict  # (instance, create id) -> the last child created there
     exited: dict
-    joined: set
-    events: frozenset
-    deps: frozenset
-    past: dict
-    n_actions: int
+    events: int
+    deps: int
 
     def copy(self) -> "_State":
-        return _State(
-            dict(self.nodes), dict(self.last), dict(self.mutex), dict(self.once),
-            {k: dict(v) for k, v in self.created.items()}, dict(self.last_child),
-            dict(self.exited), set(self.joined), self.events, self.deps,
-            dict(self.past), self.n_actions,
-        )
-
-    def key(self) -> tuple:
-        return (self.events, self.deps)
+        return _State(dict(self.nodes), dict(self.last), dict(self.mutex), dict(self.once),
+                      dict(self.created), dict(self.exited), self.events, self.deps)
 
 
-def _initial_state(p: Program) -> _State:
-    main = p.main()
-    start = Event(MAIN, 0, p.main_label, main.start_node, None)
-    return _State(
-        nodes={MAIN: main.start_node},
-        last={MAIN: start},
-        mutex={},
-        once={},
-        created={MAIN: {}},
-        last_child={},
-        exited={},
-        joined=set(),
-        events=frozenset({start}),
-        deps=frozenset(),
-        past={start: frozenset({start})},
-        n_actions=0,
-    )
-
-
-def _candidate_edges(p: Program, s: _State, instance: InstanceId) -> list[Edge]:
-    node = s.nodes.get(instance)
-    if node is None:
-        return []
-    return p.edges_from(node)
-
-
-def _guard_ok(p: Program, s: _State, instance: InstanceId, edge: Edge) -> bool:
+def _guard_ok(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> bool:
     a = edge.action
-    if a.kind in ("skip", "read", "write"):
+    kind = a.kind
+    if kind in ("skip", "read", "write", "create", "exit"):
         return True
-    if a.kind == "pos_ran" or a.kind == "neg_ran":
-        seen = any(
-            ev.action is not None and ev.action.kind == "endO" and ev.action.target == a.target
-            for ev in s.past[s.last[instance]]
-        )
-        return seen if a.kind == "pos_ran" else not seen
-    if a.kind == "init":
-        return s.mutex.get(a.target, ("uninit",))[0] == "uninit"
-    if a.kind == "lock":
+    if kind == "pos_ran" or kind == "neg_ran":
+        seen = s.last[instance][0] & ids.end_o.get(a.target, 0)
+        return bool(seen) if kind == "pos_ran" else not seen
+    if kind == "init":
+        return a.target not in s.mutex
+    if kind == "lock":
         return s.mutex.get(a.target, ("uninit",))[0] == "free"
-    if a.kind == "unlock":
-        st = s.mutex.get(a.target, ("uninit",))
-        return st[0] == "held" and st[1] == instance
-    if a.kind == "initO":
-        return s.once.get(a.target, ("uninit",))[0] == "uninit"
-    if a.kind == "startO":
+    if kind == "unlock":
+        return s.mutex.get(a.target) == ("held", instance)
+    if kind == "initO":
+        return a.target not in s.once
+    if kind == "startO":
         return s.once.get(a.target, ("uninit",))[0] == "ready"
-    if a.kind == "endO":
-        st = s.once.get(a.target, ("uninit",))
-        return st[0] == "active" and st[1] == instance
-    if a.kind == "join":
-        child = s.last_child.get((instance, a.target))
-        return child is not None and child in s.exited and child not in s.joined
-    if a.kind in ("create", "exit"):
-        return True
-    raise ValueError(f"unhandled action kind {a.kind}")
+    if kind == "endO":
+        return s.once.get(a.target) == ("active", instance)
+    if kind == "join":
+        return s.created.get((instance, a.target)) in s.exited
+    raise ValueError(f"unhandled action kind {kind}")
 
 
-def _apply(p: Program, s: _State, instance: InstanceId, edge: Edge) -> tuple[_State, list[Event]]:
-    """Execute one enabled edge; returns the successor state and new events."""
+def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> tuple[_State, list]:
+    """Execute one enabled edge; returns the successor state and the local
+    traces of its new events."""
     ns = s.copy()
     a = edge.action
-    prev = ns.last[instance]
-    ev = Event(instance, prev.index + 1, prev.proto, edge.target, edge)
-    past = ns.past[prev] | {ev}
-    dep_src: Event | None = None
-    if a.kind == "lock":
-        dep_src = ns.mutex[a.target][1]
+    kind = a.kind
+    prev_past, prev_deps, prev = s.last[instance]
+    ev = ids.step(prev, edge)
+    past, deps = prev_past | 1 << ev, prev_deps
+    src = None
+    if kind == "lock":
+        src = s.mutex[a.target][1]
         ns.mutex[a.target] = ("held", instance)
-    elif a.kind == "startO":
-        dep_src = ns.once[a.target][1]
+    elif kind == "startO":
+        src = s.once[a.target][1]
         ns.once[a.target] = ("active", instance)
-    elif a.kind == "join":
-        child = ns.last_child[(instance, a.target)]
-        dep_src = ns.exited[child]
-        ns.joined.add(child)
-    elif a.kind == "init":
-        ns.mutex[a.target] = ("free", ev)
-    elif a.kind == "unlock":
-        ns.mutex[a.target] = ("free", ev)
-    elif a.kind == "initO":
-        ns.once[a.target] = ("ready", ev)
-    elif a.kind == "endO":
-        ns.once[a.target] = ("ready", ev)
-
-    new_events = [ev]
-    if dep_src is not None:
-        kind = {"lock": "mutex", "startO": "once", "join": "join"}[a.kind]
-        label = a.target if a.kind in ("lock", "startO") else None
-        ns.deps = ns.deps | {DepEdge(kind, label, dep_src, ev)}
-        past = past | ns.past[dep_src]
-    ns.events = ns.events | {ev}
-    ns.past[ev] = past
-    ns.last[instance] = ev
-    ns.nodes[instance] = edge.target
-    ns.n_actions += 1
-
-    if a.kind == "exit":
-        ns.nodes[instance] = None
-        ns.exited[instance] = ev
-    elif a.kind == "create":
-        occurrence = ns.created[instance].get(a.create_id, 0)
-        ns.created[instance][a.create_id] = occurrence + 1
-        child: InstanceId = instance + ((a.create_id, occurrence),)
-        proto = p.prototypes[a.target]
-        start = Event(child, 0, a.target, proto.start_node, None)
+    elif kind == "join":
+        src = ns.exited.pop(s.created[(instance, a.target)])
+    if src is not None:
+        label = a.target if kind != "join" else None
+        dep = 1 << ids.of(DepEdge(_DEP_KIND[kind], label, ids.events[src[2]], ids.events[ev]))
+        past |= src[0]
+        deps |= src[1] | dep
+        ns.deps |= dep
+    trace = (past, deps, ev)
+    if kind == "init" or kind == "unlock":
+        ns.mutex[a.target] = ("free", trace)
+    elif kind == "initO" or kind == "endO":
+        ns.once[a.target] = ("ready", trace)
+        if kind == "endO":
+            ids.end_o[a.target] = ids.end_o.get(a.target, 0) | 1 << ev
+    ns.events |= 1 << ev
+    ns.last[instance] = trace
+    ns.nodes[instance] = None if kind == "exit" else edge.target
+    new = [trace]
+    if kind == "exit":
+        ns.exited[instance] = trace
+    elif kind == "create":
+        last = s.created.get((instance, a.create_id))
+        child: InstanceId = instance + ((a.create_id, last[-1][1] + 1 if last else 0),)
+        ns.created[(instance, a.create_id)] = child
+        proto = ids.program.prototypes[a.target]
+        start = ids.of(Event(child, 0, a.target, proto.start_node, None))
         # the child depends on the creator's last configuration before create
-        ns.deps = ns.deps | {DepEdge("create", None, prev, start)}
-        ns.events = ns.events | {start}
-        ns.past[start] = ns.past[prev] | {start}
+        dep = 1 << ids.of(DepEdge("create", None, ids.events[prev], ids.events[start]))
+        ns.deps |= dep
+        ns.events |= 1 << start
         ns.nodes[child] = proto.start_node
-        ns.last[child] = start
-        ns.created[child] = {}
-        ns.last_child[(instance, a.create_id)] = child
-        new_events.append(start)
-    return ns, new_events
+        ns.last[child] = (prev_past | 1 << start, prev_deps | dep, start)
+        new.append(ns.last[child])
+    return ns, new
 
 
 def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     """All local traces reachable within the event and instance bounds.
 
-    The result also carries the maximal execution pomsets and a flag telling
-    whether any branch was cut off by a bound.
+    The result also carries the maximal execution pomsets and which bounds,
+    if any, cut off a branch.
     """
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
-    init = _initial_state(p)
-    traces: set[LocalTrace] = set()
-    pomsets: set[tuple] = set()
-    truncated = False
-    visited: set[tuple] = set()
-
-    init_trace = LocalTrace(init.events, init.deps, init.last[MAIN])
-    traces.add(init_trace)
-
+    ids = _Ids(p)
+    main = p.main()
+    start = ids.of(Event(MAIN, 0, p.main_label, main.start_node, None))
+    init = _State({MAIN: main.start_node}, {MAIN: (1, 0, start)}, {}, {}, {}, {}, 1, 0)
+    traces = {init.last[MAIN]}
+    pomsets: set[tuple[int, int]] = set()
+    blocked: set[str] = set()
+    visited = {(init.events, init.deps)}
     stack = [init]
-    visited.add(init.key())
     while stack:
         s = stack.pop()
+        n_actions = s.events.bit_count() - len(s.nodes)  # every event but the starts
         enabled: list[tuple[InstanceId, Edge]] = []
-        blocked_by_bound = False
         for instance in sorted(s.nodes):
-            for edge in _candidate_edges(p, s, instance):
-                if not _guard_ok(p, s, instance, edge):
+            for edge in p.edges_from(s.nodes[instance]):
+                if not _guard_ok(ids, s, instance, edge):
                     continue
-                if s.n_actions + 1 > depth:
-                    blocked_by_bound = True
-                    continue
-                if edge.action.kind == "create" and len(s.nodes) + 1 > width:
-                    blocked_by_bound = True
-                    continue
-                enabled.append((instance, edge))
-        if blocked_by_bound:
-            truncated = True
+                if n_actions >= depth:
+                    blocked.add("depth")
+                elif edge.action.kind == "create" and len(s.nodes) >= width:
+                    blocked.add("width")
+                else:
+                    enabled.append((instance, edge))
         if not enabled:
             pomsets.add((s.events, s.deps))
-            continue
         for instance, edge in enabled:
-            ns, new_events = _apply(p, s, instance, edge)
-            key = ns.key()
-            if key in visited:
-                continue
-            visited.add(key)
-            for ev in new_events:
-                deps_in = frozenset(d for d in ns.deps if d.dst in ns.past[ev])
-                traces.add(LocalTrace(ns.past[ev], deps_in, ev))
-            stack.append(ns)
+            ns, new = _apply(ids, s, instance, edge)
+            if (ns.events, ns.deps) not in visited:
+                visited.add((ns.events, ns.deps))
+                traces.update(new)
+                stack.append(ns)
 
+    # equal masks share one frozenset
+    events_of = functools.cache(lambda mask: _members(mask, ids.events))
+    deps_of = functools.cache(lambda mask: _members(mask, ids.deps))
     return TraceSet(
-        program=p,
-        traces=frozenset(traces),
-        pomsets=frozenset(Pomset(ev, dp) for ev, dp in pomsets),
-        truncated=truncated,
-        depth=depth,
-        width=width,
+        p, frozenset(LocalTrace(events_of(evs), deps_of(deps), ids.events[top])
+                     for evs, deps, top in traces),
+        frozenset(Pomset(events_of(evs), deps_of(deps)) for evs, deps in pomsets),
+        bool(blocked), depth, width, truncated_by=tuple(sorted(blocked)),
     )
 
 
 # ---------------------------------------------------------------------------
 # Race definitions
 # ---------------------------------------------------------------------------
-
-def _access_events(pom: Pomset, glob: str | None = None) -> list[Event]:
-    out = []
-    for e in pom.sorted_events():
-        a = e.action
-        if a is not None and a.kind in ("read", "write"):
-            if glob is None or a.target == glob:
-                out.append(e)
-    return out
-
 
 def _site(e: Event) -> tuple[str, str]:
     return (e.edge.source, WRITE if e.action.kind == "write" else READ)
@@ -601,29 +603,26 @@ def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
     the accessed global's atomicity mutex is discarded."""
     found: dict[tuple, RacePair] = {}
     for pom in ts.sorted_pomsets():
-        full = pomset_ancestors(pom)
-        by_glob: dict[str, list[Event]] = {}
-        for e in _access_events(pom):
-            by_glob.setdefault(e.action.target, []).append(e)
+        idx = pom.causality()
+        by_glob: dict[str, list[int]] = {}
+        for i, e in enumerate(idx.events):
+            a = e.action
+            if a is not None and a.kind in ("read", "write"):
+                by_glob.setdefault(a.target, []).append(i)
         for glob, accesses in sorted(by_glob.items()):
             mg = atomicity_mutex(glob)
-            stripped = frozenset(
-                d for d in pom.deps if not (d.kind == "mutex" and d.label == mg)
-            )
-            partial = ancestors(pom.events, stripped)
-            for i, ea in enumerate(accesses):
-                for eb in accesses[i + 1:]:
+            partial = idx.ancestor_masks(drop=lambda d: d.kind == "mutex" and d.label == mg)
+            for k, i in enumerate(accesses):
+                for j in accesses[k + 1:]:
+                    ea, eb = idx.events[i], idx.events[j]
                     if ea.action.kind != "write" and eb.action.kind != "write":
                         continue
-                    if ea in partial[eb] or eb in partial[ea]:
+                    if partial[j] >> i & 1 or partial[i] >> j & 1:
                         continue
-                    site_a, site_b = sorted((_site(ea), _site(eb)))
-                    key = (glob, site_a, site_b)
-                    if key in found:
-                        continue
-                    later = eb if ea in full[eb] else ea
-                    found[key] = RacePair(glob, site_a, site_b,
-                                          witness=pom.closure(later))
+                    key = (glob, *sorted((_site(ea), _site(eb))))
+                    if key not in found:
+                        later = j if idx.anc[j] >> i & 1 else i
+                        found[key] = RacePair(*key, witness=idx.closure(later))
     return frozenset(found.values())
 
 
@@ -631,8 +630,6 @@ def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
                                site_a: str, site_b: str) -> bool:
     """Both orders of the two access sequences are executable from some pair
     of prefix traces and some trace ending in an unlock/init of ``m_g``."""
-    from .model import access_sequence
-
     seq_a = access_sequence(p, site_a)
     seq_b = access_sequence(p, site_b)
     mg = atomicity_mutex(glob)

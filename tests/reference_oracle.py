@@ -1,0 +1,325 @@
+"""The bounded enumerator and the race search as they stood before events
+were interned: states hold frozensets of events and dep edges and a past
+per event, and ancestry is the repeat-until-stable ``ancestors`` loop.
+Kept only as the reference the interned oracle is compared against."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from racedigest.model import READ, WRITE, Edge, Program, atomicity_mutex
+from racedigest.oracle import (
+    MAIN,
+    DepEdge,
+    Event,
+    InstanceId,
+    LocalTrace,
+    Pomset,
+    RacePair,
+    TraceSet,
+)
+
+
+def ancestors(events, deps) -> dict[Event, frozenset[Event]]:
+    """Reflexive-transitive predecessor sets over program order plus deps."""
+    preds: dict[Event, list[Event]] = {e: [] for e in events}
+    by_key = {(e.instance, e.index): e for e in events}
+    for e in events:
+        if e.index > 0:
+            pred = by_key.get((e.instance, e.index - 1))
+            if pred is not None:
+                preds[e].append(pred)
+    for d in deps:
+        if d.dst in preds and d.src in preds:
+            preds[d.dst].append(d.src)
+    out: dict[Event, frozenset[Event]] = {}
+    remaining = dict(preds)
+    while remaining:
+        progressed = False
+        for e in list(remaining):
+            if all(p in out for p in remaining[e]):
+                acc = {e}
+                for p in remaining[e]:
+                    acc |= out[p]
+                out[e] = frozenset(acc)
+                del remaining[e]
+                progressed = True
+        if not progressed:
+            raise ValueError("cycle in causality order")
+    return out
+
+
+def pomset_ancestors(pom: Pomset) -> dict:
+    return ancestors(pom.events, pom.deps)
+
+
+def po_pred(pom: Pomset, e: Event) -> Event | None:
+    if e.index == 0:
+        return None
+    for ev in pom.events:
+        if ev.instance == e.instance and ev.index == e.index - 1:
+            return ev
+    raise ValueError(f"missing program-order predecessor of {e.describe()}")
+
+
+def dep_to(pom: Pomset, e: Event) -> DepEdge | None:
+    for d in pom.deps:
+        if d.dst == e:
+            return d
+    return None
+
+
+def closure(pom: Pomset, top: Event, anc: dict | None = None) -> LocalTrace:
+    past = (anc or pomset_ancestors(pom))[top]
+    deps = frozenset(d for d in pom.deps if d.dst in past)
+    return LocalTrace(frozenset(past), deps, top)
+
+
+@dataclass
+class _State:
+    nodes: dict
+    last: dict
+    mutex: dict
+    once: dict
+    created: dict
+    last_child: dict
+    exited: dict
+    joined: set
+    events: frozenset
+    deps: frozenset
+    past: dict
+    n_actions: int
+
+    def copy(self) -> "_State":
+        return _State(
+            dict(self.nodes), dict(self.last), dict(self.mutex), dict(self.once),
+            {k: dict(v) for k, v in self.created.items()}, dict(self.last_child),
+            dict(self.exited), set(self.joined), self.events, self.deps,
+            dict(self.past), self.n_actions,
+        )
+
+    def key(self) -> tuple:
+        return (self.events, self.deps)
+
+
+def _initial_state(p: Program) -> _State:
+    main = p.main()
+    start = Event(MAIN, 0, p.main_label, main.start_node, None)
+    return _State(
+        nodes={MAIN: main.start_node},
+        last={MAIN: start},
+        mutex={},
+        once={},
+        created={MAIN: {}},
+        last_child={},
+        exited={},
+        joined=set(),
+        events=frozenset({start}),
+        deps=frozenset(),
+        past={start: frozenset({start})},
+        n_actions=0,
+    )
+
+
+def _candidate_edges(p: Program, s: _State, instance: InstanceId) -> list[Edge]:
+    node = s.nodes.get(instance)
+    if node is None:
+        return []
+    return p.edges_from(node)
+
+
+def _guard_ok(p: Program, s: _State, instance: InstanceId, edge: Edge) -> bool:
+    a = edge.action
+    if a.kind in ("skip", "read", "write"):
+        return True
+    if a.kind == "pos_ran" or a.kind == "neg_ran":
+        seen = any(
+            ev.action is not None and ev.action.kind == "endO" and ev.action.target == a.target
+            for ev in s.past[s.last[instance]]
+        )
+        return seen if a.kind == "pos_ran" else not seen
+    if a.kind == "init":
+        return s.mutex.get(a.target, ("uninit",))[0] == "uninit"
+    if a.kind == "lock":
+        return s.mutex.get(a.target, ("uninit",))[0] == "free"
+    if a.kind == "unlock":
+        st = s.mutex.get(a.target, ("uninit",))
+        return st[0] == "held" and st[1] == instance
+    if a.kind == "initO":
+        return s.once.get(a.target, ("uninit",))[0] == "uninit"
+    if a.kind == "startO":
+        return s.once.get(a.target, ("uninit",))[0] == "ready"
+    if a.kind == "endO":
+        st = s.once.get(a.target, ("uninit",))
+        return st[0] == "active" and st[1] == instance
+    if a.kind == "join":
+        child = s.last_child.get((instance, a.target))
+        return child is not None and child in s.exited and child not in s.joined
+    if a.kind in ("create", "exit"):
+        return True
+    raise ValueError(f"unhandled action kind {a.kind}")
+
+
+def _apply(p: Program, s: _State, instance: InstanceId, edge: Edge) -> tuple[_State, list[Event]]:
+    """Execute one enabled edge; returns the successor state and new events."""
+    ns = s.copy()
+    a = edge.action
+    prev = ns.last[instance]
+    ev = Event(instance, prev.index + 1, prev.proto, edge.target, edge)
+    past = ns.past[prev] | {ev}
+    dep_src: Event | None = None
+    if a.kind == "lock":
+        dep_src = ns.mutex[a.target][1]
+        ns.mutex[a.target] = ("held", instance)
+    elif a.kind == "startO":
+        dep_src = ns.once[a.target][1]
+        ns.once[a.target] = ("active", instance)
+    elif a.kind == "join":
+        child = ns.last_child[(instance, a.target)]
+        dep_src = ns.exited[child]
+        ns.joined.add(child)
+    elif a.kind == "init":
+        ns.mutex[a.target] = ("free", ev)
+    elif a.kind == "unlock":
+        ns.mutex[a.target] = ("free", ev)
+    elif a.kind == "initO":
+        ns.once[a.target] = ("ready", ev)
+    elif a.kind == "endO":
+        ns.once[a.target] = ("ready", ev)
+
+    new_events = [ev]
+    if dep_src is not None:
+        kind = {"lock": "mutex", "startO": "once", "join": "join"}[a.kind]
+        label = a.target if a.kind in ("lock", "startO") else None
+        ns.deps = ns.deps | {DepEdge(kind, label, dep_src, ev)}
+        past = past | ns.past[dep_src]
+    ns.events = ns.events | {ev}
+    ns.past[ev] = past
+    ns.last[instance] = ev
+    ns.nodes[instance] = edge.target
+    ns.n_actions += 1
+
+    if a.kind == "exit":
+        ns.nodes[instance] = None
+        ns.exited[instance] = ev
+    elif a.kind == "create":
+        occurrence = ns.created[instance].get(a.create_id, 0)
+        ns.created[instance][a.create_id] = occurrence + 1
+        child: InstanceId = instance + ((a.create_id, occurrence),)
+        proto = p.prototypes[a.target]
+        start = Event(child, 0, a.target, proto.start_node, None)
+        # the child depends on the creator's last configuration before create
+        ns.deps = ns.deps | {DepEdge("create", None, prev, start)}
+        ns.events = ns.events | {start}
+        ns.past[start] = ns.past[prev] | {start}
+        ns.nodes[child] = proto.start_node
+        ns.last[child] = start
+        ns.created[child] = {}
+        ns.last_child[(instance, a.create_id)] = child
+        new_events.append(start)
+    return ns, new_events
+
+
+def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
+    """All local traces reachable within the event and instance bounds.
+
+    The result also carries the maximal execution pomsets and a flag telling
+    whether any branch was cut off by a bound.
+    """
+    if depth < 1 or width < 1:
+        raise ValueError("bounds must be at least 1")
+    init = _initial_state(p)
+    traces: set[LocalTrace] = set()
+    pomsets: set[tuple] = set()
+    truncated = False
+    visited: set[tuple] = set()
+
+    init_trace = LocalTrace(init.events, init.deps, init.last[MAIN])
+    traces.add(init_trace)
+
+    stack = [init]
+    visited.add(init.key())
+    while stack:
+        s = stack.pop()
+        enabled: list[tuple[InstanceId, Edge]] = []
+        blocked_by_bound = False
+        for instance in sorted(s.nodes):
+            for edge in _candidate_edges(p, s, instance):
+                if not _guard_ok(p, s, instance, edge):
+                    continue
+                if s.n_actions + 1 > depth:
+                    blocked_by_bound = True
+                    continue
+                if edge.action.kind == "create" and len(s.nodes) + 1 > width:
+                    blocked_by_bound = True
+                    continue
+                enabled.append((instance, edge))
+        if blocked_by_bound:
+            truncated = True
+        if not enabled:
+            pomsets.add((s.events, s.deps))
+            continue
+        for instance, edge in enabled:
+            ns, new_events = _apply(p, s, instance, edge)
+            key = ns.key()
+            if key in visited:
+                continue
+            visited.add(key)
+            for ev in new_events:
+                deps_in = frozenset(d for d in ns.deps if d.dst in ns.past[ev])
+                traces.add(LocalTrace(ns.past[ev], deps_in, ev))
+            stack.append(ns)
+
+    return TraceSet(
+        program=p,
+        traces=frozenset(traces),
+        pomsets=frozenset(Pomset(ev, dp) for ev, dp in pomsets),
+        truncated=truncated,
+        depth=depth,
+        width=width,
+    )
+
+
+def _access_events(pom: Pomset, glob: str | None = None) -> list[Event]:
+    out = []
+    for e in sorted(pom.events, key=Event.sort_key):
+        a = e.action
+        if a is not None and a.kind in ("read", "write"):
+            if glob is None or a.target == glob:
+                out.append(e)
+    return out
+
+
+def _site(e: Event) -> tuple[str, str]:
+    return (e.edge.source, WRITE if e.action.kind == "write" else READ)
+
+
+def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
+    """Access pairs (>=1 write) left unordered once the order contributed by
+    the accessed global's atomicity mutex is discarded."""
+    found: dict[tuple, RacePair] = {}
+    for pom in ts.sorted_pomsets():
+        full = pomset_ancestors(pom)
+        by_glob: dict[str, list[Event]] = {}
+        for e in _access_events(pom):
+            by_glob.setdefault(e.action.target, []).append(e)
+        for glob, accesses in sorted(by_glob.items()):
+            mg = atomicity_mutex(glob)
+            stripped = frozenset(
+                d for d in pom.deps if not (d.kind == "mutex" and d.label == mg)
+            )
+            partial = ancestors(pom.events, stripped)
+            for i, ea in enumerate(accesses):
+                for eb in accesses[i + 1:]:
+                    if ea.action.kind != "write" and eb.action.kind != "write":
+                        continue
+                    if ea in partial[eb] or eb in partial[ea]:
+                        continue
+                    site_a, site_b = sorted((_site(ea), _site(eb)))
+                    key = (glob, site_a, site_b)
+                    if key in found:
+                        continue
+                    later = eb if ea in full[eb] else ea
+                    found[key] = RacePair(glob, site_a, site_b,
+                                          witness=closure(pom, later, full))
+    return frozenset(found.values())

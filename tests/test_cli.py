@@ -84,6 +84,31 @@ def test_oracle_json_bounds(capsys):
     assert '"exhaustive": true' in out
 
 
+
+@pytest.mark.parametrize(
+    "case,bounds,code,text",
+    [
+        # cut off before any race: inconclusive, not race-free
+        ("prog0_unsync_writes", ("3", "1"), 3,
+         "warning: enumeration truncated by bounds (width 1)\n"
+         "inconclusive: enumeration truncated by bounds\n"),
+        # cut off, but every race found comes from a real execution prefix
+        ("deep_paths_all_race", ("12", "3"), 1,
+         "warning: enumeration truncated by bounds (depth 12)\n"
+         "race on g: W@main.s0 with W@p1.s0\n"
+         "race on g: W@main.s0 with W@p2.s0\n"
+         "race on g: W@p1.s0 with W@p2.s0\n"),
+        ("prog1_running_example", ("40", "4"), 0, "no races within bounds\n"),
+    ],
+    ids=["inconclusive", "truncated-racy", "exhaustive"],
+)
+def test_oracle_exit_codes_under_truncation(capsys, case, bounds, code, text):
+    argv = ("oracle", rlp(case), "--depth", bounds[0], "--width", bounds[1])
+    assert run(capsys, *argv) == (code, text, "")
+    got, out, _ = run(capsys, *argv, "--format", "json")
+    assert got == code
+    assert json.loads(out)["exhaustive"] is (code == 0)
+
 def test_ablate_monotone_rows(capsys):
     code, out, _ = run(capsys, "ablate", rlp("prog1_running_example"))
     assert code == 0
@@ -134,6 +159,23 @@ def test_conform_truncated_case_is_a_suite_failure(capsys, tmp_path):
     assert "prog1_truncated: InconclusiveBounds" in out
     assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize("missing", ["bounds", "bounds.depth", "bounds.width", "racy",
+                                     "race_free_subsets"])
+def test_conform_incomplete_expected_json_exit_two(capsys, tmp_path, missing):
+    case = tmp_path / "c1"
+    shutil.copytree(CORPUS_DIR / "prog0_unsync_writes", case)
+    expected = json.loads((case / "expected.json").read_text(encoding="utf-8"))
+    *parents, key = missing.split(".")
+    node = expected
+    for parent in parents:
+        node = node[parent]
+    del node[key]
+    (case / "expected.json").write_text(json.dumps(expected), encoding="utf-8")
+    code, out, err = run(capsys, "conform", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: c1: expected.json lacks {missing}\n"
 
 def test_reports_do_not_depend_on_hash_seed():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))

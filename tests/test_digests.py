@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,9 @@ from racedigest.digests import (
     TID_OVERFLOW,
     build_digests,
 )
-from racedigest.model import Action, Edge
+from racedigest.dsl import parse_program
+from racedigest.model import Action, Edge, instrument_atomicity
+from racedigest.oracle import enumerate_traces
 
 F, T = MhpVerdict.FALSE, MhpVerdict.TOP
 
@@ -305,3 +308,15 @@ def test_registry_normalizes_order_and_rejects_unknown():
     with pytest.raises(ConfigError):
         build_digests(["lockset", "mystery"])
     assert set(MUTANTS) == set(CANONICAL_ORDER)
+
+
+def test_abstract_trace_deeper_than_recursion_limit():
+    # every digest abstracts a trace longer than the recursion limit
+    src = "global g\nonce o\n\nmain:\n  initO o\n  label T\n  once o\n    g = 1\n  end\n  goto T\n"
+    ts = enumerate_traces(
+        instrument_atomicity(parse_program(src)), depth=sys.getrecursionlimit() + 100, width=1
+    )
+    deepest = max(ts.traces, key=lambda t: len(t.events))
+    assert len(deepest.events) > sys.getrecursionlimit()
+    alphas = {d.name: d.abstract_trace(deepest) for d in build_digests(CANONICAL_ORDER)}
+    assert alphas["once"][1] == frozenset({"o"})
