@@ -329,17 +329,15 @@ def run_mutant_suite(cases, tid_cap: int = 8) -> SuiteSection:
             section.fail(f"{case.name}: InconclusiveBounds")
     for target, factory in sorted(MUTANTS.items()):
         mutant = factory() if target not in ("tid", "join") else factory(tid_cap)
+        components = list(build_digests(CANONICAL_ORDER, tid_cap=tid_cap))
+        components[CANONICAL_ORDER.index(target)] = mutant
+        product = ProductDigest(tuple(components))
         law_failures = 0
         sound_failures = 0
         for case, ts in exhaustive:
             law = check_admissibility(mutant, case.program, ts)
             stability = check_access_stability(mutant, case.program, ts)
             law_failures += len(law.violations) + len(stability.violations)
-            components = [
-                mutant if name == target else build_digests([name] if name != "join" else ["tid", "join"], tid_cap=tid_cap)[-1]
-                for name in CANONICAL_ORDER
-            ]
-            product = ProductDigest(tuple(components))
             sol = solve(build_system(case.program, product))
             flagged = detect(sol, product).site_pairs()
             sound_failures += len(case.oracle_site_pairs() - flagged)

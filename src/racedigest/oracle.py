@@ -277,7 +277,8 @@ def validate_local_trace(t: LocalTrace) -> None:
     for e in t.events:
         if e.index > 0 and idx.pred[idx.ids[e]] is None:
             raise ValueError(f"trace not downward closed at {e.describe()}")
-    _check_degrees(t.deps)
+    if not _check_degrees(t.deps):
+        raise ValueError("an observable feeds two observers or an observer has two sources")
 
 
 def _check_degrees(deps) -> bool:

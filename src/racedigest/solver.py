@@ -10,6 +10,13 @@ actually reached create work, so the exponential digest universes never get
 enumerated.  Solving is a FIFO worklist run to the least fixpoint; a
 configurable evaluation cap guards against digests with unbounded realized
 universes.
+
+One transfer function, ``_transfer``, states every constraint: ``solve``
+adds the facts it derives and ``verify_postfixpoint`` checks that they are
+all in the solution.  The worklist iterates digest sets unsorted, in the
+order their values were first derived; the least fixpoint and
+``Solution.to_json()`` do not depend on that order.  ``evaluations`` counts
+digest step calls (``step_local``, ``step_observing``, ``new_digest``).
 """
 
 from __future__ import annotations
@@ -108,114 +115,102 @@ def _observing_edges_by_partner(program: Program) -> dict:
     return watchers
 
 
+def _transfer(cs: ConstraintSystem, edge: Edge, elem, observed: dict):
+    """The constraints of ``edge`` at ``elem``: one batch of facts per digest
+    step call.  A fact is ("pp", node, elem), ("obs", key, elem) or
+    ("race", global, AccessRecord); an observing edge pairs ``elem`` with
+    each value ``observed`` holds under the keys it observes."""
+    digest, act = cs.digest, edge.action
+    if act.is_observing:
+        for key in act.observed_keys():
+            for other in observed.get(key, ()):
+                out = digest.step_observing(act, elem, other)
+                yield () if out is None else (("pp", edge.target, out),)
+        return
+    out = digest.step_local(act, elem)
+    if out is None:
+        yield ()
+        return
+    facts = [("pp", edge.target, out)]
+    if act.is_observable:
+        facts.append(("obs", act.obs_key(), out))
+        if edge in cs.accumulators:
+            site, typ, glob = cs.accumulators[edge]
+            facts.append(("race", glob, AccessRecord(site, typ, out)))
+    yield facts
+    if act.kind == "create":
+        child = digest.new_digest(elem, edge)
+        start = cs.program.prototypes[act.target].start_node
+        yield () if child is None else (("pp", start, child),)
+
+
 def solve(cs: ConstraintSystem, max_evaluations: int = 1_000_000) -> Solution:
-    """Least solution of the refined system, computed by a FIFO worklist."""
-    program, digest = cs.program, cs.digest
+    """Least solution of the refined system, computed by a FIFO worklist.
+
+    While solving, each unknown's values live in a dict used as an
+    insertion-ordered set, so the order of evaluation, and with it the
+    ``evaluations`` count, does not depend on the hash seed."""
+    program = cs.program
     watchers = _observing_edges_by_partner(program)
-    sol = Solution(cs, pp={}, obs={}, races={})
+    tables: dict = {"pp": {}, "obs": {}, "race": {}}
     queue: deque = deque()
+    evaluations = 0
 
-    def push_pp(node: str, elem) -> None:
-        elems = sol.pp.setdefault(node, set())
-        if elem not in elems:
-            elems.add(elem)
-            queue.append(("pp", node, elem))
+    def push(fact) -> None:
+        kind, key, value = fact
+        values = tables[kind].setdefault(key, {})
+        if value not in values:
+            values[value] = None
+            if kind != "race":
+                queue.append(fact)
 
-    def push_obs(key, elem) -> None:
-        elems = sol.obs.setdefault(key, set())
-        if elem not in elems:
-            elems.add(elem)
-            queue.append(("obs", key, elem))
-
-    def charge() -> None:
-        sol.evaluations += 1
-        if sol.evaluations > max_evaluations:
-            raise SolverDivergence(
-                f"exceeded {max_evaluations} constraint evaluations; "
-                "does some digest realize unboundedly many elements?"
-            )
-
-    def flow_edge(edge: Edge, elem) -> None:
-        act = edge.action
-        if act.is_observing:
-            for key in act.observed_keys():
-                for other in sorted(sol.obs.get(key, ()), key=digest.format_elem):
-                    charge()
-                    out = digest.step_observing(act, elem, other)
-                    if out is not None:
-                        push_pp(edge.target, out)
-            return
-        charge()
-        out = digest.step_local(act, elem)
-        if out is None:
-            return
-        push_pp(edge.target, out)
-        if act.is_observable:
-            push_obs(act.obs_key(), out)
-            if edge in cs.accumulators:
-                site, typ, glob = cs.accumulators[edge]
-                sol.races.setdefault(glob, set()).add(AccessRecord(site, typ, out))
-        if act.kind == "create":
-            charge()
-            child = digest.new_digest(elem, edge)
-            if child is not None:
-                push_pp(program.prototypes[act.target].start_node, child)
+    def run(edge: Edge, elem, observed: dict) -> None:
+        nonlocal evaluations
+        for facts in _transfer(cs, edge, elem, observed):
+            evaluations += 1
+            if evaluations > max_evaluations:
+                raise SolverDivergence(
+                    f"exceeded {max_evaluations} constraint evaluations; "
+                    "does some digest realize unboundedly many elements?"
+                )
+            for fact in facts:
+                push(fact)
 
     start = program.main().start_node
-    for elem in sorted(digest.init_digests(), key=digest.format_elem):
-        push_pp(start, elem)
+    for elem in sorted(cs.digest.init_digests(), key=cs.digest.format_elem):
+        push(("pp", start, elem))
 
+    pp, obs = tables["pp"], tables["obs"]
     while queue:
-        kind, a, b = queue.popleft()
+        kind, key, value = queue.popleft()
         if kind == "pp":
-            node, elem = a, b
-            for edge in program.edges_from(node):
-                flow_edge(edge, elem)
+            for edge in program.edges_from(key):
+                run(edge, value, obs)
         else:
-            key, other = a, b
+            arrived = {key: (value,)}
             for edge in watchers.get(key, ()):
-                act = edge.action
-                for elem in sorted(sol.pp.get(edge.source, ()), key=digest.format_elem):
-                    charge()
-                    out = digest.step_observing(act, elem, other)
-                    if out is not None:
-                        push_pp(edge.target, out)
-    return sol
+                # a snapshot: an observing self-loop adds to its own source
+                for elem in tuple(pp.get(edge.source, ())):
+                    run(edge, elem, arrived)
+
+    def as_sets(table: dict) -> dict:
+        return {key: set(values) for key, values in table.items()}
+
+    return Solution(cs, as_sets(pp), as_sets(obs), as_sets(tables["race"]), evaluations)
 
 
 def verify_postfixpoint(sol: Solution) -> bool:
     """Re-evaluate every materialized constraint; True iff nothing changes."""
     cs = sol.system
-    program, digest = cs.program, cs.digest
-    for elem in digest.init_digests():
-        if not sol.reached(program.main().start_node, elem):
-            return False
-    for node, elems in sol.pp.items():
-        for elem in elems:
-            for edge in program.edges_from(node):
-                act = edge.action
-                if act.is_observing:
-                    for key in act.observed_keys():
-                        for other in sol.obs.get(key, ()):
-                            out = digest.step_observing(act, elem, other)
-                            if out is not None and not sol.reached(edge.target, out):
-                                return False
-                    continue
-                out = digest.step_local(act, elem)
-                if out is None:
-                    continue
-                if not sol.reached(edge.target, out):
-                    return False
-                if act.is_observable:
-                    if out not in sol.obs.get(act.obs_key(), ()):
-                        return False
-                    if edge in cs.accumulators:
-                        site, typ, glob = cs.accumulators[edge]
-                        if AccessRecord(site, typ, out) not in sol.races.get(glob, ()):
-                            return False
-                if act.kind == "create":
-                    child = digest.new_digest(elem, edge)
-                    start = program.prototypes[act.target].start_node
-                    if child is not None and not sol.reached(start, child):
-                        return False
-    return True
+    tables = {"pp": sol.pp, "obs": sol.obs, "race": sol.races}
+    start = cs.program.main().start_node
+    if not all(sol.reached(start, elem) for elem in cs.digest.init_digests()):
+        return False
+    return all(
+        value in tables[kind].get(key, ())
+        for node, elems in sol.pp.items()
+        for elem in elems
+        for edge in cs.program.edges_from(node)
+        for facts in _transfer(cs, edge, elem, sol.obs)
+        for kind, key, value in facts
+    )

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import pytest
+
 from racedigest.dsl import parse_program
 from racedigest.model import access_sites, instrument_atomicity
 from racedigest.oracle import (
     MAIN,
+    DepEdge,
+    LocalTrace,
     bidirectionally_compatible,
     edge_path,
     enumerate_traces,
@@ -42,6 +46,21 @@ def traces_at_node(ts, node: str):
 def test_every_trace_is_well_formed(prog1_traces):
     for t in prog1_traces.traces:
         validate_local_trace(t)
+
+
+def test_observable_feeding_two_observers_is_rejected(prog1_traces):
+    # main[1] init m_g already feeds main[3] lock m_g, and main[8] lock m_g
+    # already has its mutex dep from main[5] unlock m_g
+    t = next(
+        t for t in prog1_traces.traces
+        if {"main[1] init m_g", "main[8] lock m_g"} <= {e.describe() for e in t.events}
+    )
+    by_name = {e.describe(): e for e in t.events}
+    extra = DepEdge("mutex", "m_g", by_name["main[1] init m_g"], by_name["main[8] lock m_g"])
+    assert extra not in t.deps
+    validate_local_trace(t)
+    with pytest.raises(ValueError, match="two observers"):
+        validate_local_trace(LocalTrace(t.events, t.deps | {extra}, t.top))
 
 
 def test_local_step_advances_access(prog1, prog1_traces):

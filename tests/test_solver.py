@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,83 @@ def test_postfixpoint_and_lazy_materialization(prog1):
     assert verify_postfixpoint(sol)
     for node, elems in sol.pp.items():
         assert len(elems) <= 2
+
+
+def _drop_fact(sol, prog1, kind: str) -> None:
+    # every fact of a least solution is derived from other facts, so
+    # removing any one of them breaks a constraint
+    if kind == "pp":
+        table, key = sol.pp, "main.s1"
+    elif kind == "obs":
+        table, key = sol.obs, ("unlock", "a")
+    elif kind == "race":
+        table, key = sol.races, "g"
+    else:  # the created thread's start digest
+        table, key = sol.pp, prog1.prototypes["t1"].start_node
+    table[key].pop()
+
+
+@pytest.mark.parametrize("kind", ["pp", "obs", "race", "start"])
+def test_postfixpoint_rejects_a_missing_fact(prog1, kind):
+    product, sol = solve_for(prog1, ["lockset", "threadflag", "tid", "join", "once"])
+    assert verify_postfixpoint(sol)
+    _drop_fact(sol, prog1, kind)
+    assert not verify_postfixpoint(sol)
+
+
+def test_observing_self_loop_gains_values_while_observed():
+    # t1's lock edge loops on its source; `init a` arrives after t1.1 was
+    # evaluated, so pairing it with t1.1 adds a value at t1.1 itself
+    src = (
+        "global g\nmutex a\n\n"
+        "main @ main.0:\n"
+        "  main.0: create t1 as e1 -> main.1\n"
+        "  main.1: skip -> main.2\n"
+        "  main.2: skip -> main.3\n"
+        "  main.3: skip -> main.4\n"
+        "  main.4: init a -> main.5\n\n"
+        "t1 @ t1.0:\n"
+        "  t1.0: skip -> t1.1\n"
+        "  t1.1: lock a -> t1.1\n"
+    )
+    p = instrument_atomicity(parse_program(src))
+    product, sol = solve_for(p, ["lockset"])
+    assert sol.pp["t1.1"] == {(frozenset(),), (frozenset({"a"}),)}
+    assert verify_postfixpoint(sol)
+
+
+_SEEDED_SOLVE = """
+import json
+from racedigest.digest import ProductDigest
+from racedigest.digests import CANONICAL_ORDER, build_digests
+from racedigest.dsl import parse_program
+from racedigest.model import instrument_atomicity
+from racedigest.solver import build_system, solve
+from tests.conftest import corpus_program
+from tests.test_sweep import locked_program
+
+for program in (
+    corpus_program("prog1_running_example"),
+    instrument_atomicity(parse_program(locked_program(4, 4, 6))),
+):
+    product = ProductDigest(build_digests(CANONICAL_ORDER))
+    sol = solve(build_system(program, product))
+    print(json.dumps(sol.to_json(), sort_keys=True), sol.evaluations)
+"""
+
+
+def test_solution_does_not_depend_on_hash_seed():
+    root = Path(__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}")
+        run = subprocess.run(
+            [sys.executable, "-c", _SEEDED_SOLVE],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2
 
 
 def test_oracle_solution_agreement(prog1, prog1_traces):
