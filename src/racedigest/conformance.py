@@ -23,6 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 from .detector import BESPOKE, ExclusionSweep, detect, sweep
 from .digest import (
@@ -35,7 +36,7 @@ from .digest import (
 )
 from .digests import CANONICAL_ORDER, MUTANTS, build_digests
 from .dsl import parse_program
-from .model import WRITE, access_sites, instrument_atomicity
+from .model import READ, WRITE, access_sites, instrument_atomicity
 from .oracle import TraceSet, bidirectionally_compatible, enumerate_traces, find_racy_pairs
 from .solver import Solution, build_system, solve
 
@@ -104,13 +105,39 @@ class CorpusCase:
 _REQUIRED_KEYS = (("bounds", "depth"), ("bounds", "width"), ("racy",), ("race_free_subsets",))
 
 
+def _is_access(x) -> bool:
+    return isinstance(x, dict) and isinstance(x.get("site"), str) and x.get("type") in (READ, WRITE)
+
+
 def _check_expected(name: str, expected) -> None:
+    def bad(what: str) -> NoReturn:
+        raise ValueError(f"{name}: expected.json {what}")
+
     for path in _REQUIRED_KEYS:
         node = expected
         for n, key in enumerate(path, 1):
             if not isinstance(node, dict) or key not in node:
-                raise ValueError(f"{name}: expected.json lacks {'.'.join(path[:n])}")
+                bad(f"lacks {'.'.join(path[:n])}")
             node = node[key]
+    for key in ("depth", "width"):
+        bound = expected["bounds"][key]
+        if type(bound) is not int or bound < 1:
+            bad(f"bounds.{key} is not a positive integer: {bound!r}")
+    racy = expected["racy"]
+    if not isinstance(racy, list):
+        bad(f"racy is not a list: {racy!r}")
+    for i, race in enumerate(racy):
+        if not (isinstance(race, dict) and isinstance(race.get("global"), str)
+                and _is_access(race.get("a")) and _is_access(race.get("b"))):
+            bad(f"racy[{i}] needs a global and accesses a and b, each a site and a type "
+                f"{WRITE} or {READ}: {race!r}")
+    subsets = expected["race_free_subsets"]
+    if not isinstance(subsets, list) or not all(isinstance(s, list) for s in subsets):
+        bad(f"race_free_subsets is not a list of lists: {subsets!r}")
+    for subset in subsets:
+        unknown = [n for n in subset if n not in CANONICAL_ORDER]
+        if unknown:
+            bad(f"race_free_subsets names unknown digests {unknown}")
 
 
 def load_corpus(directory: Path) -> list[CorpusCase]:
@@ -184,15 +211,23 @@ def _subset_flags(case: CorpusCase, tid_cap: int) -> dict[tuple[str, ...], set]:
     }
 
 
+def _exhaustive(section: SuiteSection, cases, truncated: str = "InconclusiveBounds"):
+    """Each case that enumerates exhaustively, with its traces; every other
+    case fails ``section`` with the message ``truncated``."""
+    for case in cases:
+        try:
+            ts = case.require_exhaustive()
+        except InconclusiveBounds:
+            section.fail(f"{case.name}: {truncated}")
+            continue
+        yield case, ts
+
+
 def run_expectation_suite(cases, tid_cap: int = 8) -> SuiteSection:
     section = SuiteSection("expectations")
-    for case in cases:
-        section.checks += 1
-        try:
-            case.require_exhaustive()
-        except InconclusiveBounds:
-            section.fail(f"{case.name}: enumeration truncated (bounds too small)")
-            continue
+    cases = list(cases)
+    section.checks += len(cases)  # one per case: exhaustive, with the frozen races
+    for case, _ in _exhaustive(section, cases, "enumeration truncated (bounds too small)"):
         got = case.oracle_site_pairs()
         want = case.expected_site_pairs()
         if got != want:
@@ -213,12 +248,7 @@ def run_soundness_suite(cases, tid_cap: int = 8) -> SuiteSection:
     """Zero false negatives for every predicate subset, and ablation
     monotonicity along the subset order."""
     section = SuiteSection("soundness")
-    for case in cases:
-        try:
-            case.require_exhaustive()
-        except InconclusiveBounds:
-            section.fail(f"{case.name}: InconclusiveBounds")
-            continue
+    for case, _ in _exhaustive(section, cases):
         oracle_pairs = case.oracle_site_pairs()
         flags = _subset_flags(case, tid_cap)
         for subset, flagged in flags.items():
@@ -247,12 +277,7 @@ def _shipped_digests(tid_cap: int) -> list[Digest]:
 def run_law_suite(cases, tid_cap: int = 8, digests=None) -> SuiteSection:
     section = SuiteSection("laws")
     digests = digests if digests is not None else _shipped_digests(tid_cap)
-    for case in cases:
-        try:
-            ts = case.require_exhaustive()
-        except InconclusiveBounds:
-            section.fail(f"{case.name}: InconclusiveBounds")
-            continue
+    for case, ts in _exhaustive(section, cases):
         for d in digests:
             for report in (
                 check_admissibility(d, case.program, ts),
@@ -268,12 +293,7 @@ def run_law_suite(cases, tid_cap: int = 8, digests=None) -> SuiteSection:
 def run_equivalence_suite(cases) -> SuiteSection:
     """Racy pairs coincide with bidirectionally compatible write pairs."""
     section = SuiteSection("equivalence")
-    for case in cases:
-        try:
-            ts = case.require_exhaustive()
-        except InconclusiveBounds:
-            section.fail(f"{case.name}: InconclusiveBounds")
-            continue
+    for case, ts in _exhaustive(section, cases):
         sites = access_sites(case.program)
         racy = case.oracle_site_pairs()
         compatible = set()
@@ -321,12 +341,7 @@ def run_subsumption_suite(cases, tid_cap: int = 8) -> SuiteSection:
 def run_mutant_suite(cases, tid_cap: int = 8) -> SuiteSection:
     """Each registered mutant must be caught by the laws or by soundness."""
     section = SuiteSection("mutants")
-    exhaustive = []
-    for case in cases:
-        try:
-            exhaustive.append((case, case.require_exhaustive()))
-        except InconclusiveBounds:
-            section.fail(f"{case.name}: InconclusiveBounds")
+    exhaustive = list(_exhaustive(section, cases))
     for target, factory in sorted(MUTANTS.items()):
         mutant = factory() if target not in ("tid", "join") else factory(tid_cap)
         components = list(build_digests(CANONICAL_ORDER, tid_cap=tid_cap))

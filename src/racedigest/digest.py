@@ -273,12 +273,16 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet) -> LawReport:
     return report
 
 
+def _realized(d: Digest, ts: TraceSet) -> list:
+    """The initial digest values and those of every trace, in format order."""
+    return sorted({d.abstract_trace(t) for t in ts.traces} | set(d.init_digests()),
+                  key=d.format_elem)
+
+
 def check_mhp_commutativity(d: Digest, p: Program, ts: TraceSet) -> LawReport:
     """The parallelism predicate must not depend on argument order."""
     report = LawReport(d.name)
-    alpha = _AlphaCache(d)
-    realized = sorted({alpha(t) for t in ts.traces} | set(d.init_digests()),
-                      key=d.format_elem)
+    realized = _realized(d, ts)
     for glob in sorted(p.globals):
         for a in realized:
             for b in realized:
@@ -295,9 +299,7 @@ def check_access_stability(d: Digest, p: Program, ts: TraceSet) -> LawReport:
     """An access sequence lock(m_g); access; unlock(m_g) must leave any
     realized digest unchanged whenever it is defined."""
     report = LawReport(d.name)
-    alpha = _AlphaCache(d)
-    realized = sorted({alpha(t) for t in ts.traces} | set(d.init_digests()),
-                      key=d.format_elem)
+    realized = _realized(d, ts)
     for site, glob, _ in access_sites(p):
         lock_e, acc_e, unl_e = access_sequence(p, site)
         for a0 in realized:

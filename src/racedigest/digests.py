@@ -67,12 +67,7 @@ class LocksetDigest(Digest):
         return MhpVerdict.FALSE if a & b else MhpVerdict.TOP
 
     def abstract_trace(self, t: LocalTrace):
-        held = {}
-        for e in t.instance_events(t.ego):
-            a = e.action
-            if a is not None and a.kind in ("lock", "unlock"):
-                held[a.target] = a.kind == "lock"
-        return frozenset(m for m, h in held.items() if h)
+        return t.ego_history().held
 
     def format_elem(self, elem) -> str:
         return "{" + ",".join(sorted(elem)) + "}"
@@ -107,11 +102,7 @@ class ThreadFlagDigest(Digest):
     def abstract_trace(self, t: LocalTrace):
         if t.ego != ():
             return MT
-        created = any(
-            e.action is not None and e.action.kind == "create"
-            for e in t.instance_events(t.ego)
-        )
-        return MT_MAIN if created else ST_MAIN
+        return MT_MAIN if t.ego_history().created else ST_MAIN
 
     def format_elem(self, elem) -> str:
         return elem
@@ -181,12 +172,8 @@ class ThreadIdDigest(Digest):
         path = edge_path(t.ego)
         if len(path) > self.cap:
             return TID_OVERFLOW
-        created = []
-        for e in t.instance_events(t.ego):
-            a = e.action
-            if a is not None and a.kind == "create":
-                created.append(a.create_id)
-        return TidElem(path, _saturate_counts(created), _alpha_unique(t.ego))
+        created = _saturate_counts(t.ego_history().created)
+        return TidElem(path, created, _alpha_unique(t.ego))
 
     def format_elem(self, elem) -> str:
         if elem.path is None:
@@ -329,15 +316,7 @@ class OnceDigest(Digest):
         return MhpVerdict.TOP
 
     def abstract_trace(self, t: LocalTrace):
-        active = {}
-        for e in t.instance_events(t.ego):
-            a = e.action
-            if a is not None and a.kind in ("startO", "endO"):
-                active[a.target] = a.kind == "startO"
-        return (
-            frozenset(o for o, v in active.items() if v),
-            self._completed_at(t),
-        )
+        return (t.ego_history().active, self._completed_at(t))
 
     @staticmethod
     def _completed_at(t: LocalTrace) -> frozenset:

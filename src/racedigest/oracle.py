@@ -184,6 +184,15 @@ class Pomset:
                 tuple(sorted(edges)), tuple(sorted(deps)))
 
 
+@dataclass(frozen=True, slots=True)
+class EgoHistory:
+    """The mutexes the ego holds, the once variables it is in, its create edges."""
+
+    held: frozenset[str]
+    active: frozenset[str]
+    created: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class LocalTrace:
     """Downward-closed event set with the unique maximal event ``top``.
@@ -207,22 +216,6 @@ class LocalTrace:
         return sorted((e for e in self.events if e.instance == instance),
                       key=lambda e: e.index)
 
-    def ego_holds(self, mutex: str) -> bool:
-        last = None
-        for e in self.instance_events(self.ego):
-            a = e.action
-            if a is not None and a.kind in ("lock", "unlock") and a.target == mutex:
-                last = a.kind
-        return last == "lock"
-
-    def ego_once_active(self, once: str) -> bool:
-        last = None
-        for e in self.instance_events(self.ego):
-            a = e.action
-            if a is not None and a.kind in ("startO", "endO") and a.target == once:
-                last = a.kind
-        return last == "startO"
-
     def has_event(self, kind: str, target: str | None = None) -> bool:
         for e in self.events:
             a = e.action
@@ -230,14 +223,25 @@ class LocalTrace:
                 return True
         return False
 
-    def ego_create_count(self, create_id: str) -> int:
-        return sum(
-            1
-            for e in self.instance_events(self.ego)
-            if e.action is not None
-            and e.action.kind == "create"
-            and e.action.create_id == create_id
-        )
+    def ego_history(self) -> EgoHistory:
+        """What the ego thread did, from one walk over its events, built once."""
+        if "_ego_history" not in self.__dict__:
+            held, active, created = set(), set(), []
+            for e in self.instance_events(self.ego)[1:]:  # the start has no action
+                a = e.action
+                if a.kind == "lock":
+                    held.add(a.target)
+                elif a.kind == "unlock":
+                    held.discard(a.target)
+                elif a.kind == "startO":
+                    active.add(a.target)
+                elif a.kind == "endO":
+                    active.discard(a.target)
+                elif a.kind == "create":
+                    created.append(a.create_id)
+            self.__dict__["_ego_history"] = EgoHistory(
+                frozenset(held), frozenset(active), tuple(created))
+        return self.__dict__["_ego_history"]
 
 
 @dataclass(frozen=True)
@@ -303,21 +307,24 @@ def _check_degrees(deps) -> bool:
 _DEP_KIND = {"lock": "mutex", "startO": "once", "join": "join"}
 
 
-def _local_guard_ok(edge: Edge, t: LocalTrace) -> bool:
-    a = edge.action
-    if a.kind == "pos_ran":
-        return t.has_event("endO", a.target)
-    if a.kind == "neg_ran":
-        return not t.has_event("endO", a.target)
-    if a.kind == "unlock":
-        return t.ego_holds(a.target)
-    if a.kind == "init":
-        return not t.has_event("init", a.target)
-    if a.kind == "initO":
-        return not t.has_event("initO", a.target)
-    if a.kind == "endO":
-        return t.ego_once_active(a.target)
-    return True
+# What the ego's own trace must show before each kind of action; the pairing
+# with an observed trace is checked in trace_step_observing.  lock and startO
+# decide only if two threads init the mutex (once variable) concurrently.
+_GUARDS = {
+    "pos_ran": lambda t, x: t.has_event("endO", x),
+    "neg_ran": lambda t, x: not t.has_event("endO", x),
+    "init": lambda t, x: not t.has_event("init", x),
+    "initO": lambda t, x: not t.has_event("initO", x),
+    "lock": lambda t, x: x not in t.ego_history().held,
+    "unlock": lambda t, x: x in t.ego_history().held,
+    "startO": lambda t, x: x not in t.ego_history().active,
+    "endO": lambda t, x: x in t.ego_history().active,
+}
+
+
+def _guard(act: Action, t: LocalTrace) -> bool:
+    guard = _GUARDS.get(act.kind)
+    return guard is None or guard(t, act.target)
 
 
 def _prolong(t: LocalTrace, edge: Edge) -> LocalTrace:
@@ -330,9 +337,7 @@ def trace_step_local(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None
     a = edge.action
     if a.is_observing or a.is_creating:
         raise ValueError(f"{a.kind} is not a local step")
-    if t.ego_node() != edge.source:
-        return None
-    if not _local_guard_ok(edge, t):
+    if t.ego_node() != edge.source or not _guard(a, t):
         return None
     return _prolong(t, edge)
 
@@ -342,7 +347,7 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     a = edge.action
     if a.kind != "create" or t.ego_node() != edge.source:
         return None
-    occurrence = t.ego_create_count(a.create_id)
+    occurrence = t.ego_history().created.count(a.create_id)
     child: InstanceId = t.ego + ((a.create_id, occurrence),)
     proto = p.prototypes[a.target]
     start = Event(child, 0, a.target, proto.start_node, None)
@@ -368,21 +373,15 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
     act = edge.action
     if not act.is_observing:
         raise ValueError(f"{act.kind} is not an observing action")
-    if t0.ego_node() != edge.source:
+    if t0.ego_node() != edge.source or not _guard(act, t0):
         return None
     top1 = t1.top
     a1 = top1.action
     if a1 is None or a1.obs_key() not in act.observed_keys():
         return None
-    if act.kind == "lock" and t0.ego_holds(act.target):
-        return None
-    if act.kind == "startO" and t0.ego_once_active(act.target):
-        return None
     if act.kind == "join":
-        count = t0.ego_create_count(act.target)
-        if count == 0:
-            return None
-        # joins observe the most recently created child through this edge
+        # the last child created through this edge; with none, no child matches
+        count = t0.ego_history().created.count(act.target)
         if top1.instance != t0.ego + ((act.target, count - 1),):
             return None
 

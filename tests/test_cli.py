@@ -84,7 +84,6 @@ def test_oracle_json_bounds(capsys):
     assert '"exhaustive": true' in out
 
 
-
 @pytest.mark.parametrize(
     "case,bounds,code,text",
     [
@@ -108,6 +107,7 @@ def test_oracle_exit_codes_under_truncation(capsys, case, bounds, code, text):
     got, out, _ = run(capsys, *argv, "--format", "json")
     assert got == code
     assert json.loads(out)["exhaustive"] is (code == 0)
+
 
 def test_ablate_monotone_rows(capsys):
     code, out, _ = run(capsys, "ablate", rlp("prog1_running_example"))
@@ -160,7 +160,6 @@ def test_conform_truncated_case_is_a_suite_failure(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-
 @pytest.mark.parametrize("missing", ["bounds", "bounds.depth", "bounds.width", "racy",
                                      "race_free_subsets"])
 def test_conform_incomplete_expected_json_exit_two(capsys, tmp_path, missing):
@@ -177,20 +176,49 @@ def test_conform_incomplete_expected_json_exit_two(capsys, tmp_path, missing):
     assert (code, out) == (2, "")
     assert err == f"error: c1: expected.json lacks {missing}\n"
 
+
+@pytest.mark.parametrize(
+    "case,edit,error",
+    [
+        ("prog0_unsync_writes", lambda e: e["bounds"].update(depth="12"),
+         "bounds.depth is not a positive integer: '12'"),
+        ("prog0_unsync_writes", lambda e: e["racy"][0].pop("a"), "racy[0] needs a global"),
+        ("prog0_unsync_writes", lambda e: e.update(racy=5), "racy is not a list: 5"),
+        ("prog1_running_example",
+         lambda e: e["race_free_subsets"].append(["lockset", "tid", "join", "once", "threadflg"]),
+         "race_free_subsets names unknown digests ['threadflg']"),
+    ],
+    ids=["depth-string", "race-without-a", "racy-number", "unknown-digest"],
+)
+def test_conform_malformed_expected_json_exit_two(capsys, tmp_path, case, edit, error):
+    shutil.copytree(CORPUS_DIR / case, tmp_path / "c1")
+    path = tmp_path / "c1" / "expected.json"
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    edit(expected)
+    path.write_text(json.dumps(expected), encoding="utf-8")
+    code, out, err = run(capsys, "conform", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: c1: expected.json {error}") and err.count("\n") == 1
+
+
 def test_reports_do_not_depend_on_hash_seed():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     prog = rlp("prog1_running_example")
+    commands = [[cmd, prog, "--format", "json"] for cmd in ("analyze", "ablate", "oracle")]
+    commands.append(["conform", str(CORPUS_DIR)])
     outputs = []
     for seed in ("1", "2"):
         env["PYTHONHASHSEED"] = seed
         outputs.append(
             [
                 subprocess.run(
-                    [sys.executable, "-m", "racedigest.cli", *argv, prog, "--format", "json"],
+                    [sys.executable, "-m", "racedigest.cli", *argv],
                     env=env, capture_output=True, check=False, timeout=120,
                 ).stdout
-                for argv in (["analyze"], ["ablate"])
+                for argv in commands
             ]
         )
     assert outputs[0] == outputs[1]
-    assert all(out.startswith(b"{") for out in outputs[0])
+    *reports, conform = outputs[0]
+    assert all(out.startswith(b"{") for out in reports)
+    assert conform.endswith(b"all suites pass\n")

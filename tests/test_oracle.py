@@ -322,3 +322,96 @@ def test_trace_dot_golden(prog0, prog0_traces):
     assert dot.startswith("digraph trace {")
     assert 'color=blue, label="create"' in dot
     assert "main (main)" in dot and "<e1#0> (t1)" in dot
+
+
+def _rebuild(p, pom, e):
+    """The closure of ``e`` rebuilt by the step functions from the closures
+    of its program-order predecessor and of the source of its dependency."""
+    dep = pom.dep_to(e)
+    if e.edge is None:  # a child's start event
+        return spawn(p, p.create_edges()[e.instance[-1][0]], pom.closure(dep.src))
+    t0 = pom.closure(pom.po_pred(e))
+    if e.action.kind == "create":
+        return step_creator(p, e.edge, t0)
+    if e.action.is_observing:
+        return trace_step_observing(p, e.edge, t0, pom.closure(dep.src))
+    return trace_step_local(p, e.edge, t0)
+
+
+def _successors(p, t, traces):
+    """Every trace the step functions build from ``t``, observing any of
+    ``traces``."""
+    for edge in p.edges_from(t.ego_node()):
+        if edge.action.kind == "create":
+            yield from (spawn(p, edge, t), step_creator(p, edge, t))
+        elif edge.action.is_observing:
+            yield from (trace_step_observing(p, edge, t, t1) for t1 in traces)
+        else:
+            yield trace_step_local(p, edge, t)
+
+
+def _disagreements(p, ts) -> tuple[int, list[str]]:
+    """Compare the local-trace steps with the enumeration ``ts`` of ``p``:
+    each enumerated step must be rebuilt exactly, and on an exhaustive run
+    no step may lead out of the enumerated traces.  Returns the number of
+    enumerated steps and the disagreements."""
+    steps, found = 0, []
+    for pom in ts.sorted_pomsets():
+        for e in pom.sorted_events():
+            if e.edge is None and e.instance == MAIN:
+                continue
+            steps += 1
+            if _rebuild(p, pom, e) != pom.closure(e):
+                found.append(f"rebuilt {e.describe()} differs")
+    if not ts.truncated:
+        for t in ts.traces:
+            for out in _successors(p, t, ts.traces):
+                if out is not None and out not in ts.traces:
+                    found.append(f"step to {out.top.describe()} is not enumerated")
+    return steps, found
+
+
+def test_trace_steps_agree_with_enumeration(corpus_cases):
+    # the local-trace steps and the enumerator state one semantics twice
+    steps = 0
+    for case in corpus_cases:
+        n, found = _disagreements(case.program, case.traces())
+        steps += n
+        assert found == [], case.name
+    assert steps > 0
+
+
+@pytest.mark.parametrize("src", [
+    "mutex a\n\nmain:\n  init a\n  init a\n",
+    "once o\n\nmain:\n  initO o\n  initO o\n",
+    "once o\n\nmain @ n0:\n  n0: initO o -> n1\n  n1: endO o -> n2\n",
+], ids=["init-twice", "initO-twice", "endO-outside-once"])
+def test_trace_steps_block_what_enumeration_blocks(src):
+    p = load(src)
+    _, found = _disagreements(p, enumerate_traces(p))
+    assert found == []
+
+
+@pytest.mark.parametrize("src, kind", [
+    ("mutex a\n\nmain:\n  create t1 as e1\n  create t2 as e2\n\n"
+     "t1:\n  init a\n  lock a\n  lock a\n\nt2:\n  init a\n", "lock"),
+    ("once o\n\nmain:\n  create t1 as e1\n  create t2 as e2\n\n"
+     "t1:\n  initO o\n  once o\n    once o\n    end\n  end\n\nt2:\n  initO o\n",
+     "startO"),
+], ids=["lock-while-held", "startO-while-inside"])
+def test_ego_does_not_retake_what_it_holds(src, kind):
+    # t2 inits the mutex (once variable) concurrently with t1, so t2's init
+    # is an unobserved observable that t1 could pair with; t1 already holds
+    # it (is inside it) and must not take it again
+    p = load(src)
+    traces = enumerate_traces(p).traces
+    holding = [
+        t for t in traces
+        if t.ego == (("e1", 0),)
+        and any(e.action.kind == kind for e in t.instance_events(t.ego)[1:])
+        and any(edge.action.kind == kind for edge in p.edges_from(t.ego_node()))
+    ]
+    assert holding
+    for t0 in holding:
+        for edge in p.edges_from(t0.ego_node()):
+            assert all(trace_step_observing(p, edge, t0, t1) is None for t1 in traces)
