@@ -36,7 +36,6 @@ from .oracle import (
     spawn,
     trace_step_local,
     trace_step_observing,
-    trace_to_dot,
 )
 from .solver import (
     AccessRecord,

@@ -8,9 +8,11 @@ Subcommands:
 
 Exit codes: 0 no races / suites pass, 1 races flagged / suite failures,
 2 usage or input errors (including an unreadable input path such as a
-directory, a negative --tid-cap, and a corpus expected.json lacking a
-required key), 3 oracle inconclusive: the enumeration was cut off by its
-bounds and found no race (races found in a truncated run still exit 1).
+directory, a negative --tid-cap, an init or initO outside main, and a
+corpus expected.json that is not valid JSON or lacks a required key) and
+solver divergence (the evaluation cap was hit), 3 oracle inconclusive: the
+enumeration was cut off by its bounds and found no race (races found in a
+truncated run still exit 1).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, build_digests
 from .dsl import DslSyntaxError, parse_program
 from .model import ValidationError, instrument_atomicity
 from .oracle import enumerate_traces, find_racy_pairs
-from .solver import build_system, solve
+from .solver import SolverDivergence, build_system, solve
 
 
 def _load(path: str):
@@ -157,7 +159,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DslSyntaxError, ValidationError, ConfigError, OSError, ValueError) as exc:
+    except (DslSyntaxError, ValidationError, ConfigError, OSError, ValueError,
+            SolverDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,7 +145,10 @@ def load_corpus(directory: Path) -> list[CorpusCase]:
     for sub in sorted(Path(directory).iterdir()):
         if not (sub / "program.rlp").exists():
             continue
-        expected = json.loads((sub / "expected.json").read_text(encoding="utf-8"))
+        try:
+            expected = json.loads((sub / "expected.json").read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sub.name}: expected.json is not valid JSON: {exc}") from None
         _check_expected(sub.name, expected)
         cases.append(CorpusCase(sub.name, sub, expected))
     if not cases:

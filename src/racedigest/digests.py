@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .digest import ConfigError, Digest, MhpVerdict
 from .model import Action, Edge, is_atomicity_mutex
-from .oracle import CausalIndex, LocalTrace, edge_path
+from .oracle import LocalTrace, edge_path
 
 ST_MAIN = "ST_main"
 MT_MAIN = "MT_main"
@@ -67,7 +67,7 @@ class LocksetDigest(Digest):
         return MhpVerdict.FALSE if a & b else MhpVerdict.TOP
 
     def abstract_trace(self, t: LocalTrace):
-        return t.ego_history().held
+        return t.history().held
 
     def format_elem(self, elem) -> str:
         return "{" + ",".join(sorted(elem)) + "}"
@@ -102,7 +102,7 @@ class ThreadFlagDigest(Digest):
     def abstract_trace(self, t: LocalTrace):
         if t.ego != ():
             return MT
-        return MT_MAIN if t.ego_history().created else ST_MAIN
+        return MT_MAIN if t.history().created else ST_MAIN
 
     def format_elem(self, elem) -> str:
         return elem
@@ -172,7 +172,7 @@ class ThreadIdDigest(Digest):
         path = edge_path(t.ego)
         if len(path) > self.cap:
             return TID_OVERFLOW
-        created = _saturate_counts(t.ego_history().created)
+        created = _saturate_counts(t.history().created)
         return TidElem(path, created, _alpha_unique(t.ego))
 
     def format_elem(self, elem) -> str:
@@ -248,33 +248,13 @@ class JoinDigest(Digest):
         )
 
     def abstract_trace(self, t: LocalTrace):
-        return JoinElem(self._tid.abstract_trace(t), self._joined_of(t, t.ego, t.top.index))
-
-    def _joined_of(self, t: LocalTrace, instance, upto: int) -> frozenset:
-        joined: set = set()
-        counts: dict[str, int] = {}
-        join_deps = {d.dst: d for d in t.deps if d.kind == "join"}
-        for e in t.instance_events(instance):
-            if e.index > upto:
-                break
-            a = e.action
-            if a is None:
-                continue
-            if a.kind == "create":
-                counts[a.create_id] = counts.get(a.create_id, 0) + 1
-            if a.kind == "join":
-                dep = join_deps.get(e)
-                child = dep.src.instance
-                child_exit_index = dep.src.index
-                joined |= self._joined_of(t, child, child_exit_index)
-                path = edge_path(instance)
-                if (
-                    _alpha_unique(instance)
-                    and len(path) + 1 <= self.cap
-                    and counts.get(a.target, 0) == 1
-                ):
-                    joined.add(path + (a.target,))
-        return frozenset(joined)
+        # a joined thread counts when its path fits the cap, its creator is
+        # unique and it is the first child created through its edge
+        joined = frozenset(
+            edge_path(child) for child in t.history().terminated
+            if len(child) <= self.cap and child[-1][1] == 0 and _alpha_unique(child[:-1])
+        )
+        return JoinElem(self._tid.abstract_trace(t), joined)
 
     def format_elem(self, elem) -> str:
         joined = ";".join(",".join(p) for p in sorted(elem.joined))
@@ -316,26 +296,8 @@ class OnceDigest(Digest):
         return MhpVerdict.TOP
 
     def abstract_trace(self, t: LocalTrace):
-        return (t.ego_history().active, self._completed_at(t))
-
-    @staticmethod
-    def _completed_at(t: LocalTrace) -> frozenset:
-        """Completed-set knowledge flows only along program order, thread
-        creation, and once observations; other merges discard it."""
-        idx = CausalIndex(t.events, t.deps)
-        done: list[frozenset] = [frozenset()] * len(idx.events)
-        for i in idx.order:  # causal order: predecessors first
-            a, dep = idx.events[i].action, idx.dep_in[i]
-            if idx.pred[i] is not None:
-                out = done[idx.pred[i]]
-                if a.kind == "endO":
-                    out = out | {a.target}
-                elif a.kind == "startO":
-                    out = out | done[idx.ids[dep.src]]
-                done[i] = out
-            elif dep is not None and dep.kind == "create":
-                done[i] = done[idx.ids[dep.src]]
-        return done[idx.ids[t.top]]
+        h = t.history()
+        return (h.active, h.completed)
 
     def format_elem(self, elem) -> str:
         return "A{" + ",".join(sorted(elem[0])) + "}C{" + ",".join(sorted(elem[1])) + "}"

@@ -220,9 +220,14 @@ def validate_program(p: Program) -> Program:
             raise ValidationError(f"unreachable nodes in {label!r}: {sorted(unreachable)}")
         for e in proto.edges:
             a = e.action
+            # one main instance does every init, so no mutex (once) has two
+            if a.kind in ("init", "initO") and label != p.main_label:
+                raise ValidationError(f"{a.kind} {a.target} in {label!r}: only main may init")
             if a.kind == "create":
                 if a.target not in p.prototypes:
                     raise ValidationError(f"create of unknown prototype {a.target!r}")
+                if a.target == p.main_label:
+                    raise ValidationError(f"create of main in {label!r}: main runs once")
                 if a.create_id is None:
                     raise ValidationError("create edge without an id")
                 if a.create_id in create_ids:

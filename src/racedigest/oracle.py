@@ -185,12 +185,18 @@ class Pomset:
 
 
 @dataclass(frozen=True, slots=True)
-class EgoHistory:
-    """The mutexes the ego holds, the once variables it is in, its create edges."""
+class History:
+    """What a local trace knows.  Of the ego thread: the mutexes it holds,
+    the once variables it is inside and the create edges it took, in order.
+    Of the computation: the once variables known completed, along program
+    order, create deps and once deps, and the instances known terminated,
+    along program order and join deps."""
 
     held: frozenset[str]
     active: frozenset[str]
     created: tuple[str, ...]
+    completed: frozenset[str]
+    terminated: frozenset[InstanceId]
 
 
 @dataclass(frozen=True)
@@ -212,10 +218,6 @@ class LocalTrace:
     def ego_node(self) -> str:
         return self.top.node
 
-    def instance_events(self, instance: InstanceId) -> list[Event]:
-        return sorted((e for e in self.events if e.instance == instance),
-                      key=lambda e: e.index)
-
     def has_event(self, kind: str, target: str | None = None) -> bool:
         for e in self.events:
             a = e.action
@@ -223,25 +225,47 @@ class LocalTrace:
                 return True
         return False
 
-    def ego_history(self) -> EgoHistory:
-        """What the ego thread did, from one walk over its events, built once."""
-        if "_ego_history" not in self.__dict__:
-            held, active, created = set(), set(), []
-            for e in self.instance_events(self.ego)[1:]:  # the start has no action
-                a = e.action
-                if a.kind == "lock":
-                    held.add(a.target)
-                elif a.kind == "unlock":
-                    held.discard(a.target)
-                elif a.kind == "startO":
-                    active.add(a.target)
-                elif a.kind == "endO":
-                    active.discard(a.target)
-                elif a.kind == "create":
-                    created.append(a.create_id)
-            self.__dict__["_ego_history"] = EgoHistory(
-                frozenset(held), frozenset(active), tuple(created))
-        return self.__dict__["_ego_history"]
+    def history(self) -> History:
+        """One fold over the causal order, built once."""
+        if "_history" not in self.__dict__:
+            self.__dict__["_history"] = _fold_history(self)
+        return self.__dict__["_history"]
+
+
+def _fold_history(t: LocalTrace) -> History:
+    idx = CausalIndex(t.events, t.deps)  # transient: caching it per trace costs memory
+    completed: list[frozenset] = [frozenset()] * len(idx.events)
+    terminated: list[frozenset] = [frozenset()] * len(idx.events)
+    held, active, created = set(), set(), []
+    for i in idx.order:  # predecessors first
+        e, q, dep = idx.events[i], idx.pred[i], idx.dep_in[i]
+        if q is None:  # a start: a child knows the completions its creator knew
+            if dep is not None:
+                completed[i] = completed[idx.ids[dep.src]]
+            continue
+        a = e.action
+        completed[i], terminated[i] = completed[q], terminated[q]
+        if a.kind == "endO":
+            completed[i] = completed[i] | {a.target}
+        elif a.kind == "startO":
+            completed[i] = completed[i] | completed[idx.ids[dep.src]]
+        elif a.kind == "join":
+            terminated[i] = terminated[i] | terminated[idx.ids[dep.src]] | {dep.src.instance}
+        if e.instance != t.ego:
+            continue
+        if a.kind == "lock":
+            held.add(a.target)
+        elif a.kind == "unlock":
+            held.discard(a.target)
+        elif a.kind == "startO":
+            active.add(a.target)
+        elif a.kind == "endO":
+            active.discard(a.target)
+        elif a.kind == "create":
+            created.append(a.create_id)
+    top = idx.ids[t.top]
+    return History(frozenset(held), frozenset(active), tuple(created), completed[top],
+                   terminated[top])
 
 
 @dataclass(frozen=True)
@@ -307,24 +331,22 @@ def _check_degrees(deps) -> bool:
 _DEP_KIND = {"lock": "mutex", "startO": "once", "join": "join"}
 
 
-# What the ego's own trace must show before each kind of action; the pairing
-# with an observed trace is checked in trace_step_observing.  lock and startO
-# decide only if two threads init the mutex (once variable) concurrently.
+# What the ego's own trace must show before each kind of local action.  The
+# observing actions need none: only main inits (validate_program), so each
+# mutex (once variable) has one chain of init/unlock (initO/endO) sources,
+# each feeding one lock (startO).  A source that would let the ego retake a
+# mutex it holds (start a once it is inside) already feeds a lock in the
+# merged trace, which the degree check of trace_step_observing rejects, or
+# lies past the ego's top.  A join with no create taken fails the last-child
+# check.
 _GUARDS = {
     "pos_ran": lambda t, x: t.has_event("endO", x),
     "neg_ran": lambda t, x: not t.has_event("endO", x),
     "init": lambda t, x: not t.has_event("init", x),
     "initO": lambda t, x: not t.has_event("initO", x),
-    "lock": lambda t, x: x not in t.ego_history().held,
-    "unlock": lambda t, x: x in t.ego_history().held,
-    "startO": lambda t, x: x not in t.ego_history().active,
-    "endO": lambda t, x: x in t.ego_history().active,
+    "unlock": lambda t, x: x in t.history().held,
+    "endO": lambda t, x: x in t.history().active,
 }
-
-
-def _guard(act: Action, t: LocalTrace) -> bool:
-    guard = _GUARDS.get(act.kind)
-    return guard is None or guard(t, act.target)
 
 
 def _prolong(t: LocalTrace, edge: Edge) -> LocalTrace:
@@ -337,7 +359,8 @@ def trace_step_local(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None
     a = edge.action
     if a.is_observing or a.is_creating:
         raise ValueError(f"{a.kind} is not a local step")
-    if t.ego_node() != edge.source or not _guard(a, t):
+    guard = _GUARDS.get(a.kind)
+    if t.ego_node() != edge.source or (guard is not None and not guard(t, a.target)):
         return None
     return _prolong(t, edge)
 
@@ -347,7 +370,7 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     a = edge.action
     if a.kind != "create" or t.ego_node() != edge.source:
         return None
-    occurrence = t.ego_history().created.count(a.create_id)
+    occurrence = t.history().created.count(a.create_id)
     child: InstanceId = t.ego + ((a.create_id, occurrence),)
     proto = p.prototypes[a.target]
     start = Event(child, 0, a.target, proto.start_node, None)
@@ -373,7 +396,7 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
     act = edge.action
     if not act.is_observing:
         raise ValueError(f"{act.kind} is not an observing action")
-    if t0.ego_node() != edge.source or not _guard(act, t0):
+    if t0.ego_node() != edge.source:
         return None
     top1 = t1.top
     a1 = top1.action
@@ -381,7 +404,7 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
         return None
     if act.kind == "join":
         # the last child created through this edge; with none, no child matches
-        count = t0.ego_history().created.count(act.target)
+        count = t0.history().created.count(act.target)
         if top1.instance != t0.ego + ((act.target, count - 1),):
             return None
 
@@ -670,28 +693,3 @@ def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
 def _sequence_starters(ts: TraceSet, seq) -> list[LocalTrace]:
     lock_e = seq[0]
     return [t for t in ts.traces if t.ego_node() == lock_e.source]
-
-
-def trace_to_dot(t: LocalTrace) -> str:
-    """Graphviz rendering with one swimlane cluster per thread instance."""
-    colors = {"create": "blue", "mutex": "red", "once": "purple", "join": "darkgreen"}
-    lines = ["digraph trace {", "  rankdir=TB;", "  node [shape=box, fontsize=9];"]
-    instances = sorted({e.instance for e in t.events})
-    ids = {e: f"e{i}" for i, e in enumerate(sorted(t.events, key=Event.sort_key))}
-    for k, inst in enumerate(instances):
-        lines.append(f"  subgraph cluster_{k} {{")
-        lines.append(f'    label="{instance_name(inst)} ({next(e.proto for e in t.events if e.instance == inst)})";')
-        chain = t.instance_events(inst)
-        for e in chain:
-            shape = ", peripheries=2" if e == t.top else ""
-            lines.append(f'    {ids[e]} [label="{e.describe()}"{shape}];')
-        for a, b in zip(chain, chain[1:]):
-            lines.append(f"    {ids[a]} -> {ids[b]};")
-        lines.append("  }")
-    for d in sorted(t.deps, key=lambda d: (d.kind, d.label or "", d.src.sort_key(), d.dst.sort_key())):
-        label = f"{d.kind}" + (f"({d.label})" if d.label else "")
-        lines.append(
-            f'  {ids[d.src]} -> {ids[d.dst]} [color={colors[d.kind]}, label="{label}", constraint=false];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,15 @@ from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.oracle import enumerate_traces
 
+from perfbench.gen import interleave_program, locked_program
+
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
+
+# seeded benchmark programs small enough to enumerate exhaustively
+GENERATED = {
+    **{f"interleave-2x2-s{seed}": interleave_program(2, 2, seed) for seed in range(3)},
+    **{f"locked-2/1/1-s{seed}": locked_program(2, 1, 1, seed) for seed in range(3)},
+}
 
 
 def corpus_program(name: str):

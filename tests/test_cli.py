@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -8,7 +9,10 @@ import sys
 
 import pytest
 
+import racedigest.cli
+import racedigest.conformance
 from racedigest.cli import main
+from racedigest.solver import solve
 
 from tests.conftest import CORPUS_DIR
 
@@ -199,6 +203,40 @@ def test_conform_malformed_expected_json_exit_two(capsys, tmp_path, case, edit, 
     code, out, err = run(capsys, "conform", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: c1: expected.json {error}") and err.count("\n") == 1
+
+
+def test_conform_invalid_json_exit_two(capsys, tmp_path):
+    shutil.copytree(CORPUS_DIR / "prog0_unsync_writes", tmp_path / "c1")
+    (tmp_path / "c1" / "expected.json").write_text("{", encoding="utf-8")
+    code, out, err = run(capsys, "conform", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: c1: expected.json is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("init", ["init a", "initO o"])
+def test_init_outside_main_exit_two(capsys, tmp_path, init):
+    path = tmp_path / "p.rlp"
+    path.write_text(f"mutex a\nonce o\n\nmain:\n  create t as e\n\nt:\n  {init}\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {init} in 't': only main may init\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", rlp("prog1_running_example")),
+    ("ablate", rlp("prog1_running_example")),
+    ("conform", str(CORPUS_DIR)),
+], ids=["analyze", "ablate", "conform"])
+def test_solver_divergence_exit_two(capsys, monkeypatch, argv):
+    capped = functools.partial(solve, max_evaluations=3)
+    monkeypatch.setattr(racedigest.cli, "solve", capped)
+    monkeypatch.setattr(racedigest.conformance, "solve", capped)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exceeded 3 constraint evaluations")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_reports_do_not_depend_on_hash_seed():

@@ -81,6 +81,17 @@ def test_join_of_unknown_create_id_rejected():
         parse_program("main:\n  join nope\n")
 
 
+@pytest.mark.parametrize("src, error", [
+    ("mutex a\n\nmain:\n  create t as e\n\nt:\n  init a\n", "init a in 't'"),
+    ("once o\n\nmain:\n  create t as e\n\nt:\n  initO o\n", "initO o in 't'"),
+    ("main:\n  create t as e\n\nt:\n  create main as e2\n", "create of main in 't'"),
+], ids=["init", "initO", "create-main"])
+def test_init_outside_main_rejected(src, error):
+    # one main instance inits every mutex and once variable
+    with pytest.raises(ValidationError, match=error):
+        parse_program(src)
+
+
 def test_instrumentation_wraps_each_access():
     p = instrument_atomicity(parse_program(PROG1))
     mg = atomicity_mutex("g")

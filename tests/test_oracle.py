@@ -16,9 +16,10 @@ from racedigest.oracle import (
     step_creator,
     trace_step_local,
     trace_step_observing,
-    trace_to_dot,
     validate_local_trace,
 )
+
+from tests.conftest import GENERATED
 
 
 def load(src: str):
@@ -313,17 +314,6 @@ def test_mutex_chain_invariants(prog1_traces):
             assert len(deps) == 1 and deps[0].kind == "mutex"
 
 
-def test_trace_dot_golden(prog0, prog0_traces):
-    t = sorted(
-        (t for t in prog0_traces.traces if t.top.index == 0 and t.ego != MAIN),
-        key=lambda t: t.top.sort_key(),
-    )[0]
-    dot = trace_to_dot(t)
-    assert dot.startswith("digraph trace {")
-    assert 'color=blue, label="create"' in dot
-    assert "main (main)" in dot and "<e1#0> (t1)" in dot
-
-
 def _rebuild(p, pom, e):
     """The closure of ``e`` rebuilt by the step functions from the closures
     of its program-order predecessor and of the source of its dependency."""
@@ -381,6 +371,15 @@ def test_trace_steps_agree_with_enumeration(corpus_cases):
     assert steps > 0
 
 
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_trace_steps_agree_with_enumeration_on_generated(name):
+    p = load(GENERATED[name])
+    ts = enumerate_traces(p)
+    assert not ts.truncated
+    steps, found = _disagreements(p, ts)
+    assert steps > 0 and found == []
+
+
 @pytest.mark.parametrize("src", [
     "mutex a\n\nmain:\n  init a\n  init a\n",
     "once o\n\nmain:\n  initO o\n  initO o\n",
@@ -393,22 +392,23 @@ def test_trace_steps_block_what_enumeration_blocks(src):
 
 
 @pytest.mark.parametrize("src, kind", [
-    ("mutex a\n\nmain:\n  create t1 as e1\n  create t2 as e2\n\n"
-     "t1:\n  init a\n  lock a\n  lock a\n\nt2:\n  init a\n", "lock"),
-    ("once o\n\nmain:\n  create t1 as e1\n  create t2 as e2\n\n"
-     "t1:\n  initO o\n  once o\n    once o\n    end\n  end\n\nt2:\n  initO o\n",
+    ("mutex a\n\nmain:\n  init a\n  create t1 as e1\n  create t2 as e2\n\n"
+     "t1:\n  lock a\n  lock a\n\nt2:\n  lock a\n  unlock a\n", "lock"),
+    ("once o\n\nmain:\n  initO o\n  create t1 as e1\n  create t2 as e2\n\n"
+     "t1:\n  once o\n    once o\n    end\n  end\n\nt2:\n  once o\n  end\n",
      "startO"),
 ], ids=["lock-while-held", "startO-while-inside"])
 def test_ego_does_not_retake_what_it_holds(src, kind):
-    # t2 inits the mutex (once variable) concurrently with t1, so t2's init
-    # is an unobserved observable that t1 could pair with; t1 already holds
-    # it (is inside it) and must not take it again
+    # only main inits, so every init/unlock (initO/endO) that t1 could pair
+    # with already feeds a lock (startO) or lies past t1's top; t1 holds the
+    # mutex (is inside the once variable) and must not take it again
     p = load(src)
     traces = enumerate_traces(p).traces
     holding = [
         t for t in traces
         if t.ego == (("e1", 0),)
-        and any(e.action.kind == kind for e in t.instance_events(t.ego)[1:])
+        and any(e.instance == t.ego and e.action is not None and e.action.kind == kind
+                for e in t.events)
         and any(edge.action.kind == kind for edge in p.edges_from(t.ego_node()))
     ]
     assert holding
