@@ -8,11 +8,11 @@ Subcommands:
 
 Exit codes: 0 no races / suites pass, 1 races flagged / suite failures,
 2 usage or input errors (including an unreadable input path such as a
-directory, a negative --tid-cap, an init or initO outside main, and a
-corpus expected.json that is not valid JSON or lacks a required key) and
-solver divergence (the evaluation cap was hit), 3 oracle inconclusive: the
-enumeration was cut off by its bounds and found no race (races found in a
-truncated run still exit 1).
+directory, a negative --tid-cap, an init or initO outside main, code
+after a thread_exit, and a corpus expected.json that is not valid JSON or
+lacks a required key) and solver divergence (the evaluation cap was hit),
+3 oracle inconclusive: the enumeration was cut off by its bounds and found
+no race (races found in a truncated run still exit 1).
 """
 
 from __future__ import annotations

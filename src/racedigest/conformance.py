@@ -34,7 +34,7 @@ from .digest import (
     check_admissibility,
     check_mhp_commutativity,
 )
-from .digests import CANONICAL_ORDER, MUTANTS, build_digests
+from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, MUTANTS, build_digests
 from .dsl import parse_program
 from .model import READ, WRITE, access_sites, instrument_atomicity
 from .oracle import TraceSet, bidirectionally_compatible, enumerate_traces, find_racy_pairs
@@ -156,10 +156,6 @@ def load_corpus(directory: Path) -> list[CorpusCase]:
     return cases
 
 
-def default_corpus_dir() -> Path:
-    return Path(__file__).resolve().parents[2] / "corpus"
-
-
 @dataclass
 class SuiteSection:
     name: str
@@ -226,7 +222,7 @@ def _exhaustive(section: SuiteSection, cases, truncated: str = "InconclusiveBoun
         yield case, ts
 
 
-def run_expectation_suite(cases, tid_cap: int = 8) -> SuiteSection:
+def run_expectation_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     section = SuiteSection("expectations")
     cases = list(cases)
     section.checks += len(cases)  # one per case: exhaustive, with the frozen races
@@ -247,7 +243,7 @@ def run_expectation_suite(cases, tid_cap: int = 8) -> SuiteSection:
     return section
 
 
-def run_soundness_suite(cases, tid_cap: int = 8) -> SuiteSection:
+def run_soundness_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     """Zero false negatives for every predicate subset, and ablation
     monotonicity along the subset order."""
     section = SuiteSection("soundness")
@@ -277,9 +273,9 @@ def _shipped_digests(tid_cap: int) -> list[Digest]:
     return digests
 
 
-def run_law_suite(cases, tid_cap: int = 8, digests=None) -> SuiteSection:
+def run_law_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     section = SuiteSection("laws")
-    digests = digests if digests is not None else _shipped_digests(tid_cap)
+    digests = _shipped_digests(tid_cap)
     for case, ts in _exhaustive(section, cases):
         for d in digests:
             for report in (
@@ -315,7 +311,7 @@ def run_equivalence_suite(cases) -> SuiteSection:
     return section
 
 
-def run_subsumption_suite(cases, tid_cap: int = 8) -> SuiteSection:
+def run_subsumption_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     """Every record pair the thread flag excludes, thread ids exclude too."""
     section = SuiteSection("tid-subsumes-threadflag")
     names = tuple(CANONICAL_ORDER)
@@ -341,7 +337,7 @@ def run_subsumption_suite(cases, tid_cap: int = 8) -> SuiteSection:
     return section
 
 
-def run_mutant_suite(cases, tid_cap: int = 8) -> SuiteSection:
+def run_mutant_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     """Each registered mutant must be caught by the laws or by soundness."""
     section = SuiteSection("mutants")
     exhaustive = list(_exhaustive(section, cases))
@@ -365,7 +361,7 @@ def run_mutant_suite(cases, tid_cap: int = 8) -> SuiteSection:
     return section
 
 
-def run_all_suites(cases, tid_cap: int = 8) -> SuiteResult:
+def run_all_suites(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteResult:
     return SuiteResult(
         [
             run_expectation_suite(cases, tid_cap),

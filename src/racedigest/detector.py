@@ -7,12 +7,14 @@ meet answers top.  Each product component runs in one of three modes:
 
 * ``bespoke``  -- the digest's own predicate,
 * ``generic``  -- the predicate derived from the atomicity-lock step,
-* ``disabled`` -- always top (the ablation mechanism: the digest still
-  refines reachability, only its exclusion power is switched off).
+* ``disabled`` -- always top (the digest still refines reachability, only
+  its exclusion power is switched off).
 
 One sweep over the record pairs keeps, per site pair, the distinct sets of
-components whose predicates answer false (as bitmasks), so ``detect`` and
-all 2^k rows of ``ablate`` are read off the same masks.
+components whose predicates answer false (as bitmasks).  ``detect`` sweeps
+under its modes, a disabled component setting no bit; ``ablate`` runs one
+bespoke sweep and reads all 2^k predicate subsets off its masks, so it
+disables no component.
 """
 
 from __future__ import annotations

@@ -220,6 +220,10 @@ def validate_program(p: Program) -> Program:
             raise ValidationError(f"unreachable nodes in {label!r}: {sorted(unreachable)}")
         for e in proto.edges:
             a = e.action
+            # an exited instance takes no further step, so an exit ends at a sink
+            if a.kind == "exit" and e.target in by_src:
+                line = f" (line {e.line})" if e.line is not None else ""
+                raise ValidationError(f"code after thread_exit in {label!r}{line}")
             # one main instance does every init, so no mutex (once) has two
             if a.kind in ("init", "initO") and label != p.main_label:
                 raise ValidationError(f"{a.kind} {a.target} in {label!r}: only main may init")

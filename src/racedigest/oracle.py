@@ -22,7 +22,6 @@ creates through the same edge.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .model import (READ, WRITE, Action, Edge, Program, access_sequence, atomicity_mutex,
@@ -278,10 +277,10 @@ class RacePair:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """Everything the bounded enumeration produced."""
+    """What the bounded enumeration produced: the maximal pomsets and whether
+    (and by which bounds) some branch was cut off."""
 
     program: Program
-    traces: frozenset[LocalTrace]
     pomsets: frozenset[Pomset]
     truncated: bool
     depth: int
@@ -293,6 +292,17 @@ class TraceSet:
         if "_sorted_pomsets" not in self.__dict__:
             self.__dict__["_sorted_pomsets"] = sorted(self.pomsets, key=Pomset.sort_key)
         return list(self.__dict__["_sorted_pomsets"])
+
+    @property
+    def traces(self) -> frozenset[LocalTrace]:
+        """Every reachable local trace: the closure of each event of each
+        pomset (a reached state extends to a maximal one without changing
+        the past of its events).  Derived on first use."""
+        if "_traces" not in self.__dict__:
+            self.__dict__["_traces"] = frozenset(
+                idx.closure(i) for idx in map(Pomset.causality, self.sorted_pomsets())
+                for i in range(len(idx.events)))
+        return self.__dict__["_traces"]
 
 
 def validate_local_trace(t: LocalTrace) -> None:
@@ -434,8 +444,8 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
 # Exhaustive bounded enumeration
 # ---------------------------------------------------------------------------
 
-# Events and dep edges get small-int ids per enumeration; a local trace is
-# then (past, deps, top): bitmasks over those ids and the id of its top.
+# Events and dep edges get small-int ids per enumeration; an instance's local
+# trace is then (past, top): the bitmask of its past and the id of its top.
 
 class _Ids:
     """The interned events and dep edges of one enumeration."""
@@ -466,11 +476,12 @@ class _Ids:
 
 @dataclass(slots=True)
 class _State:
-    """One global configuration.  ``last`` holds each instance's local trace;
-    a free mutex or ready once variable holds the trace a lock or startO
-    observes; ``exited`` the final trace of each instance not yet joined."""
+    """One global configuration.  ``last`` holds each instance's local trace,
+    whose top event is at the instance's node (an exit's node is a sink,
+    validate_program); a free mutex or ready once variable holds the trace a
+    lock or startO observes; ``exited`` the final trace of each instance not
+    yet joined."""
 
-    nodes: dict  # instance -> node, None after exit
     last: dict
     mutex: dict  # name -> ("free", trace) | ("held", instance)
     once: dict  # name -> ("ready", trace) | ("active", instance)
@@ -480,8 +491,8 @@ class _State:
     deps: int
 
     def copy(self) -> "_State":
-        return _State(dict(self.nodes), dict(self.last), dict(self.mutex), dict(self.once),
-                      dict(self.created), dict(self.exited), self.events, self.deps)
+        return _State(dict(self.last), dict(self.mutex), dict(self.once), dict(self.created),
+                      dict(self.exited), self.events, self.deps)
 
 
 def _guard_ok(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> bool:
@@ -509,15 +520,14 @@ def _guard_ok(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> bool:
     raise ValueError(f"unhandled action kind {kind}")
 
 
-def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> tuple[_State, list]:
-    """Execute one enabled edge; returns the successor state and the local
-    traces of its new events."""
+def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> _State:
+    """Execute one enabled edge; returns the successor state."""
     ns = s.copy()
     a = edge.action
     kind = a.kind
-    prev_past, prev_deps, prev = s.last[instance]
+    prev_past, prev = s.last[instance]
     ev = ids.step(prev, edge)
-    past, deps = prev_past | 1 << ev, prev_deps
+    past = prev_past | 1 << ev
     src = None
     if kind == "lock":
         src = s.mutex[a.target][1]
@@ -529,11 +539,9 @@ def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> tuple[_Sta
         src = ns.exited.pop(s.created[(instance, a.target)])
     if src is not None:
         label = a.target if kind != "join" else None
-        dep = 1 << ids.of(DepEdge(_DEP_KIND[kind], label, ids.events[src[2]], ids.events[ev]))
         past |= src[0]
-        deps |= src[1] | dep
-        ns.deps |= dep
-    trace = (past, deps, ev)
+        ns.deps |= 1 << ids.of(DepEdge(_DEP_KIND[kind], label, ids.events[src[1]], ids.events[ev]))
+    trace = (past, ev)
     if kind == "init" or kind == "unlock":
         ns.mutex[a.target] = ("free", trace)
     elif kind == "initO" or kind == "endO":
@@ -542,8 +550,6 @@ def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> tuple[_Sta
             ids.end_o[a.target] = ids.end_o.get(a.target, 0) | 1 << ev
     ns.events |= 1 << ev
     ns.last[instance] = trace
-    ns.nodes[instance] = None if kind == "exit" else edge.target
-    new = [trace]
     if kind == "exit":
         ns.exited[instance] = trace
     elif kind == "create":
@@ -553,62 +559,51 @@ def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> tuple[_Sta
         proto = ids.program.prototypes[a.target]
         start = ids.of(Event(child, 0, a.target, proto.start_node, None))
         # the child depends on the creator's last configuration before create
-        dep = 1 << ids.of(DepEdge("create", None, ids.events[prev], ids.events[start]))
-        ns.deps |= dep
+        ns.deps |= 1 << ids.of(DepEdge("create", None, ids.events[prev], ids.events[start]))
         ns.events |= 1 << start
-        ns.nodes[child] = proto.start_node
-        ns.last[child] = (prev_past | 1 << start, prev_deps | dep, start)
-        new.append(ns.last[child])
-    return ns, new
+        ns.last[child] = (prev_past | 1 << start, start)
+    return ns
 
 
 def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
-    """All local traces reachable within the event and instance bounds.
-
-    The result also carries the maximal execution pomsets and which bounds,
-    if any, cut off a branch.
-    """
+    """The maximal execution pomsets reachable within the event and instance
+    bounds, and which bounds, if any, cut off a branch.  The local traces
+    are derived from the pomsets (``TraceSet.traces``)."""
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
     ids = _Ids(p)
     main = p.main()
     start = ids.of(Event(MAIN, 0, p.main_label, main.start_node, None))
-    init = _State({MAIN: main.start_node}, {MAIN: (1, 0, start)}, {}, {}, {}, {}, 1, 0)
-    traces = {init.last[MAIN]}
+    init = _State({MAIN: (1, start)}, {}, {}, {}, {}, 1, 0)
     pomsets: set[tuple[int, int]] = set()
     blocked: set[str] = set()
     visited = {(init.events, init.deps)}
     stack = [init]
     while stack:
         s = stack.pop()
-        n_actions = s.events.bit_count() - len(s.nodes)  # every event but the starts
+        n_actions = s.events.bit_count() - len(s.last)  # every event but the starts
         enabled: list[tuple[InstanceId, Edge]] = []
-        for instance in sorted(s.nodes):
-            for edge in p.edges_from(s.nodes[instance]):
+        for instance in sorted(s.last):
+            for edge in p.edges_from(ids.events[s.last[instance][1]].node):
                 if not _guard_ok(ids, s, instance, edge):
                     continue
                 if n_actions >= depth:
                     blocked.add("depth")
-                elif edge.action.kind == "create" and len(s.nodes) >= width:
+                elif edge.action.kind == "create" and len(s.last) >= width:
                     blocked.add("width")
                 else:
                     enabled.append((instance, edge))
         if not enabled:
             pomsets.add((s.events, s.deps))
         for instance, edge in enabled:
-            ns, new = _apply(ids, s, instance, edge)
+            ns = _apply(ids, s, instance, edge)
             if (ns.events, ns.deps) not in visited:
                 visited.add((ns.events, ns.deps))
-                traces.update(new)
                 stack.append(ns)
 
-    # equal masks share one frozenset
-    events_of = functools.cache(lambda mask: _members(mask, ids.events))
-    deps_of = functools.cache(lambda mask: _members(mask, ids.deps))
     return TraceSet(
-        p, frozenset(LocalTrace(events_of(evs), deps_of(deps), ids.events[top])
-                     for evs, deps, top in traces),
-        frozenset(Pomset(events_of(evs), deps_of(deps)) for evs, deps in pomsets),
+        p, frozenset(Pomset(_members(evs, ids.events), _members(deps, ids.deps))
+                     for evs, deps in pomsets),
         bool(blocked), depth, width, truncated_by=tuple(sorted(blocked)),
     )
 

@@ -19,6 +19,10 @@ GENERATED = {
     **{f"locked-2/1/1-s{seed}": locked_program(2, 1, 1, seed) for seed in range(3)},
 }
 
+# main exits before it creates t and writes g: rejected, as no instance
+# steps past its exit
+CODE_AFTER_EXIT = "global g\n\nmain:\n  thread_exit\n  create t as e1\n  g = 1\n\nt:\n  g = 2\n"
+
 
 def corpus_program(name: str):
     text = (CORPUS_DIR / name / "program.rlp").read_text(encoding="utf-8")

@@ -1,7 +1,9 @@
 """The bounded enumerator and the race search as they stood before events
 were interned: states hold frozensets of events and dep edges and a past
-per event, and ancestry is the repeat-until-stable ``ancestors`` loop.
-Kept only as the reference the interned oracle is compared against."""
+per event, local traces are collected per state, and ancestry is the
+repeat-until-stable ``ancestors`` loop.  Kept only as the reference the
+interned oracle, which derives its traces from the pomsets, is compared
+against."""
 
 from __future__ import annotations
 
@@ -220,12 +222,10 @@ def _apply(p: Program, s: _State, instance: InstanceId, edge: Edge) -> tuple[_St
     return ns, new_events
 
 
-def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
-    """All local traces reachable within the event and instance bounds.
-
-    The result also carries the maximal execution pomsets and a flag telling
-    whether any branch was cut off by a bound.
-    """
+def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> tuple[TraceSet, frozenset]:
+    """The maximal execution pomsets and a flag telling whether any branch
+    was cut off by a bound, with all local traces reachable within the event
+    and instance bounds, collected per state."""
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
     init = _initial_state(p)
@@ -272,12 +272,11 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
 
     return TraceSet(
         program=p,
-        traces=frozenset(traces),
         pomsets=frozenset(Pomset(ev, dp) for ev, dp in pomsets),
         truncated=truncated,
         depth=depth,
         width=width,
-    )
+    ), frozenset(traces)
 
 
 def _access_events(pom: Pomset, glob: str | None = None) -> list[Event]:

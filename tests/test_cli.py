@@ -12,9 +12,10 @@ import pytest
 import racedigest.cli
 import racedigest.conformance
 from racedigest.cli import main
+from racedigest.oracle import TraceSet, enumerate_traces
 from racedigest.solver import solve
 
-from tests.conftest import CORPUS_DIR
+from tests.conftest import CODE_AFTER_EXIT, CORPUS_DIR, corpus_program
 
 SRC_DIR = CORPUS_DIR.parent / "src"
 
@@ -222,6 +223,32 @@ def test_init_outside_main_exit_two(capsys, tmp_path, init):
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {init} in 't': only main may init\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "ablate", "oracle"])
+def test_code_after_thread_exit_exit_two(capsys, tmp_path, command):
+    path = tmp_path / "p.rlp"
+    path.write_text(CODE_AFTER_EXIT, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: code after thread_exit in 'main' (line 4)\n"
+
+
+@pytest.mark.parametrize("case, bounds, code", [
+    ("prog0_unsync_writes", (), 1),
+    ("prog0_unsync_writes", ("--depth", "3", "--width", "1"), 3),
+    ("deep_paths_all_race", ("--depth", "12", "--width", "3"), 1),
+], ids=["exhaustive", "truncated", "truncated-racy"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_never_derives_local_traces(capsys, monkeypatch, case, bounds, code, fmt):
+    """The command reads the pomsets only."""
+    def derive(ts):
+        raise AssertionError("the local traces were derived")
+
+    monkeypatch.setattr(TraceSet, "traces", property(derive))
+    with pytest.raises(AssertionError, match="derived"):
+        enumerate_traces(corpus_program(case), depth=3, width=1).traces
+    assert run(capsys, "oracle", rlp(case), *bounds, "--format", fmt)[::2] == (code, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,8 @@ from racedigest.model import (
     program_to_dot,
 )
 
+from tests.conftest import CODE_AFTER_EXIT
+
 PROG1 = """
 global g
 mutex a
@@ -90,6 +92,25 @@ def test_init_outside_main_rejected(src, error):
     # one main instance inits every mutex and once variable
     with pytest.raises(ValidationError, match=error):
         parse_program(src)
+
+
+@pytest.mark.parametrize("src", [
+    CODE_AFTER_EXIT,
+    "global g\n\nmain @ m0:\n  m0: thread_exit -> m1\n  m1: g = 1 -> m2\n",
+], ids=["sugar", "explicit"])
+def test_code_after_thread_exit_rejected(src):
+    # an exited instance steps no further, so an exit must end at a sink
+    with pytest.raises(ValidationError, match=r"^code after thread_exit in 'main' \(line 4\)$"):
+        parse_program(src)
+
+
+@pytest.mark.parametrize("src", [
+    "global g\n\nmain:\n  g = 1\n  thread_exit\n",
+    "global g\n\nmain @ m0:\n  m0: g = 1 -> m1\n  m1: thread_exit -> m2\n",
+], ids=["sugar", "explicit"])
+def test_thread_exit_at_the_end_accepted(src):
+    exits = [e for e in parse_program(src).all_edges() if e.action.kind == "exit"]
+    assert len(exits) == 1  # no second, implicit exit at the sink
 
 
 def test_instrumentation_wraps_each_access():

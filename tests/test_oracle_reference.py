@@ -1,6 +1,6 @@
 """The interned oracle against the frozenset enumerator it replaced: trace
-sets, racy pairs with their witnesses, and the per-pomset causality index
-must all match."""
+sets (derived from the pomsets here, collected per state there), racy pairs
+with their witnesses, and the per-pomset causality index must all match."""
 
 from __future__ import annotations
 
@@ -70,8 +70,8 @@ def _input(name: str, bounds):
 def test_oracle_matches_reference(name, bounds):
     program, (depth, width) = _input(name, bounds)
     got = enumerate_traces(program, depth=depth, width=width)
-    want = reference.enumerate_traces(program, depth=depth, width=width)
-    assert got.traces == want.traces
+    want, want_traces = reference.enumerate_traces(program, depth=depth, width=width)
+    assert got.traces == want_traces  # derived as closures, collected per state
     assert got.pomsets == want.pomsets
     assert got.truncated == want.truncated
     assert bool(got.truncated_by) == got.truncated
