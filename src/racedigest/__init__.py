@@ -1,7 +1,7 @@
 """Static data race detection driven by history digests, with a bounded
 concrete-semantics oracle for validating every abstraction."""
 
-from .detector import BESPOKE, DISABLED, GENERIC, RaceReport, ablate, detect
+from .detector import BESPOKE, GENERIC, RaceReport, ablate, detect
 from .digest import (
     ArityMismatch,
     ConfigError,
@@ -24,7 +24,6 @@ from .model import (
     access_sites,
     atomicity_mutex,
     instrument_atomicity,
-    program_to_dot,
 )
 from .oracle import (
     LocalTrace,

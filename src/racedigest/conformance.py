@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
-from .detector import BESPOKE, ExclusionSweep, detect, sweep
+from .detector import detect, predicate_subsets
 from .digest import (
     Digest,
     MhpVerdict,
@@ -190,26 +190,6 @@ class SuiteResult:
         return f"{body}\n{verdict}\n"
 
 
-def _all_predicate_subsets() -> list[tuple[str, ...]]:
-    out = []
-    for k in range(len(CANONICAL_ORDER) + 1):
-        out.extend(itertools.combinations(CANONICAL_ORDER, k))
-    return out
-
-
-def _bespoke_sweep(case: CorpusCase, tid_cap: int) -> ExclusionSweep:
-    product, sol = case.solution(tuple(CANONICAL_ORDER), tid_cap)
-    return sweep(sol, product, {n: BESPOKE for n in CANONICAL_ORDER})
-
-
-def _subset_flags(case: CorpusCase, tid_cap: int) -> dict[tuple[str, ...], set]:
-    swept = _bespoke_sweep(case, tid_cap)
-    return {
-        subset: swept.site_pairs(swept.mask_of(subset))
-        for subset in _all_predicate_subsets()
-    }
-
-
 def _exhaustive(section: SuiteSection, cases, truncated: str = "InconclusiveBounds"):
     """Each case that enumerates exhaustively, with its traces; every other
     case fails ``section`` with the message ``truncated``."""
@@ -231,10 +211,11 @@ def run_expectation_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection
         want = case.expected_site_pairs()
         if got != want:
             section.fail(f"{case.name}: oracle races {sorted(got)} != expected {sorted(want)}")
-        swept = _bespoke_sweep(case, tid_cap)
+        product, sol = case.solution(CANONICAL_ORDER, tid_cap)
+        report = detect(sol, product)
         for subset in case.expected["race_free_subsets"]:
             section.checks += 1
-            flagged = swept.site_pairs(swept.mask_of(subset))
+            flagged = report.site_pairs(report.mask_of(subset))
             if flagged:
                 section.fail(
                     f"{case.name}: subset {subset} should prove race freedom but flags "
@@ -249,7 +230,12 @@ def run_soundness_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     section = SuiteSection("soundness")
     for case, _ in _exhaustive(section, cases):
         oracle_pairs = case.oracle_site_pairs()
-        flags = _subset_flags(case, tid_cap)
+        product, sol = case.solution(CANONICAL_ORDER, tid_cap)
+        report = detect(sol, product)
+        flags = {
+            subset: report.site_pairs(report.mask_of(subset))
+            for subset in predicate_subsets(CANONICAL_ORDER)
+        }
         for subset, flagged in flags.items():
             section.checks += 1
             missed = oracle_pairs - flagged
@@ -314,9 +300,8 @@ def run_equivalence_suite(cases) -> SuiteSection:
 def run_subsumption_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     """Every record pair the thread flag excludes, thread ids exclude too."""
     section = SuiteSection("tid-subsumes-threadflag")
-    names = tuple(CANONICAL_ORDER)
     for case in cases:
-        product, sol = case.solution(names, tid_cap)
+        product, sol = case.solution(CANONICAL_ORDER, tid_cap)
         by_name = {c.name: (i, c) for i, c in enumerate(product.components)}
         tf_i, tf = by_name["threadflag"]
         tid_i, tid = by_name["tid"]

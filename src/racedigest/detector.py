@@ -1,20 +1,20 @@
-"""Post-processing race check and report construction.
+"""Post-processing race check, report construction and predicate ablation.
 
-Every ordered pair of recorded accesses to a global (identical records
-included, since equal digests can still belong to different concrete
-threads) is flagged when at least one side writes and the active predicate
-meet answers top.  Each product component runs in one of three modes:
+A record pair is an ordered pair of recorded accesses to a global with at
+least one write (identical records included, since equal digests can still
+belong to different concrete threads).  Each product component's predicate
+runs in one of two modes:
 
-* ``bespoke``  -- the digest's own predicate,
-* ``generic``  -- the predicate derived from the atomicity-lock step,
-* ``disabled`` -- always top (the digest still refines reachability, only
-  its exclusion power is switched off).
+* ``bespoke`` -- the digest's own predicate,
+* ``generic`` -- the predicate derived from the atomicity-lock step.
 
-One sweep over the record pairs keeps, per site pair, the distinct sets of
-components whose predicates answer false (as bitmasks).  ``detect`` sweeps
-under its modes, a disabled component setting no bit; ``ablate`` runs one
-bespoke sweep and reads all 2^k predicate subsets off its masks, so it
-disables no component.
+``detect`` makes one pass over the record pairs.  Its report keeps, per
+site pair, the distinct *exclusion masks*: the sets of components whose
+predicates answer false for a record pair, as bitmasks.  A predicate
+subset is a mask read: a site pair is flagged under it when some mask is
+disjoint from the subset.  ``flagged`` is the read with every predicate
+enabled; ``ablate``, the conformance suites and the tests read every other
+subset off one bespoke report.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .solver import Solution
 
 BESPOKE = "bespoke"
 GENERIC = "generic"
-DISABLED = "disabled"
 
 
 @dataclass(frozen=True)
@@ -40,34 +39,66 @@ class FlaggedPair:
     site_a: tuple[str, str]  # (node, W/R); site_a <= site_b
     site_b: tuple[str, str]
     witness_digests: tuple[str, str] = field(compare=False)
-    component_verdicts: tuple = field(compare=False)
 
     def sort_key(self) -> tuple:
         return (self.glob, self.site_a, self.site_b)
 
 
+def predicate_subsets(names) -> list[tuple[str, ...]]:
+    """Every subset of ``names``, smallest first, each in ``names`` order."""
+    return [s for k in range(len(names) + 1) for s in itertools.combinations(names, k)]
+
+
 @dataclass
 class RaceReport:
+    """The distinct exclusion masks of every (global, site_a, site_b) key.
+
+    Bit ``i`` of a mask is set when component ``i``'s predicate answers
+    false for a record pair.  ``masks`` maps each key to its masks, in order
+    of first appearance among the key's record pairs, each with the
+    formatted digests of the first record pair that produced it.  Under a
+    set of enabled predicates a key is flagged when some mask is disjoint
+    from it, and the first such mask's pair is the witness.  A key's masks
+    end at the first 0: every later pair would be a later witness of the
+    same sets.  ``flagged`` holds the keys flagged with every predicate
+    enabled, sorted, and is built on first use.
+    """
+
     digests: tuple[str, ...]
     modes: dict
-    flagged: list[FlaggedPair]
+    masks: dict
     record_counts: dict
 
-    @property
-    def pair_count(self) -> int:
-        return len(self.flagged)
+    @functools.cached_property
+    def flagged(self) -> list[FlaggedPair]:
+        witnesses = self.witnesses(self.mask_of(self.digests))
+        return [FlaggedPair(*key, witnesses[key]) for key in sorted(witnesses)]
+
+    def mask_of(self, names) -> int:
+        return sum(1 << i for i, n in enumerate(self.digests) if n in names)
+
+    def witnesses(self, enabled: int) -> dict:
+        """Flagged key -> formatted digests of its witnessing record pair."""
+        out = {}
+        for key, masks in self.masks.items():
+            for mask, pair in masks.items():
+                if not mask & enabled:
+                    out[key] = pair
+                    break
+        return out
+
+    def site_pairs(self, enabled: int | None = None) -> set:
+        """The keys flagged under ``enabled`` (default: every predicate)."""
+        if enabled is None:
+            enabled = self.mask_of(self.digests)
+        return {key for key, masks in self.masks.items() if any(not m & enabled for m in masks)}
 
     def distinct_site_pairs(self) -> set:
-        return {
-            (f.glob, f.site_a, f.site_b)
-            for f in self.flagged
-            if f.site_a != f.site_b
-        }
-
-    def site_pairs(self) -> set:
-        return {(f.glob, f.site_a, f.site_b) for f in self.flagged}
+        return {f.sort_key() for f in self.flagged if f.site_a != f.site_b}
 
     def to_json(self) -> dict:
+        # a witness pair has no predicate answering false
+        verdicts = [{"digest": name, "verdict": MhpVerdict.TOP.value} for name in self.digests]
         return {
             "version": 1,
             "digests": list(self.digests),
@@ -79,11 +110,9 @@ class RaceReport:
                     "a": {"site": f.site_a[0], "type": f.site_a[1]},
                     "b": {"site": f.site_b[0], "type": f.site_b[1]},
                     "witness_digests": list(f.witness_digests),
-                    "verdicts": [
-                        {"digest": name, "verdict": v} for name, v in f.component_verdicts
-                    ],
+                    "verdicts": verdicts,
                 }
-                for f in sorted(self.flagged, key=FlaggedPair.sort_key)
+                for f in self.flagged
             ],
             "race_free": not self.flagged,
         }
@@ -98,7 +127,7 @@ class RaceReport:
         ]
         if not self.flagged:
             lines.append("no potential races found")
-        for f in sorted(self.flagged, key=FlaggedPair.sort_key):
+        for f in self.flagged:
             loc_a = _site_text(f.site_a, program)
             loc_b = _site_text(f.site_b, program)
             lines.append(f"race on {f.glob}: {loc_a} with {loc_b}")
@@ -125,48 +154,9 @@ def _resolve_modes(product: ProductDigest, modes: dict | None) -> dict:
     if unknown:
         raise ValueError(f"modes for inactive digests: {sorted(unknown)}")
     for mode in modes.values():
-        if mode not in (BESPOKE, GENERIC, DISABLED):
+        if mode not in (BESPOKE, GENERIC):
             raise ValueError(f"unknown mode {mode!r}")
     return modes
-
-
-@dataclass
-class ExclusionSweep:
-    """The distinct excluded-by masks of every (global, site_a, site_b) key.
-
-    Bit ``i`` of a mask is set when component ``i``'s predicate answers
-    false for a record pair.  ``entries`` maps each key to its masks, in
-    order of first appearance among the key's record pairs, each with the
-    formatted digests of the first record pair that produced it.  Under a
-    set of enabled predicates a key is flagged when some mask is disjoint
-    from it, and the first such mask's pair is the witness.  A key's masks
-    end at the first 0: every later pair would be a later witness of the
-    same sets.
-    """
-
-    names: tuple[str, ...]
-    entries: dict
-    record_counts: dict
-
-    def mask_of(self, names) -> int:
-        return sum(1 << i for i, n in enumerate(self.names) if n in names)
-
-    def witnesses(self, enabled: int) -> dict:
-        """Flagged key -> formatted digests of its witnessing record pair."""
-        out = {}
-        for key, masks in self.entries.items():
-            for mask, pair in masks.items():
-                if not mask & enabled:
-                    out[key] = pair
-                    break
-        return out
-
-    def site_pairs(self, enabled: int) -> set:
-        return {
-            key
-            for key, masks in self.entries.items()
-            if any(not mask & enabled for mask in masks)
-        }
 
 
 def _key_masks(glob: str, rows: list, cols: list, tables: list) -> dict:
@@ -191,20 +181,18 @@ def _key_masks(glob: str, rows: list, cols: list, tables: list) -> dict:
     return masks
 
 
-def sweep(sol: Solution, product: ProductDigest, modes: dict) -> ExclusionSweep:
-    """One pass over every record pair with at least one write (identical
-    records included, since equal digests can still belong to different
-    concrete threads).  ``modes`` names each component's predicate; a
-    disabled component sets no bit.  Each predicate runs once per distinct
-    pair of component values: every shipped ``mhp`` is pure, and the
-    values repeat heavily across records."""
-    predicates = []
-    for i, comp in enumerate(product.components):
-        if modes[comp.name] == BESPOKE:
-            predicates.append((i, comp.mhp))
-        elif modes[comp.name] == GENERIC:
-            predicates.append((i, functools.partial(generic_mhp, comp)))
-    entries: dict = {}
+def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> RaceReport:
+    """One pass over every record pair of the solution's access
+    accumulators, each component's predicate in the mode ``modes`` names
+    (default bespoke).  Each predicate runs once per distinct pair of
+    component values: every shipped ``mhp`` is pure, and the values repeat
+    heavily across records."""
+    modes = _resolve_modes(product, modes)
+    predicates = [
+        comp.mhp if modes[comp.name] == BESPOKE else functools.partial(generic_mhp, comp)
+        for comp in product.components
+    ]
+    masks: dict = {}
     record_counts = {}
     for glob in sorted(sol.races):
         records = sorted(
@@ -213,7 +201,7 @@ def sweep(sol: Solution, product: ProductDigest, modes: dict) -> ExclusionSweep:
         )
         record_counts[glob] = len(records)
         tables = []
-        for i, pred in predicates:
+        for i, pred in enumerate(predicates):
             index: dict = {}
             ids = [index.setdefault(r[3][i], len(index)) for r in records]
             tables.append((1 << i, ids, list(index), len(index), pred, {}))
@@ -224,52 +212,19 @@ def sweep(sol: Solution, product: ProductDigest, modes: dict) -> ExclusionSweep:
         for g, (site_a, rows) in enumerate(groups):
             for site_b, cols in groups[g:]:
                 if WRITE in (site_a[1], site_b[1]):
-                    entries[(glob, site_a, site_b)] = _key_masks(glob, rows, cols, tables)
-    return ExclusionSweep(
-        tuple(c.name for c in product.components), entries, record_counts
-    )
-
-
-def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> RaceReport:
-    """Race check over the solution's access accumulators: a site pair is
-    flagged when some record pair of it has no enabled predicate answering
-    false."""
-    modes = _resolve_modes(product, modes)
-    swept = sweep(sol, product, modes)
-    enabled = swept.mask_of([n for n in swept.names if modes[n] != DISABLED])
-    # a witness pair has no enabled predicate answering false
-    verdicts = tuple((n, MhpVerdict.TOP.value) for n in swept.names)
-    flagged = [
-        FlaggedPair(glob, site_a, site_b, witness, verdicts)
-        for (glob, site_a, site_b), witness in swept.witnesses(enabled).items()
-    ]
-    return RaceReport(
-        digests=swept.names,
-        modes=modes,
-        flagged=sorted(flagged, key=FlaggedPair.sort_key),
-        record_counts=swept.record_counts,
-    )
+                    masks[(glob, site_a, site_b)] = _key_masks(glob, rows, cols, tables)
+    return RaceReport(tuple(c.name for c in product.components), modes, masks, record_counts)
 
 
 def ablate(sol: Solution, product: ProductDigest) -> list[dict]:
     """Flag counts for every subset of predicates, the digests themselves
     staying active (only their exclusion power is varied): one bespoke
-    sweep, then a mask test per subset and distinct mask list."""
-    names = [c.name for c in product.components]
-    swept = sweep(sol, product, {n: BESPOKE for n in names})
-    shapes = collections.Counter(tuple(masks) for masks in swept.entries.values())
+    report, then a mask test per subset and distinct mask list."""
+    report = detect(sol, product)
+    shapes = collections.Counter(tuple(masks) for masks in report.masks.values())
     rows = []
-    for k in range(len(names) + 1):
-        for subset in itertools.combinations(names, k):
-            enabled = swept.mask_of(subset)
-            flagged = sum(
-                n for masks, n in shapes.items() if any(not m & enabled for m in masks)
-            )
-            rows.append(
-                {
-                    "predicates": list(subset),
-                    "flagged": flagged,
-                    "race_free": flagged == 0,
-                }
-            )
+    for subset in predicate_subsets(report.digests):
+        enabled = report.mask_of(subset)
+        flagged = sum(n for masks, n in shapes.items() if any(not m & enabled for m in masks))
+        rows.append({"predicates": list(subset), "flagged": flagged, "race_free": flagged == 0})
     return rows

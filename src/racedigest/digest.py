@@ -173,10 +173,6 @@ class LawReport:
     def add(self, law: str, detail: str) -> None:
         self.violations.append(LawViolation(law, detail))
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else f"FAIL ({len(self.violations)} violations)"
-        return f"{self.digest}: {self.checks} checks, {status}"
-
 
 class _AlphaCache:
     def __init__(self, d: Digest):

@@ -346,18 +346,3 @@ def fmt_action(a: Action) -> str:
     if a.kind == "skip":
         return "skip"
     return f"{a.kind} {a.target}"
-
-
-def program_to_dot(p: Program) -> str:
-    """Graphviz rendering of all prototype CFGs, one cluster per prototype."""
-    lines = ["digraph program {", "  node [shape=circle, fontsize=10];"]
-    for i, label in enumerate(sorted(p.prototypes)):
-        proto = p.prototypes[label]
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="{label}";')
-        lines.append(f'    "{proto.start_node}" [shape=doublecircle];')
-        for e in sorted_edges(proto.edges):
-            lines.append(f'    "{e.source}" -> "{e.target}" [label="{fmt_action(e.action)}"];')
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

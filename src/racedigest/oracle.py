@@ -294,14 +294,16 @@ class TraceSet:
         return list(self.__dict__["_sorted_pomsets"])
 
     @property
-    def traces(self) -> frozenset[LocalTrace]:
-        """Every reachable local trace: the closure of each event of each
-        pomset (a reached state extends to a maximal one without changing
-        the past of its events).  Derived on first use."""
+    def traces(self) -> tuple[LocalTrace, ...]:
+        """Every reachable local trace, once each: the closure of each event
+        of each pomset (a reached state extends to a maximal one without
+        changing the past of its events).  Derived on first use, in a fixed
+        order (pomsets in ``sorted_pomsets`` order, events in ``sort_key``
+        order), so walks over the traces do not depend on the process."""
         if "_traces" not in self.__dict__:
-            self.__dict__["_traces"] = frozenset(
+            self.__dict__["_traces"] = tuple(dict.fromkeys(
                 idx.closure(i) for idx in map(Pomset.causality, self.sorted_pomsets())
-                for i in range(len(idx.events)))
+                for i in range(len(idx.events))))
         return self.__dict__["_traces"]
 
 

@@ -1,18 +1,53 @@
 """The pairwise race check as it stood before the exclusion-mask sweep:
-``detect`` re-evaluated every component predicate per record pair and
-``ablate`` ran it once per predicate subset.  Kept only as the reference
-the sweep is compared against."""
+``detect`` re-evaluated every component predicate per record pair, a
+disabled component answering top, and ``ablate`` ran it once per predicate
+subset.  Kept only as the reference the detector's masks are compared
+against; it renders its own copy of the report JSON."""
 
 from __future__ import annotations
 
 import itertools
+import json
 
-from racedigest.detector import BESPOKE, DISABLED, GENERIC, FlaggedPair, RaceReport
+from racedigest.detector import BESPOKE, GENERIC, FlaggedPair
 from racedigest.digest import MhpVerdict, generic_mhp
 from racedigest.model import WRITE
 
+DISABLED = "disabled"
 
-def reference_detect(sol, product, modes=None) -> RaceReport:
+
+class ReferenceReport:
+    def __init__(self, digests, modes, flagged, verdicts, record_counts):
+        self.digests = digests
+        self.modes = modes
+        self.flagged = flagged  # sorted FlaggedPairs
+        self.verdicts = verdicts  # site key -> ((digest, verdict), ...) of its witness
+        self.record_counts = record_counts
+
+    def to_json_text(self) -> str:
+        payload = {
+            "version": 1,
+            "digests": list(self.digests),
+            "modes": {k: self.modes[k] for k in sorted(self.modes)},
+            "accesses": {g: self.record_counts[g] for g in sorted(self.record_counts)},
+            "flagged": [
+                {
+                    "global": f.glob,
+                    "a": {"site": f.site_a[0], "type": f.site_a[1]},
+                    "b": {"site": f.site_b[0], "type": f.site_b[1]},
+                    "witness_digests": list(f.witness_digests),
+                    "verdicts": [
+                        {"digest": name, "verdict": v} for name, v in self.verdicts[f.sort_key()]
+                    ],
+                }
+                for f in self.flagged
+            ],
+            "race_free": not self.flagged,
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_detect(sol, product, modes=None) -> ReferenceReport:
     names = [c.name for c in product.components]
     modes = dict(modes or {})
     for name in names:
@@ -32,6 +67,7 @@ def reference_detect(sol, product, modes=None) -> RaceReport:
         return out
 
     flagged: dict[tuple, FlaggedPair] = {}
+    witness_verdicts = {}
     record_counts = {}
     for glob in sorted(sol.races):
         records = sorted(
@@ -60,28 +96,22 @@ def reference_detect(sol, product, modes=None) -> RaceReport:
                             product.format_elem(r0.digest),
                             product.format_elem(r1.digest),
                         ),
-                        component_verdicts=tuple((n, v.value) for n, v in vs),
                     )
-    return RaceReport(
-        digests=tuple(names),
-        modes=modes,
-        flagged=sorted(flagged.values(), key=FlaggedPair.sort_key),
-        record_counts=record_counts,
+                    witness_verdicts[key] = tuple((n, v.value) for n, v in vs)
+    return ReferenceReport(
+        tuple(names),
+        modes,
+        sorted(flagged.values(), key=FlaggedPair.sort_key),
+        witness_verdicts,
+        record_counts,
     )
 
 
 def reference_ablate(sol, product) -> list[dict]:
     names = [c.name for c in product.components]
     rows = []
-    for k in range(len(names) + 1):
-        for subset in itertools.combinations(names, k):
-            modes = {n: (BESPOKE if n in subset else DISABLED) for n in names}
-            report = reference_detect(sol, product, modes)
-            rows.append(
-                {
-                    "predicates": list(subset),
-                    "flagged": report.pair_count,
-                    "race_free": report.pair_count == 0,
-                }
-            )
+    for subset in (s for k in range(len(names) + 1) for s in itertools.combinations(names, k)):
+        modes = {n: (BESPOKE if n in subset else DISABLED) for n in names}
+        flagged = len(reference_detect(sol, product, modes).flagged)
+        rows.append({"predicates": list(subset), "flagged": flagged, "race_free": flagged == 0})
     return rows

@@ -16,7 +16,7 @@ from racedigest.conformance import (
     run_law_suite,
     run_soundness_suite,
 )
-from racedigest.detector import BESPOKE, DISABLED, GENERIC, detect
+from racedigest.detector import GENERIC, detect, predicate_subsets
 from racedigest.digest import ProductDigest, check_admissibility
 from racedigest.digests import CANONICAL_ORDER, MUTANTS, build_digests
 from racedigest.oracle import enumerate_traces, find_racy_pairs
@@ -79,14 +79,13 @@ def test_criterion_2_racy_microbenchmark_under_every_subset():
 
     product = ProductDigest(build_digests(FULL))
     sol = solve(build_system(prog0, product))
-    import itertools
-
-    for k in range(len(FULL) + 1):
-        for subset in itertools.combinations(FULL, k):
-            modes = {n: (BESPOKE if n in subset else DISABLED) for n in FULL}
-            report = detect(sol, product, modes)
-            assert report.distinct_site_pairs() == {race}, subset
-            assert race in report.site_pairs()
+    report = detect(sol, product)
+    subsets = predicate_subsets(FULL)
+    assert len(set(subsets)) == 2 ** len(FULL)
+    for subset in subsets:
+        flagged = report.site_pairs(report.mask_of(subset))
+        assert {p for p in flagged if p[1] != p[2]} == {race}, subset
+        assert race in flagged
 
     for names in (["lockset"], ["threadflag"], ["tid"], ["once"], ["tid", "join"]):
         assert race in analyze(prog0, names).site_pairs(), names
@@ -104,10 +103,10 @@ def test_criterion_3_once_program():
 
     product = ProductDigest(build_digests(FULL))
     sol = solve(build_system(prog, product))
-    modes = {n: (DISABLED if n == "once" else BESPOKE) for n in FULL}
-    without_once = detect(sol, product, modes)
-    assert without_once.flagged, "without once knowledge the writes must be flagged"
-    assert all(f.glob == "dev" for f in without_once.flagged)
+    report = detect(sol, product)
+    without_once = report.site_pairs(report.mask_of([n for n in FULL if n != "once"]))
+    assert without_once, "without once knowledge the writes must be flagged"
+    assert all(glob == "dev" for glob, _, _ in without_once)
 
     ts = enumerate_traces(prog, depth=40, width=4)
     assert not ts.truncated

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from racedigest.conformance import (
@@ -14,6 +19,8 @@ from racedigest.conformance import (
 )
 from racedigest.digest import check_admissibility
 from racedigest.digests import MUTANTS
+
+from tests.conftest import CORPUS_DIR
 
 
 def test_corpus_loads_and_is_tagged(corpus_cases):
@@ -95,3 +102,43 @@ def test_inconclusive_bounds_detected(tmp_path):
     section = run_soundness_suite(cases)
     assert not section.passed
     assert "InconclusiveBounds" in section.failures[0]
+
+
+_COUNTED_CONFORM = """
+import sys
+from racedigest import oracle
+from racedigest.cli import main
+
+built = 0
+init = oracle.CausalIndex.__init__
+
+
+def counting(self, *args):
+    global built
+    built += 1
+    init(self, *args)
+
+
+oracle.CausalIndex.__init__ = counting
+code = main(["conform", sys.argv[1]])
+print(built, code)
+"""
+
+
+def test_conform_work_does_not_depend_on_the_process():
+    # a walk in set order over objects hashing None (an address on some
+    # Python versions) tries witnesses in a per-process order
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(root / "src"))
+    runs = {
+        subprocess.run(
+            [sys.executable, "-c", _COUNTED_CONFORM, str(CORPUS_DIR)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for _ in range(3)
+    }
+    assert len(runs) == 1, sorted(run.splitlines()[-1] for run in runs)
+    *report, counts = runs.pop().splitlines()
+    assert report[-1] == "all suites pass"
+    built, code = map(int, counts.split())
+    assert built > 0 and code == 0

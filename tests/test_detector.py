@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from racedigest.detector import BESPOKE, DISABLED, GENERIC, ablate, detect
+from racedigest.detector import BESPOKE, GENERIC, ablate, detect
 from racedigest.digest import ProductDigest
 from racedigest.digests import build_digests
 from racedigest.solver import build_system, solve
@@ -16,8 +16,11 @@ def run(program, names, modes=None):
     return detect(sol, product, modes)
 
 
-def sites(report):
-    return {(f.site_a[0], f.site_b[0]) for f in report.flagged}
+def sites(report, predicates=None):
+    """Flagged node pairs, with every predicate or only ``predicates``."""
+    if predicates is None:
+        return {(f.site_a[0], f.site_b[0]) for f in report.flagged}
+    return {(a[0], b[0]) for _, a, b in report.site_pairs(report.mask_of(predicates))}
 
 
 def test_prog1_combined_digests_prove_race_freedom(prog1):
@@ -44,10 +47,10 @@ def test_prog1_threadflag_alone(prog1):
 
 
 def test_identical_records_can_race(prog0):
-    # disabling all exclusion flags the self pairs too: equal digests may
+    # no exclusion at all flags the self pairs too: equal digests may
     # belong to different concrete threads
-    report = run(prog0, ["lockset"], {"lockset": DISABLED})
-    assert sites(report) == {
+    report = run(prog0, ["lockset"])
+    assert sites(report, ()) == {
         ("main.s0", "main.s0"),
         ("main.s0", "t1.s0"),
         ("t1.s0", "t1.s0"),
@@ -66,7 +69,7 @@ def test_read_pairs_never_flagged():
     from tests.conftest import corpus_program
 
     p = corpus_program("read_only_pair")
-    assert run(p, ["lockset"], {"lockset": DISABLED}).flagged == []
+    assert sites(run(p, ["lockset"]), ()) == set()
 
 
 def test_generic_mode_weaker_than_bespoke(prog1):
@@ -83,8 +86,9 @@ def test_generic_mode_weaker_than_bespoke(prog1):
 def test_mode_validation(prog1):
     with pytest.raises(ValueError):
         run(prog1, ["lockset"], {"threadflag": BESPOKE})
-    with pytest.raises(ValueError):
-        run(prog1, ["lockset"], {"lockset": "sometimes"})
+    for mode in ("sometimes", "disabled"):
+        with pytest.raises(ValueError):
+            run(prog1, ["lockset"], {"lockset": mode})
 
 
 def test_report_metadata_and_witnesses(prog0):
@@ -92,7 +96,10 @@ def test_report_metadata_and_witnesses(prog0):
     (pair,) = report.flagged
     assert pair.glob == "g"
     assert pair.site_a == ("main.s0", "W") and pair.site_b == ("t1.s0", "W")
-    assert [v for _, v in pair.component_verdicts] == ["top", "top"]
+    (entry,) = report.to_json()["flagged"]
+    assert [(v["digest"], v["verdict"]) for v in entry["verdicts"]] == [
+        ("threadflag", "top"), ("tid", "top")
+    ]
     assert report.record_counts == {"g": 2}
 
 

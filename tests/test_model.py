@@ -10,7 +10,6 @@ from racedigest.model import (
     access_sites,
     atomicity_mutex,
     instrument_atomicity,
-    program_to_dot,
 )
 
 from tests.conftest import CODE_AFTER_EXIT
@@ -185,14 +184,6 @@ def test_unreachable_node_rejected():
 def test_start_node_incoming_edge_rejected():
     with pytest.raises(ValidationError):
         parse_program("main:\n  label T\n  skip\n  goto T\n")
-
-
-def test_dot_export_mentions_all_nodes():
-    p = instrument_atomicity(parse_program(PROG1))
-    dot = program_to_dot(p)
-    for proto in p.prototypes.values():
-        for node in proto.nodes():
-            assert f'"{node}"' in dot
 
 
 def test_once_block_lowering():

@@ -354,9 +354,10 @@ def _disagreements(p, ts) -> tuple[int, list[str]]:
             if _rebuild(p, pom, e) != pom.closure(e):
                 found.append(f"rebuilt {e.describe()} differs")
     if not ts.truncated:
+        known = set(ts.traces)
         for t in ts.traces:
             for out in _successors(p, t, ts.traces):
-                if out is not None and out not in ts.traces:
+                if out is not None and out not in known:
                     found.append(f"step to {out.top.describe()} is not enumerated")
     return steps, found
 

@@ -1,5 +1,6 @@
-"""The exclusion-mask sweep against the pairwise reference loop: reports
-and ablation rows must match byte for byte."""
+"""The detector's exclusion masks against the pairwise reference loop:
+every predicate subset read off one bespoke report, whole reports and
+ablation rows must match byte for byte."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import itertools
 
 import pytest
 
-from racedigest.detector import BESPOKE, DISABLED, GENERIC, ablate, detect, sweep
+from racedigest.detector import BESPOKE, GENERIC, ablate, detect
 from racedigest.digest import ProductDigest
 from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
@@ -15,7 +16,7 @@ from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve
 
 from tests.conftest import CORPUS_DIR, corpus_program
-from tests.reference_detector import reference_ablate, reference_detect
+from tests.reference_detector import DISABLED, reference_ablate, reference_detect
 
 
 def locked_program(n: int, k: int, b: int) -> str:
@@ -43,15 +44,15 @@ def locked_program(n: int, k: int, b: int) -> str:
 
 PROGRAMS = sorted(p.parent.name for p in CORPUS_DIR.glob("*/program.rlp")) + ["locked-4/4/6"]
 
-SUBSET_MODES = [
-    {n: (BESPOKE if n in subset else DISABLED) for n in CANONICAL_ORDER}
+SUBSETS = [
+    subset
     for k in range(len(CANONICAL_ORDER) + 1)
     for subset in itertools.combinations(CANONICAL_ORDER, k)
 ]
-OTHER_MODES = [
+WHOLE_REPORT_MODES = [
+    {n: BESPOKE for n in CANONICAL_ORDER},
     {n: GENERIC for n in CANONICAL_ORDER},
     {"lockset": GENERIC},
-    {"tid": GENERIC, "once": DISABLED, "lockset": DISABLED},
 ]
 
 
@@ -65,16 +66,29 @@ def _program(name: str):
 def test_sweep_matches_pairwise_reference(name):
     product = ProductDigest(build_digests(CANONICAL_ORDER))
     sol = solve(build_system(_program(name), product))
-    bespoke = sweep(sol, product, {n: BESPOKE for n in CANONICAL_ORDER})
-    for modes in SUBSET_MODES + OTHER_MODES:
+    for modes in WHOLE_REPORT_MODES:
         want = reference_detect(sol, product, modes)
         assert detect(sol, product, modes).to_json_text() == want.to_json_text(), modes
-        if modes in SUBSET_MODES:
-            # one bespoke sweep yields every subset's witnesses too
-            enabled = bespoke.mask_of([n for n, m in modes.items() if m == BESPOKE])
-            assert bespoke.witnesses(enabled) == {
-                f.sort_key(): f.witness_digests for f in want.flagged
-            }, modes
+
+    def read_off(report, subset, reference_modes):
+        # the reference disables every component outside the subset
+        want = reference_detect(sol, product, reference_modes)
+        enabled = report.mask_of(subset)
+        assert report.witnesses(enabled) == {
+            f.sort_key(): f.witness_digests for f in want.flagged
+        }, reference_modes
+        assert report.site_pairs(enabled) == {f.sort_key() for f in want.flagged}
+
+    bespoke = detect(sol, product)
+    for subset in SUBSETS:
+        disabled = {n: DISABLED for n in CANONICAL_ORDER if n not in subset}
+        read_off(bespoke, subset, disabled)
+    mixed = {"tid": GENERIC, "once": DISABLED, "lockset": DISABLED}
+    read_off(
+        detect(sol, product, {"tid": GENERIC}),
+        [n for n in CANONICAL_ORDER if mixed.get(n) != DISABLED],
+        mixed,
+    )
     assert ablate(sol, product) == reference_ablate(sol, product)
 
 
