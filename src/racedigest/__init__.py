@@ -11,6 +11,7 @@ from .digest import (
     check_access_stability,
     check_admissibility,
     check_mhp_commutativity,
+    check_view_exactness,
     generic_mhp,
 )
 from .digests import CANONICAL_ORDER, MUTANTS, build_digests

@@ -8,8 +8,9 @@ expected to prove race freedom).  The suites:
   exhaustive, and the promised race-free subsets hold;
 * soundness    -- for every predicate subset, flagged pairs cover the
   oracle's racy pairs, and flag counts shrink monotonically with subsets;
-* laws         -- every shipped digest and their product pass admissibility
-  and access stability on every case;
+* laws         -- every shipped digest and their product pass admissibility,
+  access stability, predicate commutativity and view exactness on every
+  case;
 * equivalence  -- racy pairs coincide with bidirectionally compatible
   write pairs;
 * subsumption  -- everything the thread flag excludes, thread ids exclude;
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
-from .detector import detect, predicate_subsets
+from .detector import RaceReport, detect, predicate_subsets
 from .digest import (
     Digest,
     MhpVerdict,
@@ -33,6 +34,8 @@ from .digest import (
     check_access_stability,
     check_admissibility,
     check_mhp_commutativity,
+    check_view_exactness,
+    realized_values,
 )
 from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, MUTANTS, build_digests
 from .dsl import parse_program
@@ -54,6 +57,7 @@ class CorpusCase:
     _traces: TraceSet | None = None
     _racy: frozenset | None = None
     _solutions: dict = field(default_factory=dict)
+    _reports: dict = field(default_factory=dict)
 
     @property
     def program(self):
@@ -87,6 +91,13 @@ class CorpusCase:
             product = ProductDigest(build_digests(names, tid_cap=tid_cap))
             self._solutions[key] = (product, solve(build_system(self.program, product)))
         return self._solutions[key]
+
+    def report(self, tid_cap: int) -> RaceReport:
+        """The bespoke race report of the all-digest solution, made once."""
+        if tid_cap not in self._reports:
+            product, sol = self.solution(CANONICAL_ORDER, tid_cap)
+            self._reports[tid_cap] = detect(sol, product)
+        return self._reports[tid_cap]
 
     def oracle_site_pairs(self) -> frozenset:
         if self._racy is None:
@@ -211,8 +222,7 @@ def run_expectation_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection
         want = case.expected_site_pairs()
         if got != want:
             section.fail(f"{case.name}: oracle races {sorted(got)} != expected {sorted(want)}")
-        product, sol = case.solution(CANONICAL_ORDER, tid_cap)
-        report = detect(sol, product)
+        report = case.report(tid_cap)
         for subset in case.expected["race_free_subsets"]:
             section.checks += 1
             flagged = report.site_pairs(report.mask_of(subset))
@@ -230,8 +240,7 @@ def run_soundness_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     section = SuiteSection("soundness")
     for case, _ in _exhaustive(section, cases):
         oracle_pairs = case.oracle_site_pairs()
-        product, sol = case.solution(CANONICAL_ORDER, tid_cap)
-        report = detect(sol, product)
+        report = case.report(tid_cap)
         flags = {
             subset: report.site_pairs(report.mask_of(subset))
             for subset in predicate_subsets(CANONICAL_ORDER)
@@ -264,10 +273,12 @@ def run_law_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     digests = _shipped_digests(tid_cap)
     for case, ts in _exhaustive(section, cases):
         for d in digests:
+            realized = realized_values(d, ts)
             for report in (
                 check_admissibility(d, case.program, ts),
-                check_access_stability(d, case.program, ts),
-                check_mhp_commutativity(d, case.program, ts),
+                check_access_stability(d, case.program, ts, realized),
+                check_mhp_commutativity(d, case.program, ts, realized),
+                check_view_exactness(d, case.program, ts, realized),
             ):
                 section.checks += report.checks
                 for v in report.violations:

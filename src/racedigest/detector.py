@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .digest import MhpVerdict, ProductDigest, generic_mhp
 from .model import WRITE
@@ -96,14 +97,24 @@ class RaceReport:
     def distinct_site_pairs(self) -> set:
         return {f.sort_key() for f in self.flagged if f.site_a != f.site_b}
 
-    def to_json(self) -> dict:
+    def _verdicts(self) -> list:
         # a witness pair has no predicate answering false
-        verdicts = [{"digest": name, "verdict": MhpVerdict.TOP.value} for name in self.digests]
+        return [{"digest": name, "verdict": MhpVerdict.TOP.value} for name in self.digests]
+
+    def _header(self) -> dict:
+        """Every top-level field of the JSON report but ``flagged``."""
         return {
             "version": 1,
             "digests": list(self.digests),
             "modes": {k: self.modes[k] for k in sorted(self.modes)},
             "accesses": {g: self.record_counts[g] for g in sorted(self.record_counts)},
+            "race_free": not self.flagged,
+        }
+
+    def to_json(self) -> dict:
+        verdicts = self._verdicts()
+        return {
+            **self._header(),
             "flagged": [
                 {
                     "global": f.glob,
@@ -114,11 +125,35 @@ class RaceReport:
                 }
                 for f in self.flagged
             ],
-            "race_free": not self.flagged,
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True) + "\\n"``,
+        written without the per-pair dicts and joined once: each flagged
+        pair fills one template through the C string encoder, and the
+        verdicts block, the same for every pair, is rendered once."""
+        return "".join(self._json_chunks())
+
+    def _json_chunks(self):
+        enc = encode_basestring_ascii
+        first = _PAIR_TEMPLATE.replace("VERDICTS", _nested(self._verdicts(), 3).replace("%", "%%"))
+        later = ",\n" + first
+        fields = {key: _nested(value, 1) for key, value in self._header().items()}
+        fields["flagged"] = "[]" if not self.flagged else None
+        opener = "{"
+        for key, text in sorted(fields.items()):
+            yield f"{opener}\n  {enc(key)}: "
+            opener = ","
+            if text is not None:
+                yield text
+                continue
+            yield "[\n"
+            for i, f in enumerate(self.flagged):
+                yield (later if i else first) % (
+                    enc(f.site_a[0]), enc(f.site_a[1]), enc(f.site_b[0]), enc(f.site_b[1]),
+                    enc(f.glob), enc(f.witness_digests[0]), enc(f.witness_digests[1]))
+            yield "\n  ]"
+        yield "\n}\n"
 
     def to_text(self, program=None) -> str:
         lines = [
@@ -132,6 +167,33 @@ class RaceReport:
             loc_b = _site_text(f.site_b, program)
             lines.append(f"race on {f.glob}: {loc_a} with {loc_b}")
         return "\n".join(lines) + "\n"
+
+
+# one flagged pair of the JSON report, as json.dumps(indent=2, sort_keys=True)
+# writes it two levels deep
+_PAIR_TEMPLATE = """\
+    {
+      "a": {
+        "site": %s,
+        "type": %s
+      },
+      "b": {
+        "site": %s,
+        "type": %s
+      },
+      "global": %s,
+      "verdicts": VERDICTS,
+      "witness_digests": [
+        %s,
+        %s
+      ]
+    }"""
+
+
+def _nested(value, level: int) -> str:
+    """``value`` as json.dumps(indent=2, sort_keys=True) writes it ``level``
+    levels deep (a JSON text has no raw newline inside a string)."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
 
 
 def _site_text(site: tuple[str, str], program) -> str:

@@ -12,7 +12,8 @@ never unordered, ``top`` means nothing is claimed.  ``generic_mhp`` derives
 such a predicate for any access-stable digest from its atomicity-mutex lock
 step.  The law harness replays enumerated concrete steps against the
 transfer functions to check the simulation, creation, and initialization
-laws, plus access stability.
+laws, plus access stability and the exactness of each digest's observed
+view.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ class Digest:
     Subclasses override the actions they track.  ``step_observing`` falls
     back to the local step on the first argument, which realizes the usual
     "other observing" rows of transfer tables.
+
+    ``observed_view(act, elem1)`` is the part of the partner value ``elem1``
+    that ``step_observing(act, elem0, elem1)`` reads: two partner values
+    with equal views must give equal steps from every ego value (the
+    view-exactness law).  The solver makes one observing step per distinct
+    view, so a view that drops a field the step reads loses facts.  The
+    default, the whole partner value, is always exact; a digest whose step
+    ignores the partner returns ``None``.
     """
 
     name = "digest"
@@ -64,6 +73,9 @@ class Digest:
 
     def step_observing(self, act: Action, elem0, elem1):
         return self.step_local(act, elem0)
+
+    def observed_view(self, act: Action, elem1):
+        return elem1
 
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         raise NotImplementedError
@@ -133,6 +145,10 @@ class ProductDigest(Digest):
                 return None
             out.append(n)
         return tuple(out)
+
+    def observed_view(self, act: Action, elem1):
+        self._check_arity(elem1)
+        return tuple(c.observed_view(act, e) for c, e in zip(self.components, elem1))
 
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         self._check_arity(a)
@@ -269,16 +285,18 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet) -> LawReport:
     return report
 
 
-def _realized(d: Digest, ts: TraceSet) -> list:
+def realized_values(d: Digest, ts: TraceSet) -> list:
     """The initial digest values and those of every trace, in format order."""
     return sorted({d.abstract_trace(t) for t in ts.traces} | set(d.init_digests()),
                   key=d.format_elem)
 
 
-def check_mhp_commutativity(d: Digest, p: Program, ts: TraceSet) -> LawReport:
+def check_mhp_commutativity(d: Digest, p: Program, ts: TraceSet,
+                            realized: list | None = None) -> LawReport:
     """The parallelism predicate must not depend on argument order."""
     report = LawReport(d.name)
-    realized = _realized(d, ts)
+    if realized is None:
+        realized = realized_values(d, ts)
     for glob in sorted(p.globals):
         for a in realized:
             for b in realized:
@@ -291,11 +309,13 @@ def check_mhp_commutativity(d: Digest, p: Program, ts: TraceSet) -> LawReport:
     return report
 
 
-def check_access_stability(d: Digest, p: Program, ts: TraceSet) -> LawReport:
+def check_access_stability(d: Digest, p: Program, ts: TraceSet,
+                           realized: list | None = None) -> LawReport:
     """An access sequence lock(m_g); access; unlock(m_g) must leave any
     realized digest unchanged whenever it is defined."""
     report = LawReport(d.name)
-    realized = _realized(d, ts)
+    if realized is None:
+        realized = realized_values(d, ts)
     for site, glob, _ in access_sites(p):
         lock_e, acc_e, unl_e = access_sequence(p, site)
         for a0 in realized:
@@ -312,4 +332,36 @@ def check_access_stability(d: Digest, p: Program, ts: TraceSet) -> LawReport:
                         f"sequence at {site} maps {d.format_elem(a0)} (observing "
                         f"{d.format_elem(a1)}) to {d.format_elem(r)}",
                     )
+    return report
+
+
+def check_view_exactness(d: Digest, p: Program, ts: TraceSet,
+                         realized: list | None = None) -> LawReport:
+    """Two partner values with equal ``observed_view`` must give equal
+    observing steps: for every observing action of the program, every
+    realized ego value and every two realized partners of one view."""
+    report = LawReport(d.name)
+    if realized is None:
+        realized = realized_values(d, ts)
+    fmt = d.format_elem
+    for act in dict.fromkeys(e.action for e in p.all_edges() if e.action.is_observing):
+        by_view: dict = {}
+        for a1 in realized:
+            by_view.setdefault(d.observed_view(act, a1), []).append(a1)
+        for first, *rest in by_view.values():
+            if not rest:
+                continue
+            for a0 in realized:
+                want = d.step_observing(act, a0, first)
+                for a1 in rest:
+                    report.checks += 1
+                    got = d.step_observing(act, a0, a1)
+                    if got != want:
+                        report.add(
+                            "view-exactness",
+                            f"{act.kind} {act.target} from {fmt(a0)}: partners {fmt(first)} "
+                            f"and {fmt(a1)} share a view but step to "
+                            f"{'none' if want is None else fmt(want)} and "
+                            f"{'none' if got is None else fmt(got)}",
+                        )
     return report

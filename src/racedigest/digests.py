@@ -63,6 +63,9 @@ class LocksetDigest(Digest):
             return elem0 | {act.target}
         return self.step_local(act, elem0)
 
+    def observed_view(self, act: Action, elem1):
+        return None
+
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         return MhpVerdict.FALSE if a & b else MhpVerdict.TOP
 
@@ -93,6 +96,9 @@ class ThreadFlagDigest(Digest):
                 return None
             return elem0
         return self.step_local(act, elem0)
+
+    def observed_view(self, act: Action, elem1):
+        return elem1 == ST_MAIN if act.kind == "lock" else None
 
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         if a == ST_MAIN or b == ST_MAIN or (a == MT_MAIN and b == MT_MAIN):
@@ -151,6 +157,9 @@ class ThreadIdDigest(Digest):
             created = _saturate_counts(elem.created + (act.create_id,))
             return TidElem(elem.path, created, elem.unique)
         return elem
+
+    def observed_view(self, act: Action, elem1):
+        return None
 
     def may_run(self, a: TidElem, b: TidElem) -> bool:
         """False only when the thread of ``b`` provably has not started:
@@ -234,6 +243,9 @@ class JoinDigest(Digest):
             joined = joined | {tid0.path + (ce,)}
         return JoinElem(tid0, joined)
 
+    def observed_view(self, act: Action, elem1):
+        return (elem1.tid.path, elem1.joined) if act.kind == "join" else None
+
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         if self._terminated_before(a, b) or self._terminated_before(b, a):
             return MhpVerdict.FALSE
@@ -288,6 +300,9 @@ class OnceDigest(Digest):
             return (active | {act.target}, completed | elem1[1])
         return self.step_local(act, elem0)
 
+    def observed_view(self, act: Action, elem1):
+        return elem1[1] if act.kind == "startO" else None
+
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         active_a, completed_a = a
         active_b, completed_b = b
@@ -317,6 +332,9 @@ class OverlapEmptyLockset(LocksetDigest):
         if act.kind == "lock" and is_atomicity_mutex(act.target) and elem0 & elem1:
             return None
         return super().step_observing(act, elem0, elem1)
+
+    def observed_view(self, act: Action, elem1):
+        return elem1 if act.kind == "lock" and is_atomicity_mutex(act.target) else None
 
 
 class SpawnedPairThreadFlag(ThreadFlagDigest):

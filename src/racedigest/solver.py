@@ -17,6 +17,16 @@ all in the solution.  The worklist iterates digest sets unsorted, in the
 order their values were first derived; the least fixpoint and
 ``Solution.to_json()`` do not depend on that order.  ``evaluations`` counts
 digest step calls (``step_local``, ``step_observing``, ``new_digest``).
+
+An observing step reads only the partner's ``observed_view``, so ``solve``
+makes one step per distinct view: for each observing action and observed
+key it keeps the first value of each view as that view's representative.
+A newly reached ego value meets only the representatives, and an arriving
+observable value wakes the edges watching its key only when it brings a
+new view.  With exact views (a digest law) the least fixpoint is the same
+as pairing every stored value; ``Solution.obs`` still holds every value,
+and ``verify_postfixpoint`` checks the solution against the ungrouped
+constraints.
 """
 
 from __future__ import annotations
@@ -106,12 +116,13 @@ class Solution:
         return {"version": 1, "pp": pp, "obs": obs, "races": races}
 
 
-def _observing_edges_by_partner(program: Program) -> dict:
+def _watchers(program: Program) -> dict:
+    """Observable key -> observing action -> the edges that perform it."""
     watchers: dict = {}
     for e in program.all_edges():
         if e.action.is_observing:
             for key in e.action.observed_keys():
-                watchers.setdefault(key, []).append(e)
+                watchers.setdefault(key, {}).setdefault(e.action, []).append(e)
     return watchers
 
 
@@ -145,14 +156,18 @@ def _transfer(cs: ConstraintSystem, edge: Edge, elem, observed: dict):
 
 
 def solve(cs: ConstraintSystem, max_evaluations: int = 1_000_000) -> Solution:
-    """Least solution of the refined system, computed by a FIFO worklist.
+    """Least solution of the refined system, computed by a FIFO worklist
+    with one observing step per distinct partner view.
 
     While solving, each unknown's values live in a dict used as an
     insertion-ordered set, so the order of evaluation, and with it the
     ``evaluations`` count, does not depend on the hash seed."""
-    program = cs.program
-    watchers = _observing_edges_by_partner(program)
+    program, digest = cs.program, cs.digest
+    watchers = _watchers(program)
     tables: dict = {"pp": {}, "obs": {}, "race": {}}
+    # observing action -> observed key -> the first value of each view
+    partners: dict = {}
+    views: set = set()  # (observing action, observed key, view)
     queue: deque = deque()
     evaluations = 0
 
@@ -177,18 +192,24 @@ def solve(cs: ConstraintSystem, max_evaluations: int = 1_000_000) -> Solution:
                 push(fact)
 
     start = program.main().start_node
-    for elem in sorted(cs.digest.init_digests(), key=cs.digest.format_elem):
+    for elem in sorted(digest.init_digests(), key=digest.format_elem):
         push(("pp", start, elem))
 
-    pp, obs = tables["pp"], tables["obs"]
+    pp = tables["pp"]
     while queue:
         kind, key, value = queue.popleft()
         if kind == "pp":
             for edge in program.edges_from(key):
-                run(edge, value, obs)
-        else:
-            arrived = {key: (value,)}
-            for edge in watchers.get(key, ()):
+                run(edge, value, partners.get(edge.action, {}))
+            continue
+        arrived = {key: (value,)}
+        for act, edges in watchers.get(key, {}).items():
+            view = (act, key, digest.observed_view(act, value))
+            if view in views:
+                continue  # the first value with this view stands for this one
+            views.add(view)
+            partners.setdefault(act, {}).setdefault(key, []).append(value)
+            for edge in edges:
                 # a snapshot: an observing self-loop adds to its own source
                 for elem in tuple(pp.get(edge.source, ())):
                     run(edge, elem, arrived)
@@ -196,7 +217,7 @@ def solve(cs: ConstraintSystem, max_evaluations: int = 1_000_000) -> Solution:
     def as_sets(table: dict) -> dict:
         return {key: set(values) for key, values in table.items()}
 
-    return Solution(cs, as_sets(pp), as_sets(obs), as_sets(tables["race"]), evaluations)
+    return Solution(cs, as_sets(pp), as_sets(tables["obs"]), as_sets(tables["race"]), evaluations)
 
 
 def verify_postfixpoint(sol: Solution) -> bool:

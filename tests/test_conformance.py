@@ -18,7 +18,7 @@ from racedigest.conformance import (
     run_subsumption_suite,
 )
 from racedigest.digest import check_admissibility
-from racedigest.digests import MUTANTS
+from racedigest.digests import DEFAULT_TID_CAP, MUTANTS
 
 from tests.conftest import CORPUS_DIR
 
@@ -57,6 +57,23 @@ def test_soundness_suite(corpus_cases):
     section = run_soundness_suite(corpus_cases)
     assert section.passed, "\n".join(section.failures)
     assert section.checks > 5000  # 2^5 subsets across the whole corpus
+
+
+def test_expectation_and_soundness_share_one_report(monkeypatch):
+    from racedigest import conformance
+
+    calls = []
+    real_detect = conformance.detect
+
+    def counted(*args):
+        calls.append(args)
+        return real_detect(*args)
+
+    monkeypatch.setattr(conformance, "detect", counted)
+    cases = load_corpus(CORPUS_DIR)
+    assert run_expectation_suite(cases).passed and run_soundness_suite(cases).passed
+    assert len(calls) == len(cases)
+    assert cases[0].report(DEFAULT_TID_CAP) is cases[0].report(DEFAULT_TID_CAP)
 
 
 def test_law_suite(corpus_cases):

@@ -4,10 +4,14 @@ import json
 
 import pytest
 
-from racedigest.detector import BESPOKE, GENERIC, ablate, detect
+from racedigest.detector import BESPOKE, GENERIC, RaceReport, ablate, detect
 from racedigest.digest import ProductDigest
-from racedigest.digests import build_digests
+from racedigest.digests import CANONICAL_ORDER, DEFAULT_TID_CAP, build_digests
+from racedigest.dsl import parse_program
+from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve
+
+from perfbench.gen import locked_program
 
 
 def run(program, names, modes=None):
@@ -113,6 +117,43 @@ def test_report_json_schema(prog0):
         flagged, key=lambda f: (f["global"], f["a"]["site"], f["b"]["site"])
     )
     json.dumps(payload)  # serializable
+
+
+def _dumped(report) -> str:
+    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", [BESPOKE, GENERIC])
+def test_json_text_is_json_dumps_on_the_corpus(corpus_cases, mode):
+    for case in corpus_cases:
+        product, sol = case.solution(CANONICAL_ORDER, DEFAULT_TID_CAP)
+        report = detect(sol, product, {name: mode for name in CANONICAL_ORDER})
+        assert report.to_json_text() == _dumped(report), case.name
+
+
+def test_json_text_of_a_race_free_report(prog1):
+    report = run(prog1, ["lockset", "threadflag"])
+    text = report.to_json_text()
+    assert text == _dumped(report)
+    assert '"flagged": []' in text and '"race_free": true' in text
+
+
+def test_json_text_on_a_generated_locked_program():
+    program = instrument_atomicity(parse_program(locked_program(6, 6, 12, 0)))
+    report = run(program, CANONICAL_ORDER)
+    assert len(report.flagged) > 500
+    assert report.to_json_text() == _dumped(report)
+
+
+def test_json_text_escapes_like_json_dumps():
+    # quotes, backslashes, newlines, non-ASCII and % signs in every string
+    odd = ("g\"%s", ("n\\1", "W"), ("\u00e9%d", "R"))
+    report = RaceReport(
+        ("a%s", "b\n"), {"a%s": BESPOKE, "b\n": GENERIC},
+        {odd: {0: ("x%(y)s", "\u00fc\n\t")}}, {odd[0]: 2},
+    )
+    assert len(report.flagged) == 1
+    assert report.to_json_text() == _dumped(report)
 
 
 def test_text_report_includes_source_lines(prog0):
