@@ -190,23 +190,28 @@ class LawReport:
         self.violations.append(LawViolation(law, detail))
 
 
-class _AlphaCache:
-    def __init__(self, d: Digest):
-        self.d = d
-        self.memo: dict[LocalTrace, object] = {}
-
-    def __call__(self, t: LocalTrace):
-        if t not in self.memo:
-            self.memo[t] = self.d.abstract_trace(t)
-        return self.memo[t]
+def abstraction_table(d: Digest, ts: TraceSet) -> dict:
+    """``{trace: d.abstract_trace(trace)}`` over the traces of ``ts``, in
+    their order."""
+    return {t: d.abstract_trace(t) for t in ts.traces}
 
 
-def check_admissibility(d: Digest, p: Program, ts: TraceSet) -> LawReport:
-    """Replay every concrete step observed in enumeration against the digest
-    transfer functions: the simulation law for local/observing steps, the
-    creation laws, and the initialization law."""
+def product_table(tables: list[dict]) -> dict:
+    """The abstraction table of a product digest, from the tables of its
+    components over one trace set (so all in one trace order)."""
+    return dict(zip(tables[0], zip(*(table.values() for table in tables))))
+
+
+def check_admissibility(d: Digest, p: Program, ts: TraceSet,
+                        alpha: dict | None = None) -> LawReport:
+    """Replay every concrete step of the enumeration (``ts.steps()``)
+    against the digest transfer functions: the simulation law for
+    local/observing steps, the creation laws, and the initialization law.
+    ``alpha`` is the digest's abstraction table over ``ts``."""
     report = LawReport(d.name)
-    alpha = _AlphaCache(d)
+    if alpha is None:
+        alpha = abstraction_table(d, ts)
+    fmt = d.format_elem
     create_edges = p.create_edges()
     realized_at_create: set[tuple] = set()
 
@@ -214,81 +219,57 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet) -> LawReport:
         t for t in ts.traces if t.top.instance == MAIN and t.top.index == 0
     )
     report.checks += 1
-    if d.init_digests() != frozenset({alpha(init_trace)}):
+    if d.init_digests() != frozenset({alpha[init_trace]}):
         report.add(
             "init",
-            f"init_digests() = {sorted(map(d.format_elem, d.init_digests()))} but "
-            f"alpha(init) = {d.format_elem(alpha(init_trace))}",
+            f"init_digests() = {sorted(map(fmt, d.init_digests()))} but "
+            f"alpha(init) = {fmt(alpha[init_trace])}",
         )
 
-    seen_steps: set[tuple] = set()
-    for pom in ts.sorted_pomsets():
-        for e in pom.sorted_events():
-            if e.edge is None:
-                if e.instance == MAIN:
-                    continue
-                dep = pom.dep_to(e)
-                t0 = pom.closure(dep.src)
-                ce = e.instance[-1][0]
-                step_key = ("new", t0, e.instance)
-                if step_key in seen_steps:
-                    continue
-                seen_steps.add(step_key)
-                report.checks += 1
-                a_child = alpha(pom.closure(e))
-                got = d.new_digest(alpha(t0), create_edges[ce])
-                if got is None or got != a_child:
-                    report.add(
-                        "new-thread",
-                        f"new_digest({d.format_elem(alpha(t0))}, {ce}) = "
-                        f"{'none' if got is None else d.format_elem(got)} but alpha(child) = "
-                        f"{d.format_elem(a_child)}",
-                    )
-                continue
-            act = e.action
-            pred = pom.po_pred(e)
-            t0 = pom.closure(pred)
-            if act.is_observing:
-                dep = pom.dep_to(e)
-                t1 = pom.closure(dep.src)
-                step_key = (act, t0, t1)
-                if step_key in seen_steps:
-                    continue
-                seen_steps.add(step_key)
-                got = d.step_observing(act, alpha(t0), alpha(t1))
-            else:
-                step_key = (act, t0)
-                if step_key in seen_steps:
-                    continue
-                seen_steps.add(step_key)
-                got = d.step_local(act, alpha(t0))
-            report.checks += 1
-            a_out = alpha(pom.closure(e))
+    for step in ts.steps():
+        e, a0, a_out = step.event, alpha[step.before], alpha[step.after]
+        report.checks += 1
+        if e.edge is None:
+            ce = e.instance[-1][0]
+            got = d.new_digest(a0, create_edges[ce])
             if got is None or got != a_out:
                 report.add(
-                    "simulation",
-                    f"step {e.describe()} from {d.format_elem(alpha(t0))} gave "
-                    f"{'none' if got is None else d.format_elem(got)} but alpha(result) = "
-                    f"{d.format_elem(a_out)}",
+                    "new-thread",
+                    f"new_digest({fmt(a0)}, {ce}) = "
+                    f"{'none' if got is None else fmt(got)} but alpha(child) = {fmt(a_out)}",
                 )
-            if act.kind == "create":
-                realized_at_create.add((alpha(t0), act.create_id))
+            continue
+        act = e.action
+        if step.observed is not None:
+            got = d.step_observing(act, a0, alpha[step.observed])
+        else:
+            got = d.step_local(act, a0)
+        if got is None or got != a_out:
+            report.add(
+                "simulation",
+                f"step {e.describe()} from {fmt(a0)} gave "
+                f"{'none' if got is None else fmt(got)} but alpha(result) = {fmt(a_out)}",
+            )
+        if act.kind == "create":
+            realized_at_create.add((a0, act.create_id))
 
-    for a0, ce in sorted(realized_at_create, key=lambda x: (d.format_elem(x[0]), x[1])):
+    for a0, ce in sorted(realized_at_create, key=lambda x: (fmt(x[0]), x[1])):
         report.checks += 1
         act = create_edges[ce].action
         if d.step_local(act, a0) is not None and d.new_digest(a0, create_edges[ce]) is None:
             report.add(
                 "new-thread-defined",
-                f"create step defined on {d.format_elem(a0)} but new_digest is not",
+                f"create step defined on {fmt(a0)} but new_digest is not",
             )
     return report
 
 
-def realized_values(d: Digest, ts: TraceSet) -> list:
-    """The initial digest values and those of every trace, in format order."""
-    return sorted({d.abstract_trace(t) for t in ts.traces} | set(d.init_digests()),
-                  key=d.format_elem)
+def realized_values(d: Digest, ts: TraceSet, alpha: dict | None = None) -> list:
+    """The initial digest values and those of every trace, in format order;
+    ``alpha`` is the digest's abstraction table over ``ts``."""
+    if alpha is None:
+        alpha = abstraction_table(d, ts)
+    return sorted(set(alpha.values()) | set(d.init_digests()), key=d.format_elem)
 
 
 def check_mhp_commutativity(d: Digest, p: Program, ts: TraceSet,

@@ -136,11 +136,15 @@ class Program:
     def main(self) -> ThreadPrototype:
         return self.prototypes[self.main_label]
 
-    def all_edges(self) -> list[Edge]:
-        out: list[Edge] = []
-        for label in sorted(self.prototypes):
-            out.extend(sorted_edges(self.prototypes[label].edges))
-        return out
+    def all_edges(self) -> tuple[Edge, ...]:
+        """Every edge, by prototype label and then ``sorted_edges``; sorted
+        once per program."""
+        cache = object.__getattribute__(self, "__dict__")
+        if "_edges_cache" not in cache:
+            cache["_edges_cache"] = tuple(
+                e for label in sorted(self.prototypes)
+                for e in sorted_edges(self.prototypes[label].edges))
+        return cache["_edges_cache"]
 
     def edges_from(self, node: str) -> list[Edge]:
         return self._by_source().get(node, [])

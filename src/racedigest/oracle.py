@@ -85,7 +85,8 @@ class CausalIndex:
     """The causality order of one event set, built in one topological pass:
     per event (numbered in ``sort_key`` order) its program-order predecessor,
     incoming dependency and ancestor bitmask (reflexive-transitive, over
-    program order plus deps).  Raises ValueError on a cycle."""
+    program order plus deps).  Raises ValueError on a cycle.  The history
+    of every event's closure is folded in one more pass, on first read."""
 
     def __init__(self, events, deps):
         self.events = sorted(events, key=Event.sort_key)
@@ -118,6 +119,7 @@ class CausalIndex:
             raise ValueError("cycle in causality order")
         self.anc = self.ancestor_masks()
         self._closures: dict[int, LocalTrace] = {}
+        self._histories: list[History] | None = None
 
     def ancestor_masks(self, drop=None) -> list[int]:
         """Ancestor bitmask per event id, ignoring the deps ``drop`` accepts.
@@ -138,7 +140,48 @@ class CausalIndex:
             past = self.anc[i]
             deps = frozenset(d for j, ps in enumerate(self.preds) if past >> j & 1 for _, d in ps if d)
             t = self._closures[i] = LocalTrace(_members(past, self.events), deps, self.events[i])
+            t.__dict__["_source"] = (self, i)  # its history is read off this index
         return t
+
+    def history(self, i: int) -> History:
+        """What the closure of event ``i`` knows (see ``History``)."""
+        if self._histories is None:
+            self._histories = self._fold_histories()
+        return self._histories[i]
+
+    def _fold_histories(self) -> list[History]:
+        """One pass over the causal order, predecessors first.  The ego of
+        an event's closure is the event's own instance, whose events in the
+        closure are its program-order prefix, so each event extends the
+        history of its program-order predecessor; completions and
+        terminations also arrive over the event's incoming dependency."""
+        out: list = [None] * len(self.events)
+        for i in self.order:
+            q, dep = self.pred[i], self.dep_in[i]
+            if q is None:  # a start: a child knows the completions its creator knew
+                completed = out[self.ids[dep.src]].completed if dep is not None else _EMPTY
+                out[i] = History(_EMPTY, _EMPTY, (), completed, _EMPTY)
+                continue
+            h, a = out[q], self.events[i].action
+            kind, x = a.kind, a.target
+            if kind == "lock":
+                h = History(h.held | {x}, h.active, h.created, h.completed, h.terminated)
+            elif kind == "unlock":
+                h = History(h.held - {x}, h.active, h.created, h.completed, h.terminated)
+            elif kind == "startO":
+                h = History(h.held, h.active | {x}, h.created,
+                            h.completed | out[self.ids[dep.src]].completed, h.terminated)
+            elif kind == "endO":
+                h = History(h.held, h.active - {x}, h.created, h.completed | {x}, h.terminated)
+            elif kind == "create":
+                h = History(h.held, h.active, h.created + (a.create_id,), h.completed,
+                            h.terminated)
+            elif kind == "join":
+                h = History(h.held, h.active, h.created, h.completed,
+                            h.terminated | out[self.ids[dep.src]].terminated
+                            | {dep.src.instance})
+            out[i] = h
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,6 +226,9 @@ class Pomset:
                 tuple(sorted(edges)), tuple(sorted(deps)))
 
 
+_EMPTY: frozenset = frozenset()
+
+
 @dataclass(frozen=True, slots=True)
 class History:
     """What a local trace knows.  Of the ego thread: the mutexes it holds,
@@ -225,46 +271,17 @@ class LocalTrace:
         return False
 
     def history(self) -> History:
-        """One fold over the causal order, built once."""
-        if "_history" not in self.__dict__:
-            self.__dict__["_history"] = _fold_history(self)
-        return self.__dict__["_history"]
-
-
-def _fold_history(t: LocalTrace) -> History:
-    idx = CausalIndex(t.events, t.deps)  # transient: caching it per trace costs memory
-    completed: list[frozenset] = [frozenset()] * len(idx.events)
-    terminated: list[frozenset] = [frozenset()] * len(idx.events)
-    held, active, created = set(), set(), []
-    for i in idx.order:  # predecessors first
-        e, q, dep = idx.events[i], idx.pred[i], idx.dep_in[i]
-        if q is None:  # a start: a child knows the completions its creator knew
-            if dep is not None:
-                completed[i] = completed[idx.ids[dep.src]]
-            continue
-        a = e.action
-        completed[i], terminated[i] = completed[q], terminated[q]
-        if a.kind == "endO":
-            completed[i] = completed[i] | {a.target}
-        elif a.kind == "startO":
-            completed[i] = completed[i] | completed[idx.ids[dep.src]]
-        elif a.kind == "join":
-            terminated[i] = terminated[i] | terminated[idx.ids[dep.src]] | {dep.src.instance}
-        if e.instance != t.ego:
-            continue
-        if a.kind == "lock":
-            held.add(a.target)
-        elif a.kind == "unlock":
-            held.discard(a.target)
-        elif a.kind == "startO":
-            active.add(a.target)
-        elif a.kind == "endO":
-            active.discard(a.target)
-        elif a.kind == "create":
-            created.append(a.create_id)
-    top = idx.ids[t.top]
-    return History(frozenset(held), frozenset(active), tuple(created), completed[top],
-                   terminated[top])
+        """What the trace knows, built once: read off the causal index of
+        the pomset the trace is a closure of, or else folded over the
+        trace's own index, which is dropped (caching it costs memory)."""
+        h = self.__dict__.get("_history")
+        if h is None:
+            source = self.__dict__.get("_source")
+            if source is None:
+                idx = CausalIndex(self.events, self.deps)
+                source = (idx, idx.ids[self.top])
+            h = self.__dict__["_history"] = source[0].history(source[1])
+        return h
 
 
 @dataclass(frozen=True)
@@ -273,6 +290,20 @@ class RacePair:
     site_a: tuple[str, str]  # (node, W/R), site_a <= site_b
     site_b: tuple[str, str]
     witness: LocalTrace = field(compare=False, hash=False, default=None)
+
+
+@dataclass(frozen=True, slots=True)
+class Step:
+    """One concrete step of an enumerated pomset: taking ``event`` from the
+    trace ``before`` (observing the trace ``observed`` at a lock, startO or
+    join) reaches the trace ``after``.  In a new-thread step ``event`` is
+    the child's start, ``before`` the creator's trace before the create and
+    ``observed`` None."""
+
+    event: Event
+    before: LocalTrace
+    observed: LocalTrace | None
+    after: LocalTrace
 
 
 @dataclass(frozen=True)
@@ -305,6 +336,37 @@ class TraceSet:
                 idx.closure(i) for idx in map(Pomset.causality, self.sorted_pomsets())
                 for i in range(len(idx.events))))
         return self.__dict__["_traces"]
+
+    def steps(self) -> tuple[Step, ...]:
+        """Every step of the pomsets but main's start, once per step key: a
+        new thread by (creator's trace, child instance), a local action by
+        (action, trace before) and an observing one by (action, trace
+        before, observed trace).  Built on first use, in pomset and event
+        order; the traces are those of ``traces``."""
+        if "_steps" not in self.__dict__:
+            self.__dict__["_steps"] = self._derive_steps()
+        return self.__dict__["_steps"]
+
+    def _derive_steps(self) -> tuple[Step, ...]:
+        canon = {t: t for t in self.traces}  # equal closures of two pomsets become one
+        steps: dict[tuple, Step] = {}
+        for pom in self.sorted_pomsets():
+            idx = pom.causality()
+            for i, e in enumerate(idx.events):
+                dep = idx.dep_in[i]
+                if e.edge is None:
+                    if e.instance == MAIN:
+                        continue
+                    before, observed = canon[idx.closure(idx.ids[dep.src])], None
+                    key = ("new", before, e.instance)
+                else:
+                    before = canon[idx.closure(idx.pred[i])]
+                    observed = (canon[idx.closure(idx.ids[dep.src])]
+                                if e.action.is_observing else None)
+                    key = (e.action, before, observed)
+                if key not in steps:
+                    steps[key] = Step(e, before, observed, canon[idx.closure(i)])
+        return tuple(steps.values())
 
 
 def validate_local_trace(t: LocalTrace) -> None:

@@ -17,6 +17,7 @@ from racedigest.conformance import (
     run_soundness_suite,
     run_subsumption_suite,
 )
+from racedigest.cli import main
 from racedigest.digest import check_admissibility
 from racedigest.digests import DEFAULT_TID_CAP, MUTANTS
 
@@ -96,6 +97,23 @@ def test_mutant_suite_kills_all(corpus_cases):
     assert section.passed, "\n".join(section.failures)
 
 
+@pytest.mark.parametrize("name, survivors", [
+    ("empty_main", ["join@premature", "lockset@overlap-empty", "once@completed-pair",
+                    "threadflag@spawned-pair", "tid@eager-mayrun"]),
+    ("st_main_only", ["lockset@overlap-empty", "once@completed-pair",
+                      "threadflag@spawned-pair", "tid@eager-mayrun"]),
+])
+def test_mutant_suite_reports_survivors(corpus_cases, name, survivors):
+    # a case that catches no mutant, and one that catches only join@premature:
+    # stopping at the first catching case must not lose a survivor
+    case = next(c for c in corpus_cases if c.name == name)
+    section = run_mutant_suite([case])
+    assert section.checks == 5
+    assert section.failures == [
+        f"mutant {m} (for {m.split('@')[0]}) survives all suites" for m in survivors
+    ]
+
+
 def test_broken_lockset_fails_admissibility(corpus_cases):
     mutant = MUTANTS["lockset"]()
     case = next(c for c in corpus_cases if c.name == "prog1_running_example")
@@ -159,3 +177,21 @@ def test_conform_work_does_not_depend_on_the_process():
     assert report[-1] == "all suites pass"
     built, code = map(int, counts.split())
     assert built > 0 and code == 0
+
+
+CONFORM_CORPUS_REPORT = """\
+[pass] expectations: 52 checks
+[pass] soundness: 6561 checks
+[pass] laws: 17932 checks
+[pass] equivalence: 85 checks
+[pass] tid-subsumes-threadflag: 91 checks
+[pass] mutants: 5 checks
+all suites pass
+"""
+
+
+def test_conform_corpus_report_is_pinned(capsys):
+    # the check counts say how much each suite did: a harness change that
+    # drops law checks shows here
+    code = main(["conform", str(CORPUS_DIR)])
+    assert (code, capsys.readouterr().out) == (0, CONFORM_CORPUS_REPORT)

@@ -10,6 +10,7 @@ from racedigest.model import (
     access_sites,
     atomicity_mutex,
     instrument_atomicity,
+    sorted_edges,
 )
 
 from tests.conftest import CODE_AFTER_EXIT
@@ -124,6 +125,15 @@ def test_instrumentation_wraps_each_access():
         assert lock_e.action.kind == "lock" and lock_e.action.target == atomicity_mutex(glob)
         assert acc_e.source == site
         assert unl_e.action.kind == "unlock" and unl_e.action.target == atomicity_mutex(glob)
+
+
+def test_all_edges_sorted_once_per_program():
+    p = instrument_atomicity(parse_program(PROG1))
+    edges = p.all_edges()
+    assert edges is p.all_edges()
+    assert isinstance(edges, tuple)  # callers cannot change the cached order
+    assert list(edges) == [e for label in sorted(p.prototypes)
+                           for e in sorted_edges(p.prototypes[label].edges)]
 
 
 def test_instrumentation_prepends_init_prologue():
