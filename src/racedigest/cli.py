@@ -27,7 +27,6 @@ from .digest import ConfigError, ProductDigest
 from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, build_digests
 from .dsl import DslSyntaxError, parse_program
 from .model import ValidationError, instrument_atomicity
-from .oracle import enumerate_traces, find_racy_pairs
 from .solver import SolverDivergence, build_system, solve
 
 
@@ -66,6 +65,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import enumerate_traces, find_racy_pairs
+
     program = _load(args.file)
     ts = enumerate_traces(program, depth=args.depth, width=args.width)
     racy = sorted(

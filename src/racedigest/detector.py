@@ -94,9 +94,6 @@ class RaceReport:
             enabled = self.mask_of(self.digests)
         return {key for key, masks in self.masks.items() if any(not m & enabled for m in masks)}
 
-    def distinct_site_pairs(self) -> set:
-        return {f.sort_key() for f in self.flagged if f.site_a != f.site_b}
-
     def _verdicts(self) -> list:
         # a witness pair has no predicate answering false
         return [{"digest": name, "verdict": MhpVerdict.TOP.value} for name in self.digests]

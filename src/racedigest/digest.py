@@ -21,9 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .model import Action, Edge, Program, access_sequence, access_sites, atomicity_mutex
-from .oracle import MAIN, LocalTrace, TraceSet
+from .model import MAIN, Action, Edge, Program, access_sequence, access_sites, atomicity_mutex
+
+if TYPE_CHECKING:
+    from .oracle import LocalTrace, TraceSet
 
 
 class MhpVerdict(Enum):

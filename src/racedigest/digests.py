@@ -16,10 +16,13 @@ deliberately broken variants are registered for mutation testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .digest import ConfigError, Digest, MhpVerdict
-from .model import Action, Edge, is_atomicity_mutex
-from .oracle import LocalTrace, edge_path
+from .model import Action, Edge, edge_path, is_atomicity_mutex
+
+if TYPE_CHECKING:
+    from .oracle import LocalTrace
 
 ST_MAIN = "ST_main"
 MT_MAIN = "MT_main"

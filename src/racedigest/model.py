@@ -26,6 +26,18 @@ READ = "R"
 
 RESERVED_MUTEX_PREFIX = "m_"
 
+# A thread instance is named by its creation history: a tuple of
+# (create-edge id, occurrence) pairs, the occurrence telling apart repeated
+# creates through the same edge.
+InstanceId = tuple  # tuple[tuple[str, int], ...]; main is ()
+
+MAIN: InstanceId = ()
+
+
+def edge_path(instance: InstanceId) -> tuple[str, ...]:
+    """Creation path of an instance without occurrence counters."""
+    return tuple(ce for ce, _ in instance)
+
 
 class ValidationError(Exception):
     """A structurally ill-formed program (duplicate nodes, unknown names, ...)."""

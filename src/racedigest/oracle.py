@@ -13,28 +13,16 @@ event set carries labeled cross-thread dependencies:
 A *local trace* is the downward closure of a single event; its owning thread
 is the ego thread.  Every per-mutex chain alternates init/unlock with at most
 one following lock, which the step functions enforce when merging two local
-traces at an observing action.
-
-Thread instances are identified by their creation history: a tuple of
-(create-edge-id, occurrence) pairs, the occurrence disambiguating repeated
-creates through the same edge.
+traces at an observing action.  Thread instances are named by their
+creation history (``model.InstanceId``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import (READ, WRITE, Action, Edge, Program, access_sequence, atomicity_mutex,
-                    fmt_action, hash_once)
-
-InstanceId = tuple  # tuple[tuple[str, int], ...]; main is ()
-
-MAIN: InstanceId = ()
-
-
-def edge_path(instance: InstanceId) -> tuple[str, ...]:
-    """Creation path of an instance without occurrence counters."""
-    return tuple(ce for ce, _ in instance)
+from .model import (MAIN, READ, WRITE, Action, Edge, InstanceId, Program, access_sequence,
+                    atomicity_mutex, fmt_action, hash_once)
 
 
 def instance_name(instance: InstanceId) -> str:
@@ -196,22 +184,6 @@ class Pomset:
             self.__dict__["_causality"] = CausalIndex(self.events, self.deps)
         return self.__dict__["_causality"]
 
-    def sorted_events(self) -> list[Event]:
-        return list(self.causality().events)
-
-    def po_pred(self, e: Event) -> Event | None:
-        if e.index == 0:
-            return None
-        idx = self.causality()
-        q = idx.pred[idx.ids[e]] if e in idx.ids else None
-        if q is None:
-            raise ValueError(f"missing program-order predecessor of {e.describe()}")
-        return idx.events[q]
-
-    def dep_to(self, e: Event) -> DepEdge | None:
-        idx = self.causality()
-        return idx.dep_in[idx.ids[e]] if e in idx.ids else None
-
     def closure(self, top: Event) -> "LocalTrace":
         idx = self.causality()
         return idx.closure(idx.ids[top])
@@ -369,20 +341,6 @@ class TraceSet:
         return tuple(steps.values())
 
 
-def validate_local_trace(t: LocalTrace) -> None:
-    """Assert the structural trace invariants; raises ValueError on violation."""
-    idx = CausalIndex(t.events, t.deps)  # raises on cycles
-    below = {q for ps in idx.preds for q, _ in ps}
-    maximal = [e for e in t.events if idx.ids[e] not in below]
-    if maximal != [t.top]:
-        raise ValueError(f"trace has {len(maximal)} maximal events, expected exactly top")
-    for e in t.events:
-        if e.index > 0 and idx.pred[idx.ids[e]] is None:
-            raise ValueError(f"trace not downward closed at {e.describe()}")
-    if not _check_degrees(t.deps):
-        raise ValueError("an observable feeds two observers or an observer has two sources")
-
-
 def _check_degrees(deps) -> bool:
     """Each observable feeds at most one observer; each observer has one source."""
     out_seen: set[tuple] = set()
@@ -423,11 +381,6 @@ _GUARDS = {
 }
 
 
-def _prolong(t: LocalTrace, edge: Edge) -> LocalTrace:
-    e = Event(t.ego, t.top.index + 1, t.top.proto, edge.target, edge)
-    return LocalTrace(t.events | {e}, t.deps, e)
-
-
 def trace_step_local(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     """Prolong ``t`` along a non-observing, non-creating edge, if possible."""
     a = edge.action
@@ -436,7 +389,8 @@ def trace_step_local(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None
     guard = _GUARDS.get(a.kind)
     if t.ego_node() != edge.source or (guard is not None and not guard(t, a.target)):
         return None
-    return _prolong(t, edge)
+    e = Event(t.ego, t.top.index + 1, t.top.proto, edge.target, edge)
+    return LocalTrace(t.events | {e}, t.deps, e)
 
 
 def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
@@ -450,13 +404,6 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     start = Event(child, 0, a.target, proto.start_node, None)
     dep = DepEdge("create", None, t.top, start)
     return LocalTrace(t.events | {start}, t.deps | {dep}, start)
-
-
-def step_creator(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
-    """Prolong the creating thread itself over its create edge."""
-    if edge.action.kind != "create" or t.ego_node() != edge.source:
-        return None
-    return _prolong(t, edge)
 
 
 def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
@@ -629,47 +576,97 @@ def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> _State:
     return ns
 
 
+# The kinds of step an instance may take alone: while its next steps are all
+# of these kinds, they commute with every step of the other instances (see
+# enumerate_traces).
+_PERSISTENT_KINDS = frozenset({"skip", "read", "write", "pos_ran", "neg_ran", "unlock", "endO",
+                               "exit", "init", "initO"})
+
+
 def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     """The maximal execution pomsets reachable within the event and instance
     bounds, and which bounds, if any, cut off a branch.  The local traces
-    are derived from the pomsets (``TraceSet.traces``)."""
+    are derived from the pomsets (``TraceSet.traces``).
+
+    A pomset stands for every interleaving of its events, so the search
+    takes only a persistent set of steps at each state (Godefroid, LNCS
+    1032, 1996): the steps of the first instance, in sorted order, that has
+    an enabled step and whose every outgoing edge has a
+    ``_PERSISTENT_KINDS`` kind; with no such instance, every enabled step.
+    The guards of those kinds read only the mover's own state: its own past
+    (pos/neg ran), a mutex or once variable it holds (unlock, endO), or one
+    not yet initialized (init, initO, which only main runs).  Lock, startO
+    and join wait for a release, so no step of another instance changes
+    that state: while the others run, the mover's next steps stay enabled
+    or disabled, with the same successors, and taking one of them disables
+    no step of another instance and changes none of their successors.  So
+    a run from the state can be reordered to begin with the mover's first
+    step in it, or, if it has none, prolonged by one of the mover's steps
+    (unless the depth bound blocks it).  Every terminal configuration stays
+    reachable, and with it every maximal pomset and every create the width
+    bound blocks.  A configuration the depth bound cuts is different: any
+    reachable configuration of ``depth`` actions is one.  So the reduced
+    search gives up at the first state where the depth bound blocks a step,
+    and the enumeration runs again without the reduction."""
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
+    found = _explore(p, depth, width, reduce=True)
+    if found is None:
+        found = _explore(p, depth, width, reduce=False)
+    ids, pomsets, blocked = found
+    return TraceSet(
+        p, frozenset(Pomset(_members(evs, ids.events), _members(deps, ids.deps))
+                     for evs, deps in pomsets),
+        bool(blocked), depth, width, truncated_by=tuple(sorted(blocked)),
+    )
+
+
+def _explore(p: Program, depth: int, width: int, reduce: bool):
+    """The interned events, the terminal (events, deps) masks and the bounds
+    that blocked a step; with ``reduce``, only a persistent set is taken at
+    each state (see enumerate_traces), and None is returned as soon as the
+    depth bound blocks a step."""
     ids = _Ids(p)
     main = p.main()
     start = ids.of(Event(MAIN, 0, p.main_label, main.start_node, None))
     init = _State({MAIN: (1, start)}, {}, {}, {}, {}, 1, 0)
     pomsets: set[tuple[int, int]] = set()
     blocked: set[str] = set()
+    # the nodes whose every outgoing edge has a persistent kind
+    alone = ({e.source for e in p.all_edges()}
+             - {e.source for e in p.all_edges() if e.action.kind not in _PERSISTENT_KINDS})
     visited = {(init.events, init.deps)}
     stack = [init]
     while stack:
         s = stack.pop()
         n_actions = s.events.bit_count() - len(s.last)  # every event but the starts
         enabled: list[tuple[InstanceId, Edge]] = []
+        mover = None
         for instance in sorted(s.last):
-            for edge in p.edges_from(ids.events[s.last[instance][1]].node):
+            node = ids.events[s.last[instance][1]].node
+            for edge in p.edges_from(node):
                 if not _guard_ok(ids, s, instance, edge):
                     continue
                 if n_actions >= depth:
+                    if reduce:
+                        return None
                     blocked.add("depth")
                 elif edge.action.kind == "create" and len(s.last) >= width:
                     blocked.add("width")
                 else:
                     enabled.append((instance, edge))
+                    if reduce and mover is None and node in alone:
+                        mover = instance
         if not enabled:
             pomsets.add((s.events, s.deps))
+        elif mover is not None:
+            enabled = [(i, edge) for i, edge in enabled if i == mover]
         for instance, edge in enabled:
             ns = _apply(ids, s, instance, edge)
             if (ns.events, ns.deps) not in visited:
                 visited.add((ns.events, ns.deps))
                 stack.append(ns)
-
-    return TraceSet(
-        p, frozenset(Pomset(_members(evs, ids.events), _members(deps, ids.deps))
-                     for evs, deps in pomsets),
-        bool(blocked), depth, width, truncated_by=tuple(sorted(blocked)),
-    )
+    return ids, pomsets, blocked
 
 
 # ---------------------------------------------------------------------------

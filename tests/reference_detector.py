@@ -2,7 +2,8 @@
 ``detect`` re-evaluated every component predicate per record pair, a
 disabled component answering top, and ``ablate`` ran it once per predicate
 subset.  Kept only as the reference the detector's masks are compared
-against; it renders its own copy of the report JSON."""
+against; it renders its own copy of the report JSON.  Also the distinct
+site pairs of a report, which only tests read."""
 
 from __future__ import annotations
 
@@ -115,3 +116,8 @@ def reference_ablate(sol, product) -> list[dict]:
         flagged = len(reference_detect(sol, product, modes).flagged)
         rows.append({"predicates": list(subset), "flagged": flagged, "race_free": flagged == 0})
     return rows
+
+
+def distinct_site_pairs(report) -> set:
+    """The flagged keys of ``report`` whose two sites differ."""
+    return {f.sort_key() for f in report.flagged if f.site_a != f.site_b}

@@ -6,7 +6,8 @@ only as the reference ``LocalTrace.history()`` is compared against."""
 from __future__ import annotations
 
 from racedigest.digests import _alpha_unique
-from racedigest.oracle import CausalIndex, LocalTrace, edge_path
+from racedigest.model import edge_path
+from racedigest.oracle import CausalIndex, LocalTrace
 
 
 def completed_at(t: LocalTrace) -> frozenset:

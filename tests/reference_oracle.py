@@ -3,23 +3,16 @@ were interned: states hold frozensets of events and dep edges and a past
 per event, local traces are collected per state, and ancestry is the
 repeat-until-stable ``ancestors`` loop.  Kept only as the reference the
 interned oracle, which derives its traces from the pomsets, is compared
-against."""
+against.  Also the scan-based walks over one pomset (program-order
+predecessor, incoming dependency), the creator's own step over a create
+edge and the structural check of a local trace, which only tests use."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from racedigest.model import READ, WRITE, Edge, Program, atomicity_mutex
-from racedigest.oracle import (
-    MAIN,
-    DepEdge,
-    Event,
-    InstanceId,
-    LocalTrace,
-    Pomset,
-    RacePair,
-    TraceSet,
-)
+from racedigest.model import MAIN, READ, WRITE, Edge, InstanceId, Program, atomicity_mutex
+from racedigest.oracle import DepEdge, Event, LocalTrace, Pomset, RacePair, TraceSet
 
 
 def ancestors(events, deps) -> dict[Event, frozenset[Event]]:
@@ -71,10 +64,47 @@ def dep_to(pom: Pomset, e: Event) -> DepEdge | None:
     return None
 
 
+def sorted_events(pom: Pomset) -> list[Event]:
+    return sorted(pom.events, key=Event.sort_key)
+
+
 def closure(pom: Pomset, top: Event, anc: dict | None = None) -> LocalTrace:
     past = (anc or pomset_ancestors(pom))[top]
     deps = frozenset(d for d in pom.deps if d.dst in past)
     return LocalTrace(frozenset(past), deps, top)
+
+
+def step_creator(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
+    """Prolong the creating thread itself over its create edge."""
+    if edge.action.kind != "create" or t.ego_node() != edge.source:
+        return None
+    e = Event(t.ego, t.top.index + 1, t.top.proto, edge.target, edge)
+    return LocalTrace(t.events | {e}, t.deps, e)
+
+
+def validate_local_trace(t: LocalTrace) -> None:
+    """Assert the structural trace invariants; raises ValueError on violation."""
+    ancestors(t.events, t.deps)  # raises on cycles
+    by_key = {(e.instance, e.index): e for e in t.events}
+    below = {d.src for d in t.deps if d.src in t.events and d.dst in t.events}
+    below |= {by_key[(e.instance, e.index - 1)] for e in t.events
+              if (e.instance, e.index - 1) in by_key}
+    maximal = [e for e in t.events if e not in below]
+    if maximal != [t.top]:
+        raise ValueError(f"trace has {len(maximal)} maximal events, expected exactly top")
+    for e in t.events:
+        if e.index > 0 and (e.instance, e.index - 1) not in by_key:
+            raise ValueError(f"trace not downward closed at {e.describe()}")
+    # each observable feeds at most one observer; each observer has one source
+    sources: set[tuple] = set()
+    observers: set[tuple] = set()
+    for d in t.deps:
+        if d.kind in ("mutex", "once", "join"):
+            if (d.src, d.kind, d.label) in sources or (d.dst, d.kind) in observers:
+                raise ValueError(
+                    "an observable feeds two observers or an observer has two sources")
+            sources.add((d.src, d.kind, d.label))
+            observers.add((d.dst, d.kind))
 
 
 @dataclass

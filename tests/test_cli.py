@@ -349,3 +349,23 @@ def test_reports_do_not_depend_on_hash_seed():
     *reports, conform = outputs[0]
     assert all(out.startswith(b"{") for out in reports)
     assert conform.endswith(b"all suites pass\n")
+
+
+_ANALYZER_MODULES = """
+import contextlib, io, sys
+import racedigest.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = racedigest.cli.main(["analyze", sys.argv[1], "--format", "json"])
+loaded = sorted(m for m in ("racedigest.oracle", "racedigest.conformance") if m in sys.modules)
+print(code, out.getvalue().startswith("{"), loaded)
+"""
+
+
+def test_analyze_loads_neither_oracle_nor_conformance():
+    # the analyzer modules do not import the oracle; only oracle and conform load it
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-c", _ANALYZER_MODULES, rlp("prog1_running_example")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout == "0 True []\n"

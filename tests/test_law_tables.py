@@ -12,10 +12,11 @@ import pytest
 from racedigest.digest import ProductDigest, abstraction_table, product_table
 from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
-from racedigest.model import instrument_atomicity
-from racedigest.oracle import MAIN, LocalTrace, enumerate_traces
+from racedigest.model import MAIN, instrument_atomicity
+from racedigest.oracle import LocalTrace, enumerate_traces
 
 from tests.conftest import CORPUS_DIR, GENERATED
+from tests.reference_oracle import dep_to, po_pred, sorted_events
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS_DIR.iterdir() if (p / "program.rlp").exists())
 
@@ -59,15 +60,15 @@ def _walked_steps(ts) -> list[tuple]:
     each key, as (event, before, observed, after)."""
     seen: dict[tuple, tuple] = {}
     for pom in ts.sorted_pomsets():
-        for e in pom.sorted_events():
+        for e in sorted_events(pom):
             if e.edge is None and e.instance == MAIN:
                 continue
-            dep = pom.dep_to(e)
+            dep = dep_to(pom, e)
             if e.edge is None:
                 step = (e, pom.closure(dep.src), None, pom.closure(e))
                 key = ("new", step[1], e.instance)
             else:
-                before = pom.closure(pom.po_pred(e))
+                before = pom.closure(po_pred(pom, e))
                 observed = pom.closure(dep.src) if e.action.is_observing else None
                 step = (e, before, observed, pom.closure(e))
                 key = (e.action, before, observed)

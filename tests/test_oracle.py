@@ -3,23 +3,26 @@ from __future__ import annotations
 import pytest
 
 from racedigest.dsl import parse_program
-from racedigest.model import access_sites, instrument_atomicity
+from racedigest.model import MAIN, access_sites, edge_path, instrument_atomicity
 from racedigest.oracle import (
-    MAIN,
     DepEdge,
     LocalTrace,
     bidirectionally_compatible,
-    edge_path,
     enumerate_traces,
     find_racy_pairs,
     spawn,
-    step_creator,
     trace_step_local,
     trace_step_observing,
-    validate_local_trace,
 )
 
 from tests.conftest import GENERATED
+from tests.reference_oracle import (
+    dep_to,
+    po_pred,
+    sorted_events,
+    step_creator,
+    validate_local_trace,
+)
 
 
 def load(src: str):
@@ -222,7 +225,7 @@ def test_single_thread_traces_totally_ordered():
     p = load("global g\n\nmain:\n  g = 1\n  g = 2\n")
     ts = enumerate_traces(p)
     for pom in ts.sorted_pomsets():
-        events = pom.sorted_events()
+        events = sorted_events(pom)
         for i, a in enumerate(events):
             for b in events[i + 1:]:
                 assert a in pom.closure(b).events or b in pom.closure(a).events
@@ -317,10 +320,10 @@ def test_mutex_chain_invariants(prog1_traces):
 def _rebuild(p, pom, e):
     """The closure of ``e`` rebuilt by the step functions from the closures
     of its program-order predecessor and of the source of its dependency."""
-    dep = pom.dep_to(e)
+    dep = dep_to(pom, e)
     if e.edge is None:  # a child's start event
         return spawn(p, p.create_edges()[e.instance[-1][0]], pom.closure(dep.src))
-    t0 = pom.closure(pom.po_pred(e))
+    t0 = pom.closure(po_pred(pom, e))
     if e.action.kind == "create":
         return step_creator(p, e.edge, t0)
     if e.action.is_observing:
@@ -347,7 +350,7 @@ def _disagreements(p, ts) -> tuple[int, list[str]]:
     enumerated steps and the disagreements."""
     steps, found = 0, []
     for pom in ts.sorted_pomsets():
-        for e in pom.sorted_events():
+        for e in sorted_events(pom):
             if e.edge is None and e.instance == MAIN:
                 continue
             steps += 1

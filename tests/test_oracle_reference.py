@@ -8,10 +8,12 @@ import json
 
 import pytest
 
+from racedigest import oracle
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.oracle import enumerate_traces, find_racy_pairs
 
+from perfbench.gen import interleave_program as perfbench_interleave
 from tests import reference_oracle as reference
 from tests.conftest import CORPUS_DIR, corpus_program
 
@@ -45,6 +47,9 @@ GENERATED = {
     "interleave-2x3": interleave_program(2, 3),
     "interleave-3x2": interleave_program(3, 2),
     "locked-2/1/1": locked_program(2, 1, 1),
+    # two instances that each can create, so a width bound makes creates compete
+    "nested-create": "global g\n\nmain:\n  create t as c1\n  create t as c2\n"
+                     "\nt:\n  create u as d\n  g = 2\n\nu:\n  skip\n",
 }
 CORPUS = sorted(p.parent.name for p in CORPUS_DIR.glob("*/program.rlp"))
 INPUTS = [
@@ -53,6 +58,8 @@ INPUTS = [
         [(name, None) for name in CORPUS]
         + [(name, bounds) for bounds in ((6, 2), (12, 3)) for name in CORPUS]
         + [(name, (60, 5)) for name in GENERATED]
+        # cut by width only (the reduced search) and by depth (its fallback)
+        + [("interleave-3x2", (60, 3)), ("interleave-3x2", (20, 5)), ("nested-create", (60, 3))]
     )
 ]
 
@@ -86,10 +93,13 @@ def test_oracle_matches_reference(name, bounds):
 
     for pom in got.pomsets:
         anc = reference.pomset_ancestors(pom)
-        for e in pom.events:
+        idx = pom.causality()
+        assert idx.events == reference.sorted_events(pom)
+        for i, e in enumerate(idx.events):
             assert pom.closure(e) == reference.closure(pom, e, anc)
-            assert pom.po_pred(e) == reference.po_pred(pom, e)
-            assert pom.dep_to(e) == reference.dep_to(pom, e)
+            pred = idx.pred[i]
+            assert (None if pred is None else idx.events[pred]) == reference.po_pred(pom, e)
+            assert idx.dep_in[i] == reference.dep_to(pom, e)
 
 
 def test_generated_inputs_race_and_truncate():
@@ -98,3 +108,28 @@ def test_generated_inputs_race_and_truncate():
     assert find_racy_pairs(enumerate_traces(program, depth=depth, width=width))
     ts = enumerate_traces(corpus_program("prog1_running_example"), depth=6, width=2)
     assert ts.truncated and ts.truncated_by
+
+
+def test_reduced_search_and_its_depth_fallback():
+    """Width alone leaves the reduced search exact; a depth cut makes it give
+    up, so the enumeration runs again unreduced."""
+    program, _ = _input("interleave-3x2", None)
+    for bounds, cut, reduced in (((60, 3), ("width",), True), ((20, 5), ("depth",), False)):
+        assert enumerate_traces(program, *bounds).truncated_by == cut
+        assert (oracle._explore(program, *bounds, reduce=True) is not None) == reduced
+
+
+def test_reduction_cuts_successor_computations(monkeypatch):
+    """Each pomset is reached through far fewer states: the reduced search
+    computes at most a third of the unreduced search's successors."""
+    program = instrument_atomicity(parse_program(perfbench_interleave(3, 2, 0)))
+    calls = {True: 0, False: 0}
+    apply = oracle._apply
+    for reduce in calls:
+        def counting(*args, reduce=reduce):
+            calls[reduce] += 1
+            return apply(*args)
+        monkeypatch.setattr(oracle, "_apply", counting)
+        _, pomsets, blocked = oracle._explore(program, 60, 5, reduce=reduce)
+        assert not blocked and len(pomsets) == 144
+    assert 3 * calls[True] <= calls[False]

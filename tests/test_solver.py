@@ -20,6 +20,8 @@ from racedigest.solver import (
     verify_postfixpoint,
 )
 
+from tests.reference_oracle import po_pred, sorted_events
+
 
 def solve_for(program, names):
     product = ProductDigest(build_digests(names))
@@ -175,12 +177,12 @@ def test_oracle_solution_agreement(prog1, prog1_traces):
     for t in prog1_traces.traces:
         assert sol.reached(t.top.node, product.abstract_trace(t)), t.top.describe()
     for pom in prog1_traces.sorted_pomsets():
-        for e in pom.sorted_events():
+        for e in sorted_events(pom):
             a = e.action
             if a is None or a.kind not in ("read", "write"):
                 continue
-            lock_ev = pom.po_pred(e)
-            before = pom.closure(pom.po_pred(lock_ev))
+            lock_ev = po_pred(pom, e)
+            before = pom.closure(po_pred(pom, lock_ev))
             record = AccessRecord(
                 e.edge.source,
                 "W" if a.kind == "write" else "R",
