@@ -22,12 +22,8 @@ import json
 import sys
 from pathlib import Path
 
-from .detector import BESPOKE, GENERIC, ablate, detect
-from .digest import ConfigError, ProductDigest
-from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, build_digests
 from .dsl import DslSyntaxError, parse_program
 from .model import ValidationError, instrument_atomicity
-from .solver import SolverDivergence, build_system, solve
 
 
 def _load(path: str):
@@ -45,18 +41,33 @@ def _tid_cap(arg: str) -> int:
     return cap
 
 
-def _digest_list(arg: str) -> list[str]:
-    return [name.strip() for name in arg.split(",") if name.strip()]
+def _given_tid_cap(args) -> int:
+    from .digests import DEFAULT_TID_CAP
+
+    return DEFAULT_TID_CAP if args.tid_cap is None else args.tid_cap
+
+
+def _solve(args):
+    """The program, its digest product and the solution.  The defaults of
+    --digests and --tid-cap are read here, not when the parser is built,
+    so that the oracle command loads no analyzer module."""
+    from .digest import ProductDigest
+    from .digests import CANONICAL_ORDER, build_digests
+    from .solver import build_system, solve
+
+    program = _load(args.file)
+    names = CANONICAL_ORDER if args.digests is None else [
+        name.strip() for name in args.digests.split(",") if name.strip()]
+    product = ProductDigest(build_digests(names, tid_cap=_given_tid_cap(args)))
+    return program, product, solve(build_system(program, product))
 
 
 def cmd_analyze(args) -> int:
-    program = _load(args.file)
-    digests = build_digests(_digest_list(args.digests), tid_cap=args.tid_cap)
-    product = ProductDigest(digests)
-    sol = solve(build_system(program, product))
+    from .detector import BESPOKE, GENERIC, detect
+
+    program, product, sol = _solve(args)
     mode = GENERIC if args.predicate == "generic" else BESPOKE
-    modes = {d.name: mode for d in digests}
-    report = detect(sol, product, modes)
+    report = detect(sol, product, {d.name: mode for d in product.components})
     if args.format == "json":
         sys.stdout.write(report.to_json_text())
     else:
@@ -99,10 +110,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    program = _load(args.file)
-    digests = build_digests(_digest_list(args.digests), tid_cap=args.tid_cap)
-    product = ProductDigest(digests)
-    sol = solve(build_system(program, product))
+    from .detector import ablate
+
+    _, product, sol = _solve(args)
     rows = ablate(sol, product)
     if args.format == "json":
         sys.stdout.write(json.dumps({"version": 1, "rows": rows}, indent=2, sort_keys=True) + "\n")
@@ -118,7 +128,7 @@ def cmd_conform(args) -> int:
     from .conformance import load_corpus, run_all_suites
 
     cases = load_corpus(Path(args.dir))
-    result = run_all_suites(cases, tid_cap=args.tid_cap)
+    result = run_all_suites(cases, tid_cap=_given_tid_cap(args))
     sys.stdout.write(result.to_text())
     return 0 if result.passed else 1
 
@@ -132,10 +142,10 @@ def main(argv=None) -> int:
 
     pa = sub.add_parser("analyze", help="analyze one .rlp program")
     pa.add_argument("file")
-    pa.add_argument("--digests", default=",".join(CANONICAL_ORDER))
+    pa.add_argument("--digests")  # default: every digest
     pa.add_argument("--predicate", choices=["bespoke", "generic"], default="bespoke")
     pa.add_argument("--format", choices=["text", "json"], default="text")
-    pa.add_argument("--tid-cap", type=_tid_cap, default=DEFAULT_TID_CAP)
+    pa.add_argument("--tid-cap", type=_tid_cap)
     pa.set_defaults(func=cmd_analyze)
 
     po = sub.add_parser("oracle", help="bounded ground-truth race search")
@@ -147,21 +157,27 @@ def main(argv=None) -> int:
 
     pb = sub.add_parser("ablate", help="flag counts per predicate subset")
     pb.add_argument("file")
-    pb.add_argument("--digests", default=",".join(CANONICAL_ORDER))
+    pb.add_argument("--digests")  # default: every digest
     pb.add_argument("--format", choices=["text", "json"], default="text")
-    pb.add_argument("--tid-cap", type=_tid_cap, default=DEFAULT_TID_CAP)
+    pb.add_argument("--tid-cap", type=_tid_cap)
     pb.set_defaults(func=cmd_ablate)
 
     pc = sub.add_parser("conform", help="run the corpus suites")
     pc.add_argument("dir")
-    pc.add_argument("--tid-cap", type=_tid_cap, default=DEFAULT_TID_CAP)
+    pc.add_argument("--tid-cap", type=_tid_cap)
     pc.set_defaults(func=cmd_conform)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DslSyntaxError, ValidationError, ConfigError, OSError, ValueError,
-            SolverDivergence) as exc:
+    except Exception as exc:
+        # imported here, as the oracle command loads neither module
+        from .digest import ConfigError
+        from .solver import SolverDivergence
+
+        if not isinstance(exc, (DslSyntaxError, ValidationError, ConfigError, OSError,
+                                ValueError, SolverDivergence)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

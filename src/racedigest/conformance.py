@@ -87,17 +87,17 @@ class CorpusCase:
             raise InconclusiveBounds(self.name)
         return ts
 
-    def solution(self, names: tuple[str, ...], tid_cap: int) -> tuple[ProductDigest, Solution]:
-        key = (names, tid_cap)
-        if key not in self._solutions:
-            product = ProductDigest(build_digests(names, tid_cap=tid_cap))
-            self._solutions[key] = (product, solve(build_system(self.program, product)))
-        return self._solutions[key]
+    def solution(self, tid_cap: int) -> tuple[ProductDigest, Solution]:
+        """The all-digest product and its solution, solved once."""
+        if tid_cap not in self._solutions:
+            product = ProductDigest(build_digests(CANONICAL_ORDER, tid_cap=tid_cap))
+            self._solutions[tid_cap] = (product, solve(build_system(self.program, product)))
+        return self._solutions[tid_cap]
 
     def report(self, tid_cap: int) -> RaceReport:
         """The bespoke race report of the all-digest solution, made once."""
         if tid_cap not in self._reports:
-            product, sol = self.solution(CANONICAL_ORDER, tid_cap)
+            product, sol = self.solution(tid_cap)
             self._reports[tid_cap] = detect(sol, product)
         return self._reports[tid_cap]
 
@@ -273,7 +273,7 @@ def run_law_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     product = ProductDigest(components)
     for case, ts in _exhaustive(section, cases):
         tables = [abstraction_table(c, ts) for c in components]
-        for d, alpha in (*zip(components, tables), (product, product_table(tables))):
+        for d, alpha in (*zip(components, tables), (product, product_table(product, tables))):
             realized = realized_values(d, ts, alpha)
             for report in (
                 check_admissibility(d, case.program, ts, alpha),
@@ -313,7 +313,7 @@ def run_subsumption_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection
     """Every record pair the thread flag excludes, thread ids exclude too."""
     section = SuiteSection("tid-subsumes-threadflag")
     for case in cases:
-        product, sol = case.solution(CANONICAL_ORDER, tid_cap)
+        product, sol = case.solution(tid_cap)
         by_name = {c.name: (i, c) for i, c in enumerate(product.components)}
         tf_i, tf = by_name["threadflag"]
         tid_i, tid = by_name["tid"]

@@ -94,49 +94,27 @@ class RaceReport:
             enabled = self.mask_of(self.digests)
         return {key for key, masks in self.masks.items() if any(not m & enabled for m in masks)}
 
-    def _verdicts(self) -> list:
-        # a witness pair has no predicate answering false
-        return [{"digest": name, "verdict": MhpVerdict.TOP.value} for name in self.digests]
-
-    def _header(self) -> dict:
-        """Every top-level field of the JSON report but ``flagged``."""
-        return {
-            "version": 1,
-            "digests": list(self.digests),
-            "modes": {k: self.modes[k] for k in sorted(self.modes)},
-            "accesses": {g: self.record_counts[g] for g in sorted(self.record_counts)},
-            "race_free": not self.flagged,
-        }
-
-    def to_json(self) -> dict:
-        verdicts = self._verdicts()
-        return {
-            **self._header(),
-            "flagged": [
-                {
-                    "global": f.glob,
-                    "a": {"site": f.site_a[0], "type": f.site_a[1]},
-                    "b": {"site": f.site_b[0], "type": f.site_b[1]},
-                    "witness_digests": list(f.witness_digests),
-                    "verdicts": verdicts,
-                }
-                for f in self.flagged
-            ],
-        }
-
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json(), indent=2, sort_keys=True) + "\\n"``,
-        written without the per-pair dicts and joined once: each flagged
+        """The JSON report, as ``json.dumps(..., indent=2, sort_keys=True)
+        + "\\n"`` lays it out, written without per-pair dicts: each flagged
         pair fills one template through the C string encoder, and the
         verdicts block, the same for every pair, is rendered once."""
         return "".join(self._json_chunks())
 
     def _json_chunks(self):
         enc = encode_basestring_ascii
-        first = _PAIR_TEMPLATE.replace("VERDICTS", _nested(self._verdicts(), 3).replace("%", "%%"))
+        # a witness pair has no predicate answering false
+        verdicts = [{"digest": name, "verdict": MhpVerdict.TOP.value} for name in self.digests]
+        first = _PAIR_TEMPLATE.replace("VERDICTS", _nested(verdicts, 3).replace("%", "%%"))
         later = ",\n" + first
-        fields = {key: _nested(value, 1) for key, value in self._header().items()}
-        fields["flagged"] = "[]" if not self.flagged else None
+        fields = {
+            "version": "1",
+            "digests": _nested(list(self.digests), 1),
+            "modes": _nested(self.modes, 1),
+            "accesses": _nested(self.record_counts, 1),
+            "race_free": "false" if self.flagged else "true",
+            "flagged": None if self.flagged else "[]",
+        }
         opener = "{"
         for key, text in sorted(fields.items()):
             yield f"{opener}\n  {enc(key)}: "

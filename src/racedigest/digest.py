@@ -44,7 +44,7 @@ class ConfigError(Exception):
 
 
 class ArityMismatch(ValueError):
-    """Product digest applied to tuples of the wrong width."""
+    """A product table assembled from the wrong number of component tables."""
 
 
 class Digest:
@@ -100,7 +100,10 @@ def generic_mhp(d: Digest, glob: str, a, b) -> MhpVerdict:
 
 
 class ProductDigest(Digest):
-    """Component-wise combination; the predicate is the meet of components."""
+    """Component-wise combination; the predicate is the meet of components.
+    A value is a tuple of one component value each: ``init_digests`` and
+    the transfer build every value of a solve that way, and
+    ``product_table`` checks the tables it assembles values from."""
 
     def __init__(self, components: tuple[Digest, ...]):
         if not components:
@@ -108,54 +111,24 @@ class ProductDigest(Digest):
         self.components = tuple(components)
         self.name = "+".join(c.name for c in components)
 
-    def _check_arity(self, elem) -> None:
-        if not isinstance(elem, tuple) or len(elem) != len(self.components):
-            raise ArityMismatch(
-                f"expected {len(self.components)}-tuple, got {elem!r}"
-            )
-
     def init_digests(self) -> frozenset:
         parts = [sorted(c.init_digests(), key=c.format_elem) for c in self.components]
         return frozenset(itertools.product(*parts))
 
     def new_digest(self, elem, create_edge: Edge):
-        self._check_arity(elem)
-        out = []
-        for c, e in zip(self.components, elem):
-            n = c.new_digest(e, create_edge)
-            if n is None:
-                return None
-            out.append(n)
-        return tuple(out)
+        return _defined(c.new_digest(e, create_edge) for c, e in zip(self.components, elem))
 
     def step_local(self, act: Action, elem):
-        self._check_arity(elem)
-        out = []
-        for c, e in zip(self.components, elem):
-            n = c.step_local(act, e)
-            if n is None:
-                return None
-            out.append(n)
-        return tuple(out)
+        return _defined(c.step_local(act, e) for c, e in zip(self.components, elem))
 
     def step_observing(self, act: Action, elem0, elem1):
-        self._check_arity(elem0)
-        self._check_arity(elem1)
-        out = []
-        for c, e0, e1 in zip(self.components, elem0, elem1):
-            n = c.step_observing(act, e0, e1)
-            if n is None:
-                return None
-            out.append(n)
-        return tuple(out)
+        return _defined(c.step_observing(act, e0, e1)
+                        for c, e0, e1 in zip(self.components, elem0, elem1))
 
     def observed_view(self, act: Action, elem1):
-        self._check_arity(elem1)
         return tuple(c.observed_view(act, e) for c, e in zip(self.components, elem1))
 
     def mhp(self, glob: str, a, b) -> MhpVerdict:
-        self._check_arity(a)
-        self._check_arity(b)
         verdict = MhpVerdict.TOP
         for c, ea, eb in zip(self.components, a, b):
             verdict = verdict.meet(c.mhp(glob, ea, eb))
@@ -165,8 +138,18 @@ class ProductDigest(Digest):
         return tuple(c.abstract_trace(t) for c in self.components)
 
     def format_elem(self, elem) -> str:
-        self._check_arity(elem)
         return "(" + " | ".join(c.format_elem(e) for c, e in zip(self.components, elem)) + ")"
+
+
+def _defined(values) -> tuple | None:
+    """The tuple of ``values``, or None at the first None, computing none
+    of the values after it."""
+    out = []
+    for v in values:
+        if v is None:
+            return None
+        out.append(v)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +182,11 @@ def abstraction_table(d: Digest, ts: TraceSet) -> dict:
     return {t: d.abstract_trace(t) for t in ts.traces}
 
 
-def product_table(tables: list[dict]) -> dict:
-    """The abstraction table of a product digest, from the tables of its
+def product_table(product: ProductDigest, tables: list[dict]) -> dict:
+    """The abstraction table of ``product``, from the tables of its
     components over one trace set (so all in one trace order)."""
+    if len(tables) != len(product.components):
+        raise ArityMismatch(f"expected {len(product.components)} tables, got {len(tables)}")
     return dict(zip(tables[0], zip(*(table.values() for table in tables))))
 
 

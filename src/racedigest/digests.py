@@ -73,7 +73,7 @@ class LocksetDigest(Digest):
         return MhpVerdict.FALSE if a & b else MhpVerdict.TOP
 
     def abstract_trace(self, t: LocalTrace):
-        return t.history().held
+        return t.history.held
 
     def format_elem(self, elem) -> str:
         return "{" + ",".join(sorted(elem)) + "}"
@@ -111,7 +111,7 @@ class ThreadFlagDigest(Digest):
     def abstract_trace(self, t: LocalTrace):
         if t.ego != ():
             return MT
-        return MT_MAIN if t.history().created else ST_MAIN
+        return MT_MAIN if t.history.created else ST_MAIN
 
     def format_elem(self, elem) -> str:
         return elem
@@ -184,7 +184,7 @@ class ThreadIdDigest(Digest):
         path = edge_path(t.ego)
         if len(path) > self.cap:
             return TID_OVERFLOW
-        created = _saturate_counts(t.history().created)
+        created = _saturate_counts(t.history.created)
         return TidElem(path, created, _alpha_unique(t.ego))
 
     def format_elem(self, elem) -> str:
@@ -266,7 +266,7 @@ class JoinDigest(Digest):
         # a joined thread counts when its path fits the cap, its creator is
         # unique and it is the first child created through its edge
         joined = frozenset(
-            edge_path(child) for child in t.history().terminated
+            edge_path(child) for child in t.history.terminated
             if len(child) <= self.cap and child[-1][1] == 0 and _alpha_unique(child[:-1])
         )
         return JoinElem(self._tid.abstract_trace(t), joined)
@@ -314,7 +314,7 @@ class OnceDigest(Digest):
         return MhpVerdict.TOP
 
     def abstract_trace(self, t: LocalTrace):
-        h = t.history()
+        h = t.history
         return (h.active, h.completed)
 
     def format_elem(self, elem) -> str:

@@ -122,53 +122,29 @@ class CausalIndex:
         return anc
 
     def closure(self, i: int) -> LocalTrace:
-        """The local trace topped by event ``i``, built once."""
+        """The local trace topped by event ``i``, built once.  The first
+        closure folds the history of every one."""
         t = self._closures.get(i)
         if t is None:
+            if self._histories is None:
+                self._histories = self._fold_histories()
             past = self.anc[i]
             deps = frozenset(d for j, ps in enumerate(self.preds) if past >> j & 1 for _, d in ps if d)
-            t = self._closures[i] = LocalTrace(_members(past, self.events), deps, self.events[i])
-            t.__dict__["_source"] = (self, i)  # its history is read off this index
+            t = self._closures[i] = LocalTrace(_members(past, self.events), deps, self.events[i],
+                                               self._histories[i])
         return t
 
-    def history(self, i: int) -> History:
-        """What the closure of event ``i`` knows (see ``History``)."""
-        if self._histories is None:
-            self._histories = self._fold_histories()
-        return self._histories[i]
-
     def _fold_histories(self) -> list[History]:
-        """One pass over the causal order, predecessors first.  The ego of
-        an event's closure is the event's own instance, whose events in the
-        closure are its program-order prefix, so each event extends the
-        history of its program-order predecessor; completions and
-        terminations also arrive over the event's incoming dependency."""
+        """One pass over the causal order, predecessors first.  The ego's
+        events in a closure are its program-order prefix, so each event's
+        history extends its program-order predecessor's (``History.after``,
+        ``History.start``), reading that of its dependency's source."""
         out: list = [None] * len(self.events)
         for i in self.order:
             q, dep = self.pred[i], self.dep_in[i]
-            if q is None:  # a start: a child knows the completions its creator knew
-                completed = out[self.ids[dep.src]].completed if dep is not None else _EMPTY
-                out[i] = History(_EMPTY, _EMPTY, (), completed, _EMPTY)
-                continue
-            h, a = out[q], self.events[i].action
-            kind, x = a.kind, a.target
-            if kind == "lock":
-                h = History(h.held | {x}, h.active, h.created, h.completed, h.terminated)
-            elif kind == "unlock":
-                h = History(h.held - {x}, h.active, h.created, h.completed, h.terminated)
-            elif kind == "startO":
-                h = History(h.held, h.active | {x}, h.created,
-                            h.completed | out[self.ids[dep.src]].completed, h.terminated)
-            elif kind == "endO":
-                h = History(h.held, h.active - {x}, h.created, h.completed | {x}, h.terminated)
-            elif kind == "create":
-                h = History(h.held, h.active, h.created + (a.create_id,), h.completed,
-                            h.terminated)
-            elif kind == "join":
-                h = History(h.held, h.active, h.created, h.completed,
-                            h.terminated | out[self.ids[dep.src]].terminated
-                            | {dep.src.instance})
-            out[i] = h
+            src = out[self.ids[dep.src]] if dep is not None else None
+            out[i] = (History.start(src) if q is None
+                      else out[q].after(self.events[i].action, src, dep and dep.src.instance))
         return out
 
 
@@ -205,15 +181,56 @@ _EMPTY: frozenset = frozenset()
 class History:
     """What a local trace knows.  Of the ego thread: the mutexes it holds,
     the once variables it is inside and the create edges it took, in order.
-    Of the computation: the once variables known completed, along program
-    order, create deps and once deps, and the instances known terminated,
-    along program order and join deps."""
+    Of the computation: the once variables known completed (along program
+    order, create and once deps), the instances known terminated (along
+    program order and join deps) and the ``(kind, target)`` of every init,
+    initO and endO event in the trace (``seen``).  ``_GUARDS`` reads it."""
 
     held: frozenset[str]
     active: frozenset[str]
     created: tuple[str, ...]
     completed: frozenset[str]
     terminated: frozenset[InstanceId]
+    seen: frozenset[tuple[str, str]]
+
+    @staticmethod
+    def start(creator: History | None) -> History:
+        """A thread's first history: main's knows nothing, a child's the
+        completions and events its creator knew before the create."""
+        if creator is None:
+            return _START
+        return History(_EMPTY, _EMPTY, (), creator.completed, _EMPTY, creator.seen)
+
+    def after(self, a: Action, src: History | None = None,
+              joined: InstanceId | None = None) -> History:
+        """The history once the ego takes ``a``; at a lock, startO or join
+        ``src`` is the history of the observed trace, and at a join
+        ``joined`` is the instance whose exit it observes."""
+        kind, x = a.kind, a.target
+        held, active, created, completed, terminated, seen = (
+            self.held, self.active, self.created, self.completed, self.terminated, self.seen)
+        if src is not None:
+            seen = seen | src.seen
+        if kind == "lock":
+            held = held | {x}
+        elif kind == "unlock":
+            held = held - {x}
+        elif kind == "startO":
+            active, completed = active | {x}, completed | src.completed
+        elif kind == "endO":
+            active, completed, seen = active - {x}, completed | {x}, seen | {(kind, x)}
+        elif kind == "create":
+            created = created + (a.create_id,)
+        elif kind == "join":
+            terminated = terminated | src.terminated | {joined}
+        elif kind == "init" or kind == "initO":
+            seen = seen | {(kind, x)}
+        else:
+            return self
+        return History(held, active, created, completed, terminated, seen)
+
+
+_START = History(_EMPTY, _EMPTY, (), _EMPTY, _EMPTY, _EMPTY)
 
 
 @dataclass(frozen=True)
@@ -221,12 +238,13 @@ class LocalTrace:
     """Downward-closed event set with the unique maximal event ``top``.
 
     The ego thread is ``top.instance``; the trace is that thread's complete
-    knowledge of the computation.
+    knowledge of the computation, summed up in ``history``.
     """
 
     events: frozenset[Event]
     deps: frozenset[DepEdge]
     top: Event
+    history: History = field(compare=False)
 
     @property
     def ego(self) -> InstanceId:
@@ -235,33 +253,12 @@ class LocalTrace:
     def ego_node(self) -> str:
         return self.top.node
 
-    def has_event(self, kind: str, target: str | None = None) -> bool:
-        for e in self.events:
-            a = e.action
-            if a is not None and a.kind == kind and (target is None or a.target == target):
-                return True
-        return False
-
-    def history(self) -> History:
-        """What the trace knows, built once: read off the causal index of
-        the pomset the trace is a closure of, or else folded over the
-        trace's own index, which is dropped (caching it costs memory)."""
-        h = self.__dict__.get("_history")
-        if h is None:
-            source = self.__dict__.get("_source")
-            if source is None:
-                idx = CausalIndex(self.events, self.deps)
-                source = (idx, idx.ids[self.top])
-            h = self.__dict__["_history"] = source[0].history(source[1])
-        return h
-
 
 @dataclass(frozen=True)
 class RacePair:
     glob: str
     site_a: tuple[str, str]  # (node, W/R), site_a <= site_b
     site_b: tuple[str, str]
-    witness: LocalTrace = field(compare=False, hash=False, default=None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,21 +360,22 @@ def _check_degrees(deps) -> bool:
 _DEP_KIND = {"lock": "mutex", "startO": "once", "join": "join"}
 
 
-# What the ego's own trace must show before each kind of local action.  The
-# observing actions need none: only main inits (validate_program), so each
-# mutex (once variable) has one chain of init/unlock (initO/endO) sources,
-# each feeding one lock (startO).  A source that would let the ego retake a
-# mutex it holds (start a once it is inside) already feeds a lock in the
-# merged trace, which the degree check of trace_step_observing rejects, or
-# lies past the ego's top.  A join with no create taken fails the last-child
-# check.
+# What the ego's history must show before each kind of local action: the
+# only copy of these guards, read by the local-trace steps and by the
+# enumerator.  The observing actions need none: only main inits
+# (validate_program), so each mutex (once variable) has one chain of
+# init/unlock (initO/endO) sources, each feeding one lock (startO).  A
+# source that would let the ego retake a mutex it holds (start a once it is
+# inside) already feeds a lock in the merged trace, which the degree check
+# of trace_step_observing rejects, or lies past the ego's top.  A join with
+# no create taken fails the last-child check.
 _GUARDS = {
-    "pos_ran": lambda t, x: t.has_event("endO", x),
-    "neg_ran": lambda t, x: not t.has_event("endO", x),
-    "init": lambda t, x: not t.has_event("init", x),
-    "initO": lambda t, x: not t.has_event("initO", x),
-    "unlock": lambda t, x: x in t.history().held,
-    "endO": lambda t, x: x in t.history().active,
+    "pos_ran": lambda h, x: ("endO", x) in h.seen,
+    "neg_ran": lambda h, x: ("endO", x) not in h.seen,
+    "init": lambda h, x: ("init", x) not in h.seen,
+    "initO": lambda h, x: ("initO", x) not in h.seen,
+    "unlock": lambda h, x: x in h.held,
+    "endO": lambda h, x: x in h.active,
 }
 
 
@@ -387,10 +385,10 @@ def trace_step_local(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None
     if a.is_observing or a.is_creating:
         raise ValueError(f"{a.kind} is not a local step")
     guard = _GUARDS.get(a.kind)
-    if t.ego_node() != edge.source or (guard is not None and not guard(t, a.target)):
+    if t.ego_node() != edge.source or (guard is not None and not guard(t.history, a.target)):
         return None
     e = Event(t.ego, t.top.index + 1, t.top.proto, edge.target, edge)
-    return LocalTrace(t.events | {e}, t.deps, e)
+    return LocalTrace(t.events | {e}, t.deps, e, t.history.after(a))
 
 
 def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
@@ -398,12 +396,12 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     a = edge.action
     if a.kind != "create" or t.ego_node() != edge.source:
         return None
-    occurrence = t.history().created.count(a.create_id)
+    occurrence = t.history.created.count(a.create_id)
     child: InstanceId = t.ego + ((a.create_id, occurrence),)
     proto = p.prototypes[a.target]
     start = Event(child, 0, a.target, proto.start_node, None)
     dep = DepEdge("create", None, t.top, start)
-    return LocalTrace(t.events | {start}, t.deps | {dep}, start)
+    return LocalTrace(t.events | {start}, t.deps | {dep}, start, History.start(t.history))
 
 
 def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
@@ -425,7 +423,7 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
         return None
     if act.kind == "join":
         # the last child created through this edge; with none, no child matches
-        count = t0.history().created.count(act.target)
+        count = t0.history.created.count(act.target)
         if top1.instance != t0.ego + ((act.target, count - 1),):
             return None
 
@@ -448,7 +446,8 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
         CausalIndex(all_events, deps)
     except ValueError:
         return None  # cyclic
-    return LocalTrace(all_events, deps, new)
+    # with the degrees checked, t0 and t1 stay the closures of their tops
+    return LocalTrace(all_events, deps, new, t0.history.after(act, t1.history, t1.ego))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +455,7 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
 # ---------------------------------------------------------------------------
 
 # Events and dep edges get small-int ids per enumeration; an instance's local
-# trace is then (past, top): the bitmask of its past and the id of its top.
+# trace is then (top, history): the id of its top event and what it knows.
 
 class _Ids:
     """The interned events and dep edges of one enumeration."""
@@ -467,7 +466,6 @@ class _Ids:
         self.deps: list[DepEdge] = []
         self.ids: dict[Event | DepEdge, int] = {}  # position in events or deps
         self.steps: dict[tuple[int, Edge], int] = {}  # (prev id, edge) -> event id
-        self.end_o: dict[str, int] = {}  # once variable -> mask of its endO events
 
     def of(self, item: Event | DepEdge) -> int:
         if item not in self.ids:
@@ -489,13 +487,13 @@ class _Ids:
 class _State:
     """One global configuration.  ``last`` holds each instance's local trace,
     whose top event is at the instance's node (an exit's node is a sink,
-    validate_program); a free mutex or ready once variable holds the trace a
-    lock or startO observes; ``exited`` the final trace of each instance not
-    yet joined."""
+    validate_program); ``mutex`` (``once``) the trace a lock (startO) can
+    observe, for each free mutex (ready once variable) only; ``exited``
+    the final trace of each instance not yet joined."""
 
     last: dict
-    mutex: dict  # name -> ("free", trace) | ("held", instance)
-    once: dict  # name -> ("ready", trace) | ("active", instance)
+    mutex: dict
+    once: dict
     created: dict  # (instance, create id) -> the last child created there
     exited: dict
     events: int
@@ -506,29 +504,18 @@ class _State:
                       dict(self.exited), self.events, self.deps)
 
 
-def _guard_ok(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> bool:
+def _guard_ok(s: _State, instance: InstanceId, edge: Edge) -> bool:
+    """Whether what ``edge`` observes is available and ``_GUARDS`` pass."""
     a = edge.action
     kind = a.kind
-    if kind in ("skip", "read", "write", "create", "exit"):
-        return True
-    if kind == "pos_ran" or kind == "neg_ran":
-        seen = s.last[instance][0] & ids.end_o.get(a.target, 0)
-        return bool(seen) if kind == "pos_ran" else not seen
-    if kind == "init":
-        return a.target not in s.mutex
     if kind == "lock":
-        return s.mutex.get(a.target, ("uninit",))[0] == "free"
-    if kind == "unlock":
-        return s.mutex.get(a.target) == ("held", instance)
-    if kind == "initO":
-        return a.target not in s.once
+        return a.target in s.mutex
     if kind == "startO":
-        return s.once.get(a.target, ("uninit",))[0] == "ready"
-    if kind == "endO":
-        return s.once.get(a.target) == ("active", instance)
+        return a.target in s.once
     if kind == "join":
         return s.created.get((instance, a.target)) in s.exited
-    raise ValueError(f"unhandled action kind {kind}")
+    guard = _GUARDS.get(kind)
+    return guard is None or guard(s.last[instance][1], a.target)
 
 
 def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> _State:
@@ -536,29 +523,26 @@ def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> _State:
     ns = s.copy()
     a = edge.action
     kind = a.kind
-    prev_past, prev = s.last[instance]
+    prev, h = s.last[instance]
     ev = ids.step(prev, edge)
-    past = prev_past | 1 << ev
     src = None
     if kind == "lock":
-        src = s.mutex[a.target][1]
-        ns.mutex[a.target] = ("held", instance)
+        src = ns.mutex.pop(a.target)
     elif kind == "startO":
-        src = s.once[a.target][1]
-        ns.once[a.target] = ("active", instance)
+        src = ns.once.pop(a.target)
     elif kind == "join":
         src = ns.exited.pop(s.created[(instance, a.target)])
     if src is not None:
         label = a.target if kind != "join" else None
-        past |= src[0]
-        ns.deps |= 1 << ids.of(DepEdge(_DEP_KIND[kind], label, ids.events[src[1]], ids.events[ev]))
-    trace = (past, ev)
+        observed = ids.events[src[0]]
+        ns.deps |= 1 << ids.of(DepEdge(_DEP_KIND[kind], label, observed, ids.events[ev]))
+        trace = (ev, h.after(a, src[1], observed.instance))
+    else:
+        trace = (ev, h.after(a))
     if kind == "init" or kind == "unlock":
-        ns.mutex[a.target] = ("free", trace)
+        ns.mutex[a.target] = trace
     elif kind == "initO" or kind == "endO":
-        ns.once[a.target] = ("ready", trace)
-        if kind == "endO":
-            ids.end_o[a.target] = ids.end_o.get(a.target, 0) | 1 << ev
+        ns.once[a.target] = trace
     ns.events |= 1 << ev
     ns.last[instance] = trace
     if kind == "exit":
@@ -572,7 +556,7 @@ def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> _State:
         # the child depends on the creator's last configuration before create
         ns.deps |= 1 << ids.of(DepEdge("create", None, ids.events[prev], ids.events[start]))
         ns.events |= 1 << start
-        ns.last[child] = (prev_past | 1 << start, start)
+        ns.last[child] = (start, History.start(h))
     return ns
 
 
@@ -593,12 +577,12 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     1032, 1996): the steps of the first instance, in sorted order, that has
     an enabled step and whose every outgoing edge has a
     ``_PERSISTENT_KINDS`` kind; with no such instance, every enabled step.
-    The guards of those kinds read only the mover's own state: its own past
-    (pos/neg ran), a mutex or once variable it holds (unlock, endO), or one
-    not yet initialized (init, initO, which only main runs).  Lock, startO
-    and join wait for a release, so no step of another instance changes
-    that state: while the others run, the mover's next steps stay enabled
-    or disabled, with the same successors, and taking one of them disables
+    The guards of those kinds read only the mover's own ``History``
+    (``_GUARDS``), which only the mover's own steps change.  Their other
+    effects free a mutex or once variable the mover holds, initialize one
+    (only main inits) or record an exit, which lock, startO and join wait
+    for.  So while the others run, the mover's next steps stay enabled or
+    disabled, with the same successors, and taking one of them disables
     no step of another instance and changes none of their successors.  So
     a run from the state can be reordered to begin with the mover's first
     step in it, or, if it has none, prolonged by one of the mover's steps
@@ -629,12 +613,15 @@ def _explore(p: Program, depth: int, width: int, reduce: bool):
     ids = _Ids(p)
     main = p.main()
     start = ids.of(Event(MAIN, 0, p.main_label, main.start_node, None))
-    init = _State({MAIN: (1, start)}, {}, {}, {}, {}, 1, 0)
+    init = _State({MAIN: (start, _START)}, {}, {}, {}, {}, 1, 0)
     pomsets: set[tuple[int, int]] = set()
     blocked: set[str] = set()
+    edges_from: dict[str, list[Edge]] = {}  # read per instance and state: a plain dict
+    for e in p.all_edges():
+        edges_from.setdefault(e.source, []).append(e)
     # the nodes whose every outgoing edge has a persistent kind
-    alone = ({e.source for e in p.all_edges()}
-             - {e.source for e in p.all_edges() if e.action.kind not in _PERSISTENT_KINDS})
+    alone = {node for node, edges in edges_from.items()
+             if all(e.action.kind in _PERSISTENT_KINDS for e in edges)}
     visited = {(init.events, init.deps)}
     stack = [init]
     while stack:
@@ -643,9 +630,9 @@ def _explore(p: Program, depth: int, width: int, reduce: bool):
         enabled: list[tuple[InstanceId, Edge]] = []
         mover = None
         for instance in sorted(s.last):
-            node = ids.events[s.last[instance][1]].node
-            for edge in p.edges_from(node):
-                if not _guard_ok(ids, s, instance, edge):
+            node = ids.events[s.last[instance][0]].node
+            for edge in edges_from.get(node, ()):
+                if not _guard_ok(s, instance, edge):
                     continue
                 if n_actions >= depth:
                     if reduce:
@@ -680,8 +667,8 @@ def _site(e: Event) -> tuple[str, str]:
 def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
     """Access pairs (>=1 write) left unordered once the order contributed by
     the accessed global's atomicity mutex is discarded."""
-    found: dict[tuple, RacePair] = {}
-    for pom in ts.sorted_pomsets():
+    found: set[tuple] = set()
+    for pom in ts.pomsets:
         idx = pom.causality()
         by_glob: dict[str, list[int]] = {}
         for i, e in enumerate(idx.events):
@@ -698,11 +685,8 @@ def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
                         continue
                     if partial[j] >> i & 1 or partial[i] >> j & 1:
                         continue
-                    key = (glob, *sorted((_site(ea), _site(eb))))
-                    if key not in found:
-                        later = j if idx.anc[j] >> i & 1 else i
-                        found[key] = RacePair(*key, witness=idx.closure(later))
-    return frozenset(found.values())
+                    found.add((glob, *sorted((_site(ea), _site(eb)))))
+    return frozenset(RacePair(*key) for key in found)
 
 
 def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,

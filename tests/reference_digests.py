@@ -1,7 +1,7 @@
 """The once and join abstraction maps as they stood before the one history
 fold: ``completed_at`` walks its own causality index per trace and
 ``joined_of`` recurses once per nested join over per-instance scans.  Kept
-only as the reference ``LocalTrace.history()`` is compared against."""
+only as the reference ``LocalTrace.history`` is compared against."""
 
 from __future__ import annotations
 

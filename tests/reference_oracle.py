@@ -4,15 +4,16 @@ per event, local traces are collected per state, and ancestry is the
 repeat-until-stable ``ancestors`` loop.  Kept only as the reference the
 interned oracle, which derives its traces from the pomsets, is compared
 against.  Also the scan-based walks over one pomset (program-order
-predecessor, incoming dependency), the creator's own step over a create
-edge and the structural check of a local trace, which only tests use."""
+predecessor, incoming dependency), the history of a trace read off its
+events and deps by definition, the creator's own step over a create edge
+and the structural check of a local trace, which only tests use."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from racedigest.model import MAIN, READ, WRITE, Edge, InstanceId, Program, atomicity_mutex
-from racedigest.oracle import DepEdge, Event, LocalTrace, Pomset, RacePair, TraceSet
+from racedigest.oracle import DepEdge, Event, History, LocalTrace, Pomset, RacePair, TraceSet
 
 
 def ancestors(events, deps) -> dict[Event, frozenset[Event]]:
@@ -68,10 +69,59 @@ def sorted_events(pom: Pomset) -> list[Event]:
     return sorted(pom.events, key=Event.sort_key)
 
 
+def _reaching(events, deps, top: Event, kinds) -> set[Event]:
+    """The events from which ``top`` is reached along program order and
+    the deps of ``kinds`` (``top`` included)."""
+    by_key = {(e.instance, e.index): e for e in events}
+    into: dict[Event, list[Event]] = {}
+    for d in deps:
+        if d.kind in kinds:
+            into.setdefault(d.dst, []).append(d.src)
+    out: set[Event] = set()
+    stack = [top]
+    while stack:
+        e = stack.pop()
+        if e not in out:
+            out.add(e)
+            stack.extend(into.get(e, ()))
+            if (e.instance, e.index - 1) in by_key:
+                stack.append(by_key[(e.instance, e.index - 1)])
+    return out
+
+
+def history(events, deps, top: Event) -> History:
+    """What the trace (``events``, ``deps``, ``top``) knows, by the
+    definition of each field of ``History``: the ego holds a mutex (is
+    inside a once variable) whose last lock/unlock (startO/endO) in its
+    program order is a lock (startO); a once variable is completed when an
+    endO of it reaches ``top`` along program order, create and once deps;
+    an instance is terminated when its exit feeds a join that reaches
+    ``top`` along program order and join deps."""
+    own = sorted((e for e in events if e.instance == top.instance), key=lambda e: e.index)
+    actions = [e.action for e in own if e.action is not None]
+
+    def inside(enter: str, leave: str) -> frozenset:
+        last = {a.target: a.kind for a in actions if a.kind in (enter, leave)}
+        return frozenset(x for x, kind in last.items() if kind == enter)
+
+    completed = frozenset(e.action.target for e in _reaching(events, deps, top, ("create", "once"))
+                          if e.action is not None and e.action.kind == "endO")
+    joins = _reaching(events, deps, top, ("join",))
+    return History(
+        held=inside("lock", "unlock"),
+        active=inside("startO", "endO"),
+        created=tuple(a.create_id for a in actions if a.kind == "create"),
+        completed=completed,
+        terminated=frozenset(d.src.instance for d in deps if d.kind == "join" and d.dst in joins),
+        seen=frozenset((e.action.kind, e.action.target) for e in events
+                       if e.action is not None and e.action.kind in ("init", "initO", "endO")),
+    )
+
+
 def closure(pom: Pomset, top: Event, anc: dict | None = None) -> LocalTrace:
-    past = (anc or pomset_ancestors(pom))[top]
+    past = frozenset((anc or pomset_ancestors(pom))[top])
     deps = frozenset(d for d in pom.deps if d.dst in past)
-    return LocalTrace(frozenset(past), deps, top)
+    return LocalTrace(past, deps, top, history(past, deps, top))
 
 
 def step_creator(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
@@ -79,7 +129,7 @@ def step_creator(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     if edge.action.kind != "create" or t.ego_node() != edge.source:
         return None
     e = Event(t.ego, t.top.index + 1, t.top.proto, edge.target, edge)
-    return LocalTrace(t.events | {e}, t.deps, e)
+    return LocalTrace(t.events | {e}, t.deps, e, t.history.after(edge.action))
 
 
 def validate_local_trace(t: LocalTrace) -> None:
@@ -264,7 +314,8 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> tuple[Trace
     truncated = False
     visited: set[tuple] = set()
 
-    init_trace = LocalTrace(init.events, init.deps, init.last[MAIN])
+    init_trace = LocalTrace(init.events, init.deps, init.last[MAIN],
+                            history(init.events, init.deps, init.last[MAIN]))
     traces.add(init_trace)
 
     stack = [init]
@@ -297,7 +348,7 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> tuple[Trace
             visited.add(key)
             for ev in new_events:
                 deps_in = frozenset(d for d in ns.deps if d.dst in ns.past[ev])
-                traces.add(LocalTrace(ns.past[ev], deps_in, ev))
+                traces.add(LocalTrace(ns.past[ev], deps_in, ev, history(ns.past[ev], deps_in, ev)))
             stack.append(ns)
 
     return TraceSet(
@@ -326,9 +377,8 @@ def _site(e: Event) -> tuple[str, str]:
 def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
     """Access pairs (>=1 write) left unordered once the order contributed by
     the accessed global's atomicity mutex is discarded."""
-    found: dict[tuple, RacePair] = {}
+    found: set[RacePair] = set()
     for pom in ts.sorted_pomsets():
-        full = pomset_ancestors(pom)
         by_glob: dict[str, list[Event]] = {}
         for e in _access_events(pom):
             by_glob.setdefault(e.action.target, []).append(e)
@@ -344,11 +394,5 @@ def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
                         continue
                     if ea in partial[eb] or eb in partial[ea]:
                         continue
-                    site_a, site_b = sorted((_site(ea), _site(eb)))
-                    key = (glob, site_a, site_b)
-                    if key in found:
-                        continue
-                    later = eb if ea in full[eb] else ea
-                    found[key] = RacePair(glob, site_a, site_b,
-                                          witness=closure(pom, later, full))
-    return frozenset(found.values())
+                    found.add(RacePair(glob, *sorted((_site(ea), _site(eb)))))
+    return frozenset(found)

@@ -11,6 +11,7 @@ import pytest
 
 import racedigest.cli
 import racedigest.conformance
+import racedigest.solver
 from racedigest.cli import main
 from racedigest.oracle import CausalIndex, TraceSet, enumerate_traces
 from racedigest.solver import solve
@@ -253,7 +254,7 @@ def test_oracle_never_derives_local_traces(capsys, monkeypatch, case, bounds, co
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_oracle_never_folds_a_history(capsys, monkeypatch, fmt):
-    """Racy pairs carry witness closures; their histories stay unread."""
+    """Finding the racy pairs builds no closure, so no history is read."""
     def fold(idx):
         raise AssertionError("a history was folded")
 
@@ -320,7 +321,7 @@ def test_analyze_flags_the_once_handoff_race(capsys, tmp_path):
 ], ids=["analyze", "ablate", "conform"])
 def test_solver_divergence_exit_two(capsys, monkeypatch, argv):
     capped = functools.partial(solve, max_evaluations=3)
-    monkeypatch.setattr(racedigest.cli, "solve", capped)
+    monkeypatch.setattr(racedigest.solver, "solve", capped)
     monkeypatch.setattr(racedigest.conformance, "solve", capped)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -369,3 +370,24 @@ def test_analyze_loads_neither_oracle_nor_conformance():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert done.stdout == "0 True []\n"
+
+
+_ORACLE_MODULES = """
+import contextlib, io, sys
+import racedigest.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = racedigest.cli.main(["oracle", sys.argv[1], "--format", "json"])
+print(code, out.getvalue().startswith("{"))
+print(sorted(m for m in sys.modules if m.startswith("racedigest.")))
+"""
+
+
+def test_oracle_loads_no_analyzer_module():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-c", _ORACLE_MODULES, rlp("prog0_unsync_writes")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout == (
+        "1 True\n['racedigest.cli', 'racedigest.dsl', 'racedigest.model', 'racedigest.oracle']\n"
+    )

@@ -12,7 +12,7 @@ from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve
 
 from perfbench.gen import locked_program
-from tests.reference_detector import distinct_site_pairs
+from tests.reference_detector import distinct_site_pairs, reference_detect
 
 
 def run(program, names, modes=None):
@@ -101,7 +101,7 @@ def test_report_metadata_and_witnesses(prog0):
     (pair,) = report.flagged
     assert pair.glob == "g"
     assert pair.site_a == ("main.s0", "W") and pair.site_b == ("t1.s0", "W")
-    (entry,) = report.to_json()["flagged"]
+    (entry,) = json.loads(report.to_json_text())["flagged"]
     assert [(v["digest"], v["verdict"]) for v in entry["verdicts"]] == [
         ("threadflag", "top"), ("tid", "top")
     ]
@@ -110,7 +110,7 @@ def test_report_metadata_and_witnesses(prog0):
 
 def test_report_json_schema(prog0):
     report = run(prog0, ["lockset"])
-    payload = report.to_json()
+    payload = json.loads(report.to_json_text())
     assert payload["version"] == 1
     assert payload["race_free"] is False
     flagged = payload["flagged"]
@@ -121,15 +121,17 @@ def test_report_json_schema(prog0):
 
 
 def _dumped(report) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    """The report's JSON text, parsed and dumped again canonically."""
+    return json.dumps(json.loads(report.to_json_text()), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("mode", [BESPOKE, GENERIC])
 def test_json_text_is_json_dumps_on_the_corpus(corpus_cases, mode):
     for case in corpus_cases:
-        product, sol = case.solution(CANONICAL_ORDER, DEFAULT_TID_CAP)
-        report = detect(sol, product, {name: mode for name in CANONICAL_ORDER})
-        assert report.to_json_text() == _dumped(report), case.name
+        product, sol = case.solution(DEFAULT_TID_CAP)
+        modes = {name: mode for name in CANONICAL_ORDER}
+        want = reference_detect(sol, product, modes).to_json_text()
+        assert detect(sol, product, modes).to_json_text() == want, case.name
 
 
 def test_json_text_of_a_race_free_report(prog1):
@@ -144,6 +146,10 @@ def test_json_text_on_a_generated_locked_program():
     report = run(program, CANONICAL_ORDER)
     assert len(report.flagged) > 500
     assert report.to_json_text() == _dumped(report)
+    flagged = json.loads(report.to_json_text())["flagged"]
+    assert [(f["global"], f["a"]["site"], f["b"]["site"]) for f in flagged] == [
+        (f.glob, f.site_a[0], f.site_b[0]) for f in report.flagged
+    ]
 
 
 def test_json_text_escapes_like_json_dumps():
@@ -155,6 +161,20 @@ def test_json_text_escapes_like_json_dumps():
     )
     assert len(report.flagged) == 1
     assert report.to_json_text() == _dumped(report)
+    assert json.loads(report.to_json_text()) == {
+        "version": 1,
+        "digests": ["a%s", "b\n"],
+        "modes": {"a%s": BESPOKE, "b\n": GENERIC},
+        "accesses": {odd[0]: 2},
+        "race_free": False,
+        "flagged": [{
+            "global": odd[0],
+            "a": {"site": "n\\1", "type": "W"},
+            "b": {"site": "\u00e9%d", "type": "R"},
+            "witness_digests": ["x%(y)s", "\u00fc\n\t"],
+            "verdicts": [{"digest": "a%s", "verdict": "top"}, {"digest": "b\n", "verdict": "top"}],
+        }],
+    }
 
 
 def test_text_report_includes_source_lines(prog0):

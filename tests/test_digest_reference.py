@@ -1,4 +1,4 @@
-"""The once and join abstraction maps, which read ``LocalTrace.history()``,
+"""The once and join abstraction maps, which read ``LocalTrace.history``,
 against the per-trace walks they replaced."""
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ def test_once_and_join_maps_match_reference(name):
 
 
 def test_hand_written_programs_reach_the_cases():
-    # the hand-off program has a trace that holds an endO but knows no
+    # the hand-off program has a trace that has seen an endO but knows no
     # completion; the twice program joins a second child and a first one
     handoff = enumerate_traces(instrument_atomicity(parse_program(HANDOFF))).traces
-    assert any(t.has_event("endO", "o") and not OnceDigest().abstract_trace(t)[1]
+    assert any(("endO", "o") in t.history.seen and not OnceDigest().abstract_trace(t)[1]
                and t.ego == (("e2", 0),) for t in handoff)
     twice = enumerate_traces(instrument_atomicity(parse_program(TWICE))).traces
     joined = {frozenset(JoinDigest().abstract_trace(t).joined) for t in twice

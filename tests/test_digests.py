@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from racedigest.digest import ArityMismatch, ConfigError, MhpVerdict, ProductDigest, generic_mhp
+from racedigest.digest import (
+    ArityMismatch,
+    ConfigError,
+    MhpVerdict,
+    ProductDigest,
+    abstraction_table,
+    generic_mhp,
+    product_table,
+)
 from racedigest.digests import (
     MT,
     MT_MAIN,
@@ -282,10 +290,11 @@ def test_product_pointwise_and_meet():
     assert prod.mhp("g", (frozenset(), MT), (frozenset(), MT)) is T
 
 
-def test_product_arity_mismatch():
+def test_product_arity_mismatch(prog0_traces):
     prod = ProductDigest(build_digests(["lockset", "threadflag"]))
+    lockset_only = [abstraction_table(prod.components[0], prog0_traces)]
     with pytest.raises(ArityMismatch):
-        prod.mhp("g", (frozenset(),), (frozenset(), ST_MAIN))
+        product_table(prod, lockset_only)
 
 
 def test_product_component_none_collapses():

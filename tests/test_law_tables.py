@@ -1,9 +1,9 @@
 """The law harness reads tables built once per trace set.  Each is checked
 against what it stands for: a closure's history, read off its pomset's
-causal index, against the fold of a fresh copy of the trace over its own
-index; the product's abstraction table, assembled from its components'
-tables, against ``ProductDigest.abstract_trace``; and the step table
-against a walk over the pomset events."""
+causal index, against the history its events and deps define; the
+product's abstraction table, assembled from its components' tables,
+against ``ProductDigest.abstract_trace``; and the step table against a
+walk over the pomset events."""
 
 from __future__ import annotations
 
@@ -13,10 +13,10 @@ from racedigest.digest import ProductDigest, abstraction_table, product_table
 from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import MAIN, instrument_atomicity
-from racedigest.oracle import LocalTrace, enumerate_traces
+from racedigest.oracle import enumerate_traces
 
 from tests.conftest import CORPUS_DIR, GENERATED
-from tests.reference_oracle import dep_to, po_pred, sorted_events
+from tests.reference_oracle import dep_to, history, po_pred, sorted_events
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS_DIR.iterdir() if (p / "program.rlp").exists())
 
@@ -38,8 +38,7 @@ def test_index_histories_match_the_per_trace_fold(trace_sets, name):
         idx = pom.causality()
         for i in range(len(idx.events)):
             t = idx.closure(i)
-            fresh = LocalTrace(t.events, t.deps, t.top)  # no history cached yet
-            assert t.history() == idx.history(i) == fresh.history(), t.top.describe()
+            assert t.history == history(t.events, t.deps, t.top), t.top.describe()
             closures += 1
     assert closures >= len(ts.traces) > 0
 
@@ -49,7 +48,7 @@ def test_product_table_is_the_product_abstraction(trace_sets, name):
     ts = trace_sets[name]
     components = build_digests(CANONICAL_ORDER)
     product = ProductDigest(components)
-    table = product_table([abstraction_table(c, ts) for c in components])
+    table = product_table(product, [abstraction_table(c, ts) for c in components])
     assert list(table) == list(ts.traces)
     for t in ts.traces:
         assert table[t] == product.abstract_trace(t), t.top.describe()

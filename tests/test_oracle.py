@@ -5,6 +5,7 @@ import pytest
 from racedigest.dsl import parse_program
 from racedigest.model import MAIN, access_sites, edge_path, instrument_atomicity
 from racedigest.oracle import (
+    CausalIndex,
     DepEdge,
     LocalTrace,
     bidirectionally_compatible,
@@ -18,6 +19,7 @@ from racedigest.oracle import (
 from tests.conftest import GENERATED
 from tests.reference_oracle import (
     dep_to,
+    history,
     po_pred,
     sorted_events,
     step_creator,
@@ -43,6 +45,10 @@ def traces_with_top(ts, kind: str, target: str | None = None, instance=None):
     return out
 
 
+def has_action(t, kind: str, target: str) -> bool:
+    return any(e.action is not None and e.action.obs_key() == (kind, target) for e in t.events)
+
+
 def traces_at_node(ts, node: str):
     return [t for t in ts.traces if t.ego_node() == node]
 
@@ -64,7 +70,7 @@ def test_observable_feeding_two_observers_is_rejected(prog1_traces):
     assert extra not in t.deps
     validate_local_trace(t)
     with pytest.raises(ValueError, match="two observers"):
-        validate_local_trace(LocalTrace(t.events, t.deps | {extra}, t.top))
+        validate_local_trace(LocalTrace(t.events, t.deps | {extra}, t.top, t.history))
 
 
 def test_local_step_advances_access(prog1, prog1_traces):
@@ -106,7 +112,7 @@ def test_pos_ran_requires_local_knowledge():
     )
     ts = enumerate_traces(p)
     assert not ts.truncated
-    endos = [t for t in ts.traces if t.has_event("endO", "o")]
+    endos = [t for t in ts.traces if ("endO", "o") in t.history.seen]
     assert endos, "t1 does complete the once block"
     for pom in ts.sorted_pomsets():
         assert not any(
@@ -128,6 +134,29 @@ def test_spawn_creates_child_with_extended_path(prog1, prog1_traces):
     creator = step_creator(prog1, create_edge, t)
     assert creator is not None and creator.ego == MAIN
     assert creator.ego_node() == create_edge.target
+
+
+def test_local_steps_and_spawn_build_no_causal_index(monkeypatch, prog1, prog1_traces):
+    """They carry their input's history forward (``History.after`` and
+    ``History.start``) instead of folding one over a new index."""
+    traces = prog1_traces.traces
+
+    def build(*args):
+        raise AssertionError("a causal index was built")
+
+    monkeypatch.setattr(CausalIndex, "__init__", build)
+    made = set()
+    for t in traces:
+        for edge in prog1.edges_from(t.ego_node()):
+            if edge.action.kind == "create":
+                out = spawn(prog1, edge, t)
+            elif not edge.action.is_observing:
+                out = trace_step_local(prog1, edge, t)
+            else:
+                continue
+            if out is not None:
+                made.add(out.top.action.kind if out.top.action else "start")
+    assert {"start", "unlock", "write"} <= made
 
 
 def test_nested_creation_path_length_two():
@@ -174,7 +203,7 @@ def test_observable_consumed_at_most_once():
     second_lock = None
     for e in b_edges:
         for t0 in traces_at_node(ts, e.source):
-            if t0.ego == MAIN or not t0.has_event("unlock", "a"):
+            if t0.ego == MAIN or not has_action(t0, "unlock", "a"):
                 continue
             second_lock = (e, t0)
     assert second_lock is not None
@@ -216,7 +245,7 @@ def test_enumeration_contains_figure_trace(prog1, prog1_traces):
         and t.top.action is not None
         and t.top.action.kind == "lock"
         and t.top.action.target == "a"
-        and t.has_event("unlock", "a")
+        and has_action(t, "unlock", "a")
     ]
     assert figure, "t1 locking a after main's unlock must be reachable"
 
@@ -264,15 +293,6 @@ def test_create_loop_truncated_prefix_shows_self_race():
 def test_racy_pairs_prog0(prog0, prog0_traces):
     pairs = {(r.glob, r.site_a, r.site_b) for r in find_racy_pairs(prog0_traces)}
     assert pairs == {("g", ("main.s0", "W"), ("t1.s0", "W"))}
-    (pair,) = find_racy_pairs(prog0_traces)
-    validate_local_trace(pair.witness)
-    site_nodes = {pair.site_a[0], pair.site_b[0]}
-    witnessed = {
-        e.edge.source
-        for e in pair.witness.events
-        if e.action is not None and e.action.kind in ("read", "write")
-    }
-    assert site_nodes <= witnessed
 
 
 def test_racy_pairs_need_a_write():
@@ -343,25 +363,37 @@ def _successors(p, t, traces):
             yield trace_step_local(p, edge, t)
 
 
+def _wrong_history(t) -> bool:
+    return t.history != history(t.events, t.deps, t.top)
+
+
 def _disagreements(p, ts) -> tuple[int, list[str]]:
     """Compare the local-trace steps with the enumeration ``ts`` of ``p``:
     each enumerated step must be rebuilt exactly, and on an exhaustive run
-    no step may lead out of the enumerated traces.  Returns the number of
-    enumerated steps and the disagreements."""
+    no step may lead out of the enumerated traces.  Every trace a step
+    makes must carry the history its events and deps define.  Returns the
+    number of enumerated steps and the disagreements."""
     steps, found = 0, []
     for pom in ts.sorted_pomsets():
         for e in sorted_events(pom):
             if e.edge is None and e.instance == MAIN:
                 continue
             steps += 1
-            if _rebuild(p, pom, e) != pom.closure(e):
+            rebuilt = _rebuild(p, pom, e)
+            if rebuilt != pom.closure(e):
                 found.append(f"rebuilt {e.describe()} differs")
+            elif _wrong_history(rebuilt):
+                found.append(f"rebuilt {e.describe()} has history {rebuilt.history}")
     if not ts.truncated:
         known = set(ts.traces)
         for t in ts.traces:
             for out in _successors(p, t, ts.traces):
-                if out is not None and out not in known:
+                if out is None:
+                    continue
+                if out not in known:
                     found.append(f"step to {out.top.describe()} is not enumerated")
+                elif _wrong_history(out):
+                    found.append(f"step to {out.top.describe()} has history {out.history}")
     return steps, found
 
 
