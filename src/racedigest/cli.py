@@ -9,8 +9,11 @@ Subcommands:
 Exit codes: 0 no races / suites pass, 1 races flagged / suite failures,
 2 usage or input errors (including an unreadable input path such as a
 directory, a negative --tid-cap, an init or initO outside main, code
-after a thread_exit, and a corpus expected.json that is not valid JSON or
-lacks a required key) and solver divergence (the evaluation cap was hit),
+after a thread_exit, a goto to a label never placed, a label placed twice
+in one prototype, and a corpus expected.json that is not valid JSON or
+lacks a required key), solver divergence (the evaluation cap was hit) and
+internal failures (any other exception, reported as one
+``error: internal: <type>: <message>`` line on stderr),
 3 oracle inconclusive: the enumeration was cut off by its bounds and found
 no race (races found in a truncated run still exit 1).
 """
@@ -175,10 +178,12 @@ def main(argv=None) -> int:
         from .digest import ConfigError
         from .solver import SolverDivergence
 
-        if not isinstance(exc, (DslSyntaxError, ValidationError, ConfigError, OSError,
-                                ValueError, SolverDivergence)):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (DslSyntaxError, ValidationError, ConfigError, OSError,
+                            ValueError, SolverDivergence)):
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            # a fault of racedigest itself must not read as "races flagged"
+            print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

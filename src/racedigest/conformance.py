@@ -30,6 +30,7 @@ from .detector import RaceReport, detect, predicate_subsets
 from .digest import (
     Digest,
     MhpVerdict,
+    ObservingTable,
     ProductDigest,
     abstraction_table,
     check_access_stability,
@@ -267,19 +268,20 @@ def run_soundness_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
 def run_law_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     """Every shipped digest, then their product, on every case.  Each
     digest abstracts the traces once per case; the product's table is the
-    tuple of its components' tables."""
+    tuple of its components' tables.  One table of observing steps per
+    digest and case serves both the stability and the view law."""
     section = SuiteSection("laws")
     components = build_digests(CANONICAL_ORDER, tid_cap=tid_cap)
     product = ProductDigest(components)
     for case, ts in _exhaustive(section, cases):
         tables = [abstraction_table(c, ts) for c in components]
         for d, alpha in (*zip(components, tables), (product, product_table(product, tables))):
-            realized = realized_values(d, ts, alpha)
+            table = ObservingTable(d, realized_values(d, ts, alpha))
             for report in (
                 check_admissibility(d, case.program, ts, alpha),
-                check_access_stability(d, case.program, ts, realized),
-                check_mhp_commutativity(d, case.program, ts, realized),
-                check_view_exactness(d, case.program, ts, realized),
+                check_access_stability(d, case.program, ts, table=table),
+                check_mhp_commutativity(d, case.program, ts, table.realized),
+                check_view_exactness(d, case.program, ts, table=table),
             ):
                 section.checks += report.checks
                 for v in report.violations:

@@ -129,10 +129,11 @@ class ProductDigest(Digest):
         return tuple(c.observed_view(act, e) for c, e in zip(self.components, elem1))
 
     def mhp(self, glob: str, a, b) -> MhpVerdict:
-        verdict = MhpVerdict.TOP
+        # the meet of the components' verdicts: FALSE at the first FALSE
         for c, ea, eb in zip(self.components, a, b):
-            verdict = verdict.meet(c.mhp(glob, ea, eb))
-        return verdict
+            if c.mhp(glob, ea, eb) is MhpVerdict.FALSE:
+                return MhpVerdict.FALSE
+        return MhpVerdict.TOP
 
     def abstract_trace(self, t: LocalTrace):
         return tuple(c.abstract_trace(t) for c in self.components)
@@ -262,75 +263,129 @@ def realized_values(d: Digest, ts: TraceSet, alpha: dict | None = None) -> list:
 
 def check_mhp_commutativity(d: Digest, p: Program, ts: TraceSet,
                             realized: list | None = None) -> LawReport:
-    """The parallelism predicate must not depend on argument order."""
-    report = LawReport(d.name)
-    if realized is None:
-        realized = realized_values(d, ts)
-    for glob in sorted(p.globals):
-        for a in realized:
-            for b in realized:
-                report.checks += 1
-                if d.mhp(glob, a, b) is not d.mhp(glob, b, a):
-                    report.add(
-                        "mhp-commutativity",
-                        f"{glob}: mhp({d.format_elem(a)}, {d.format_elem(b)}) depends on order",
-                    )
-    return report
-
-
-def check_access_stability(d: Digest, p: Program, ts: TraceSet,
-                           realized: list | None = None) -> LawReport:
-    """An access sequence lock(m_g); access; unlock(m_g) must leave any
-    realized digest unchanged whenever it is defined."""
-    report = LawReport(d.name)
-    if realized is None:
-        realized = realized_values(d, ts)
-    for site, glob, _ in access_sites(p):
-        lock_e, acc_e, unl_e = access_sequence(p, site)
-        for a0 in realized:
-            for a1 in realized:
-                r = d.step_observing(lock_e.action, a0, a1)
-                if r is not None:
-                    r = d.step_local(acc_e.action, r)
-                if r is not None:
-                    r = d.step_local(unl_e.action, r)
-                report.checks += 1
-                if r is not None and r != a0:
-                    report.add(
-                        "access-stability",
-                        f"sequence at {site} maps {d.format_elem(a0)} (observing "
-                        f"{d.format_elem(a1)}) to {d.format_elem(r)}",
-                    )
-    return report
-
-
-def check_view_exactness(d: Digest, p: Program, ts: TraceSet,
-                         realized: list | None = None) -> LawReport:
-    """Two partner values with equal ``observed_view`` must give equal
-    observing steps: for every observing action of the program, every
-    realized ego value and every two realized partners of one view."""
+    """The parallelism predicate must not depend on argument order: each
+    ordered pair is judged once per global and compared with its
+    transpose."""
     report = LawReport(d.name)
     if realized is None:
         realized = realized_values(d, ts)
     fmt = d.format_elem
-    for act in dict.fromkeys(e.action for e in p.all_edges() if e.action.is_observing):
+    for glob in sorted(p.globals):
+        verdicts = [[d.mhp(glob, a, b) for b in realized] for a in realized]
+        report.checks += len(realized) ** 2
+        for a, row, column in zip(realized, verdicts, zip(*verdicts)):
+            for b, ab, ba in zip(realized, row, column):
+                if ab is not ba:
+                    report.add("mhp-commutativity",
+                               f"{glob}: mhp({fmt(a)}, {fmt(b)}) depends on order")
+    return report
+
+
+class ObservingTable:
+    """The observing steps of one digest over its realized values, built
+    once per observing action on first use: ``rows(act)[i][j]`` is
+    ``step_observing(act, realized[i], realized[j])``.
+
+    Building the rows of an action is the view-exactness law: each partner
+    is stepped and compared with the first partner of its
+    ``observed_view`` class, and one whose step equals that first step
+    holds the first step's object.  So the rows of an action hold at most
+    one object per (ego, view class) unless the view is inexact, and a
+    partner whose step differs from its class keeps its own result."""
+
+    def __init__(self, d: Digest, realized: list):
+        self.digest = d
+        self.realized = realized
+        self._rows: dict[Action, list[list]] = {}
+        self._view_law: dict[Action, LawReport] = {}
+
+    def rows(self, act: Action) -> list[list]:
+        rows = self._rows.get(act)
+        if rows is None:
+            rows = self._rows[act] = self._build(act)
+        return rows
+
+    def view_law(self, act: Action) -> LawReport:
+        """The view-exactness checks and violations of building ``act``."""
+        self.rows(act)
+        return self._view_law[act]
+
+    def _build(self, act: Action) -> list[list]:
+        d, realized = self.digest, self.realized
+        fmt = d.format_elem
+        report = self._view_law[act] = LawReport(d.name)
         by_view: dict = {}
-        for a1 in realized:
-            by_view.setdefault(d.observed_view(act, a1), []).append(a1)
+        for j, a1 in enumerate(realized):
+            by_view.setdefault(d.observed_view(act, a1), []).append(j)
+        rows = [[None] * len(realized) for _ in realized]
         for first, *rest in by_view.values():
-            if not rest:
-                continue
-            for a0 in realized:
-                want = d.step_observing(act, a0, first)
-                for a1 in rest:
+            for a0, row in zip(realized, rows):
+                want = row[first] = d.step_observing(act, a0, realized[first])
+                for j in rest:
                     report.checks += 1
-                    got = d.step_observing(act, a0, a1)
-                    if got != want:
+                    got = d.step_observing(act, a0, realized[j])
+                    if got == want:
+                        row[j] = want
+                        continue
+                    row[j] = got
+                    report.add(
+                        "view-exactness",
+                        f"{act.kind} {act.target} from {fmt(a0)}: partners "
+                        f"{fmt(realized[first])} and {fmt(realized[j])} share a view but "
+                        f"step to {'none' if want is None else fmt(want)} and "
+                        f"{'none' if got is None else fmt(got)}",
+                    )
+        return rows
+
+
+def check_access_stability(d: Digest, p: Program, ts: TraceSet,
+                           realized: list | None = None,
+                           table: ObservingTable | None = None) -> LawReport:
+    """An access sequence lock(m_g); access; unlock(m_g) must leave any
+    realized digest unchanged whenever it is defined.  The lock steps are
+    read from ``table`` (one is built over ``realized`` if none is given),
+    and the access and unlock steps are taken once per distinct lock
+    result of each site and ego."""
+    report = LawReport(d.name)
+    if table is None:
+        table = ObservingTable(d, realized_values(d, ts) if realized is None else realized)
+    realized, fmt = table.realized, d.format_elem
+    for site, glob, _ in access_sites(p):
+        lock_e, acc_e, unl_e = access_sequence(p, site)
+        report.checks += len(realized) ** 2
+        for a0, row in zip(realized, table.rows(lock_e.action)):
+            # id(lock result) -> what the sequence maps a0 to, where that is not a0
+            moved: dict[int, object] = {}
+            for r in {id(r): r for r in row if r is not None}.values():
+                out = d.step_local(acc_e.action, r)
+                if out is not None:
+                    out = d.step_local(unl_e.action, out)
+                if out is not None and out != a0:
+                    moved[id(r)] = out
+            if moved:
+                for a1, r in zip(realized, row):
+                    if id(r) in moved:
                         report.add(
-                            "view-exactness",
-                            f"{act.kind} {act.target} from {fmt(a0)}: partners {fmt(first)} "
-                            f"and {fmt(a1)} share a view but step to "
-                            f"{'none' if want is None else fmt(want)} and "
-                            f"{'none' if got is None else fmt(got)}",
+                            "access-stability",
+                            f"sequence at {site} maps {fmt(a0)} (observing "
+                            f"{fmt(a1)}) to {fmt(moved[id(r)])}",
                         )
+    return report
+
+
+def check_view_exactness(d: Digest, p: Program, ts: TraceSet,
+                         realized: list | None = None,
+                         table: ObservingTable | None = None) -> LawReport:
+    """Two partner values with equal ``observed_view`` must give equal
+    observing steps: for every observing action of the program, every
+    realized ego value and every two realized partners of one view.  The
+    checks are those of building ``table`` (one is built over ``realized``
+    if none is given)."""
+    report = LawReport(d.name)
+    if table is None:
+        table = ObservingTable(d, realized_values(d, ts) if realized is None else realized)
+    for act in dict.fromkeys(e.action for e in p.all_edges() if e.action.is_observing):
+        built = table.view_law(act)
+        report.checks += built.checks
+        report.violations.extend(built.violations)
     return report

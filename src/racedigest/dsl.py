@@ -60,6 +60,8 @@ class _ProtoBuilder:
         self.edges: list[tuple[int | str, Action, int | str, int]] = []
         self.parent: dict[int, int] = {}
         self.labels: dict[str, int] = {}
+        self.placed: dict[str, int] = {}  # label -> line placing it
+        self.jumped: dict[str, int] = {}  # label -> line of the first goto to it
         self.order: list[int] = []
         self.counter = 0
         self.current = self._fresh()
@@ -87,6 +89,21 @@ class _ProtoBuilder:
             self.labels[name] = self._fresh()
         return self.labels[name]
 
+    def place(self, name: str, line: int) -> None:
+        if name in self.placed:
+            raise DslSyntaxError(
+                f"label {name!r} placed twice in {self.label!r} (first at line {self.placed[name]})",
+                line)
+        self.placed[name] = line
+        self.union(self.current, self.label_node(name))
+
+    def jump(self, names: list[str], line: int) -> None:
+        src = self.current
+        for name in names:
+            self.jumped.setdefault(name, line)
+            self.branch(Action("skip"), src, self.label_node(name), line)
+        self.current = self._fresh()  # fall-through is dead unless labeled
+
     def emit(self, action: Action, line: int, target: int | None = None) -> None:
         dst = self._fresh() if target is None else target
         self.edges.append((self.current, action, dst, line))
@@ -96,6 +113,10 @@ class _ProtoBuilder:
         self.edges.append((src, action, dst, line))
 
     def finish(self, used_create_ids: set[str]) -> ThreadPrototype:
+        for name, line in self.jumped.items():
+            if name not in self.placed:
+                raise DslSyntaxError(f"goto to label {name!r}, never placed in {self.label!r}",
+                                     line)
         if self.explicit:
             edges = frozenset(
                 Edge(str(s), a, str(t), line=ln) for (s, a, t, ln) in self.edges
@@ -204,14 +225,10 @@ def parse_program(text: str) -> Program:
 
         toks = line.split()
         if toks[0] == "label" and len(toks) == 2:
-            node = b.label_node(toks[1])
-            b.union(b.current, node)
+            b.place(toks[1], lineno)
             continue
         if toks[0] == "goto" and len(toks) >= 2:
-            src = b.current
-            for name in toks[1:]:
-                b.branch(Action("skip"), src, b.label_node(name), lineno)
-            b.current = b._fresh()  # fall-through is dead unless labeled
+            b.jump(toks[1:], lineno)
             continue
         if toks[0] == "once" and len(toks) == 2:
             o = toks[1]

@@ -329,6 +329,35 @@ def test_solver_divergence_exit_two(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("src,line", [
+    ("global g\n\nmain:\n  g = 1\n  goto L\n", "line 5:1: goto to label 'L', never placed in 'main'"),
+    ("global g\n\nmain:\n  label L\n  g = 1\n  label L\n",
+     "line 6:1: label 'L' placed twice in 'main' (first at line 4)"),
+], ids=["unplaced", "placed-twice"])
+@pytest.mark.parametrize("command", ["analyze", "ablate", "oracle"])
+def test_bad_label_exit_two(capsys, tmp_path, command, src, line):
+    path = tmp_path / "p.rlp"
+    path.write_text(src, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", rlp("prog1_running_example")),
+    ("ablate", rlp("prog1_running_example")),
+    ("conform", str(CORPUS_DIR)),
+], ids=["analyze", "ablate", "conform"])
+def test_internal_failure_exit_two(capsys, monkeypatch, argv):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver state lost")
+
+    monkeypatch.setattr(racedigest.solver, "solve", broken)
+    monkeypatch.setattr(racedigest.conformance, "solve", broken)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: internal: RuntimeError: solver state lost\n")
+
+
 def test_reports_do_not_depend_on_hash_seed():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     prog = rlp("prog1_running_example")

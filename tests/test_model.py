@@ -244,6 +244,34 @@ def test_unterminated_once_block():
         parse_program("once o\n\nmain:\n  once o\n    skip\n")
 
 
+
+def _syntax_error(src: str) -> DslSyntaxError:
+    with pytest.raises(DslSyntaxError) as info:
+        parse_program(src)
+    return info.value
+
+
+def test_goto_to_an_unplaced_label_rejected():
+    err = _syntax_error("global g\n\nmain:\n  g = 1\n  goto L\n")
+    assert err.line == 5 and "'L'" in str(err)
+    # each prototype places its own labels
+    err = _syntax_error("main:\n  label L\n  create t\n\nt:\n  skip\n  goto L\n\nu:\n  skip\n")
+    assert err.line == 7
+    # a fork names every target; the first unplaced one is reported
+    err = _syntax_error("main:\n  label A\n  goto A B\n  goto C\n")
+    assert err.line == 3 and "'B'" in str(err)
+
+
+def test_label_placed_twice_rejected():
+    err = _syntax_error("global g\n\nmain:\n  label L\n  g = 1\n  label L\n  goto L\n")
+    assert err.line == 6 and "line 4" in str(err)
+
+
+def test_labels_used_before_and_after_their_goto_parse():
+    src = "global g\n\nmain:\n  goto L\n  label B\n  g = 1\n  label L\n  goto B L2\n  label L2\n"
+    assert parse_program(src).prototypes["main"].edges
+
+
 def test_parse_error_carries_line():
     try:
         parse_program("main:\n  frobnicate everything\n")
