@@ -115,15 +115,35 @@ class ProductDigest(Digest):
         parts = [sorted(c.init_digests(), key=c.format_elem) for c in self.components]
         return frozenset(itertools.product(*parts))
 
+    # Each step is the tuple of the component steps, or None at the first
+    # None, calling no later component.
+
     def new_digest(self, elem, create_edge: Edge):
-        return _defined(c.new_digest(e, create_edge) for c, e in zip(self.components, elem))
+        out = []
+        for c, e in zip(self.components, elem):
+            v = c.new_digest(e, create_edge)
+            if v is None:
+                return None
+            out.append(v)
+        return tuple(out)
 
     def step_local(self, act: Action, elem):
-        return _defined(c.step_local(act, e) for c, e in zip(self.components, elem))
+        out = []
+        for c, e in zip(self.components, elem):
+            v = c.step_local(act, e)
+            if v is None:
+                return None
+            out.append(v)
+        return tuple(out)
 
     def step_observing(self, act: Action, elem0, elem1):
-        return _defined(c.step_observing(act, e0, e1)
-                        for c, e0, e1 in zip(self.components, elem0, elem1))
+        out = []
+        for c, e0, e1 in zip(self.components, elem0, elem1):
+            v = c.step_observing(act, e0, e1)
+            if v is None:
+                return None
+            out.append(v)
+        return tuple(out)
 
     def observed_view(self, act: Action, elem1):
         return tuple(c.observed_view(act, e) for c, e in zip(self.components, elem1))
@@ -140,17 +160,6 @@ class ProductDigest(Digest):
 
     def format_elem(self, elem) -> str:
         return "(" + " | ".join(c.format_elem(e) for c, e in zip(self.components, elem)) + ")"
-
-
-def _defined(values) -> tuple | None:
-    """The tuple of ``values``, or None at the first None, computing none
-    of the values after it."""
-    out = []
-    for v in values:
-        if v is None:
-            return None
-        out.append(v)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ is the ego thread.  Every per-mutex chain alternates init/unlock with at most
 one following lock, which the step functions enforce when merging two local
 traces at an observing action.  Thread instances are named by their
 creation history (``model.InstanceId``).
+
+The events and deps of one trace set are interned in one ``EventTable``;
+pomsets and local traces are pairs of bitmasks over its ids.
 """
 
 from __future__ import annotations
@@ -64,34 +67,143 @@ class DepEdge:
     dst: Event
 
 
-def _members(mask: int, table: list) -> frozenset:
-    """The entries of ``table`` at the set bits of ``mask``."""
-    return frozenset(table[i] for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _members(mask: int, items: list) -> frozenset:
+    """The entries of ``items`` at the set bits of ``mask``: the one place
+    an event or dep set is built from a mask."""
+    return frozenset(items[i] for i in _bits(mask))
+
+
+def _ranks(keys: list) -> list:
+    """Each key's position among the distinct keys in sorted order (None
+    stays None): comparing ranks compares the keys."""
+    order = {k: r for r, k in enumerate(sorted({k for k in keys if k is not None}))}
+    return [None if k is None else order[k] for k in keys]
+
+
+class EventTable:
+    """The interned events and dep edges of one trace set.  An item's id is
+    its position in ``events`` or ``deps``, and an event or dep set is a
+    bitmask over the ids.  The enumerator interns what it reaches and the
+    step functions what they add, so the table only grows.
+
+    For the merge checks of ``trace_step_observing`` the table keeps groups:
+    per event its slot, the events at one (instance, index); per mutex, once
+    and join dep its source key (source, kind, label) and target key
+    (target, kind), the deps sharing it.  ``closures`` holds one local trace
+    per distinct closure of the pomsets."""
+
+    def __init__(self, p: Program):
+        self.program = p
+        self.events: list[Event] = []
+        self.deps: list[DepEdge] = []
+        self.ids: dict[Event | DepEdge, int] = {}  # position in events or deps
+        self.steps: dict[tuple[int, Edge], int] = {}  # (prev id, edge) -> event id
+        self.dep_sources: list[int] = []  # per dep, the id of its source event
+        self.dep_targets: list[int] = []  # per dep, the id of its target event
+        self.slots: dict[tuple, int] = {}  # (instance, index) -> slot
+        self.slot: list[int] = []  # per event, its slot
+        self.slot_events: list[int] = []  # per slot, the mask of its events
+        self.keys: dict[tuple, int] = {}  # (source id, kind, label) or (target id, kind) -> key
+        self.dep_keys: list[tuple[int, int] | None] = []  # per dep, its source and target key
+        self.key_deps: list[int] = []  # per key, the mask of its deps
+        self.closures: dict[tuple[int, int], LocalTrace] = {}
+        self._ranks: tuple | None = None
+
+    def event_id(self, e: Event) -> int:
+        i = self.ids.get(e)
+        if i is None:
+            i = self.ids[e] = len(self.events)
+            self.events.append(e)
+            self.slot.append(_group(self.slots, self.slot_events, (e.instance, e.index), 1 << i))
+        return i
+
+    def dep_id(self, d: DepEdge) -> int:
+        """The id of ``d``, whose source and target are interned."""
+        i = self.ids.get(d)
+        if i is None:
+            i = self.ids[d] = len(self.deps)
+            self.deps.append(d)
+            src, dst = self.ids[d.src], self.ids[d.dst]
+            self.dep_sources.append(src)
+            self.dep_targets.append(dst)
+            if d.kind == "create":
+                self.dep_keys.append(None)
+            else:
+                self.dep_keys.append((
+                    _group(self.keys, self.key_deps, (src, d.kind, d.label), 1 << i),
+                    _group(self.keys, self.key_deps, (dst, d.kind), 1 << i)))
+        return i
+
+    def step(self, prev: int, edge: Edge) -> int:
+        """The event reached from event ``prev`` by taking ``edge``."""
+        key = (prev, edge)
+        if key not in self.steps:
+            p = self.events[prev]
+            self.steps[key] = self.event_id(
+                Event(p.instance, p.index + 1, p.proto, edge.target, edge))
+        return self.steps[key]
+
+    def sort_ranks(self) -> tuple[list, list, list]:
+        """Per event the rank of its configuration key and of its edge key
+        (None at a start), per dep the rank of its key, among the table's:
+        what ``Pomset.sort_key`` is built from.  Made on first use, which
+        follows the enumeration that interned every pomset's events."""
+        if self._ranks is None:
+            configs = [(e.sort_key(), e.node) for e in self.events]
+            edges = [None if e.edge is None else
+                     (e.sort_key(), e.edge.source, e.action.kind, fmt_action(e.action))
+                     for e in self.events]
+            deps = [(d.src.sort_key(), d.dst.sort_key(), d.kind) for d in self.deps]
+            self._ranks = (_ranks(configs), _ranks(edges), _ranks(deps))
+        return self._ranks
+
+
+def _group(groups: dict, masks: list, key: tuple, bit: int) -> int:
+    """The group of ``key``, made if new, with ``bit`` added to its mask."""
+    g = groups.get(key)
+    if g is None:
+        g = groups[key] = len(masks)
+        masks.append(0)
+    masks[g] |= bit
+    return g
 
 
 class CausalIndex:
-    """The causality order of one event set, built in one topological pass:
-    per event (numbered in ``sort_key`` order) its program-order predecessor,
-    incoming dependency and ancestor bitmask (reflexive-transitive, over
-    program order plus deps).  Raises ValueError on a cycle.  The history
-    of every event's closure is folded in one more pass, on first read."""
+    """The causality order of an event set of ``table`` (a pomset, or a
+    merge being checked), built in one topological pass: per event
+    (numbered in ``sort_key`` order) its program-order predecessor,
+    incoming dependency, and predecessors.  Raises ValueError on a cycle.
+    The closure of every event, its masks over the table and its history,
+    is folded in one more pass, on first read."""
 
-    def __init__(self, events, deps):
-        self.events = sorted(events, key=Event.sort_key)
-        self.ids = {e: i for i, e in enumerate(self.events)}
+    def __init__(self, table: EventTable, event_mask: int, dep_mask: int):
+        self.table = table
+        events = table.events
+        self.gids = sorted(_bits(event_mask), key=lambda g: events[g].sort_key())
+        self.events = [events[g] for g in self.gids]
+        local = {g: i for i, g in enumerate(self.gids)}
+        self.ids = dict(zip(self.events, range(len(self.events))))
         self.pred: list[int | None] = [None] * len(self.events)
         self.dep_in: list[DepEdge | None] = [None] * len(self.events)
         for i in range(1, len(self.events)):
             e, p = self.events[i], self.events[i - 1]
             if p.instance == e.instance and p.index == e.index - 1:
                 self.pred[i] = i - 1
-        # (predecessor id, the dep edge or None for program order) per event
+        # (predecessor id, the dep's table id or None for program order) per event
         self.preds = [[] if q is None else [(q, None)] for q in self.pred]
-        for d in deps:
-            dst, src = self.ids.get(d.dst), self.ids.get(d.src)
+        for d in _bits(dep_mask):
+            dst, src = local.get(table.dep_targets[d]), local.get(table.dep_sources[d])
             if dst is not None and src is not None:
                 self.preds[dst].append((src, d))
-                self.dep_in[dst] = self.dep_in[dst] or d
+                self.dep_in[dst] = self.dep_in[dst] or table.deps[d]
         waiting = [len(ps) for ps in self.preds]
         succs: list[list[int]] = [[] for _ in self.events]
         for i, ps in enumerate(self.preds):
@@ -105,73 +217,113 @@ class CausalIndex:
                     self.order.append(j)
         if len(self.order) < len(self.events):
             raise ValueError("cycle in causality order")
-        self.anc = self.ancestor_masks()
-        self._closures: dict[int, LocalTrace] = {}
-        self._histories: list[History] | None = None
+        self._closures: list[LocalTrace] | None = None
 
     def ancestor_masks(self, drop=None) -> list[int]:
-        """Ancestor bitmask per event id, ignoring the deps ``drop`` accepts.
-        Removing deps keeps ``order`` topological, so one pass suffices."""
+        """Ancestor bitmask per event id (reflexive-transitive, over program
+        order plus deps), ignoring the deps ``drop`` accepts.  Removing deps
+        keeps ``order`` topological, so one pass suffices."""
+        deps = self.table.deps
         anc = [0] * len(self.events)
         for i in self.order:
             mask = 1 << i
             for q, d in self.preds[i]:
-                if d is None or drop is None or not drop(d):
+                if d is None or drop is None or not drop(deps[d]):
                     mask |= anc[q]
             anc[i] = mask
         return anc
 
     def closure(self, i: int) -> LocalTrace:
-        """The local trace topped by event ``i``, built once.  The first
-        closure folds the history of every one."""
-        t = self._closures.get(i)
-        if t is None:
-            if self._histories is None:
-                self._histories = self._fold_histories()
-            past = self.anc[i]
-            deps = frozenset(d for j, ps in enumerate(self.preds) if past >> j & 1 for _, d in ps if d)
-            t = self._closures[i] = LocalTrace(_members(past, self.events), deps, self.events[i],
-                                               self._histories[i])
-        return t
+        """The local trace topped by event ``i``."""
+        return self.closures()[i]
 
-    def _fold_histories(self) -> list[History]:
-        """One pass over the causal order, predecessors first.  The ego's
-        events in a closure are its program-order prefix, so each event's
-        history extends its program-order predecessor's (``History.after``,
-        ``History.start``), reading that of its dependency's source."""
-        out: list = [None] * len(self.events)
+    def closures(self) -> list[LocalTrace]:
+        """The local trace of every event, by event id, folded once."""
+        if self._closures is None:
+            self._closures = self._fold_closures()
+        return self._closures
+
+    def _fold_closures(self) -> list[LocalTrace]:
+        """One pass over the causal order, predecessors first: an event's
+        closure masks are its own bit and its dep's over the union of its
+        predecessors' masks.  Equal closures of two pomsets are one object
+        of ``table.closures``.  The ego's events in a closure are its
+        program-order prefix, so a new closure's history extends its
+        program-order predecessor's (``History.after``, ``History.start``),
+        reading that of its dependency's source."""
+        table, events, canon = self.table, self.events, self.table.closures
+        out: list = [None] * len(events)
+        masks: list = [None] * len(events)
         for i in self.order:
-            q, dep = self.pred[i], self.dep_in[i]
-            src = out[self.ids[dep.src]] if dep is not None else None
-            out[i] = (History.start(src) if q is None
-                      else out[q].after(self.events[i].action, src, dep and dep.src.instance))
+            em, dm, src = 1 << self.gids[i], 0, None
+            for q, d in self.preds[i]:
+                qe, qd = masks[q]
+                em |= qe
+                dm |= qd
+                if d is not None:
+                    dm |= 1 << d
+                    src = q
+            key = masks[i] = (em, dm)
+            t = canon.get(key)
+            if t is None:
+                seen = out[src].history if src is not None else None
+                q = self.pred[i]
+                h = (History.start(seen) if q is None else out[q].history.after(
+                    events[i].action, seen, events[src].instance if src is not None else None))
+                t = canon[key] = LocalTrace(table, em, dm, events[i], h)
+            out[i] = t
         return out
 
 
-@dataclass(frozen=True)
 class Pomset:
-    """A complete (or bound-truncated) execution as a partial order."""
+    """A complete (or bound-truncated) execution as a partial order: the
+    masks of its events and deps over its trace set's ``table``.  Two
+    pomsets are equal when they hold the same masks of one table."""
 
-    events: frozenset[Event]
-    deps: frozenset[DepEdge]
+    __slots__ = ("table", "event_mask", "dep_mask", "_causality")
+
+    def __init__(self, table: EventTable, event_mask: int, dep_mask: int):
+        self.table = table
+        self.event_mask = event_mask
+        self.dep_mask = dep_mask
+        self._causality: CausalIndex | None = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pomset):
+            return NotImplemented
+        return (self.table is other.table and self.event_mask == other.event_mask
+                and self.dep_mask == other.dep_mask)
+
+    def __hash__(self) -> int:
+        return hash((self.event_mask, self.dep_mask))
+
+    @property
+    def events(self) -> frozenset[Event]:
+        return _members(self.event_mask, self.table.events)
+
+    @property
+    def deps(self) -> frozenset[DepEdge]:
+        return _members(self.dep_mask, self.table.deps)
 
     def causality(self) -> CausalIndex:
-        if "_causality" not in self.__dict__:
-            self.__dict__["_causality"] = CausalIndex(self.events, self.deps)
-        return self.__dict__["_causality"]
+        if self._causality is None:
+            self._causality = CausalIndex(self.table, self.event_mask, self.dep_mask)
+        return self._causality
 
-    def closure(self, top: Event) -> "LocalTrace":
+    def closure(self, top: Event) -> LocalTrace:
         idx = self.causality()
         return idx.closure(idx.ids[top])
 
     def sort_key(self) -> tuple:
         """Configurations, then the edges and deps that tell apart pomsets over
-        the same configurations: a total order, independent of the hash seed."""
-        edges = ((e.sort_key(), e.edge.source, e.action.kind, fmt_action(e.action))
-                 for e in self.events if e.edge is not None)
-        deps = ((d.src.sort_key(), d.dst.sort_key(), d.kind) for d in self.deps)
-        return (tuple(sorted((e.sort_key(), e.node) for e in self.events)),
-                tuple(sorted(edges)), tuple(sorted(deps)))
+        the same configurations: a total order, independent of the hash seed.
+        Each is the sorted tuple of the table's ranks of its members' keys
+        (``EventTable.sort_ranks``), so keys compare within one table."""
+        configs, edges, deps = self.table.sort_ranks()
+        evs = list(_bits(self.event_mask))
+        return (tuple(sorted([configs[i] for i in evs])),
+                tuple(sorted([edges[i] for i in evs if edges[i] is not None])),
+                tuple(sorted([deps[d] for d in _bits(self.dep_mask)])))
 
 
 _EMPTY: frozenset = frozenset()
@@ -233,18 +385,47 @@ class History:
 _START = History(_EMPTY, _EMPTY, (), _EMPTY, _EMPTY, _EMPTY)
 
 
-@dataclass(frozen=True)
 class LocalTrace:
-    """Downward-closed event set with the unique maximal event ``top``.
+    """Downward-closed event set with the unique maximal event ``top``: the
+    masks of its events and deps over ``table``.
 
     The ego thread is ``top.instance``; the trace is that thread's complete
-    knowledge of the computation, summed up in ``history``.
+    knowledge of the computation, summed up in ``history``.  Two traces are
+    equal when they hold the same masks of one table (the masks fix the
+    top); ``events`` and ``deps`` are built on each read.
     """
 
-    events: frozenset[Event]
-    deps: frozenset[DepEdge]
-    top: Event
-    history: History = field(compare=False)
+    __slots__ = ("table", "event_mask", "dep_mask", "top", "history", "_hash")
+
+    def __init__(self, table: EventTable, event_mask: int, dep_mask: int, top: Event,
+                 history: History):
+        self.table = table
+        self.event_mask = event_mask
+        self.dep_mask = dep_mask
+        self.top = top
+        self.history = history
+        self._hash = hash((event_mask, dep_mask))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LocalTrace):
+            return NotImplemented
+        return (self.table is other.table and self.event_mask == other.event_mask
+                and self.dep_mask == other.dep_mask)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"LocalTrace({self.top.describe()}, {self.event_mask.bit_count()} events, "
+                f"{self.dep_mask.bit_count()} deps)")
+
+    @property
+    def events(self) -> frozenset[Event]:
+        return _members(self.event_mask, self.table.events)
+
+    @property
+    def deps(self) -> frozenset[DepEdge]:
+        return _members(self.dep_mask, self.table.deps)
 
     @property
     def ego(self) -> InstanceId:
@@ -277,10 +458,11 @@ class Step:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """What the bounded enumeration produced: the maximal pomsets and whether
-    (and by which bounds) some branch was cut off."""
+    """What the bounded enumeration produced: the maximal pomsets over
+    ``table`` and whether (and by which bounds) some branch was cut off."""
 
     program: Program
+    table: EventTable = field(compare=False, repr=False)
     pomsets: frozenset[Pomset]
     truncated: bool
     depth: int
@@ -302,8 +484,7 @@ class TraceSet:
         order), so walks over the traces do not depend on the process."""
         if "_traces" not in self.__dict__:
             self.__dict__["_traces"] = tuple(dict.fromkeys(
-                idx.closure(i) for idx in map(Pomset.causality, self.sorted_pomsets())
-                for i in range(len(idx.events))))
+                t for pom in self.sorted_pomsets() for t in pom.causality().closures()))
         return self.__dict__["_traces"]
 
     def steps(self) -> tuple[Step, ...]:
@@ -317,40 +498,24 @@ class TraceSet:
         return self.__dict__["_steps"]
 
     def _derive_steps(self) -> tuple[Step, ...]:
-        canon = {t: t for t in self.traces}  # equal closures of two pomsets become one
         steps: dict[tuple, Step] = {}
         for pom in self.sorted_pomsets():
             idx = pom.causality()
+            closures = idx.closures()
             for i, e in enumerate(idx.events):
                 dep = idx.dep_in[i]
                 if e.edge is None:
                     if e.instance == MAIN:
                         continue
-                    before, observed = canon[idx.closure(idx.ids[dep.src])], None
+                    before, observed = closures[idx.ids[dep.src]], None
                     key = ("new", before, e.instance)
                 else:
-                    before = canon[idx.closure(idx.pred[i])]
-                    observed = (canon[idx.closure(idx.ids[dep.src])]
-                                if e.action.is_observing else None)
+                    before = closures[idx.pred[i]]
+                    observed = closures[idx.ids[dep.src]] if e.action.is_observing else None
                     key = (e.action, before, observed)
                 if key not in steps:
-                    steps[key] = Step(e, before, observed, canon[idx.closure(i)])
+                    steps[key] = Step(e, before, observed, closures[i])
         return tuple(steps.values())
-
-
-def _check_degrees(deps) -> bool:
-    """Each observable feeds at most one observer; each observer has one source."""
-    out_seen: set[tuple] = set()
-    in_seen: set[tuple] = set()
-    for d in deps:
-        if d.kind in ("mutex", "once", "join"):
-            okey = (d.src, d.kind, d.label)
-            ikey = (d.dst, d.kind)
-            if okey in out_seen or ikey in in_seen:
-                return False
-            out_seen.add(okey)
-            in_seen.add(ikey)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +552,10 @@ def trace_step_local(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None
     guard = _GUARDS.get(a.kind)
     if t.ego_node() != edge.source or (guard is not None and not guard(t.history, a.target)):
         return None
-    e = Event(t.ego, t.top.index + 1, t.top.proto, edge.target, edge)
-    return LocalTrace(t.events | {e}, t.deps, e, t.history.after(a))
+    table = t.table
+    e = table.step(table.ids[t.top], edge)
+    return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, table.events[e],
+                      t.history.after(a))
 
 
 def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
@@ -399,9 +566,11 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     occurrence = t.history.created.count(a.create_id)
     child: InstanceId = t.ego + ((a.create_id, occurrence),)
     proto = p.prototypes[a.target]
-    start = Event(child, 0, a.target, proto.start_node, None)
-    dep = DepEdge("create", None, t.top, start)
-    return LocalTrace(t.events | {start}, t.deps | {dep}, start, History.start(t.history))
+    table = t.table
+    start = table.event_id(Event(child, 0, a.target, proto.start_node, None))
+    dep = table.dep_id(DepEdge("create", None, t.top, table.events[start]))
+    return LocalTrace(table, t.event_mask | 1 << start, t.dep_mask | 1 << dep,
+                      table.events[start], History.start(t.history))
 
 
 def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
@@ -410,11 +579,15 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
 
     Returns None unless the traces agree on their shared past and the
     per-mutex/per-once/per-join pairing rules still hold after adding the
-    new dependency.
+    new dependency.  Each input is a trace, so the checks compare only what
+    ``t1`` adds with ``t0``, on the ids of their table.
     """
     act = edge.action
     if not act.is_observing:
         raise ValueError(f"{act.kind} is not an observing action")
+    table = t0.table
+    if t1.table is not table:
+        raise ValueError("the traces belong to two trace sets")
     if t0.ego_node() != edge.source:
         return None
     top1 = t1.top
@@ -427,61 +600,55 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
         if top1.instance != t0.ego + ((act.target, count - 1),):
             return None
 
-    events = t0.events | t1.events
-    by_key: dict[tuple, Event] = {}
-    for ev in events:
-        key = (ev.instance, ev.index)
-        if key in by_key:
-            return None  # the two pasts disagree
-        by_key[key] = ev
-        if ev.instance == t0.ego and ev.index > t0.top.index:
-            return None  # observed trace runs ahead of the ego thread
+    em0, dm0, em1, dm1 = t0.event_mask, t0.dep_mask, t1.event_mask, t1.dep_mask
+    ego, events, slot, slot_events = t0.ego, table.events, table.slot, table.slot_events
+    for x in _bits(em1 & ~em0):
+        # an event of the ego's past or past its top, or a second event at
+        # a slot of t0's: the two pasts disagree
+        if events[x].instance == ego or slot_events[slot[x]] & em0:
+            return None
+    # each observable feeds at most one observer; each observer has one source
+    key_deps = table.key_deps
+    for d in _bits(dm1 & ~dm0):
+        keys = table.dep_keys[d]
+        if keys is not None and (key_deps[keys[0]] & dm0 or key_deps[keys[1]] & dm0):
+            return None
+    deps = dm0 | dm1
+    kind = _DEP_KIND[act.kind]
     label = act.target if act.kind in ("lock", "startO") else None
-    new = Event(t0.ego, t0.top.index + 1, t0.top.proto, edge.target, edge)
-    deps = t0.deps | t1.deps | {DepEdge(_DEP_KIND[act.kind], label, top1, new)}
-    all_events = events | {new}
-    if not _check_degrees(deps):
+    # the new dep's source key: the observed top feeds no observer yet
+    fed = table.keys.get((table.ids[top1], kind, label))
+    if fed is not None and key_deps[fed] & deps:
         return None
-    try:
-        CausalIndex(all_events, deps)
-    except ValueError:
-        return None  # cyclic
+    if _crossing(table, em0, dm0, em1, dm1):
+        try:
+            CausalIndex(table, em0 | em1, deps)
+        except ValueError:
+            return None  # cyclic
+    new = table.step(table.ids[t0.top], edge)
+    dep = table.dep_id(DepEdge(kind, label, top1, events[new]))
     # with the degrees checked, t0 and t1 stay the closures of their tops
-    return LocalTrace(all_events, deps, new, t0.history.after(act, t1.history, t1.ego))
+    return LocalTrace(table, em0 | em1 | 1 << new, deps | 1 << dep, events[new],
+                      t0.history.after(act, t1.history, t1.ego))
+
+
+def _crossing(table: EventTable, em0: int, dm0: int, em1: int, dm1: int) -> bool:
+    """Whether a dep of one trace targets an event of the other without
+    being a dep of it.  Otherwise every event of the union has the
+    predecessors it has in a trace holding it, so a cycle of the union
+    would lie in one acyclic trace; the new event of a merge has no
+    successor."""
+    targets = table.dep_targets
+    return (any(em0 >> targets[d] & 1 for d in _bits(dm1 & ~dm0))
+            or any(em1 >> targets[d] & 1 for d in _bits(dm0 & ~dm1)))
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive bounded enumeration
 # ---------------------------------------------------------------------------
 
-# Events and dep edges get small-int ids per enumeration; an instance's local
-# trace is then (top, history): the id of its top event and what it knows.
-
-class _Ids:
-    """The interned events and dep edges of one enumeration."""
-
-    def __init__(self, p: Program):
-        self.program = p
-        self.events: list[Event] = []
-        self.deps: list[DepEdge] = []
-        self.ids: dict[Event | DepEdge, int] = {}  # position in events or deps
-        self.steps: dict[tuple[int, Edge], int] = {}  # (prev id, edge) -> event id
-
-    def of(self, item: Event | DepEdge) -> int:
-        if item not in self.ids:
-            table = self.events if isinstance(item, Event) else self.deps
-            self.ids[item] = len(table)
-            table.append(item)
-        return self.ids[item]
-
-    def step(self, prev: int, edge: Edge) -> int:
-        """The event reached from event ``prev`` by taking ``edge``."""
-        key = (prev, edge)
-        if key not in self.steps:
-            p = self.events[prev]
-            self.steps[key] = self.of(Event(p.instance, p.index + 1, p.proto, edge.target, edge))
-        return self.steps[key]
-
+# An instance's local trace is (top, history): the id of its top event in
+# the enumeration's table and what it knows.
 
 @dataclass(slots=True)
 class _State:
@@ -518,13 +685,13 @@ def _guard_ok(s: _State, instance: InstanceId, edge: Edge) -> bool:
     return guard is None or guard(s.last[instance][1], a.target)
 
 
-def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> _State:
+def _apply(table: EventTable, s: _State, instance: InstanceId, edge: Edge) -> _State:
     """Execute one enabled edge; returns the successor state."""
     ns = s.copy()
     a = edge.action
     kind = a.kind
     prev, h = s.last[instance]
-    ev = ids.step(prev, edge)
+    ev = table.step(prev, edge)
     src = None
     if kind == "lock":
         src = ns.mutex.pop(a.target)
@@ -534,8 +701,8 @@ def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> _State:
         src = ns.exited.pop(s.created[(instance, a.target)])
     if src is not None:
         label = a.target if kind != "join" else None
-        observed = ids.events[src[0]]
-        ns.deps |= 1 << ids.of(DepEdge(_DEP_KIND[kind], label, observed, ids.events[ev]))
+        observed = table.events[src[0]]
+        ns.deps |= 1 << table.dep_id(DepEdge(_DEP_KIND[kind], label, observed, table.events[ev]))
         trace = (ev, h.after(a, src[1], observed.instance))
     else:
         trace = (ev, h.after(a))
@@ -551,10 +718,11 @@ def _apply(ids: _Ids, s: _State, instance: InstanceId, edge: Edge) -> _State:
         last = s.created.get((instance, a.create_id))
         child: InstanceId = instance + ((a.create_id, last[-1][1] + 1 if last else 0),)
         ns.created[(instance, a.create_id)] = child
-        proto = ids.program.prototypes[a.target]
-        start = ids.of(Event(child, 0, a.target, proto.start_node, None))
+        proto = table.program.prototypes[a.target]
+        start = table.event_id(Event(child, 0, a.target, proto.start_node, None))
         # the child depends on the creator's last configuration before create
-        ns.deps |= 1 << ids.of(DepEdge("create", None, ids.events[prev], ids.events[start]))
+        ns.deps |= 1 << table.dep_id(
+            DepEdge("create", None, table.events[prev], table.events[start]))
         ns.events |= 1 << start
         ns.last[child] = (start, History.start(h))
     return ns
@@ -597,22 +765,21 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     found = _explore(p, depth, width, reduce=True)
     if found is None:
         found = _explore(p, depth, width, reduce=False)
-    ids, pomsets, blocked = found
+    table, pomsets, blocked = found
     return TraceSet(
-        p, frozenset(Pomset(_members(evs, ids.events), _members(deps, ids.deps))
-                     for evs, deps in pomsets),
+        p, table, frozenset(Pomset(table, evs, deps) for evs, deps in pomsets),
         bool(blocked), depth, width, truncated_by=tuple(sorted(blocked)),
     )
 
 
 def _explore(p: Program, depth: int, width: int, reduce: bool):
-    """The interned events, the terminal (events, deps) masks and the bounds
-    that blocked a step; with ``reduce``, only a persistent set is taken at
-    each state (see enumerate_traces), and None is returned as soon as the
-    depth bound blocks a step."""
-    ids = _Ids(p)
+    """The table of interned events, the terminal (events, deps) masks and
+    the bounds that blocked a step; with ``reduce``, only a persistent set is
+    taken at each state (see enumerate_traces), and None is returned as soon
+    as the depth bound blocks a step."""
+    table = EventTable(p)
     main = p.main()
-    start = ids.of(Event(MAIN, 0, p.main_label, main.start_node, None))
+    start = table.event_id(Event(MAIN, 0, p.main_label, main.start_node, None))
     init = _State({MAIN: (start, _START)}, {}, {}, {}, {}, 1, 0)
     pomsets: set[tuple[int, int]] = set()
     blocked: set[str] = set()
@@ -630,7 +797,7 @@ def _explore(p: Program, depth: int, width: int, reduce: bool):
         enabled: list[tuple[InstanceId, Edge]] = []
         mover = None
         for instance in sorted(s.last):
-            node = ids.events[s.last[instance][0]].node
+            node = table.events[s.last[instance][0]].node
             for edge in edges_from.get(node, ()):
                 if not _guard_ok(s, instance, edge):
                     continue
@@ -649,11 +816,11 @@ def _explore(p: Program, depth: int, width: int, reduce: bool):
         elif mover is not None:
             enabled = [(i, edge) for i, edge in enabled if i == mover]
         for instance, edge in enabled:
-            ns = _apply(ids, s, instance, edge)
+            ns = _apply(table, s, instance, edge)
             if (ns.events, ns.deps) not in visited:
                 visited.add((ns.events, ns.deps))
                 stack.append(ns)
-    return ids, pomsets, blocked
+    return table, pomsets, blocked
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +859,9 @@ def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
 def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
                                site_a: str, site_b: str) -> bool:
     """Both orders of the two access sequences are executable from some pair
-    of prefix traces and some trace ending in an unlock/init of ``m_g``."""
+    of prefix traces and some trace ending in an unlock/init of ``m_g``.
+    Each run of a sequence from a pair of traces is taken once per trace
+    set: the runs are kept on ``ts`` for every later pair of sites."""
     seq_a = access_sequence(p, site_a)
     seq_b = access_sequence(p, site_b)
     mg = atomicity_mutex(glob)
@@ -705,15 +874,19 @@ def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
         and t.top.action.obs_key() in (("unlock", mg), ("init", mg))
     ]
 
+    runs = ts.__dict__.setdefault("_runs", {})  # (sequence, t0, t1) -> its end, or None
+
     def run(seq, t0: LocalTrace, t1: LocalTrace) -> LocalTrace | None:
-        lock_e, acc_e, unl_e = seq
-        r = trace_step_observing(p, lock_e, t0, t1)
-        if r is None:
-            return None
-        r = trace_step_local(p, acc_e, r)
-        if r is None:
-            return None
-        return trace_step_local(p, unl_e, r)
+        key = (seq, t0, t1)
+        if key not in runs:
+            lock_e, acc_e, unl_e = seq
+            r = trace_step_observing(p, lock_e, t0, t1)
+            if r is not None:
+                r = trace_step_local(p, acc_e, r)
+            if r is not None:
+                r = trace_step_local(p, unl_e, r)
+            runs[key] = r
+        return runs[key]
 
     # one witness triple (ta, tb, tl) must admit both orders
     for tl in landings:

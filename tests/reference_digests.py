@@ -13,7 +13,7 @@ from racedigest.oracle import CausalIndex, LocalTrace
 def completed_at(t: LocalTrace) -> frozenset:
     """Completed-set knowledge flows only along program order, thread
     creation, and once observations; other merges discard it."""
-    idx = CausalIndex(t.events, t.deps)
+    idx = CausalIndex(t.table, t.event_mask, t.dep_mask)
     done: list[frozenset] = [frozenset()] * len(idx.events)
     for i in idx.order:  # causal order: predecessors first
         a, dep = idx.events[i].action, idx.dep_in[i]

@@ -2,18 +2,59 @@
 were interned: states hold frozensets of events and dep edges and a past
 per event, local traces are collected per state, and ancestry is the
 repeat-until-stable ``ancestors`` loop.  Kept only as the reference the
-interned oracle, which derives its traces from the pomsets, is compared
-against.  Also the scan-based walks over one pomset (program-order
-predecessor, incoming dependency), the history of a trace read off its
-events and deps by definition, the creator's own step over a create edge
-and the structural check of a local trace, which only tests use."""
+interned oracle, which derives its traces from the pomsets and holds each
+as bitmasks over one table, is compared against by content: pomsets and
+traces here are frozensets of events and deps.  Also the scan-based walks
+over one pomset (program-order predecessor, incoming dependency), the
+history of a trace read off its events and deps by definition, the
+creator's own step over a create edge, the merge at an observing edge on
+frozensets and the structural check of a local trace, which only tests
+use."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from racedigest.model import MAIN, READ, WRITE, Edge, InstanceId, Program, atomicity_mutex
-from racedigest.oracle import DepEdge, Event, History, LocalTrace, Pomset, RacePair, TraceSet
+from racedigest.oracle import DepEdge, Event, History, LocalTrace, RacePair
+
+
+@dataclass(frozen=True)
+class Pomset:
+    events: frozenset
+    deps: frozenset
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A local trace as its event and dep sets."""
+
+    events: frozenset
+    deps: frozenset
+    top: Event
+    history: History = field(compare=False)
+
+    @property
+    def ego(self) -> InstanceId:
+        return self.top.instance
+
+    def ego_node(self) -> str:
+        return self.top.node
+
+
+@dataclass(frozen=True)
+class Enumeration:
+    pomsets: frozenset
+    truncated: bool
+    traces: frozenset
+
+
+def content(x) -> tuple:
+    """What a pomset or local trace holds, of either oracle: its events and
+    deps, and a trace's top and history."""
+    if hasattr(x, "top"):
+        return (x.events, x.deps, x.top, x.history)
+    return (x.events, x.deps)
 
 
 def ancestors(events, deps) -> dict[Event, frozenset[Event]]:
@@ -45,11 +86,11 @@ def ancestors(events, deps) -> dict[Event, frozenset[Event]]:
     return out
 
 
-def pomset_ancestors(pom: Pomset) -> dict:
+def pomset_ancestors(pom) -> dict:
     return ancestors(pom.events, pom.deps)
 
 
-def po_pred(pom: Pomset, e: Event) -> Event | None:
+def po_pred(pom, e: Event) -> Event | None:
     if e.index == 0:
         return None
     for ev in pom.events:
@@ -58,14 +99,14 @@ def po_pred(pom: Pomset, e: Event) -> Event | None:
     raise ValueError(f"missing program-order predecessor of {e.describe()}")
 
 
-def dep_to(pom: Pomset, e: Event) -> DepEdge | None:
+def dep_to(pom, e: Event) -> DepEdge | None:
     for d in pom.deps:
         if d.dst == e:
             return d
     return None
 
 
-def sorted_events(pom: Pomset) -> list[Event]:
+def sorted_events(pom) -> list[Event]:
     return sorted(pom.events, key=Event.sort_key)
 
 
@@ -118,21 +159,24 @@ def history(events, deps, top: Event) -> History:
     )
 
 
-def closure(pom: Pomset, top: Event, anc: dict | None = None) -> LocalTrace:
+def closure(pom, top: Event, anc: dict | None = None) -> Trace:
     past = frozenset((anc or pomset_ancestors(pom))[top])
     deps = frozenset(d for d in pom.deps if d.dst in past)
-    return LocalTrace(past, deps, top, history(past, deps, top))
+    return Trace(past, deps, top, history(past, deps, top))
 
 
 def step_creator(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
-    """Prolong the creating thread itself over its create edge."""
+    """Prolong the creating thread itself over its create edge, interning
+    the event it adds in the table of ``t``."""
     if edge.action.kind != "create" or t.ego_node() != edge.source:
         return None
-    e = Event(t.ego, t.top.index + 1, t.top.proto, edge.target, edge)
-    return LocalTrace(t.events | {e}, t.deps, e, t.history.after(edge.action))
+    table = t.table
+    e = table.step(table.ids[t.top], edge)
+    return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, table.events[e],
+                      t.history.after(edge.action))
 
 
-def validate_local_trace(t: LocalTrace) -> None:
+def validate_local_trace(t) -> None:
     """Assert the structural trace invariants; raises ValueError on violation."""
     ancestors(t.events, t.deps)  # raises on cycles
     by_key = {(e.instance, e.index): e for e in t.events}
@@ -155,6 +199,43 @@ def validate_local_trace(t: LocalTrace) -> None:
                     "an observable feeds two observers or an observer has two sources")
             sources.add((d.src, d.kind, d.label))
             observers.add((d.dst, d.kind))
+
+
+def step_observing(p: Program, edge: Edge, t0, t1) -> Trace | None:
+    """The merge of ``t1`` into ``t0`` at an observing edge as it stood on
+    frozensets: the union of the event and dep sets prolonged by the new
+    event, or None when the union holds two events at one (instance,
+    index), an event of the ego past its top, an observable feeding two
+    observers or an observer with two sources, or a cycle."""
+    act = edge.action
+    if t0.ego_node() != edge.source:
+        return None
+    top1 = t1.top
+    if top1.action is None or top1.action.obs_key() not in act.observed_keys():
+        return None
+    if act.kind == "join":
+        count = t0.history.created.count(act.target)
+        if top1.instance != t0.ego + ((act.target, count - 1),):
+            return None
+    events = t0.events | t1.events
+    slots = {(e.instance, e.index) for e in events}
+    if len(slots) < len(events):
+        return None
+    if any(e.instance == t0.ego and e.index > t0.top.index for e in events):
+        return None
+    kind = {"lock": "mutex", "startO": "once", "join": "join"}[act.kind]
+    new = Event(t0.ego, t0.top.index + 1, t0.top.proto, edge.target, edge)
+    deps = t0.deps | t1.deps | {
+        DepEdge(kind, act.target if act.kind != "join" else None, top1, new)}
+    observing = [d for d in deps if d.kind != "create"]
+    if (len({(d.src, d.kind, d.label) for d in observing}) < len(observing)
+            or len({(d.dst, d.kind) for d in observing}) < len(observing)):
+        return None
+    try:
+        ancestors(events | {new}, deps)
+    except ValueError:
+        return None
+    return Trace(events | {new}, deps, new, t0.history.after(act, t1.history, t1.ego))
 
 
 @dataclass
@@ -302,20 +383,20 @@ def _apply(p: Program, s: _State, instance: InstanceId, edge: Edge) -> tuple[_St
     return ns, new_events
 
 
-def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> tuple[TraceSet, frozenset]:
-    """The maximal execution pomsets and a flag telling whether any branch
-    was cut off by a bound, with all local traces reachable within the event
-    and instance bounds, collected per state."""
+def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> Enumeration:
+    """The maximal execution pomsets, a flag telling whether any branch was
+    cut off by a bound, and all local traces reachable within the event and
+    instance bounds, collected per state."""
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
     init = _initial_state(p)
-    traces: set[LocalTrace] = set()
+    traces: set[Trace] = set()
     pomsets: set[tuple] = set()
     truncated = False
     visited: set[tuple] = set()
 
-    init_trace = LocalTrace(init.events, init.deps, init.last[MAIN],
-                            history(init.events, init.deps, init.last[MAIN]))
+    init_trace = Trace(init.events, init.deps, init.last[MAIN],
+                       history(init.events, init.deps, init.last[MAIN]))
     traces.add(init_trace)
 
     stack = [init]
@@ -348,19 +429,14 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> tuple[Trace
             visited.add(key)
             for ev in new_events:
                 deps_in = frozenset(d for d in ns.deps if d.dst in ns.past[ev])
-                traces.add(LocalTrace(ns.past[ev], deps_in, ev, history(ns.past[ev], deps_in, ev)))
+                traces.add(Trace(ns.past[ev], deps_in, ev, history(ns.past[ev], deps_in, ev)))
             stack.append(ns)
 
-    return TraceSet(
-        program=p,
-        pomsets=frozenset(Pomset(ev, dp) for ev, dp in pomsets),
-        truncated=truncated,
-        depth=depth,
-        width=width,
-    ), frozenset(traces)
+    return Enumeration(frozenset(Pomset(ev, dp) for ev, dp in pomsets), truncated,
+                       frozenset(traces))
 
 
-def _access_events(pom: Pomset, glob: str | None = None) -> list[Event]:
+def _access_events(pom, glob: str | None = None) -> list[Event]:
     out = []
     for e in sorted(pom.events, key=Event.sort_key):
         a = e.action
@@ -374,11 +450,11 @@ def _site(e: Event) -> tuple[str, str]:
     return (e.edge.source, WRITE if e.action.kind == "write" else READ)
 
 
-def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
+def find_racy_pairs(found_by: Enumeration) -> frozenset[RacePair]:
     """Access pairs (>=1 write) left unordered once the order contributed by
     the accessed global's atomicity mutex is discarded."""
     found: set[RacePair] = set()
-    for pom in ts.sorted_pomsets():
+    for pom in found_by.pomsets:
         by_glob: dict[str, list[Event]] = {}
         for e in _access_events(pom):
             by_glob.setdefault(e.action.target, []).append(e)

@@ -254,11 +254,12 @@ def test_oracle_never_derives_local_traces(capsys, monkeypatch, case, bounds, co
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_oracle_never_folds_a_history(capsys, monkeypatch, fmt):
-    """Finding the racy pairs builds no closure, so no history is read."""
+    """Finding the racy pairs builds no closure, so no closure mask or
+    history is folded."""
     def fold(idx):
-        raise AssertionError("a history was folded")
+        raise AssertionError("the closures were folded")
 
-    monkeypatch.setattr(CausalIndex, "_fold_histories", fold)
+    monkeypatch.setattr(CausalIndex, "_fold_closures", fold)
     assert run(capsys, "oracle", rlp("prog0_unsync_writes"), "--format", fmt)[0] == 1
 
 

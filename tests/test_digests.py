@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from racedigest.digest import (
     ArityMismatch,
     ConfigError,
+    Digest,
     MhpVerdict,
     ProductDigest,
     abstraction_table,
@@ -301,6 +302,53 @@ def test_product_component_none_collapses():
     prod = ProductDigest(build_digests(["lockset", "once"]))
     elem = (frozenset(), (frozenset(), frozenset()))
     assert prod.step_local(Action("pos_ran", "o"), elem) is None
+
+
+class _Recording(Digest):
+    """Keeps every value and records each step it is asked for."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+
+    def new_digest(self, elem, create_edge):
+        self.calls.append("new")
+        return elem
+
+    def step_local(self, act, elem):
+        self.calls.append(act.kind)
+        return elem
+
+    def step_observing(self, act, elem0, elem1):
+        self.calls.append(act.kind)
+        return elem0
+
+
+class _Refusing(Digest):
+    name = "refusing"
+
+    def new_digest(self, elem, create_edge):
+        return None
+
+    def step_local(self, act, elem):
+        return None
+
+    def step_observing(self, act, elem0, elem1):
+        return None
+
+
+def test_product_steps_stop_at_the_first_none():
+    create = Edge("n0", Action("create", "t", create_id="c"), "n1")
+    steps = (lambda d: d.new_digest((0, 1), create), lambda d: d.step_local(UNLOCK_A, (0, 1)),
+             lambda d: d.step_observing(LOCK_A, (0, 1), (2, 3)))
+    for step in steps:
+        rec = _Recording()
+        assert step(ProductDigest((rec, rec))) == (0, 1)
+        assert len(rec.calls) == 2
+        rec.calls.clear()
+        assert step(ProductDigest((_Refusing(), rec))) is None and rec.calls == []
+        assert step(ProductDigest((rec, _Refusing()))) is None and len(rec.calls) == 1
 
 
 @given(st.lists(st.sampled_from([F, T]), min_size=1, max_size=5))

@@ -7,7 +7,6 @@ from racedigest.model import MAIN, access_sites, edge_path, instrument_atomicity
 from racedigest.oracle import (
     CausalIndex,
     DepEdge,
-    LocalTrace,
     bidirectionally_compatible,
     enumerate_traces,
     find_racy_pairs,
@@ -18,6 +17,7 @@ from racedigest.oracle import (
 
 from tests.conftest import GENERATED
 from tests.reference_oracle import (
+    Trace,
     dep_to,
     history,
     po_pred,
@@ -70,7 +70,7 @@ def test_observable_feeding_two_observers_is_rejected(prog1_traces):
     assert extra not in t.deps
     validate_local_trace(t)
     with pytest.raises(ValueError, match="two observers"):
-        validate_local_trace(LocalTrace(t.events, t.deps | {extra}, t.top, t.history))
+        validate_local_trace(Trace(t.events, t.deps | {extra}, t.top, t.history))
 
 
 def test_local_step_advances_access(prog1, prog1_traces):
