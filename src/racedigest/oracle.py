@@ -17,7 +17,10 @@ traces at an observing action.  Thread instances are named by their
 creation history (``model.InstanceId``).
 
 The events and deps of one trace set are interned in one ``EventTable``;
-pomsets and local traces are pairs of bitmasks over its ids.
+pomsets and local traces are pairs of bitmasks over its ids.  The
+enumerator holds each thread's local trace and takes each step with the
+code of the step functions, so it records every trace it reaches, with
+the step that made it, as it goes.
 """
 
 from __future__ import annotations
@@ -81,13 +84,6 @@ def _members(mask: int, items: list) -> frozenset:
     return frozenset(items[i] for i in _bits(mask))
 
 
-def _ranks(keys: list) -> list:
-    """Each key's position among the distinct keys in sorted order (None
-    stays None): comparing ranks compares the keys."""
-    order = {k: r for r, k in enumerate(sorted({k for k in keys if k is not None}))}
-    return [None if k is None else order[k] for k in keys]
-
-
 class EventTable:
     """The interned events and dep edges of one trace set.  An item's id is
     its position in ``events`` or ``deps``, and an event or dep set is a
@@ -98,10 +94,9 @@ class EventTable:
     per event its slot, the events at one (instance, index); per mutex, once
     and join dep its source key (source, kind, label) and target key
     (target, kind), the deps sharing it.  ``closures`` holds one local trace
-    per distinct closure of the pomsets."""
+    per closure the enumeration reached, in the order it reached them."""
 
-    def __init__(self, p: Program):
-        self.program = p
+    def __init__(self):
         self.events: list[Event] = []
         self.deps: list[DepEdge] = []
         self.ids: dict[Event | DepEdge, int] = {}  # position in events or deps
@@ -115,7 +110,6 @@ class EventTable:
         self.dep_keys: list[tuple[int, int] | None] = []  # per dep, its source and target key
         self.key_deps: list[int] = []  # per key, the mask of its deps
         self.closures: dict[tuple[int, int], LocalTrace] = {}
-        self._ranks: tuple | None = None
 
     def event_id(self, e: Event) -> int:
         i = self.ids.get(e)
@@ -151,20 +145,6 @@ class EventTable:
                 Event(p.instance, p.index + 1, p.proto, edge.target, edge))
         return self.steps[key]
 
-    def sort_ranks(self) -> tuple[list, list, list]:
-        """Per event the rank of its configuration key and of its edge key
-        (None at a start), per dep the rank of its key, among the table's:
-        what ``Pomset.sort_key`` is built from.  Made on first use, which
-        follows the enumeration that interned every pomset's events."""
-        if self._ranks is None:
-            configs = [(e.sort_key(), e.node) for e in self.events]
-            edges = [None if e.edge is None else
-                     (e.sort_key(), e.edge.source, e.action.kind, fmt_action(e.action))
-                     for e in self.events]
-            deps = [(d.src.sort_key(), d.dst.sort_key(), d.kind) for d in self.deps]
-            self._ranks = (_ranks(configs), _ranks(edges), _ranks(deps))
-        return self._ranks
-
 
 def _group(groups: dict, masks: list, key: tuple, bit: int) -> int:
     """The group of ``key``, made if new, with ``bit`` added to its mask."""
@@ -179,20 +159,16 @@ def _group(groups: dict, masks: list, key: tuple, bit: int) -> int:
 class CausalIndex:
     """The causality order of an event set of ``table`` (a pomset, or a
     merge being checked), built in one topological pass: per event
-    (numbered in ``sort_key`` order) its program-order predecessor,
-    incoming dependency, and predecessors.  Raises ValueError on a cycle.
-    The closure of every event, its masks over the table and its history,
-    is folded in one more pass, on first read."""
+    (numbered in ``sort_key`` order) its program-order predecessor and
+    predecessors.  Raises ValueError on a cycle."""
 
     def __init__(self, table: EventTable, event_mask: int, dep_mask: int):
         self.table = table
         events = table.events
-        self.gids = sorted(_bits(event_mask), key=lambda g: events[g].sort_key())
-        self.events = [events[g] for g in self.gids]
-        local = {g: i for i, g in enumerate(self.gids)}
-        self.ids = dict(zip(self.events, range(len(self.events))))
+        gids = sorted(_bits(event_mask), key=lambda g: events[g].sort_key())
+        self.events = [events[g] for g in gids]
+        local = {g: i for i, g in enumerate(gids)}
         self.pred: list[int | None] = [None] * len(self.events)
-        self.dep_in: list[DepEdge | None] = [None] * len(self.events)
         for i in range(1, len(self.events)):
             e, p = self.events[i], self.events[i - 1]
             if p.instance == e.instance and p.index == e.index - 1:
@@ -203,7 +179,6 @@ class CausalIndex:
             dst, src = local.get(table.dep_targets[d]), local.get(table.dep_sources[d])
             if dst is not None and src is not None:
                 self.preds[dst].append((src, d))
-                self.dep_in[dst] = self.dep_in[dst] or table.deps[d]
         waiting = [len(ps) for ps in self.preds]
         succs: list[list[int]] = [[] for _ in self.events]
         for i, ps in enumerate(self.preds):
@@ -217,7 +192,6 @@ class CausalIndex:
                     self.order.append(j)
         if len(self.order) < len(self.events):
             raise ValueError("cycle in causality order")
-        self._closures: list[LocalTrace] | None = None
 
     def ancestor_masks(self, drop=None) -> list[int]:
         """Ancestor bitmask per event id (reflexive-transitive, over program
@@ -232,47 +206,6 @@ class CausalIndex:
                     mask |= anc[q]
             anc[i] = mask
         return anc
-
-    def closure(self, i: int) -> LocalTrace:
-        """The local trace topped by event ``i``."""
-        return self.closures()[i]
-
-    def closures(self) -> list[LocalTrace]:
-        """The local trace of every event, by event id, folded once."""
-        if self._closures is None:
-            self._closures = self._fold_closures()
-        return self._closures
-
-    def _fold_closures(self) -> list[LocalTrace]:
-        """One pass over the causal order, predecessors first: an event's
-        closure masks are its own bit and its dep's over the union of its
-        predecessors' masks.  Equal closures of two pomsets are one object
-        of ``table.closures``.  The ego's events in a closure are its
-        program-order prefix, so a new closure's history extends its
-        program-order predecessor's (``History.after``, ``History.start``),
-        reading that of its dependency's source."""
-        table, events, canon = self.table, self.events, self.table.closures
-        out: list = [None] * len(events)
-        masks: list = [None] * len(events)
-        for i in self.order:
-            em, dm, src = 1 << self.gids[i], 0, None
-            for q, d in self.preds[i]:
-                qe, qd = masks[q]
-                em |= qe
-                dm |= qd
-                if d is not None:
-                    dm |= 1 << d
-                    src = q
-            key = masks[i] = (em, dm)
-            t = canon.get(key)
-            if t is None:
-                seen = out[src].history if src is not None else None
-                q = self.pred[i]
-                h = (History.start(seen) if q is None else out[q].history.after(
-                    events[i].action, seen, events[src].instance if src is not None else None))
-                t = canon[key] = LocalTrace(table, em, dm, events[i], h)
-            out[i] = t
-        return out
 
 
 class Pomset:
@@ -310,21 +243,6 @@ class Pomset:
             self._causality = CausalIndex(self.table, self.event_mask, self.dep_mask)
         return self._causality
 
-    def closure(self, top: Event) -> LocalTrace:
-        idx = self.causality()
-        return idx.closure(idx.ids[top])
-
-    def sort_key(self) -> tuple:
-        """Configurations, then the edges and deps that tell apart pomsets over
-        the same configurations: a total order, independent of the hash seed.
-        Each is the sorted tuple of the table's ranks of its members' keys
-        (``EventTable.sort_ranks``), so keys compare within one table."""
-        configs, edges, deps = self.table.sort_ranks()
-        evs = list(_bits(self.event_mask))
-        return (tuple(sorted([configs[i] for i in evs])),
-                tuple(sorted([edges[i] for i in evs if edges[i] is not None])),
-                tuple(sorted([deps[d] for d in _bits(self.dep_mask)])))
-
 
 _EMPTY: frozenset = frozenset()
 
@@ -346,11 +264,9 @@ class History:
     seen: frozenset[tuple[str, str]]
 
     @staticmethod
-    def start(creator: History | None) -> History:
-        """A thread's first history: main's knows nothing, a child's the
-        completions and events its creator knew before the create."""
-        if creator is None:
-            return _START
+    def start(creator: History) -> History:
+        """A child's first history: the completions and events its creator
+        knew before the create (main's first history is ``_START``)."""
         return History(_EMPTY, _EMPTY, (), creator.completed, _EMPTY, creator.seen)
 
     def after(self, a: Action, src: History | None = None,
@@ -444,11 +360,12 @@ class RacePair:
 
 @dataclass(frozen=True, slots=True)
 class Step:
-    """One concrete step of an enumerated pomset: taking ``event`` from the
+    """One concrete step of the enumeration: taking ``event`` from the
     trace ``before`` (observing the trace ``observed`` at a lock, startO or
-    join) reaches the trace ``after``.  In a new-thread step ``event`` is
-    the child's start, ``before`` the creator's trace before the create and
-    ``observed`` None."""
+    join) reaches the trace ``after``, which the search reached first by
+    this step.  In a new-thread step ``event`` is the child's start,
+    ``before`` the creator's trace before the create and ``observed``
+    None."""
 
     event: Event
     before: LocalTrace
@@ -459,7 +376,8 @@ class Step:
 @dataclass(frozen=True)
 class TraceSet:
     """What the bounded enumeration produced: the maximal pomsets over
-    ``table`` and whether (and by which bounds) some branch was cut off."""
+    ``table``, whether (and by which bounds) some branch was cut off, and
+    the local traces and steps the search recorded."""
 
     program: Program
     table: EventTable = field(compare=False, repr=False)
@@ -469,53 +387,23 @@ class TraceSet:
     width: int
     # the bounds ("depth", "width") that blocked some step, if truncated
     truncated_by: tuple[str, ...] = field(default=(), compare=False)
-
-    def sorted_pomsets(self) -> list[Pomset]:
-        if "_sorted_pomsets" not in self.__dict__:
-            self.__dict__["_sorted_pomsets"] = sorted(self.pomsets, key=Pomset.sort_key)
-        return list(self.__dict__["_sorted_pomsets"])
+    _traces: tuple[LocalTrace, ...] = field(default=(), compare=False, repr=False)
+    _steps: tuple[Step, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def traces(self) -> tuple[LocalTrace, ...]:
-        """Every reachable local trace, once each: the closure of each event
-        of each pomset (a reached state extends to a maximal one without
-        changing the past of its events).  Derived on first use, in a fixed
-        order (pomsets in ``sorted_pomsets`` order, events in ``sort_key``
-        order), so walks over the traces do not depend on the process."""
-        if "_traces" not in self.__dict__:
-            self.__dict__["_traces"] = tuple(dict.fromkeys(
-                t for pom in self.sorted_pomsets() for t in pom.causality().closures()))
-        return self.__dict__["_traces"]
+        """Every reachable local trace, once each: main's start, then each
+        trace in the order the search first reached it.  The search order
+        is fixed (instances sorted, edges in ``Program.all_edges`` order, a
+        last-in first-out stack), so walks over the traces do not depend on
+        the process."""
+        return self._traces
 
     def steps(self) -> tuple[Step, ...]:
-        """Every step of the pomsets but main's start, once per step key: a
-        new thread by (creator's trace, child instance), a local action by
-        (action, trace before) and an observing one by (action, trace
-        before, observed trace).  Built on first use, in pomset and event
-        order; the traces are those of ``traces``."""
-        if "_steps" not in self.__dict__:
-            self.__dict__["_steps"] = self._derive_steps()
-        return self.__dict__["_steps"]
-
-    def _derive_steps(self) -> tuple[Step, ...]:
-        steps: dict[tuple, Step] = {}
-        for pom in self.sorted_pomsets():
-            idx = pom.causality()
-            closures = idx.closures()
-            for i, e in enumerate(idx.events):
-                dep = idx.dep_in[i]
-                if e.edge is None:
-                    if e.instance == MAIN:
-                        continue
-                    before, observed = closures[idx.ids[dep.src]], None
-                    key = ("new", before, e.instance)
-                else:
-                    before = closures[idx.pred[i]]
-                    observed = closures[idx.ids[dep.src]] if e.action.is_observing else None
-                    key = (e.action, before, observed)
-                if key not in steps:
-                    steps[key] = Step(e, before, observed, closures[i])
-        return tuple(steps.values())
+        """The step that made each trace but main's start, in ``traces``
+        order: one per trace, as the masks of a trace fix its top event,
+        the trace before it and the observed one."""
+        return self._steps
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +440,7 @@ def trace_step_local(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None
     guard = _GUARDS.get(a.kind)
     if t.ego_node() != edge.source or (guard is not None and not guard(t.history, a.target)):
         return None
-    table = t.table
-    e = table.step(table.ids[t.top], edge)
-    return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, table.events[e],
-                      t.history.after(a))
+    return _extend(t, edge)
 
 
 def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
@@ -594,11 +479,8 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
     a1 = top1.action
     if a1 is None or a1.obs_key() not in act.observed_keys():
         return None
-    if act.kind == "join":
-        # the last child created through this edge; with none, no child matches
-        count = t0.history.created.count(act.target)
-        if top1.instance != t0.ego + ((act.target, count - 1),):
-            return None
+    if act.kind == "join" and top1.instance != _last_child(t0, act.target):
+        return None
 
     em0, dm0, em1, dm1 = t0.event_mask, t0.dep_mask, t1.event_mask, t1.dep_mask
     ego, events, slot, slot_events = t0.ego, table.events, table.slot, table.slot_events
@@ -625,11 +507,32 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
             CausalIndex(table, em0 | em1, deps)
         except ValueError:
             return None  # cyclic
-    new = table.step(table.ids[t0.top], edge)
-    dep = table.dep_id(DepEdge(kind, label, top1, events[new]))
     # with the degrees checked, t0 and t1 stay the closures of their tops
-    return LocalTrace(table, em0 | em1 | 1 << new, deps | 1 << dep, events[new],
-                      t0.history.after(act, t1.history, t1.ego))
+    return _extend(t0, edge, t1)
+
+
+def _extend(t: LocalTrace, edge: Edge, observed: LocalTrace | None = None) -> LocalTrace:
+    """``t`` prolonged by ``edge``, merged with ``observed`` at a lock,
+    startO or join: the new event and dep are interned, the masks ORed and
+    the history carried forward.  The caller has checked that the step may
+    be taken."""
+    table, a = t.table, edge.action
+    e = table.step(table.ids[t.top], edge)
+    top = table.events[e]
+    if observed is None:
+        return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, top, t.history.after(a))
+    label = a.target if a.kind != "join" else None
+    dep = table.dep_id(DepEdge(_DEP_KIND[a.kind], label, observed.top, top))
+    return LocalTrace(table, t.event_mask | observed.event_mask | 1 << e,
+                      t.dep_mask | observed.dep_mask | 1 << dep, top,
+                      t.history.after(a, observed.history, observed.ego))
+
+
+def _last_child(t: LocalTrace, create_id: str) -> InstanceId | None:
+    """The last instance the ego of ``t`` created through ``create_id``,
+    or None if it never took that edge."""
+    count = t.history.created.count(create_id)
+    return t.ego + ((create_id, count - 1),) if count else None
 
 
 def _crossing(table: EventTable, em0: int, dm0: int, em1: int, dm1: int) -> bool:
@@ -647,28 +550,21 @@ def _crossing(table: EventTable, em0: int, dm0: int, em1: int, dm1: int) -> bool
 # Exhaustive bounded enumeration
 # ---------------------------------------------------------------------------
 
-# An instance's local trace is (top, history): the id of its top event in
-# the enumeration's table and what it knows.
-
 @dataclass(slots=True)
 class _State:
     """One global configuration.  ``last`` holds each instance's local trace,
     whose top event is at the instance's node (an exit's node is a sink,
     validate_program); ``mutex`` (``once``) the trace a lock (startO) can
     observe, for each free mutex (ready once variable) only; ``exited``
-    the final trace of each instance not yet joined."""
+    the final trace of each instance not yet joined.  Every trace is the
+    table's object for its masks (``EventTable.closures``)."""
 
     last: dict
     mutex: dict
     once: dict
-    created: dict  # (instance, create id) -> the last child created there
     exited: dict
     events: int
     deps: int
-
-    def copy(self) -> "_State":
-        return _State(dict(self.last), dict(self.mutex), dict(self.once), dict(self.created),
-                      dict(self.exited), self.events, self.deps)
 
 
 def _guard_ok(s: _State, instance: InstanceId, edge: Edge) -> bool:
@@ -680,52 +576,58 @@ def _guard_ok(s: _State, instance: InstanceId, edge: Edge) -> bool:
     if kind == "startO":
         return a.target in s.once
     if kind == "join":
-        return s.created.get((instance, a.target)) in s.exited
+        return _last_child(s.last[instance], a.target) in s.exited
     guard = _GUARDS.get(kind)
-    return guard is None or guard(s.last[instance][1], a.target)
+    return guard is None or guard(s.last[instance].history, a.target)
 
 
-def _apply(table: EventTable, s: _State, instance: InstanceId, edge: Edge) -> _State:
-    """Execute one enabled edge; returns the successor state."""
-    ns = s.copy()
+def _apply(p: Program, s: _State, instance: InstanceId, edge: Edge,
+           made: list[Step]) -> _State:
+    """Execute one enabled edge; returns the successor state.  A trace
+    reached for the first time is kept, with the step that made it in
+    ``made``."""
+    ns = _State(dict(s.last), dict(s.mutex), dict(s.once), dict(s.exited), s.events, s.deps)
     a = edge.action
     kind = a.kind
-    prev, h = s.last[instance]
-    ev = table.step(prev, edge)
-    src = None
+    before = s.last[instance]
+    observed = None
     if kind == "lock":
-        src = ns.mutex.pop(a.target)
+        observed = ns.mutex.pop(a.target)
     elif kind == "startO":
-        src = ns.once.pop(a.target)
+        observed = ns.once.pop(a.target)
     elif kind == "join":
-        src = ns.exited.pop(s.created[(instance, a.target)])
-    if src is not None:
-        label = a.target if kind != "join" else None
-        observed = table.events[src[0]]
-        ns.deps |= 1 << table.dep_id(DepEdge(_DEP_KIND[kind], label, observed, table.events[ev]))
-        trace = (ev, h.after(a, src[1], observed.instance))
-    else:
-        trace = (ev, h.after(a))
+        observed = ns.exited.pop(_last_child(before, a.target))
+    after = _reach(made, before, observed, _extend(before, edge, observed))
+    ns.last[instance] = after
     if kind == "init" or kind == "unlock":
-        ns.mutex[a.target] = trace
+        ns.mutex[a.target] = after
     elif kind == "initO" or kind == "endO":
-        ns.once[a.target] = trace
-    ns.events |= 1 << ev
-    ns.last[instance] = trace
-    if kind == "exit":
-        ns.exited[instance] = trace
+        ns.once[a.target] = after
+    elif kind == "exit":
+        ns.exited[instance] = after
     elif kind == "create":
-        last = s.created.get((instance, a.create_id))
-        child: InstanceId = instance + ((a.create_id, last[-1][1] + 1 if last else 0),)
-        ns.created[(instance, a.create_id)] = child
-        proto = table.program.prototypes[a.target]
-        start = table.event_id(Event(child, 0, a.target, proto.start_node, None))
-        # the child depends on the creator's last configuration before create
-        ns.deps |= 1 << table.dep_id(
-            DepEdge("create", None, table.events[prev], table.events[start]))
-        ns.events |= 1 << start
-        ns.last[child] = (start, History.start(h))
+        child = _reach(made, before, None, spawn(p, edge, before))
+        ns.last[child.ego] = child
+        ns.events |= child.event_mask
+        ns.deps |= child.dep_mask
+    ns.events |= after.event_mask
+    ns.deps |= after.dep_mask
     return ns
+
+
+def _reach(made: list[Step], before: LocalTrace, observed: LocalTrace | None,
+           t: LocalTrace) -> LocalTrace:
+    """The table's object for the masks of ``t``, the trace a step from
+    ``before`` made: ``t`` itself, kept with its step, if no step made
+    them before."""
+    closures = t.table.closures
+    key = (t.event_mask, t.dep_mask)
+    known = closures.get(key)
+    if known is not None:
+        return known
+    closures[key] = t
+    made.append(Step(t.top, before, observed, t))
+    return t
 
 
 # The kinds of step an instance may take alone: while its next steps are all
@@ -737,8 +639,8 @@ _PERSISTENT_KINDS = frozenset({"skip", "read", "write", "pos_ran", "neg_ran", "u
 
 def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     """The maximal execution pomsets reachable within the event and instance
-    bounds, and which bounds, if any, cut off a branch.  The local traces
-    are derived from the pomsets (``TraceSet.traces``).
+    bounds, and which bounds, if any, cut off a branch, with every local
+    trace the search reached and the step that made it.
 
     A pomset stands for every interleaving of its events, so the search
     takes only a persistent set of steps at each state (Godefroid, LNCS
@@ -765,22 +667,28 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     found = _explore(p, depth, width, reduce=True)
     if found is None:
         found = _explore(p, depth, width, reduce=False)
-    table, pomsets, blocked = found
+    table, pomsets, blocked, made = found
     return TraceSet(
         p, table, frozenset(Pomset(table, evs, deps) for evs, deps in pomsets),
         bool(blocked), depth, width, truncated_by=tuple(sorted(blocked)),
+        _traces=tuple(table.closures.values()), _steps=tuple(made),
     )
 
 
 def _explore(p: Program, depth: int, width: int, reduce: bool):
-    """The table of interned events, the terminal (events, deps) masks and
-    the bounds that blocked a step; with ``reduce``, only a persistent set is
-    taken at each state (see enumerate_traces), and None is returned as soon
-    as the depth bound blocks a step."""
-    table = EventTable(p)
+    """The table of interned events, whose ``closures`` hold every local
+    trace reached, in search order; the terminal (events, deps) masks; the
+    bounds that blocked a step; and the step that made each trace but
+    main's start.  With ``reduce``, only a persistent set is taken at each
+    state (see enumerate_traces), and None is returned as soon as the depth
+    bound blocks a step."""
+    table = EventTable()
     main = p.main()
     start = table.event_id(Event(MAIN, 0, p.main_label, main.start_node, None))
-    init = _State({MAIN: (start, _START)}, {}, {}, {}, {}, 1, 0)
+    first = table.closures[(1 << start, 0)] = LocalTrace(
+        table, 1 << start, 0, table.events[start], _START)
+    init = _State({MAIN: first}, {}, {}, {}, 1 << start, 0)
+    made: list[Step] = []
     pomsets: set[tuple[int, int]] = set()
     blocked: set[str] = set()
     edges_from: dict[str, list[Edge]] = {}  # read per instance and state: a plain dict
@@ -797,7 +705,7 @@ def _explore(p: Program, depth: int, width: int, reduce: bool):
         enabled: list[tuple[InstanceId, Edge]] = []
         mover = None
         for instance in sorted(s.last):
-            node = table.events[s.last[instance][0]].node
+            node = s.last[instance].top.node
             for edge in edges_from.get(node, ()):
                 if not _guard_ok(s, instance, edge):
                     continue
@@ -816,11 +724,11 @@ def _explore(p: Program, depth: int, width: int, reduce: bool):
         elif mover is not None:
             enabled = [(i, edge) for i, edge in enabled if i == mover]
         for instance, edge in enabled:
-            ns = _apply(table, s, instance, edge)
+            ns = _apply(p, s, instance, edge, made)
             if (ns.events, ns.deps) not in visited:
                 visited.add((ns.events, ns.deps))
                 stack.append(ns)
-    return table, pomsets, blocked
+    return table, pomsets, blocked, made
 
 
 # ---------------------------------------------------------------------------
@@ -860,19 +768,17 @@ def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
                                site_a: str, site_b: str) -> bool:
     """Both orders of the two access sequences are executable from some pair
     of prefix traces and some trace ending in an unlock/init of ``m_g``.
-    Each run of a sequence from a pair of traces is taken once per trace
-    set: the runs are kept on ``ts`` for every later pair of sites."""
+    The traces are grouped and each run of a sequence from a pair of
+    traces is taken once per trace set: groups and runs are kept on ``ts``
+    for every later pair of sites."""
     seq_a = access_sequence(p, site_a)
     seq_b = access_sequence(p, site_b)
     mg = atomicity_mutex(glob)
 
-    starters_a = _sequence_starters(ts, seq_a)
-    starters_b = _sequence_starters(ts, seq_b)
-    landings = [
-        t for t in ts.traces
-        if t.top.action is not None
-        and t.top.action.obs_key() in (("unlock", mg), ("init", mg))
-    ]
+    by_node, by_mutex = _trace_groups(ts)
+    starters_a = by_node.get(seq_a[0].source, ())
+    starters_b = by_node.get(seq_b[0].source, ())
+    landings = by_mutex.get(mg, ())
 
     runs = ts.__dict__.setdefault("_runs", {})  # (sequence, t0, t1) -> its end, or None
 
@@ -903,6 +809,18 @@ def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
     return False
 
 
-def _sequence_starters(ts: TraceSet, seq) -> list[LocalTrace]:
-    lock_e = seq[0]
-    return [t for t in ts.traces if t.ego_node() == lock_e.source]
+def _trace_groups(ts: TraceSet) -> tuple[dict, dict]:
+    """The traces of ``ts`` by ego node, and those whose top is an unlock
+    or init by its mutex (what a lock can observe), each group in trace
+    order; made on the first call per trace set and kept on ``ts``."""
+    groups = ts.__dict__.get("_groups")
+    if groups is None:
+        by_node: dict[str, list[LocalTrace]] = {}
+        by_mutex: dict[str, list[LocalTrace]] = {}
+        for t in ts.traces:
+            by_node.setdefault(t.ego_node(), []).append(t)
+            a = t.top.action
+            if a is not None and a.kind in ("unlock", "init"):
+                by_mutex.setdefault(a.target, []).append(t)
+        groups = ts.__dict__["_groups"] = (by_node, by_mutex)
+    return groups

@@ -9,24 +9,29 @@ from racedigest.digests import _alpha_unique
 from racedigest.model import edge_path
 from racedigest.oracle import CausalIndex, LocalTrace
 
+from tests.reference_oracle import dep_to, po_pred
+
 
 def completed_at(t: LocalTrace) -> frozenset:
     """Completed-set knowledge flows only along program order, thread
     creation, and once observations; other merges discard it."""
     idx = CausalIndex(t.table, t.event_mask, t.dep_mask)
-    done: list[frozenset] = [frozenset()] * len(idx.events)
+    done: dict = {}
     for i in idx.order:  # causal order: predecessors first
-        a, dep = idx.events[i].action, idx.dep_in[i]
-        if idx.pred[i] is not None:
-            out = done[idx.pred[i]]
+        e = idx.events[i]
+        a, dep, pred = e.action, dep_to(t, e), po_pred(t, e)
+        if pred is not None:
+            out = done[pred]
             if a.kind == "endO":
                 out = out | {a.target}
             elif a.kind == "startO":
-                out = out | done[idx.ids[dep.src]]
-            done[i] = out
+                out = out | done[dep.src]
+            done[e] = out
         elif dep is not None and dep.kind == "create":
-            done[i] = done[idx.ids[dep.src]]
-    return done[idx.ids[t.top]]
+            done[e] = done[dep.src]
+        else:
+            done[e] = frozenset()
+    return done[t.top]
 
 
 def joined_of(t: LocalTrace, cap: int, instance=None, upto: int | None = None) -> frozenset:

@@ -2,14 +2,14 @@
 were interned: states hold frozensets of events and dep edges and a past
 per event, local traces are collected per state, and ancestry is the
 repeat-until-stable ``ancestors`` loop.  Kept only as the reference the
-interned oracle, which derives its traces from the pomsets and holds each
-as bitmasks over one table, is compared against by content: pomsets and
-traces here are frozensets of events and deps.  Also the scan-based walks
-over one pomset (program-order predecessor, incoming dependency), the
-history of a trace read off its events and deps by definition, the
-creator's own step over a create edge, the merge at an observing edge on
-frozensets and the structural check of a local trace, which only tests
-use."""
+interned oracle, which records each trace as its search reaches it and
+holds each as bitmasks over one table, is compared against by content:
+pomsets and traces here are frozensets of events and deps.  Also the
+scan-based walks over one pomset (program-order predecessor, incoming
+dependency), the history of a trace read off its events and deps by
+definition, the creator's own step over a create edge, the merge at an
+observing edge on frozensets and the structural check of a local trace,
+which only tests use."""
 
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ import racedigest.cli
 import racedigest.conformance
 import racedigest.solver
 from racedigest.cli import main
-from racedigest.oracle import CausalIndex, TraceSet, enumerate_traces
+from racedigest.oracle import TraceSet, enumerate_traces
 from racedigest.solver import solve
 
 from tests.conftest import CODE_AFTER_EXIT, CORPUS_DIR, corpus_program
@@ -250,17 +250,6 @@ def test_oracle_never_derives_local_traces(capsys, monkeypatch, case, bounds, co
     with pytest.raises(AssertionError, match="derived"):
         enumerate_traces(corpus_program(case), depth=3, width=1).traces
     assert run(capsys, "oracle", rlp(case), *bounds, "--format", fmt)[::2] == (code, "")
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_oracle_never_folds_a_history(capsys, monkeypatch, fmt):
-    """Finding the racy pairs builds no closure, so no closure mask or
-    history is folded."""
-    def fold(idx):
-        raise AssertionError("the closures were folded")
-
-    monkeypatch.setattr(CausalIndex, "_fold_closures", fold)
-    assert run(capsys, "oracle", rlp("prog0_unsync_writes"), "--format", fmt)[0] == 1
 
 
 # t1 completes o, then hands the mutex a to t2, whose `pos ran o` passes

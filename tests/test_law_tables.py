@@ -1,9 +1,9 @@
 """The law harness reads tables built once per trace set.  Each is checked
-against what it stands for: a closure's history, read off its pomset's
-causal index, against the history its events and deps define; the
-product's abstraction table, assembled from its components' tables,
-against ``ProductDigest.abstract_trace``; and the step table against a
-walk over the pomset events."""
+against what it stands for: a recorded trace's history against the
+history its events and deps define; the product's abstraction table,
+assembled from its components' tables, against
+``ProductDigest.abstract_trace``; and the step table against a walk over
+the events of the reference enumerator's pomsets."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from racedigest.dsl import parse_program
 from racedigest.model import MAIN, instrument_atomicity
 from racedigest.oracle import enumerate_traces
 
+from tests import reference_oracle as reference
 from tests.conftest import CORPUS_DIR, GENERATED
-from tests.reference_oracle import dep_to, history, po_pred, sorted_events
 
 CORPUS_NAMES = sorted(p.name for p in CORPUS_DIR.iterdir() if (p / "program.rlp").exists())
 
@@ -31,16 +31,12 @@ def trace_sets(corpus_cases):
 
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, *GENERATED])
 def test_index_histories_match_the_per_trace_fold(trace_sets, name):
+    """The history the search carried to each trace is the one its events
+    and deps define."""
     ts = trace_sets[name]
-    assert not ts.truncated
-    closures = 0
-    for pom in ts.sorted_pomsets():
-        idx = pom.causality()
-        for i in range(len(idx.events)):
-            t = idx.closure(i)
-            assert t.history == history(t.events, t.deps, t.top), t.top.describe()
-            closures += 1
-    assert closures >= len(ts.traces) > 0
+    assert not ts.truncated and ts.traces
+    for t in ts.traces:
+        assert t.history == reference.history(t.events, t.deps, t.top), t.top.describe()
 
 
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, *GENERATED])
@@ -54,25 +50,29 @@ def test_product_table_is_the_product_abstraction(trace_sets, name):
         assert table[t] == product.abstract_trace(t), t.top.describe()
 
 
-def _walked_steps(ts) -> list[tuple]:
-    """The steps as a walk over each pomset's events finds them, first of
-    each key, as (event, before, observed, after)."""
-    seen: dict[tuple, tuple] = {}
-    for pom in ts.sorted_pomsets():
-        for e in sorted_events(pom):
+def _walked_steps(program, ts) -> set[tuple]:
+    """The steps as a walk over the events of each pomset of the reference
+    enumerator finds them, as the contents of (event, before, observed,
+    after), each trace a reference closure."""
+    want = reference.enumerate_traces(program, depth=ts.depth, width=ts.width)
+    content = reference.content
+    seen = set()
+    for pom in want.pomsets:
+        anc = reference.pomset_ancestors(pom)
+
+        def trace(e):
+            return content(reference.closure(pom, e, anc))
+
+        for e in reference.sorted_events(pom):
             if e.edge is None and e.instance == MAIN:
                 continue
-            dep = dep_to(pom, e)
+            dep = reference.dep_to(pom, e)
             if e.edge is None:
-                step = (e, pom.closure(dep.src), None, pom.closure(e))
-                key = ("new", step[1], e.instance)
+                seen.add((e, trace(dep.src), None, trace(e)))
             else:
-                before = pom.closure(po_pred(pom, e))
-                observed = pom.closure(dep.src) if e.action.is_observing else None
-                step = (e, before, observed, pom.closure(e))
-                key = (e.action, before, observed)
-            seen.setdefault(key, step)
-    return list(seen.values())
+                observed = trace(dep.src) if e.action.is_observing else None
+                seen.add((e, trace(reference.po_pred(pom, e)), observed, trace(e)))
+    return seen
 
 
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, *GENERATED])
@@ -80,7 +80,11 @@ def test_step_table_matches_a_walk_over_the_pomsets(trace_sets, name):
     ts = trace_sets[name]
     steps = ts.steps()
     assert steps is ts.steps()
-    assert [(s.event, s.before, s.observed, s.after) for s in steps] == _walked_steps(ts)
+    content = reference.content
+    got = {(s.event, content(s.before), s.observed and content(s.observed), content(s.after))
+           for s in steps}
+    assert len(got) == len(steps)
+    assert got == _walked_steps(ts.program, ts)
     # the table holds the trace set's own trace objects
     own = {id(t) for t in ts.traces}
     for s in steps:

@@ -18,9 +18,8 @@ from racedigest.oracle import (
 from tests.conftest import GENERATED
 from tests.reference_oracle import (
     Trace,
-    dep_to,
     history,
-    po_pred,
+    pomset_ancestors,
     sorted_events,
     step_creator,
     validate_local_trace,
@@ -97,7 +96,7 @@ def test_pos_ran_without_endo_is_empty():
     for t in traces_at_node(ts, pos_edge.source):
         assert trace_step_local(p, pos_edge, t) is None
     # the guarded access is dead in every enumerated execution
-    for pom in ts.sorted_pomsets():
+    for pom in ts.pomsets:
         assert not any(
             e.action is not None and e.action.kind == "write" for e in pom.events
         )
@@ -114,7 +113,7 @@ def test_pos_ran_requires_local_knowledge():
     assert not ts.truncated
     endos = [t for t in ts.traces if ("endO", "o") in t.history.seen]
     assert endos, "t1 does complete the once block"
-    for pom in ts.sorted_pomsets():
+    for pom in ts.pomsets:
         assert not any(
             e.action is not None and e.action.kind == "write" for e in pom.events
         )
@@ -253,11 +252,12 @@ def test_enumeration_contains_figure_trace(prog1, prog1_traces):
 def test_single_thread_traces_totally_ordered():
     p = load("global g\n\nmain:\n  g = 1\n  g = 2\n")
     ts = enumerate_traces(p)
-    for pom in ts.sorted_pomsets():
+    for pom in ts.pomsets:
         events = sorted_events(pom)
+        anc = pomset_ancestors(pom)
         for i, a in enumerate(events):
             for b in events[i + 1:]:
-                assert a in pom.closure(b).events or b in pom.closure(a).events
+                assert a in anc[b] or b in anc[a]
 
 
 def test_empty_main_yields_init_trace():
@@ -321,7 +321,7 @@ def test_bidirectional_lock_protected_false(prog1, prog1_traces):
 def test_mutex_chain_invariants(prog1_traces):
     # every lock has exactly one mutex dependency; every observable feeds
     # at most one observer
-    for pom in prog1_traces.sorted_pomsets():
+    for pom in prog1_traces.pomsets:
         by_src = {}
         for d in pom.deps:
             if d.kind == "mutex":
@@ -337,18 +337,18 @@ def test_mutex_chain_invariants(prog1_traces):
             assert len(deps) == 1 and deps[0].kind == "mutex"
 
 
-def _rebuild(p, pom, e):
-    """The closure of ``e`` rebuilt by the step functions from the closures
-    of its program-order predecessor and of the source of its dependency."""
-    dep = dep_to(pom, e)
+def _replay(p, step):
+    """The trace the step functions make from the traces a recorded step
+    read: the creator's trace before the create, or the trace before the
+    event and, at a lock, startO or join, the observed one."""
+    e = step.event
     if e.edge is None:  # a child's start event
-        return spawn(p, p.create_edges()[e.instance[-1][0]], pom.closure(dep.src))
-    t0 = pom.closure(po_pred(pom, e))
+        return spawn(p, p.create_edges()[e.instance[-1][0]], step.before)
     if e.action.kind == "create":
-        return step_creator(p, e.edge, t0)
+        return step_creator(p, e.edge, step.before)
     if e.action.is_observing:
-        return trace_step_observing(p, e.edge, t0, pom.closure(dep.src))
-    return trace_step_local(p, e.edge, t0)
+        return trace_step_observing(p, e.edge, step.before, step.observed)
+    return trace_step_local(p, e.edge, step.before)
 
 
 def _successors(p, t, traces):
@@ -369,21 +369,17 @@ def _wrong_history(t) -> bool:
 
 def _disagreements(p, ts) -> tuple[int, list[str]]:
     """Compare the local-trace steps with the enumeration ``ts`` of ``p``:
-    each enumerated step must be rebuilt exactly, and on an exhaustive run
+    each recorded step must be rebuilt exactly, and on an exhaustive run
     no step may lead out of the enumerated traces.  Every trace a step
     makes must carry the history its events and deps define.  Returns the
-    number of enumerated steps and the disagreements."""
-    steps, found = 0, []
-    for pom in ts.sorted_pomsets():
-        for e in sorted_events(pom):
-            if e.edge is None and e.instance == MAIN:
-                continue
-            steps += 1
-            rebuilt = _rebuild(p, pom, e)
-            if rebuilt != pom.closure(e):
-                found.append(f"rebuilt {e.describe()} differs")
-            elif _wrong_history(rebuilt):
-                found.append(f"rebuilt {e.describe()} has history {rebuilt.history}")
+    number of recorded steps and the disagreements."""
+    found = []
+    for step in ts.steps():
+        rebuilt = _replay(p, step)
+        if rebuilt != step.after:
+            found.append(f"rebuilt {step.event.describe()} differs")
+        elif _wrong_history(rebuilt):
+            found.append(f"rebuilt {step.event.describe()} has history {rebuilt.history}")
     if not ts.truncated:
         known = set(ts.traces)
         for t in ts.traces:
@@ -394,7 +390,7 @@ def _disagreements(p, ts) -> tuple[int, list[str]]:
                     found.append(f"step to {out.top.describe()} is not enumerated")
                 elif _wrong_history(out):
                     found.append(f"step to {out.top.describe()} has history {out.history}")
-    return steps, found
+    return len(ts.steps()), found
 
 
 def test_trace_steps_agree_with_enumeration(corpus_cases):

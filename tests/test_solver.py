@@ -20,8 +20,6 @@ from racedigest.solver import (
     verify_postfixpoint,
 )
 
-from tests.reference_oracle import po_pred, sorted_events
-
 
 def solve_for(program, names):
     product = ProductDigest(build_digests(names))
@@ -176,19 +174,20 @@ def test_oracle_solution_agreement(prog1, prog1_traces):
     product, sol = solve_for(prog1, ["lockset", "threadflag", "tid", "join", "once"])
     for t in prog1_traces.traces:
         assert sol.reached(t.top.node, product.abstract_trace(t)), t.top.describe()
-    for pom in prog1_traces.sorted_pomsets():
-        for e in sorted_events(pom):
-            a = e.action
-            if a is None or a.kind not in ("read", "write"):
-                continue
-            lock_ev = po_pred(pom, e)
-            before = pom.closure(po_pred(pom, lock_ev))
-            record = AccessRecord(
-                e.edge.source,
-                "W" if a.kind == "write" else "R",
-                product.abstract_trace(before),
-            )
-            assert record in sol.records(a.target)
+    made_by = {step.after: step for step in prog1_traces.steps()}
+    for step in prog1_traces.steps():
+        a = step.event.action
+        if a is None or a.kind not in ("read", "write"):
+            continue
+        lock = made_by[step.before]
+        assert lock.event.action.kind == "lock"
+        before = lock.before
+        record = AccessRecord(
+            step.event.edge.source,
+            "W" if a.kind == "write" else "R",
+            product.abstract_trace(before),
+        )
+        assert record in sol.records(a.target)
 
 
 def test_divergence_guard(prog1):

@@ -1,8 +1,8 @@
 """Local traces and pomsets are bitmasks over one event table per trace
-set: deriving the traces and steps builds no event or dep set, the pomset
-order built from per-table ranks is the order of the content keys, the
-trace order does not depend on the hash seed, and the equivalence suite
-takes each access-sequence run once."""
+set: recording the traces and steps builds no event or dep set, each
+trace but main's start is made by exactly one recorded step, the trace
+and step order does not depend on the hash seed, and the equivalence
+suite takes each access-sequence run once."""
 
 from __future__ import annotations
 
@@ -16,35 +16,19 @@ import pytest
 from racedigest import oracle
 from racedigest.conformance import load_corpus, run_equivalence_suite
 from racedigest.dsl import parse_program
-from racedigest.model import (WRITE, access_sequence, access_sites, atomicity_mutex, fmt_action,
+from racedigest.model import (MAIN, WRITE, access_sequence, access_sites, atomicity_mutex,
                               instrument_atomicity)
 from racedigest.oracle import enumerate_traces, trace_step_local, trace_step_observing
 
 from perfbench.gen import interleave_program
-from tests.conftest import CORPUS_DIR
+from tests.conftest import CORPUS_DIR, corpus_program
+from tests.test_oracle_reference import GENERATED as SMALL_PROGRAMS
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def interleave_3x2():
     return instrument_atomicity(parse_program(interleave_program(3, 2, 0)))
-
-
-def content_key(pom) -> tuple:
-    """``Pomset.sort_key`` as it stood on event and dep sets."""
-    edges = ((e.sort_key(), e.edge.source, e.action.kind, fmt_action(e.action))
-             for e in pom.events if e.edge is not None)
-    deps = ((d.src.sort_key(), d.dst.sort_key(), d.kind) for d in pom.deps)
-    return (tuple(sorted((e.sort_key(), e.node) for e in pom.events)),
-            tuple(sorted(edges)), tuple(sorted(deps)))
-
-
-def test_pomset_order_is_the_content_order(corpus_cases):
-    trace_sets = [case.traces() for case in corpus_cases] + [enumerate_traces(interleave_3x2())]
-    for ts in trace_sets:
-        keys = [content_key(pom) for pom in ts.pomsets]
-        assert len(set(keys)) == len(keys)  # a total order: ties cannot hide
-        assert ts.sorted_pomsets() == sorted(ts.pomsets, key=content_key)
 
 
 def test_traces_and_steps_build_no_event_set(monkeypatch):
@@ -72,10 +56,19 @@ from racedigest.oracle import enumerate_traces
 from perfbench.gen import interleave_program
 from tests.conftest import corpus_program
 
+
+def trace(t):
+    return t.top.describe(), sorted(e.describe() for e in t.events), t.dep_mask.bit_count()
+
+
 for p in (corpus_program("prog1_running_example"),
           instrument_atomicity(parse_program(interleave_program(3, 2, 0)))):
-    for t in enumerate_traces(p, 60, 5).traces:
-        print(t.top.describe(), sorted(e.describe() for e in t.events), t.dep_mask.bit_count())
+    ts = enumerate_traces(p, 60, 5)
+    for t in ts.traces:
+        print(*trace(t))
+    for s in ts.steps():
+        print(s.event.describe(), trace(s.before), s.observed and trace(s.observed),
+              s.after.top.describe())
 """
 
 
@@ -88,7 +81,25 @@ def test_trace_order_does_not_depend_on_the_hash_seed():
             env=env, capture_output=True, text=True, check=True, timeout=120,
         ).stdout)
     assert len(outputs) == 1
-    assert outputs.pop().count("\n") == 32 + 1565
+    assert outputs.pop().count("\n") == 32 + 31 + 1565 + 1564
+
+
+@pytest.mark.parametrize("program", [
+    lambda: corpus_program("prog1_running_example"),
+    interleave_3x2,
+    # two skip edges leave one node of x: equal actions, two steps
+    lambda: instrument_atomicity(parse_program(SMALL_PROGRAMS["fork-seen-twice"])),
+], ids=["prog1", "interleave-3x2", "fork-seen-twice"])
+def test_each_trace_is_made_by_one_step(program):
+    """Main's start comes first and no step makes it; every other trace is
+    the ``after`` of exactly one step, in the same order."""
+    ts = enumerate_traces(program(), 60, 5)
+    steps = ts.steps()
+    assert len(steps) == len(ts.traces) - 1
+    start = ts.traces[0]
+    assert start.ego == MAIN and start.top.index == 0
+    assert [s.after for s in steps] == list(ts.traces[1:])
+    assert all(s.event == s.after.top for s in steps)
 
 
 def bidirectionally_compatible_unmemoized(p, ts, glob, site_a, site_b) -> bool:
