@@ -17,15 +17,18 @@ traces at an observing action.  Thread instances are named by their
 creation history (``model.InstanceId``).
 
 The events and deps of one trace set are interned in one ``EventTable``;
-pomsets and local traces are pairs of bitmasks over its ids.  The
-enumerator holds each thread's local trace and takes each step with the
-code of the step functions, so it records every trace it reaches, with
-the step that made it, as it goes.
+pomsets and local traces are pairs of bitmasks over its ids, and each
+``History`` value is one object of the table.  The enumerator holds each
+thread's local trace and takes each step with the code of the step
+functions, once per (trace, edge, observed trace), so it records every
+trace it reaches, with the step that made it, as it goes.  It decides
+the racy pairs as it takes each access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 from .model import (MAIN, READ, WRITE, Action, Edge, InstanceId, Program, access_sequence,
                     atomicity_mutex, fmt_action, hash_once)
@@ -52,9 +55,6 @@ class Event:
     @property
     def action(self) -> Action | None:
         return self.edge.action if self.edge is not None else None
-
-    def sort_key(self) -> tuple:
-        return (self.instance, self.index)
 
     def describe(self) -> str:
         what = fmt_action(self.edge.action) if self.edge else "start"
@@ -93,8 +93,8 @@ class EventTable:
     For the merge checks of ``trace_step_observing`` the table keeps groups:
     per event its slot, the events at one (instance, index); per mutex, once
     and join dep its source key (source, kind, label) and target key
-    (target, kind), the deps sharing it.  ``closures`` holds one local trace
-    per closure the enumeration reached, in the order it reached them."""
+    (target, kind), the deps sharing it.  ``after`` keeps one ``History``
+    object per value, for the search and for every later step."""
 
     def __init__(self):
         self.events: list[Event] = []
@@ -109,7 +109,8 @@ class EventTable:
         self.keys: dict[tuple, int] = {}  # (source id, kind, label) or (target id, kind) -> key
         self.dep_keys: list[tuple[int, int] | None] = []  # per dep, its source and target key
         self.key_deps: list[int] = []  # per key, the mask of its deps
-        self.closures: dict[tuple[int, int], LocalTrace] = {}
+        self.histories: dict[History, History] = {}  # each value to its one object
+        self.transfers: dict[tuple, History] = {}  # the arguments of a transfer -> its result
 
     def event_id(self, e: Event) -> int:
         i = self.ids.get(e)
@@ -145,6 +146,17 @@ class EventTable:
                 Event(p.instance, p.index + 1, p.proto, edge.target, edge))
         return self.steps[key]
 
+    def after(self, h: History, a: Action | None, src: History | None = None,
+              joined: InstanceId | None = None) -> History:
+        """``h.after(a, src, joined)``, or with no action ``History.start(h)``,
+        as the table's object for its value."""
+        key = (h, a, src, joined)
+        out = self.transfers.get(key)
+        if out is None:
+            out = h.after(a, src, joined) if a is not None else History.start(h)
+            out = self.transfers[key] = self.histories.setdefault(out, out)
+        return out
+
 
 def _group(groups: dict, masks: list, key: tuple, bit: int) -> int:
     """The group of ``key``, made if new, with ``bit`` added to its mask."""
@@ -156,73 +168,18 @@ def _group(groups: dict, masks: list, key: tuple, bit: int) -> int:
     return g
 
 
-class CausalIndex:
-    """The causality order of an event set of ``table`` (a pomset, or a
-    merge being checked), built in one topological pass: per event
-    (numbered in ``sort_key`` order) its program-order predecessor and
-    predecessors.  Raises ValueError on a cycle."""
+class _Masks:
+    """An event set and a dep set of ``table``, as masks over its ids.  Two
+    are equal when they are of one kind and hold the same masks of one
+    table; ``events`` and ``deps`` are built on each read."""
+
+    __slots__ = ("table", "event_mask", "dep_mask")
 
     def __init__(self, table: EventTable, event_mask: int, dep_mask: int):
-        self.table = table
-        events = table.events
-        gids = sorted(_bits(event_mask), key=lambda g: events[g].sort_key())
-        self.events = [events[g] for g in gids]
-        local = {g: i for i, g in enumerate(gids)}
-        self.pred: list[int | None] = [None] * len(self.events)
-        for i in range(1, len(self.events)):
-            e, p = self.events[i], self.events[i - 1]
-            if p.instance == e.instance and p.index == e.index - 1:
-                self.pred[i] = i - 1
-        # (predecessor id, the dep's table id or None for program order) per event
-        self.preds = [[] if q is None else [(q, None)] for q in self.pred]
-        for d in _bits(dep_mask):
-            dst, src = local.get(table.dep_targets[d]), local.get(table.dep_sources[d])
-            if dst is not None and src is not None:
-                self.preds[dst].append((src, d))
-        waiting = [len(ps) for ps in self.preds]
-        succs: list[list[int]] = [[] for _ in self.events]
-        for i, ps in enumerate(self.preds):
-            for q, _ in ps:
-                succs[q].append(i)
-        self.order = [i for i, w in enumerate(waiting) if not w]
-        for i in self.order:  # Kahn's algorithm: the list grows as events get ready
-            for j in succs[i]:
-                waiting[j] -= 1
-                if not waiting[j]:
-                    self.order.append(j)
-        if len(self.order) < len(self.events):
-            raise ValueError("cycle in causality order")
-
-    def ancestor_masks(self, drop=None) -> list[int]:
-        """Ancestor bitmask per event id (reflexive-transitive, over program
-        order plus deps), ignoring the deps ``drop`` accepts.  Removing deps
-        keeps ``order`` topological, so one pass suffices."""
-        deps = self.table.deps
-        anc = [0] * len(self.events)
-        for i in self.order:
-            mask = 1 << i
-            for q, d in self.preds[i]:
-                if d is None or drop is None or not drop(deps[d]):
-                    mask |= anc[q]
-            anc[i] = mask
-        return anc
-
-
-class Pomset:
-    """A complete (or bound-truncated) execution as a partial order: the
-    masks of its events and deps over its trace set's ``table``.  Two
-    pomsets are equal when they hold the same masks of one table."""
-
-    __slots__ = ("table", "event_mask", "dep_mask", "_causality")
-
-    def __init__(self, table: EventTable, event_mask: int, dep_mask: int):
-        self.table = table
-        self.event_mask = event_mask
-        self.dep_mask = dep_mask
-        self._causality: CausalIndex | None = None
+        self.table, self.event_mask, self.dep_mask = table, event_mask, dep_mask
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Pomset):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.table is other.table and self.event_mask == other.event_mask
                 and self.dep_mask == other.dep_mask)
@@ -238,30 +195,30 @@ class Pomset:
     def deps(self) -> frozenset[DepEdge]:
         return _members(self.dep_mask, self.table.deps)
 
-    def causality(self) -> CausalIndex:
-        if self._causality is None:
-            self._causality = CausalIndex(self.table, self.event_mask, self.dep_mask)
-        return self._causality
+
+class Pomset(_Masks):
+    """A complete (or bound-truncated) execution as a partial order over its
+    trace set's ``table``."""
+
+    __slots__ = ()
 
 
 _EMPTY: frozenset = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class History:
+# History, Step and RacePair are named tuples and TraceSet a plain class,
+# not dataclasses: every `oracle` run builds these classes on import, and a
+# dataclass takes about a millisecond to build
+class History(namedtuple("History", "held active created completed terminated seen")):
     """What a local trace knows.  Of the ego thread: the mutexes it holds,
-    the once variables it is inside and the create edges it took, in order.
-    Of the computation: the once variables known completed (along program
-    order, create and once deps), the instances known terminated (along
-    program order and join deps) and the ``(kind, target)`` of every init,
-    initO and endO event in the trace (``seen``).  ``_GUARDS`` reads it."""
+    the once variables it is inside (frozensets) and the create edges it
+    took, in order (a tuple).  Of the computation, as frozensets: the once
+    variables known completed (along program order, create and once deps),
+    the instances known terminated (along program order and join deps) and
+    the ``(kind, target)`` of every init, initO and endO event in the trace
+    (``seen``).  ``_GUARDS`` reads it."""
 
-    held: frozenset[str]
-    active: frozenset[str]
-    created: tuple[str, ...]
-    completed: frozenset[str]
-    terminated: frozenset[InstanceId]
-    seen: frozenset[tuple[str, str]]
+    __slots__ = ()
 
     @staticmethod
     def start(creator: History) -> History:
@@ -301,17 +258,13 @@ class History:
 _START = History(_EMPTY, _EMPTY, (), _EMPTY, _EMPTY, _EMPTY)
 
 
-class LocalTrace:
-    """Downward-closed event set with the unique maximal event ``top``: the
-    masks of its events and deps over ``table``.
+class LocalTrace(_Masks):
+    """Downward-closed event set of ``table`` with the unique maximal event
+    ``top`` (which its masks fix).  The ego thread is ``top.instance``; the
+    trace is that thread's complete knowledge of the computation, summed up
+    in ``history``."""
 
-    The ego thread is ``top.instance``; the trace is that thread's complete
-    knowledge of the computation, summed up in ``history``.  Two traces are
-    equal when they hold the same masks of one table (the masks fix the
-    top); ``events`` and ``deps`` are built on each read.
-    """
-
-    __slots__ = ("table", "event_mask", "dep_mask", "top", "history", "_hash")
+    __slots__ = ("top", "history", "_hash")
 
     def __init__(self, table: EventTable, event_mask: int, dep_mask: int, top: Event,
                  history: History):
@@ -322,26 +275,12 @@ class LocalTrace:
         self.history = history
         self._hash = hash((event_mask, dep_mask))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LocalTrace):
-            return NotImplemented
-        return (self.table is other.table and self.event_mask == other.event_mask
-                and self.dep_mask == other.dep_mask)
-
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         return (f"LocalTrace({self.top.describe()}, {self.event_mask.bit_count()} events, "
                 f"{self.dep_mask.bit_count()} deps)")
-
-    @property
-    def events(self) -> frozenset[Event]:
-        return _members(self.event_mask, self.table.events)
-
-    @property
-    def deps(self) -> frozenset[DepEdge]:
-        return _members(self.dep_mask, self.table.deps)
 
     @property
     def ego(self) -> InstanceId:
@@ -351,15 +290,13 @@ class LocalTrace:
         return self.top.node
 
 
-@dataclass(frozen=True)
-class RacePair:
-    glob: str
-    site_a: tuple[str, str]  # (node, W/R), site_a <= site_b
-    site_b: tuple[str, str]
+class RacePair(namedtuple("RacePair", "glob site_a site_b")):
+    """Two access sites of ``glob``, each (node, W/R), ``site_a <= site_b``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(namedtuple("Step", "event before observed after")):
     """One concrete step of the enumeration: taking ``event`` from the
     trace ``before`` (observing the trace ``observed`` at a lock, startO or
     join) reaches the trace ``after``, which the search reached first by
@@ -367,28 +304,25 @@ class Step:
     ``before`` the creator's trace before the create and ``observed``
     None."""
 
-    event: Event
-    before: LocalTrace
-    observed: LocalTrace | None
-    after: LocalTrace
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TraceSet:
     """What the bounded enumeration produced: the maximal pomsets over
-    ``table``, whether (and by which bounds) some branch was cut off, and
-    the local traces and steps the search recorded."""
+    ``table``, whether (and by which bounds, ``truncated_by``: "depth" and
+    "width") some branch was cut off, the local traces and steps the search
+    recorded and the racy pairs it decided."""
 
-    program: Program
-    table: EventTable = field(compare=False, repr=False)
-    pomsets: frozenset[Pomset]
-    truncated: bool
-    depth: int
-    width: int
-    # the bounds ("depth", "width") that blocked some step, if truncated
-    truncated_by: tuple[str, ...] = field(default=(), compare=False)
-    _traces: tuple[LocalTrace, ...] = field(default=(), compare=False, repr=False)
-    _steps: tuple[Step, ...] = field(default=(), compare=False, repr=False)
+    def __init__(self, program: Program, table: EventTable, pomsets: frozenset[Pomset],
+                 truncated_by: tuple[str, ...], depth: int, width: int,
+                 traces: tuple[LocalTrace, ...], steps: tuple[Step, ...],
+                 racy: frozenset[RacePair]):
+        self.program, self.table, self.pomsets = program, table, pomsets
+        self.truncated, self.truncated_by = bool(truncated_by), truncated_by
+        self.depth, self.width = depth, width
+        self._traces, self._steps, self._racy = traces, steps, racy
+        self._runs: dict = {}  # see bidirectionally_compatible
+        self._groups: tuple[dict, dict] | None = None  # see _trace_groups
 
     @property
     def traces(self) -> tuple[LocalTrace, ...]:
@@ -455,7 +389,7 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     start = table.event_id(Event(child, 0, a.target, proto.start_node, None))
     dep = table.dep_id(DepEdge("create", None, t.top, table.events[start]))
     return LocalTrace(table, t.event_mask | 1 << start, t.dep_mask | 1 << dep,
-                      table.events[start], History.start(t.history))
+                      table.events[start], table.after(t.history, None))
 
 
 def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
@@ -502,11 +436,8 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
     fed = table.keys.get((table.ids[top1], kind, label))
     if fed is not None and key_deps[fed] & deps:
         return None
-    if _crossing(table, em0, dm0, em1, dm1):
-        try:
-            CausalIndex(table, em0 | em1, deps)
-        except ValueError:
-            return None  # cyclic
+    if _crossing(table, em0, dm0, em1, dm1) and not _acyclic(table, em0 | em1, deps):
+        return None
     # with the degrees checked, t0 and t1 stay the closures of their tops
     return _extend(t0, edge, t1)
 
@@ -520,12 +451,12 @@ def _extend(t: LocalTrace, edge: Edge, observed: LocalTrace | None = None) -> Lo
     e = table.step(table.ids[t.top], edge)
     top = table.events[e]
     if observed is None:
-        return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, top, t.history.after(a))
+        return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, top, table.after(t.history, a))
     label = a.target if a.kind != "join" else None
     dep = table.dep_id(DepEdge(_DEP_KIND[a.kind], label, observed.top, top))
     return LocalTrace(table, t.event_mask | observed.event_mask | 1 << e,
                       t.dep_mask | observed.dep_mask | 1 << dep, top,
-                      t.history.after(a, observed.history, observed.ego))
+                      table.after(t.history, a, observed.history, observed.ego))
 
 
 def _last_child(t: LocalTrace, create_id: str) -> InstanceId | None:
@@ -540,94 +471,185 @@ def _crossing(table: EventTable, em0: int, dm0: int, em1: int, dm1: int) -> bool
     being a dep of it.  Otherwise every event of the union has the
     predecessors it has in a trace holding it, so a cycle of the union
     would lie in one acyclic trace; the new event of a merge has no
-    successor."""
+    successor.  Past the merge's other checks, only a start can have a dep
+    in each trace: its creator took one create edge at two points, which
+    needs a create edge in a loop (explicit-edge form)."""
     targets = table.dep_targets
     return (any(em0 >> targets[d] & 1 for d in _bits(dm1 & ~dm0))
             or any(em1 >> targets[d] & 1 for d in _bits(dm0 & ~dm1)))
+
+
+def _acyclic(table: EventTable, event_mask: int, dep_mask: int) -> bool:
+    """Whether program order and ``dep_mask`` order ``event_mask`` (one
+    event per slot) without a cycle: Kahn's algorithm over masks."""
+    preds = {}  # per unplaced event, the mask of its predecessors
+    for i in _bits(event_mask):
+        e = table.events[i]
+        g = table.slots.get((e.instance, e.index - 1))
+        preds[i] = 0 if g is None else table.slot_events[g] & event_mask
+    for d in _bits(dep_mask):
+        preds[table.dep_targets[d]] |= 1 << table.dep_sources[d]
+    placed = 0
+    while ready := [i for i, mask in preds.items() if not mask & ~placed]:
+        for i in ready:
+            placed |= 1 << i
+            del preds[i]
+    return not preds
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive bounded enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class _State:
     """One global configuration.  ``last`` holds each instance's local trace,
     whose top event is at the instance's node (an exit's node is a sink,
-    validate_program); ``mutex`` (``once``) the trace a lock (startO) can
-    observe, for each free mutex (ready once variable) only; ``exited``
-    the final trace of each instance not yet joined.  Every trace is the
-    table's object for its masks (``EventTable.closures``)."""
+    validate_program).  ``offers`` holds what an observing step can observe,
+    keyed by the kind and label of the dep it adds (``_source``, ``_OFFER``):
+    the trace of each free mutex, of each ready once variable and the final
+    trace of each exited instance not yet joined.  Each trace is held with its
+    hidden masks and the edges its history lets it take (``_Search``)."""
 
-    last: dict
-    mutex: dict
-    once: dict
-    exited: dict
-    events: int
-    deps: int
+    __slots__ = ("last", "offers", "events", "deps")
+
+    def __init__(self, last: dict, offers: dict, events: int, deps: int):
+        self.last, self.offers, self.events, self.deps = last, offers, events, deps
 
 
-def _guard_ok(s: _State, instance: InstanceId, edge: Edge) -> bool:
-    """Whether what ``edge`` observes is available and ``_GUARDS`` pass."""
+_OFFER = {"init": "mutex", "unlock": "mutex", "initO": "once", "endO": "once", "exit": "join"}
+
+
+def _source(t: LocalTrace, a: Action) -> tuple:
+    """The key of the offer the observing action ``a`` takes after ``t``."""
+    return (_DEP_KIND[a.kind], _last_child(t, a.target) if a.kind == "join" else a.target)
+
+
+class _Search:
+    """What one run of the enumeration keeps besides its states.
+
+    The step memo holds the trace (and a create's child) each (trace, edge,
+    observed trace) makes, keyed on identities: each trace of the search is
+    the one object for its masks.  The masks of a trace fix its step, so a
+    memo miss is a new trace, recorded with its step.
+
+    Races.  The ancestors of an access with its global's ``m_g`` deps
+    dropped are its event, the ancestors of the trace before it and, unless
+    the step locks ``m_g``, those of the observed trace.  A state holds with
+    each trace the rest of its events, one mask per global (``hidden``).
+    Of two accesses of a pomset, the search took the later from a state on
+    its first path to the pomset that holds the earlier, which races with
+    it unless among its ancestors.  So the step that first reaches a state
+    by an access decides its races with every access of the state, one
+    mask test per site not yet known racy with its own.  A reached state
+    extends to a pomset with the same pasts."""
+
+    def __init__(self, p: Program):
+        self.table = EventTable()
+        self.guarded: dict[tuple[str, int], list[Edge]] = {}  # see ready
+        self.memo: dict[tuple[int, int, int], tuple] = {}  # see take
+        self.steps: list[Step] = []  # in the order of the traces they made
+        self.visited: set[tuple[int, int]] = set()
+        self.number = {g: k for k, g in enumerate(sorted(p.globals))}
+        mutexes = {atomicity_mutex(g): k for g, k in self.number.items()}
+        self.edges_from: dict[str, list[Edge]] = {}
+        self.dropped: dict[Edge, int] = {}  # lock edge of m_g -> the number of g
+        self.site: dict[Edge, tuple] = {}  # access edge -> (global, (node, W/R))
+        for e in p.all_edges():
+            self.edges_from.setdefault(e.source, []).append(e)
+            a = e.action
+            if a.kind == "lock" and a.target in mutexes:
+                self.dropped[e] = mutexes[a.target]
+            elif a.kind in ("read", "write"):
+                self.site[e] = (a.target, (e.source, WRITE if a.kind == "write" else READ))
+        self.site_events = dict.fromkeys(self.site.values(), 0)
+        # per site, the sites of its global not yet known to race with it
+        self.partners = {x: {y for y in self.site_events if y[0] == x[0]
+                             and WRITE in (x[1][1], y[1][1])} for x in self.site_events}
+        self.racy: set[RacePair] = set()
+
+    def ready(self, t: LocalTrace) -> list[Edge]:
+        """The edges from the node of ``t`` whose ``_GUARDS`` pass on its
+        history (each history is the table's one object for its value)."""
+        key = (t.top.node, id(t.history))
+        edges = self.guarded.get(key)
+        if edges is None:
+            edges = self.guarded[key] = [
+                e for e in self.edges_from.get(t.top.node, ())
+                if (guard := _GUARDS.get(e.action.kind)) is None
+                or guard(t.history, e.action.target)]
+        return edges
+
+    def take(self, p: Program, before: LocalTrace, edge: Edge,
+             observed: LocalTrace | None) -> tuple:
+        """The trace taking ``edge`` from ``before`` (observing ``observed``)
+        makes and, at a create, the child's start trace (else None), then
+        the ready edges of each."""
+        key = (id(before), id(edge), id(observed))
+        made = self.memo.get(key)
+        if made is None:
+            after = _extend(before, edge, observed)
+            child = spawn(p, edge, before) if edge.action.is_creating else None
+            made = self.memo[key] = (after, child, self.ready(after), child and self.ready(child))
+            for t, seen in ((after, observed), (child, None)):
+                if t is not None:
+                    self.steps.append(Step(t.top, before, seen, t))
+            if edge in self.site:
+                self.site_events[self.site[edge]] |= 1 << self.table.ids[after.top]
+        return made
+
+    def hidden(self, before: LocalTrace, edge: Edge, observed: LocalTrace,
+               hb: tuple, ho: tuple) -> tuple:
+        """The hidden masks of the trace an observing step over ``edge`` makes
+        from ``before`` and ``observed``, which hide ``hb`` and ``ho``: an event
+        of both stays hidden if both hide it; at a lock of ``m_g`` the events
+        ``observed`` adds are hidden."""
+        eb, eo = before.event_mask, observed.event_mask
+        dropped = self.dropped.get(edge)
+        return tuple([b | eo & ~eb if k == dropped else b & ~eo | o & ~eb | b & o
+                      for k, b, o in zip(range(len(hb)), hb, ho)])
+
+    def decide(self, outside: int, hidden: tuple, edge: Edge):
+        """Record the races of the access over ``edge`` with those of the
+        state it leaves that are not its ancestors for its global: the
+        events ``outside`` its trace, or ``hidden`` in it."""
+        site = glob, a = self.site[edge]
+        unordered = outside | hidden[self.number[glob]]
+        for other in [y for y in self.partners[site] if unordered & self.site_events[y]]:
+            self.racy.add(RacePair(glob, *sorted((a, other[1]))))
+            self.partners[site].discard(other)
+            self.partners[other].discard(site)
+
+
+def _apply(p: Program, search: _Search, s: _State, instance: InstanceId,
+           edge: Edge) -> _State | None:
+    """The successor of ``s`` once ``instance`` takes ``edge``, or None if
+    the search visited it: a visited successor costs memo lookups only."""
     a = edge.action
     kind = a.kind
-    if kind == "lock":
-        return a.target in s.mutex
-    if kind == "startO":
-        return a.target in s.once
-    if kind == "join":
-        return _last_child(s.last[instance], a.target) in s.exited
-    guard = _GUARDS.get(kind)
-    return guard is None or guard(s.last[instance].history, a.target)
-
-
-def _apply(p: Program, s: _State, instance: InstanceId, edge: Edge,
-           made: list[Step]) -> _State:
-    """Execute one enabled edge; returns the successor state.  A trace
-    reached for the first time is kept, with the step that made it in
-    ``made``."""
-    ns = _State(dict(s.last), dict(s.mutex), dict(s.once), dict(s.exited), s.events, s.deps)
-    a = edge.action
-    kind = a.kind
-    before = s.last[instance]
+    before, hidden, _ = s.last[instance]
     observed = None
-    if kind == "lock":
-        observed = ns.mutex.pop(a.target)
-    elif kind == "startO":
-        observed = ns.once.pop(a.target)
-    elif kind == "join":
-        observed = ns.exited.pop(_last_child(before, a.target))
-    after = _reach(made, before, observed, _extend(before, edge, observed))
-    ns.last[instance] = after
-    if kind == "init" or kind == "unlock":
-        ns.mutex[a.target] = after
-    elif kind == "initO" or kind == "endO":
-        ns.once[a.target] = after
-    elif kind == "exit":
-        ns.exited[instance] = after
+    if kind in _DEP_KIND:
+        observed = s.offers[source := _source(before, a)]
+    after, child, ready, child_ready = search.take(p, before, edge, observed and observed[0])
+    events, deps = s.events | after.event_mask, s.deps | after.dep_mask
+    if child is not None:
+        events |= child.event_mask
+        deps |= child.dep_mask
+    if (events, deps) in search.visited:
+        return None
+    search.visited.add((events, deps))
+    ns = _State(dict(s.last), dict(s.offers), events, deps)
+    if observed is not None:
+        hidden = search.hidden(before, edge, observed[0], hidden, observed[1])
+        del ns.offers[source]
+    held = ns.last[instance] = (after, hidden, ready)
+    if kind in _OFFER:
+        ns.offers[(_OFFER[kind], instance if kind == "exit" else a.target)] = held
     elif kind == "create":
-        child = _reach(made, before, None, spawn(p, edge, before))
-        ns.last[child.ego] = child
-        ns.events |= child.event_mask
-        ns.deps |= child.dep_mask
-    ns.events |= after.event_mask
-    ns.deps |= after.dep_mask
+        ns.last[child.ego] = (child, hidden, child_ready)
+    elif kind == "read" or kind == "write":
+        search.decide(s.events & ~after.event_mask, hidden, edge)
     return ns
-
-
-def _reach(made: list[Step], before: LocalTrace, observed: LocalTrace | None,
-           t: LocalTrace) -> LocalTrace:
-    """The table's object for the masks of ``t``, the trace a step from
-    ``before`` made: ``t`` itself, kept with its step, if no step made
-    them before."""
-    closures = t.table.closures
-    key = (t.event_mask, t.dep_mask)
-    known = closures.get(key)
-    if known is not None:
-        return known
-    closures[key] = t
-    made.append(Step(t.top, before, observed, t))
-    return t
 
 
 # The kinds of step an instance may take alone: while its next steps are all
@@ -640,7 +662,7 @@ _PERSISTENT_KINDS = frozenset({"skip", "read", "write", "pos_ran", "neg_ran", "u
 def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     """The maximal execution pomsets reachable within the event and instance
     bounds, and which bounds, if any, cut off a branch, with every local
-    trace the search reached and the step that made it.
+    trace the search reached, the step that made it and the racy pairs.
 
     A pomset stands for every interleaving of its events, so the search
     takes only a persistent set of steps at each state (Godefroid, LNCS
@@ -665,55 +687,45 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
     found = _explore(p, depth, width, reduce=True)
-    if found is None:
-        found = _explore(p, depth, width, reduce=False)
-    table, pomsets, blocked, made = found
-    return TraceSet(
-        p, table, frozenset(Pomset(table, evs, deps) for evs, deps in pomsets),
-        bool(blocked), depth, width, truncated_by=tuple(sorted(blocked)),
-        _traces=tuple(table.closures.values()), _steps=tuple(made),
-    )
+    return found if found is not None else _explore(p, depth, width, reduce=False)
 
 
-def _explore(p: Program, depth: int, width: int, reduce: bool):
-    """The table of interned events, whose ``closures`` hold every local
-    trace reached, in search order; the terminal (events, deps) masks; the
-    bounds that blocked a step; and the step that made each trace but
-    main's start.  With ``reduce``, only a persistent set is taken at each
-    state (see enumerate_traces), and None is returned as soon as the depth
-    bound blocks a step."""
-    table = EventTable()
-    main = p.main()
-    start = table.event_id(Event(MAIN, 0, p.main_label, main.start_node, None))
-    first = table.closures[(1 << start, 0)] = LocalTrace(
-        table, 1 << start, 0, table.events[start], _START)
-    init = _State({MAIN: first}, {}, {}, {}, 1 << start, 0)
-    made: list[Step] = []
+def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | None:
+    """The trace set of one search (its step memo goes when it returns).
+    With ``reduce``, only a persistent set is taken at each state (see
+    enumerate_traces), and None is returned once the depth bound blocks a
+    step."""
+    search = _Search(p)
+    table = search.table
+    start = table.event_id(Event(MAIN, 0, p.main_label, p.main().start_node, None))
+    first = LocalTrace(table, 1 << start, 0, table.events[start], _START)
+    init = _State({MAIN: (first, (0,) * len(search.number), search.ready(first))}, {},
+                  1 << start, 0)
     pomsets: set[tuple[int, int]] = set()
     blocked: set[str] = set()
-    edges_from: dict[str, list[Edge]] = {}  # read per instance and state: a plain dict
-    for e in p.all_edges():
-        edges_from.setdefault(e.source, []).append(e)
     # the nodes whose every outgoing edge has a persistent kind
-    alone = {node for node, edges in edges_from.items()
+    alone = {node for node, edges in search.edges_from.items()
              if all(e.action.kind in _PERSISTENT_KINDS for e in edges)}
-    visited = {(init.events, init.deps)}
+    search.visited.add((init.events, init.deps))
     stack = [init]
     while stack:
         s = stack.pop()
         n_actions = s.events.bit_count() - len(s.last)  # every event but the starts
         enabled: list[tuple[InstanceId, Edge]] = []
         mover = None
-        for instance in sorted(s.last):
-            node = s.last[instance].top.node
-            for edge in edges_from.get(node, ()):
-                if not _guard_ok(s, instance, edge):
+        for instance, (t, _, ready) in sorted(s.last.items()):
+            if mover is not None and len(s.last) < width:
+                break  # the others' steps are not taken, and none is blocked
+            node = t.top.node
+            for edge in ready:
+                a = edge.action
+                if a.kind in _DEP_KIND and _source(t, a) not in s.offers:
                     continue
                 if n_actions >= depth:
                     if reduce:
                         return None
                     blocked.add("depth")
-                elif edge.action.kind == "create" and len(s.last) >= width:
+                elif a.kind == "create" and len(s.last) >= width:
                     blocked.add("width")
                 else:
                     enabled.append((instance, edge))
@@ -724,44 +736,24 @@ def _explore(p: Program, depth: int, width: int, reduce: bool):
         elif mover is not None:
             enabled = [(i, edge) for i, edge in enabled if i == mover]
         for instance, edge in enabled:
-            ns = _apply(p, s, instance, edge, made)
-            if (ns.events, ns.deps) not in visited:
-                visited.add((ns.events, ns.deps))
+            ns = _apply(p, search, s, instance, edge)
+            if ns is not None:
                 stack.append(ns)
-    return table, pomsets, blocked, made
+    return TraceSet(
+        p, table, frozenset(Pomset(table, evs, deps) for evs, deps in pomsets),
+        tuple(sorted(blocked)), depth, width, (first, *(step.after for step in search.steps)),
+        tuple(search.steps), frozenset(search.racy))
 
 
 # ---------------------------------------------------------------------------
 # Race definitions
 # ---------------------------------------------------------------------------
 
-def _site(e: Event) -> tuple[str, str]:
-    return (e.edge.source, WRITE if e.action.kind == "write" else READ)
-
-
 def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
-    """Access pairs (>=1 write) left unordered once the order contributed by
-    the accessed global's atomicity mutex is discarded."""
-    found: set[tuple] = set()
-    for pom in ts.pomsets:
-        idx = pom.causality()
-        by_glob: dict[str, list[int]] = {}
-        for i, e in enumerate(idx.events):
-            a = e.action
-            if a is not None and a.kind in ("read", "write"):
-                by_glob.setdefault(a.target, []).append(i)
-        for glob, accesses in sorted(by_glob.items()):
-            mg = atomicity_mutex(glob)
-            partial = idx.ancestor_masks(drop=lambda d: d.kind == "mutex" and d.label == mg)
-            for k, i in enumerate(accesses):
-                for j in accesses[k + 1:]:
-                    ea, eb = idx.events[i], idx.events[j]
-                    if ea.action.kind != "write" and eb.action.kind != "write":
-                        continue
-                    if partial[j] >> i & 1 or partial[i] >> j & 1:
-                        continue
-                    found.add((glob, *sorted((_site(ea), _site(eb)))))
-    return frozenset(RacePair(*key) for key in found)
+    """Access pairs (>=1 write) of some pomset left unordered once the order
+    contributed by the accessed global's atomicity mutex is discarded: the
+    pairs the search decided as it took each access (see ``_Search``)."""
+    return ts._racy
 
 
 def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
@@ -780,7 +772,7 @@ def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
     starters_b = by_node.get(seq_b[0].source, ())
     landings = by_mutex.get(mg, ())
 
-    runs = ts.__dict__.setdefault("_runs", {})  # (sequence, t0, t1) -> its end, or None
+    runs = ts._runs  # (sequence, t0, t1) -> its end, or None
 
     def run(seq, t0: LocalTrace, t1: LocalTrace) -> LocalTrace | None:
         key = (seq, t0, t1)
@@ -813,8 +805,7 @@ def _trace_groups(ts: TraceSet) -> tuple[dict, dict]:
     """The traces of ``ts`` by ego node, and those whose top is an unlock
     or init by its mutex (what a lock can observe), each group in trace
     order; made on the first call per trace set and kept on ``ts``."""
-    groups = ts.__dict__.get("_groups")
-    if groups is None:
+    if ts._groups is None:
         by_node: dict[str, list[LocalTrace]] = {}
         by_mutex: dict[str, list[LocalTrace]] = {}
         for t in ts.traces:
@@ -822,5 +813,5 @@ def _trace_groups(ts: TraceSet) -> tuple[dict, dict]:
             a = t.top.action
             if a is not None and a.kind in ("unlock", "init"):
                 by_mutex.setdefault(a.target, []).append(t)
-        groups = ts.__dict__["_groups"] = (by_node, by_mutex)
-    return groups
+        ts._groups = (by_node, by_mutex)
+    return ts._groups

@@ -23,6 +23,34 @@ GENERATED = {
 # steps past its exit
 CODE_AFTER_EXIT = "global g\n\nmain:\n  thread_exit\n  create t as e1\n  g = 1\n\nt:\n  g = 2\n"
 
+# t1 completes o, then hands the mutex a to t2, whose `pos ran o` passes
+# on that completion; main's write races with t2's
+ONCE_HANDOFF = """\
+global g
+mutex a
+once o
+
+main:
+  init a
+  initO o
+  create t1 as e1
+  create t2 as e2
+  g = 1
+
+t1:
+  once o
+    skip
+  end
+  lock a
+  unlock a
+
+t2:
+  lock a
+  unlock a
+  pos ran o
+  g = 2
+"""
+
 
 def corpus_program(name: str):
     text = (CORPUS_DIR / name / "program.rlp").read_text(encoding="utf-8")

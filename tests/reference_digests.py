@@ -1,5 +1,5 @@
 """The once and join abstraction maps as they stood before the one history
-fold: ``completed_at`` walks its own causality index per trace and
+fold: ``completed_at`` walks each trace in causal order and
 ``joined_of`` recurses once per nested join over per-instance scans.  Kept
 only as the reference ``LocalTrace.history`` is compared against."""
 
@@ -7,18 +7,16 @@ from __future__ import annotations
 
 from racedigest.digests import _alpha_unique
 from racedigest.model import edge_path
-from racedigest.oracle import CausalIndex, LocalTrace
+from racedigest.oracle import LocalTrace
 
-from tests.reference_oracle import dep_to, po_pred
+from tests.reference_oracle import causal_order, dep_to, po_pred
 
 
 def completed_at(t: LocalTrace) -> frozenset:
     """Completed-set knowledge flows only along program order, thread
     creation, and once observations; other merges discard it."""
-    idx = CausalIndex(t.table, t.event_mask, t.dep_mask)
     done: dict = {}
-    for i in idx.order:  # causal order: predecessors first
-        e = idx.events[i]
+    for e in causal_order(t.events, t.deps):  # predecessors first
         a, dep, pred = e.action, dep_to(t, e), po_pred(t, e)
         if pred is not None:
             out = done[pred]

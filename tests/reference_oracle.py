@@ -6,10 +6,10 @@ interned oracle, which records each trace as its search reaches it and
 holds each as bitmasks over one table, is compared against by content:
 pomsets and traces here are frozensets of events and deps.  Also the
 scan-based walks over one pomset (program-order predecessor, incoming
-dependency), the history of a trace read off its events and deps by
-definition, the creator's own step over a create edge, the merge at an
-observing edge on frozensets and the structural check of a local trace,
-which only tests use."""
+dependency), a causal order of an event set, the history of a trace read
+off its events and deps by definition, the creator's own step over a
+create edge, the merge at an observing edge on frozensets and the
+structural check of a local trace, which only tests use."""
 
 from __future__ import annotations
 
@@ -106,8 +106,11 @@ def dep_to(pom, e: Event) -> DepEdge | None:
     return None
 
 
-def sorted_events(pom) -> list[Event]:
-    return sorted(pom.events, key=Event.sort_key)
+def causal_order(events, deps) -> list[Event]:
+    """The events, each after all of its ancestors: an event has more
+    ancestors than any of them.  Raises ValueError on a cycle."""
+    anc = ancestors(events, deps)
+    return sorted(events, key=lambda e: (len(anc[e]), e.instance, e.index))
 
 
 def _reaching(events, deps, top: Event, kinds) -> set[Event]:
@@ -438,7 +441,7 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> Enumeration
 
 def _access_events(pom, glob: str | None = None) -> list[Event]:
     out = []
-    for e in sorted(pom.events, key=Event.sort_key):
+    for e in sorted(pom.events, key=lambda e: (e.instance, e.index)):
         a = e.action
         if a is not None and a.kind in ("read", "write"):
             if glob is None or a.target == glob:

@@ -11,12 +11,13 @@ import pytest
 
 import racedigest.cli
 import racedigest.conformance
+import racedigest.oracle
 import racedigest.solver
 from racedigest.cli import main
-from racedigest.oracle import TraceSet, enumerate_traces
+from racedigest.oracle import enumerate_traces
 from racedigest.solver import solve
 
-from tests.conftest import CODE_AFTER_EXIT, CORPUS_DIR, corpus_program
+from tests.conftest import CODE_AFTER_EXIT, CORPUS_DIR, ONCE_HANDOFF, corpus_program
 
 SRC_DIR = CORPUS_DIR.parent / "src"
 
@@ -242,43 +243,15 @@ def test_code_after_thread_exit_exit_two(capsys, tmp_path, command):
 ], ids=["exhaustive", "truncated", "truncated-racy"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_oracle_never_derives_local_traces(capsys, monkeypatch, case, bounds, code, fmt):
-    """The command reads the pomsets only."""
-    def derive(ts):
-        raise AssertionError("the local traces were derived")
+    """The command builds no event or dep set of a trace or pomset: the
+    search decides the races on masks (``_members`` builds every such set)."""
+    def build(mask, items):
+        raise AssertionError("an event set was built")
 
-    monkeypatch.setattr(TraceSet, "traces", property(derive))
-    with pytest.raises(AssertionError, match="derived"):
-        enumerate_traces(corpus_program(case), depth=3, width=1).traces
+    monkeypatch.setattr(racedigest.oracle, "_members", build)
+    with pytest.raises(AssertionError, match="built"):
+        enumerate_traces(corpus_program(case), depth=3, width=1).traces[-1].events
     assert run(capsys, "oracle", rlp(case), *bounds, "--format", fmt)[::2] == (code, "")
-
-
-# t1 completes o, then hands the mutex a to t2, whose `pos ran o` passes
-# on that completion; main's write races with t2's
-ONCE_HANDOFF = """\
-global g
-mutex a
-once o
-
-main:
-  init a
-  initO o
-  create t1 as e1
-  create t2 as e2
-  g = 1
-
-t1:
-  once o
-    skip
-  end
-  lock a
-  unlock a
-
-t2:
-  lock a
-  unlock a
-  pos ran o
-  g = 2
-"""
 
 
 def _oracle_and_analyze(capsys, tmp_path) -> tuple[set, set]:

@@ -63,7 +63,7 @@ def _walked_steps(program, ts) -> set[tuple]:
         def trace(e):
             return content(reference.closure(pom, e, anc))
 
-        for e in reference.sorted_events(pom):
+        for e in pom.events:
             if e.edge is None and e.instance == MAIN:
                 continue
             dep = reference.dep_to(pom, e)

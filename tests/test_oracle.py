@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from racedigest import oracle
 from racedigest.dsl import parse_program
 from racedigest.model import MAIN, access_sites, edge_path, instrument_atomicity
 from racedigest.oracle import (
-    CausalIndex,
     DepEdge,
     bidirectionally_compatible,
     enumerate_traces,
@@ -18,9 +18,9 @@ from racedigest.oracle import (
 from tests.conftest import GENERATED
 from tests.reference_oracle import (
     Trace,
+    causal_order,
     history,
     pomset_ancestors,
-    sorted_events,
     step_creator,
     validate_local_trace,
 )
@@ -135,15 +135,16 @@ def test_spawn_creates_child_with_extended_path(prog1, prog1_traces):
     assert creator.ego_node() == create_edge.target
 
 
-def test_local_steps_and_spawn_build_no_causal_index(monkeypatch, prog1, prog1_traces):
-    """They carry their input's history forward (``History.after`` and
-    ``History.start``) instead of folding one over a new index."""
+def test_local_steps_and_spawn_build_no_event_set(monkeypatch, prog1, prog1_traces):
+    """They OR their input's masks and carry its history forward
+    (``History.after`` and ``History.start``), building no event or dep
+    set to fold a history over."""
     traces = prog1_traces.traces
 
-    def build(*args):
-        raise AssertionError("a causal index was built")
+    def build(mask, items):
+        raise AssertionError("an event set was built")
 
-    monkeypatch.setattr(CausalIndex, "__init__", build)
+    monkeypatch.setattr(oracle, "_members", build)
     made = set()
     for t in traces:
         for edge in prog1.edges_from(t.ego_node()):
@@ -253,7 +254,7 @@ def test_single_thread_traces_totally_ordered():
     p = load("global g\n\nmain:\n  g = 1\n  g = 2\n")
     ts = enumerate_traces(p)
     for pom in ts.pomsets:
-        events = sorted_events(pom)
+        events = causal_order(pom.events, pom.deps)
         anc = pomset_ancestors(pom)
         for i, a in enumerate(events):
             for b in events[i + 1:]:

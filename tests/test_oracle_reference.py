@@ -1,7 +1,12 @@
 """The interned oracle against the frozenset enumerator it replaced: trace
-sets (recorded per new closure here, collected per state there), racy
-pairs and the per-pomset causality index must all match, compared by
-content (``reference.content``), as the oracle holds its sets as masks."""
+sets (recorded per new closure here, collected per state there), pomsets
+and racy pairs must all match, compared by content
+(``reference.content``), as the oracle holds its sets as masks.  The
+oracle decides each racy pair as its search takes the later access, from
+masks of the traces it records; the reference walks the causality order
+of every pomset with the global's ``m_g`` order stripped.  The generated
+inputs include races that rest on a dep other than ``m_g``, and a
+program whose merges reach the cycle check."""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from racedigest.oracle import enumerate_traces, find_racy_pairs, trace_step_obse
 
 from perfbench.gen import interleave_program as perfbench_interleave
 from tests import reference_oracle as reference
-from tests.conftest import CORPUS_DIR, corpus_program
+from tests.conftest import CORPUS_DIR, ONCE_HANDOFF, corpus_program
 
 
 def interleave_program(n: int, b: int) -> str:
@@ -59,7 +64,28 @@ GENERATED = {
                        "  label A\n  skip\n  goto C\n  label B\n  skip\n  label C\n"
                        "  unlock a\n\ny:\n  lock a\n  unlock a\n  lock b\n  unlock b\n"
                        "\ne:\n  lock a\n  unlock a\n  lock b\n",
+    # q's read follows p's write over m_g only, a race; q's lock a then
+    # orders p's write before q's write, which is no race
+    "ordered-again": "global g\nmutex a\n\nmain:\n  init a\n  create p as c1\n"
+                     "  create q as c2\n\np:\n  lock a\n  g = 1\n  unlock a\n\nq:\n"
+                     "  x = g\n  lock a\n  g = 2\n  unlock a\n",
+    # b's `pos ran o` needs a's endO, so b reads g after a's writes, which
+    # reach it over m_g only; its child c inherits that past, so the join
+    # of c merges two traces that order a's writes over m_g only: b's write
+    # races with them
+    "hidden-in-both": "global g\nonce o\n\nmain:\n  initO o\n  create a as ea\n"
+                      "  create b as eb\n\na:\n  g = 1\n  once o\n    skip\n  end\n"
+                      "  g = 3\n\nb:\n  x = g\n  pos ran o\n  create c as ec\n"
+                      "  join ec\n  g = 2\n\nc:\n  skip\n",
+    # races that rest on a dep other than m_g: t2's `pos ran o` passes on
+    # an endO that reaches it over a mutex a (below: over m_g) hand-off
+    "once-handoff": ONCE_HANDOFF,
+    "once-handoff-no-mutex": "global g\nglobal h\nonce o\n\nmain:\n  initO o\n"
+                             "  create t1 as e1\n  create t2 as e2\n  h = 1\n\nt1:\n"
+                             "  once o\n    skip\n  end\n  x = g\n\nt2:\n  y = g\n"
+                             "  pos ran o\n  h = 2\n",
 }
+HANDOFFS = ("once-handoff", "once-handoff-no-mutex")
 CORPUS = sorted(p.parent.name for p in CORPUS_DIR.glob("*/program.rlp"))
 INPUTS = [
     pytest.param(name, bounds, id=name + ("" if bounds is None else "@{}/{}".format(*bounds)))
@@ -67,6 +93,8 @@ INPUTS = [
         [(name, None) for name in CORPUS]
         + [(name, bounds) for bounds in ((6, 2), (12, 3)) for name in CORPUS]
         + [(name, (60, 5)) for name in GENERATED]
+        # the enumerator's default bounds race; 6/2 cuts before the race
+        + [(name, bounds) for name in HANDOFFS for bounds in ((40, 4), (6, 2))]
         # cut by width only (the reduced search) and by depth (its fallback)
         + [("interleave-3x2", (60, 3)), ("interleave-3x2", (20, 5)), ("nested-create", (60, 3))]
     )
@@ -97,12 +125,11 @@ def test_oracle_matches_reference(name, bounds):
     assert bool(got.truncated_by) == got.truncated
     assert find_racy_pairs(got) == reference.find_racy_pairs(want)
 
-    for pom in got.pomsets:
-        idx = pom.causality()
-        assert idx.events == reference.sorted_events(pom)
-        for i, e in enumerate(idx.events):
-            pred = idx.pred[i]
-            assert (None if pred is None else idx.events[pred]) == reference.po_pred(pom, e)
+    for pom in got.pomsets:  # acyclic, each event after its program-order predecessor
+        placed = set()
+        for e in reference.causal_order(pom.events, pom.deps):
+            assert reference.po_pred(pom, e) in placed | {None}
+            placed.add(e)
 
 
 @pytest.mark.parametrize("name,bounds", [pytest.param(name, None, id=name) for name in CORPUS]
@@ -156,6 +183,89 @@ def test_reduction_cuts_successor_computations(monkeypatch):
             calls[reduce] += 1
             return apply(*args)
         monkeypatch.setattr(oracle, "_apply", counting)
-        _, pomsets, blocked, _ = oracle._explore(program, 60, 5, reduce=reduce)
-        assert not blocked and len(pomsets) == 144
+        ts = oracle._explore(program, 60, 5, reduce=reduce)
+        assert not ts.truncated and len(ts.pomsets) == 144
     assert 3 * calls[True] <= calls[False]
+
+
+def test_handoff_races_rest_on_the_hand_off():
+    """One race each at the default bounds, on the write t2 makes past its
+    `pos ran o`; the 6/2 cut stops before it."""
+    for name in HANDOFFS:
+        program, _ = _input(name, None)
+        (race,) = find_racy_pairs(enumerate_traces(program))
+        assert race.site_b[0].startswith("t2.")
+        assert not find_racy_pairs(enumerate_traces(program, 6, 2))
+
+
+# Explicit-edge form, so that a create edge sits in a loop: main and q each
+# create their child either at once or after a lock and unlock.  q's lock c
+# merges a trace where x came first (q locked a after x's unlock a and then
+# created y) with one where y came first (main locked b after y's unlock b
+# and then created x).  Each trace holds both starts, each with a create dep
+# the other lacks, and the union is cyclic: x's start, x's unlock a, q's
+# lock a, y's start, y's unlock b, main's lock b, x's start.
+CREATE_LOOPS = """\
+mutex a
+mutex b
+mutex c
+mutex d
+
+main @ s0:
+  s0: init a -> s1
+  s1: init b -> s2
+  s2: init c -> s3
+  s3: init d -> s4
+  s4: create q as cq -> n
+  n: create x as cx -> done
+  n: lock b -> n1
+  n1: unlock b -> n
+
+q @ q0:
+  q0: skip -> qn
+  qn: create y as cy -> q1
+  qn: lock a -> q2
+  q2: unlock a -> qn
+  q1: lock d -> q3
+  q3: lock c -> q4
+
+x @ x0:
+  x0: lock a -> x1
+  x1: unlock a -> x2
+  x2: lock c -> x3
+  x3: unlock c -> x4
+
+y @ y0:
+  y0: lock b -> y1
+  y1: unlock b -> y2
+  y2: lock d -> y3
+  y3: unlock d -> y4
+"""
+
+
+def test_merge_cycle_check_matches_reference(monkeypatch):
+    """Merges where a dep of one trace lands on an event of the other take
+    the cycle check: it admits some and refuses the cyclic one, as the
+    frozenset merge does."""
+    program = parse_program(CREATE_LOOPS)
+    traces = enumerate_traces(program, depth=17, width=4).traces
+    as_sets = {t: reference.Trace(t.events, t.deps, t.top, t.history) for t in traces}
+    verdicts = []
+    acyclic = oracle._acyclic
+
+    def recording(*args):
+        verdicts.append(acyclic(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(oracle, "_acyclic", recording)
+    for edge in program.all_edges():
+        if not edge.action.is_observing:
+            continue
+        for t0 in traces:
+            if t0.ego_node() != edge.source:
+                continue
+            for t1 in traces:
+                got = trace_step_observing(program, edge, t0, t1)
+                want = reference.step_observing(program, edge, as_sets[t0], as_sets[t1])
+                assert (got and reference.content(got)) == (want and reference.content(want))
+    assert verdicts.count(False) == 1 and verdicts.count(True) > 1
