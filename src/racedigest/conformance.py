@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
@@ -51,16 +50,18 @@ class InconclusiveBounds(Exception):
     """A corpus case did not enumerate exhaustively within its bounds."""
 
 
-@dataclass
 class CorpusCase:
-    name: str
-    path: Path
-    expected: dict
-    _program: object = None
-    _traces: TraceSet | None = None
-    _racy: frozenset | None = None
-    _solutions: dict = field(default_factory=dict)
-    _reports: dict = field(default_factory=dict)
+    """The case ``name`` in directory ``path``, with its parsed
+    expected.json.  Its program, trace set, racy pairs, solutions and race
+    reports are each made once, on first use."""
+
+    def __init__(self, name: str, path: Path, expected: dict) -> None:
+        self.name, self.path, self.expected = name, path, expected
+        self._program = None
+        self._traces: TraceSet | None = None
+        self._racy: frozenset | None = None
+        self._solutions: dict = {}
+        self._reports: dict = {}
 
     @property
     def program(self):
@@ -170,11 +171,13 @@ def load_corpus(directory: Path) -> list[CorpusCase]:
     return cases
 
 
-@dataclass
 class SuiteSection:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's checks and failure messages."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -190,9 +193,9 @@ class SuiteSection:
         return "\n".join(lines)
 
 
-@dataclass
 class SuiteResult:
-    sections: list[SuiteSection]
+    def __init__(self, sections: list[SuiteSection]) -> None:
+        self.sections = sections
 
     @property
     def passed(self) -> bool:

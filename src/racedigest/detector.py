@@ -23,23 +23,35 @@ import collections
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .digest import MhpVerdict, ProductDigest, generic_mhp
-from .model import WRITE
+from .model import WRITE, Value
 from .solver import Solution
 
 BESPOKE = "bespoke"
 GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class FlaggedPair:
-    glob: str
-    site_a: tuple[str, str]  # (node, W/R); site_a <= site_b
-    site_b: tuple[str, str]
-    witness_digests: tuple[str, str] = field(compare=False)
+_set = object.__setattr__
+
+
+class FlaggedPair(Value):
+    """A flagged pair of access sites of ``glob``, each (node, W/R) and
+    ``site_a <= site_b``, with the formatted digests of its witnessing
+    record pair, which equality and hash ignore."""
+
+    __slots__ = _fields = ("glob", "site_a", "site_b", "witness_digests")
+    _compared = attrgetter("glob", "site_a", "site_b")
+
+    def __init__(self, glob: str, site_a: tuple[str, str], site_b: tuple[str, str],
+                 witness_digests: tuple[str, str]) -> None:
+        _set(self, "glob", glob)
+        _set(self, "site_a", site_a)
+        _set(self, "site_b", site_b)
+        _set(self, "witness_digests", witness_digests)
+        _set(self, "_hash", hash((glob, site_a, site_b)))
 
     def sort_key(self) -> tuple:
         return (self.glob, self.site_a, self.site_b)
@@ -50,7 +62,6 @@ def predicate_subsets(names) -> list[tuple[str, ...]]:
     return [s for k in range(len(names) + 1) for s in itertools.combinations(names, k)]
 
 
-@dataclass
 class RaceReport:
     """The distinct exclusion masks of every (global, site_a, site_b) key.
 
@@ -65,10 +76,10 @@ class RaceReport:
     enabled, sorted, and is built on first use.
     """
 
-    digests: tuple[str, ...]
-    modes: dict
-    masks: dict
-    record_counts: dict
+    def __init__(self, digests: tuple[str, ...], modes: dict, masks: dict,
+                 record_counts: dict) -> None:
+        self.digests, self.modes, self.masks = digests, modes, masks
+        self.record_counts = record_counts
 
     @functools.cached_property
     def flagged(self) -> list[FlaggedPair]:

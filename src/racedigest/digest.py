@@ -19,7 +19,7 @@ view.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -166,17 +166,30 @@ class ProductDigest(Digest):
 # Law harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LawViolation:
-    law: str
-    detail: str
+class LawViolation(namedtuple("LawViolation", "law detail")):
+    __slots__ = ()
 
 
-@dataclass
 class LawReport:
-    digest: str
-    checks: int = 0
-    violations: list[LawViolation] = field(default_factory=list)
+    """The checks run on digest ``digest`` and the violations found, in
+    order.  Two reports are equal when all three are."""
+
+    __hash__ = None  # mutable
+
+    def __init__(self, digest: str) -> None:
+        self.digest = digest
+        self.checks = 0
+        self.violations: list[LawViolation] = []
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.digest, self.checks, self.violations) == (
+            other.digest, other.checks, other.violations)
+
+    def __repr__(self) -> str:
+        return (f"LawReport(digest={self.digest!r}, checks={self.checks!r}, "
+                f"violations={self.violations!r})")
 
     @property
     def passed(self) -> bool:

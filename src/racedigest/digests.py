@@ -15,7 +15,7 @@ deliberately broken variants are registered for mutation testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .digest import ConfigError, Digest, MhpVerdict
@@ -117,14 +117,12 @@ class ThreadFlagDigest(Digest):
         return elem
 
 
-@dataclass(frozen=True)
-class TidElem:
-    """path is None for the overflow element absorbing too-deep creation
-    histories; created is a sorted multiset of create edges the ego took."""
+class TidElem(namedtuple("TidElem", "path created unique")):
+    """path (a tuple of create edges) is None for the overflow element
+    absorbing too-deep creation histories; created is a sorted multiset of
+    create edges the ego took (a tuple); unique a bool."""
 
-    path: tuple[str, ...] | None
-    created: tuple[str, ...]
-    unique: bool
+    __slots__ = ()
 
 
 TID_OVERFLOW = TidElem(None, (), False)
@@ -194,10 +192,11 @@ class ThreadIdDigest(Digest):
         return f"tid{u}[{','.join(elem.path)}]c[{','.join(elem.created)}]"
 
 
-@dataclass(frozen=True)
-class JoinElem:
-    tid: TidElem
-    joined: frozenset  # frozenset[tuple[str, ...]] of terminated creation paths
+class JoinElem(namedtuple("JoinElem", "tid joined")):
+    """The ego's ``TidElem`` and the creation paths (tuples) of threads
+    known terminated, a frozenset."""
+
+    __slots__ = ()
 
 
 class JoinDigest(Digest):

@@ -11,7 +11,7 @@ communication happens through lock/unlock pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from operator import attrgetter
 
 # Action kinds, partitioned by how they communicate between threads.
@@ -43,27 +43,41 @@ class ValidationError(Exception):
     """A structurally ill-formed program (duplicate nodes, unknown names, ...)."""
 
 
-def hash_once(cls):
-    """Class decorator for a frozen dataclass that sets and dicts hash over
-    and over (the oracle's events hash their edges, which hash their
-    actions): the hash of the compared fields, the same value the dataclass
-    hash gives, is computed once at construction.  Equality is unchanged."""
-    # with two or more names (every user has) attrgetter returns the field tuple
-    compared = attrgetter(*(f.name for f in fields(cls) if f.compare))
-    init = cls.__init__
-
-    def __init__(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        object.__setattr__(self, "_hash", hash(compared(self)))
-
-    cls.__init__ = __init__
-    cls.__hash__ = lambda self: self._hash
-    return cls
+_set = object.__setattr__
 
 
-@hash_once
-@dataclass(frozen=True)
-class Action:
+class Value:
+    """Base of the immutable slotted values whose equality skips a field or
+    whose hash is kept.  A subclass names its fields in ``_fields`` (and
+    ``__slots__``), sets each once in ``__init__`` through ``_set``, and
+    compares over ``_compared``, an attrgetter of the fields equality
+    reads.  ``_hash`` is the hash of those fields, computed once: sets and
+    dicts hash the oracle's events, which hash their edges, which hash
+    their actions, over and over."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Action(Value):
     """One CFG action.
 
     ``target`` holds the mutex / once variable / global / joined create-edge
@@ -71,14 +85,18 @@ class Action:
     ``create_id`` the identifier naming a create edge (referenced by join).
     """
 
-    kind: str
-    target: str | None = None
-    local: str | None = None
-    create_id: str | None = None
+    __slots__ = _fields = ("kind", "target", "local", "create_id")
+    _compared = attrgetter(*_fields)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ALL_KINDS:
-            raise ValidationError(f"unknown action kind {self.kind!r}")
+    def __init__(self, kind: str, target: str | None = None, local: str | None = None,
+                 create_id: str | None = None) -> None:
+        if kind not in ALL_KINDS:
+            raise ValidationError(f"unknown action kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "target", target)
+        _set(self, "local", local)
+        _set(self, "create_id", create_id)
+        _set(self, "_hash", hash((kind, target, local, create_id)))
 
     @property
     def is_observable(self) -> bool:
@@ -109,22 +127,27 @@ class Action:
         raise ValidationError(f"{self.kind} is not an observing action")
 
 
-@hash_once
-@dataclass(frozen=True)
-class Edge:
-    source: str
-    action: Action
-    target: str
-    # Source line of the originating DSL text; ignored by equality so that
-    # printing and re-parsing a program yields an equal model.
-    line: int | None = field(default=None, compare=False)
+class Edge(Value):
+    """``source --action--> target``.  ``line``, the source line of the
+    originating DSL text, is ignored by equality and hash so that printing
+    and re-parsing a program yields an equal model."""
+
+    __slots__ = _fields = ("source", "action", "target", "line")
+    _compared = attrgetter("source", "action", "target")
+
+    def __init__(self, source: str, action: Action, target: str, line: int | None = None) -> None:
+        _set(self, "source", source)
+        _set(self, "action", action)
+        _set(self, "target", target)
+        _set(self, "line", line)
+        _set(self, "_hash", hash((source, action, target)))
 
 
-@dataclass(frozen=True)
-class ThreadPrototype:
-    label: str
-    start_node: str
-    edges: frozenset[Edge]
+class ThreadPrototype(namedtuple("ThreadPrototype", "label start_node edges")):
+    """A prototype ``label``: a CFG (a frozenset of edges) entered at
+    ``start_node``."""
+
+    __slots__ = ()
 
     def nodes(self) -> set[str]:
         out = {self.start_node}
@@ -134,16 +157,27 @@ class ThreadPrototype:
         return out
 
 
-@dataclass(frozen=True, eq=True)
-class Program:
-    prototypes: dict[str, ThreadPrototype]
-    globals: frozenset[str]
-    mutexes: frozenset[str]
-    once_vars: frozenset[str]
-    main_label: str = "main"
+class Program(Value):
+    """The thread prototypes by label and the declared names.  Its edges are
+    sorted and indexed by source and target once, on first use."""
 
-    def __hash__(self) -> int:  # prototypes dict blocks the generated hash
-        return hash((frozenset(self.prototypes), self.globals, self.mutexes))
+    _fields = ("prototypes", "globals", "mutexes", "once_vars", "main_label")
+    __slots__ = _fields + ("_edges", "_by_source", "_by_target")
+    _compared = attrgetter(*_fields)
+
+    def __init__(self, prototypes: dict[str, ThreadPrototype], globals: frozenset[str],
+                 mutexes: frozenset[str], once_vars: frozenset[str],
+                 main_label: str = "main") -> None:
+        _set(self, "prototypes", prototypes)
+        _set(self, "globals", globals)
+        _set(self, "mutexes", mutexes)
+        _set(self, "once_vars", once_vars)
+        _set(self, "main_label", main_label)
+        # the prototypes dict is hashed by its labels
+        _set(self, "_hash", hash((frozenset(prototypes), globals, mutexes)))
+        _set(self, "_edges", None)
+        _set(self, "_by_source", None)
+        _set(self, "_by_target", None)
 
     def main(self) -> ThreadPrototype:
         return self.prototypes[self.main_label]
@@ -151,32 +185,21 @@ class Program:
     def all_edges(self) -> tuple[Edge, ...]:
         """Every edge, by prototype label and then ``sorted_edges``; sorted
         once per program."""
-        cache = object.__getattribute__(self, "__dict__")
-        if "_edges_cache" not in cache:
-            cache["_edges_cache"] = tuple(
+        if self._edges is None:
+            _set(self, "_edges", tuple(
                 e for label in sorted(self.prototypes)
-                for e in sorted_edges(self.prototypes[label].edges))
-        return cache["_edges_cache"]
+                for e in sorted_edges(self.prototypes[label].edges)))
+        return self._edges
 
     def edges_from(self, node: str) -> list[Edge]:
-        return self._by_source().get(node, [])
+        if self._by_source is None:
+            _set(self, "_by_source", _index(self.all_edges(), attrgetter("source")))
+        return self._by_source.get(node, [])
 
     def edges_to(self, node: str) -> list[Edge]:
-        return self._by_target().get(node, [])
-
-    def _by_source(self) -> dict[str, list[Edge]]:
-        cache = object.__getattribute__(self, "__dict__").setdefault("_src_cache", {})
-        if not cache:
-            for e in self.all_edges():
-                cache.setdefault(e.source, []).append(e)
-        return cache
-
-    def _by_target(self) -> dict[str, list[Edge]]:
-        cache = object.__getattribute__(self, "__dict__").setdefault("_tgt_cache", {})
-        if not cache:
-            for e in self.all_edges():
-                cache.setdefault(e.target, []).append(e)
-        return cache
+        if self._by_target is None:
+            _set(self, "_by_target", _index(self.all_edges(), attrgetter("target")))
+        return self._by_target.get(node, [])
 
     def create_edges(self) -> dict[str, Edge]:
         """Map from create-edge id to its edge."""
@@ -185,6 +208,13 @@ class Program:
             if e.action.kind == "create":
                 out[e.action.create_id] = e
         return out
+
+
+def _index(edges, key) -> dict[str, list[Edge]]:
+    out: dict[str, list[Edge]] = {}
+    for e in edges:
+        out.setdefault(key(e), []).append(e)
+    return out
 
 
 def action_sort_key(a: Action) -> tuple:

@@ -27,11 +27,14 @@ the racy pairs as it takes each access.
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
-from dataclasses import dataclass
+from operator import attrgetter
 
-from .model import (MAIN, READ, WRITE, Action, Edge, InstanceId, Program, access_sequence,
-                    atomicity_mutex, fmt_action, hash_once)
+from .model import (MAIN, READ, WRITE, Action, Edge, InstanceId, Program, Value, access_sequence,
+                    atomicity_mutex, fmt_action)
+
+_set = object.__setattr__
 
 
 def instance_name(instance: InstanceId) -> str:
@@ -40,17 +43,21 @@ def instance_name(instance: InstanceId) -> str:
     return "<" + ",".join(f"{ce}#{k}" for ce, k in instance) + ">"
 
 
-@hash_once
-@dataclass(frozen=True)
-class Event:
+class Event(Value):
     """One configuration of one thread: the start marker (edge=None) or the
     state reached by taking ``edge``."""
 
-    instance: InstanceId
-    index: int
-    proto: str
-    node: str
-    edge: Edge | None
+    __slots__ = _fields = ("instance", "index", "proto", "node", "edge")
+    _compared = attrgetter(*_fields)
+
+    def __init__(self, instance: InstanceId, index: int, proto: str, node: str,
+                 edge: Edge | None) -> None:
+        _set(self, "instance", instance)
+        _set(self, "index", index)
+        _set(self, "proto", proto)
+        _set(self, "node", node)
+        _set(self, "edge", edge)
+        _set(self, "_hash", hash((instance, index, proto, node, edge)))
 
     @property
     def action(self) -> Action | None:
@@ -61,13 +68,20 @@ class Event:
         return f"{instance_name(self.instance)}[{self.index}] {what}"
 
 
-@hash_once
-@dataclass(frozen=True)
-class DepEdge:
-    kind: str  # "create" | "mutex" | "once" | "join"
-    label: str | None
-    src: Event
-    dst: Event
+class DepEdge(Value):
+    """A cross-thread dependency of ``kind`` "create", "mutex", "once" or
+    "join" from ``src`` to ``dst``; ``label`` is the mutex or once variable
+    of a mutex or once dep, else None."""
+
+    __slots__ = _fields = ("kind", "label", "src", "dst")
+    _compared = attrgetter(*_fields)
+
+    def __init__(self, kind: str, label: str | None, src: Event, dst: Event) -> None:
+        _set(self, "kind", kind)
+        _set(self, "label", label)
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "_hash", hash((kind, label, src, dst)))
 
 
 def _bits(mask: int):
@@ -206,9 +220,6 @@ class Pomset(_Masks):
 _EMPTY: frozenset = frozenset()
 
 
-# History, Step and RacePair are named tuples and TraceSet a plain class,
-# not dataclasses: every `oracle` run builds these classes on import, and a
-# dataclass takes about a millisecond to build
 class History(namedtuple("History", "held active created completed terminated seen")):
     """What a local trace knows.  Of the ego thread: the mutexes it holds,
     the once variables it is inside (frozensets) and the create edges it
@@ -686,8 +697,17 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     and the enumeration runs again without the reduction."""
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
-    found = _explore(p, depth, width, reduce=True)
-    return found if found is not None else _explore(p, depth, width, reduce=False)
+    # The search allocates hundreds of thousands of containers (traces,
+    # steps, memo entries, states) that form no reference cycles, so the
+    # cyclic collector would only traverse them again and again.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        found = _explore(p, depth, width, reduce=True)
+        return found if found is not None else _explore(p, depth, width, reduce=False)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | None:

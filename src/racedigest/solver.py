@@ -31,8 +31,7 @@ constraints.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .digest import Digest
 from .model import READ, WRITE, Edge, Program, is_atomicity_mutex
@@ -42,22 +41,19 @@ class SolverDivergence(Exception):
     """The evaluation cap was hit; some digest realizes unboundedly many values."""
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One recorded access: the digest is the value before the access
-    sequence, which access stability guarantees equals the value after it."""
+class AccessRecord(namedtuple("AccessRecord", "site type digest")):
+    """One recorded access at ``site``, of ``type`` W or R: the digest is the
+    value before the access sequence, which access stability guarantees
+    equals the value after it."""
 
-    site: str
-    type: str  # W or R
-    digest: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    program: Program
-    digest: Digest
-    # unlock-of-m_g edge -> (access site, access type, global)
-    accumulators: dict
+class ConstraintSystem(namedtuple("ConstraintSystem", "program digest accumulators")):
+    """The constraints of ``program`` over ``digest``; ``accumulators`` maps
+    each unlock-of-m_g edge to (access site, access type, global)."""
+
+    __slots__ = ()
 
     @staticmethod
     def build(program: Program, digest: Digest) -> "ConstraintSystem":
@@ -80,13 +76,16 @@ def build_system(program: Program, digest: Digest) -> ConstraintSystem:
     return ConstraintSystem.build(program, digest)
 
 
-@dataclass
 class Solution:
-    system: ConstraintSystem
-    pp: dict  # node -> set of digest elements
-    obs: dict  # observable key -> set of digest elements
-    races: dict  # global -> set of AccessRecord
-    evaluations: int = 0
+    """The least solution of ``system``: per node (``pp``) and per
+    observable key (``obs``) the set of digest elements, per global the
+    set of ``AccessRecord`` (``races``), and the transfer evaluations it
+    took."""
+
+    def __init__(self, system: ConstraintSystem, pp: dict, obs: dict, races: dict,
+                 evaluations: int) -> None:
+        self.system, self.pp, self.obs, self.races = system, pp, obs, races
+        self.evaluations = evaluations
 
     def reached(self, node: str, elem) -> bool:
         return elem in self.pp.get(node, ())

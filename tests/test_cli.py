@@ -383,3 +383,34 @@ def test_oracle_loads_no_analyzer_module():
     assert done.stdout == (
         "1 True\n['racedigest.cli', 'racedigest.dsl', 'racedigest.model', 'racedigest.oracle']\n"
     )
+
+
+_STDLIB_MODULES = """
+import contextlib, io, sys
+import racedigest.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = racedigest.cli.main(sys.argv[1:])
+print(code, [m for m in ("dataclasses", "inspect") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("command,code", [
+    ("analyze", 1), ("ablate", 0), ("oracle", 1), ("conform", 0),
+])
+def test_no_command_imports_dataclasses(tmp_path, command, code):
+    # every command runs in a fresh interpreter, where importing dataclasses
+    # (which loads inspect, ast, dis and tokenize) and building each class
+    # with it is start-up cost paid on every call
+    if command == "conform":
+        # the cases that together catch every mutant, so all suites pass
+        for case in ("once_after_completion", "prog1_running_example", "two_children_race"):
+            shutil.copytree(CORPUS_DIR / case, tmp_path / case)
+        argv = [command, str(tmp_path)]
+    else:
+        argv = [command, rlp("prog0_unsync_writes"), "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-c", _STDLIB_MODULES, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout == f"{code} []\n"
