@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from .model import MAIN, Action, Edge, Program, access_sequence, access_sites, atomicity_mutex
 
 if TYPE_CHECKING:
-    from .oracle import LocalTrace, TraceSet
+    from .oracle import TraceSet
 
 
 class MhpVerdict(Enum):
@@ -43,10 +43,6 @@ class ConfigError(Exception):
     """Invalid digest configuration (e.g. join without thread ids)."""
 
 
-class ArityMismatch(ValueError):
-    """A product table assembled from the wrong number of component tables."""
-
-
 class Digest:
     """Base digest: every action leaves the value unchanged.
 
@@ -61,6 +57,12 @@ class Digest:
     view, so a view that drops a field the step reads loses facts.  The
     default, the whole partner value, is always exact; a digest whose step
     ignores the partner returns ``None``.
+
+    ``abstract(ego, history)`` is the abstraction map the law harness
+    checks the transfer against: the value of a local trace whose ego
+    thread is the instance ``ego`` and whose knowledge is the oracle's
+    ``History`` value ``history``.  It may read nothing else of the trace,
+    so the harness abstracts each distinct pair once.
     """
 
     name = "digest"
@@ -83,7 +85,7 @@ class Digest:
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         raise NotImplementedError
 
-    def abstract_trace(self, t: LocalTrace):
+    def abstract(self, ego, history):
         raise NotImplementedError
 
     def format_elem(self, elem) -> str:
@@ -101,9 +103,8 @@ def generic_mhp(d: Digest, glob: str, a, b) -> MhpVerdict:
 
 class ProductDigest(Digest):
     """Component-wise combination; the predicate is the meet of components.
-    A value is a tuple of one component value each: ``init_digests`` and
-    the transfer build every value of a solve that way, and
-    ``product_table`` checks the tables it assembles values from."""
+    A value is a tuple of one component value each: ``init_digests``, the
+    transfer and ``abstract`` build every value that way."""
 
     def __init__(self, components: tuple[Digest, ...]):
         if not components:
@@ -155,8 +156,8 @@ class ProductDigest(Digest):
                 return MhpVerdict.FALSE
         return MhpVerdict.TOP
 
-    def abstract_trace(self, t: LocalTrace):
-        return tuple(c.abstract_trace(t) for c in self.components)
+    def abstract(self, ego, history):
+        return tuple(c.abstract(ego, history) for c in self.components)
 
     def format_elem(self, elem) -> str:
         return "(" + " | ".join(c.format_elem(e) for c, e in zip(self.components, elem)) + ")"
@@ -200,17 +201,10 @@ class LawReport:
 
 
 def abstraction_table(d: Digest, ts: TraceSet) -> dict:
-    """``{trace: d.abstract_trace(trace)}`` over the traces of ``ts``, in
-    their order."""
-    return {t: d.abstract_trace(t) for t in ts.traces}
-
-
-def product_table(product: ProductDigest, tables: list[dict]) -> dict:
-    """The abstraction table of ``product``, from the tables of its
-    components over one trace set (so all in one trace order)."""
-    if len(tables) != len(product.components):
-        raise ArityMismatch(f"expected {len(product.components)} tables, got {len(tables)}")
-    return dict(zip(tables[0], zip(*(table.values() for table in tables))))
+    """``{(ego, history): d.abstract(ego, history)}`` over the distinct
+    pairs of the traces of ``ts``, in the order first seen."""
+    keys = dict.fromkeys((t.ego, t.history) for t in ts.traces)
+    return {key: d.abstract(*key) for key in keys}
 
 
 def check_admissibility(d: Digest, p: Program, ts: TraceSet,
@@ -218,7 +212,8 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
     """Replay every concrete step of the enumeration (``ts.steps()``)
     against the digest transfer functions: the simulation law for
     local/observing steps, the creation laws, and the initialization law.
-    ``alpha`` is the digest's abstraction table over ``ts``."""
+    ``alpha`` is the digest's abstraction table over ``ts``, read at each
+    trace's (ego, history)."""
     report = LawReport(d.name)
     if alpha is None:
         alpha = abstraction_table(d, ts)
@@ -229,16 +224,18 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
     init_trace = next(
         t for t in ts.traces if t.top.instance == MAIN and t.top.index == 0
     )
+    a_init = alpha[init_trace.ego, init_trace.history]
     report.checks += 1
-    if d.init_digests() != frozenset({alpha[init_trace]}):
+    if d.init_digests() != frozenset({a_init}):
         report.add(
             "init",
             f"init_digests() = {sorted(map(fmt, d.init_digests()))} but "
-            f"alpha(init) = {fmt(alpha[init_trace])}",
+            f"alpha(init) = {fmt(a_init)}",
         )
 
     for step in ts.steps():
-        e, a0, a_out = step.event, alpha[step.before], alpha[step.after]
+        e, before, after = step.event, step.before, step.after
+        a0, a_out = alpha[before.ego, before.history], alpha[after.ego, after.history]
         report.checks += 1
         if e.edge is None:
             ce = e.instance[-1][0]
@@ -252,7 +249,7 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
             continue
         act = e.action
         if step.observed is not None:
-            got = d.step_observing(act, a0, alpha[step.observed])
+            got = d.step_observing(act, a0, alpha[step.observed.ego, step.observed.history])
         else:
             got = d.step_local(act, a0)
         if got is None or got != a_out:

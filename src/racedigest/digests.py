@@ -8,21 +8,18 @@
                 propagated through join chains (rides on thread ids)
 * once       -- active and completed once-control variables
 
-Each digest implements the abstraction map from concrete local traces used
-by the law harness, and a bespoke may-happen-in-parallel predicate.  A few
+Each digest implements the abstraction map used by the law harness, from
+a local trace's ego instance and history, and a bespoke
+may-happen-in-parallel predicate.  A few
 deliberately broken variants are registered for mutation testing.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .digest import ConfigError, Digest, MhpVerdict
 from .model import Action, Edge, edge_path, is_atomicity_mutex
-
-if TYPE_CHECKING:
-    from .oracle import LocalTrace
 
 ST_MAIN = "ST_main"
 MT_MAIN = "MT_main"
@@ -72,8 +69,8 @@ class LocksetDigest(Digest):
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         return MhpVerdict.FALSE if a & b else MhpVerdict.TOP
 
-    def abstract_trace(self, t: LocalTrace):
-        return t.history.held
+    def abstract(self, ego, history):
+        return history.held
 
     def format_elem(self, elem) -> str:
         return "{" + ",".join(sorted(elem)) + "}"
@@ -108,10 +105,10 @@ class ThreadFlagDigest(Digest):
             return MhpVerdict.FALSE
         return MhpVerdict.TOP
 
-    def abstract_trace(self, t: LocalTrace):
-        if t.ego != ():
+    def abstract(self, ego, history):
+        if ego != ():
             return MT
-        return MT_MAIN if t.history.created else ST_MAIN
+        return MT_MAIN if history.created else ST_MAIN
 
     def format_elem(self, elem) -> str:
         return elem
@@ -178,12 +175,11 @@ class ThreadIdDigest(Digest):
             return MhpVerdict.FALSE
         return MhpVerdict.TOP
 
-    def abstract_trace(self, t: LocalTrace):
-        path = edge_path(t.ego)
+    def abstract(self, ego, history):
+        path = edge_path(ego)
         if len(path) > self.cap:
             return TID_OVERFLOW
-        created = _saturate_counts(t.history.created)
-        return TidElem(path, created, _alpha_unique(t.ego))
+        return TidElem(path, _saturate_counts(history.created), _alpha_unique(ego))
 
     def format_elem(self, elem) -> str:
         if elem.path is None:
@@ -261,14 +257,14 @@ class JoinDigest(Digest):
             and other.tid.path in ego.joined
         )
 
-    def abstract_trace(self, t: LocalTrace):
+    def abstract(self, ego, history):
         # a joined thread counts when its path fits the cap, its creator is
         # unique and it is the first child created through its edge
         joined = frozenset(
-            edge_path(child) for child in t.history.terminated
+            edge_path(child) for child in history.terminated
             if len(child) <= self.cap and child[-1][1] == 0 and _alpha_unique(child[:-1])
         )
-        return JoinElem(self._tid.abstract_trace(t), joined)
+        return JoinElem(self._tid.abstract(ego, history), joined)
 
     def format_elem(self, elem) -> str:
         joined = ";".join(",".join(p) for p in sorted(elem.joined))
@@ -312,9 +308,8 @@ class OnceDigest(Digest):
             return MhpVerdict.FALSE
         return MhpVerdict.TOP
 
-    def abstract_trace(self, t: LocalTrace):
-        h = t.history
-        return (h.active, h.completed)
+    def abstract(self, ego, history):
+        return (history.active, history.completed)
 
     def format_elem(self, elem) -> str:
         return "A{" + ",".join(sorted(elem[0])) + "}C{" + ",".join(sorted(elem[1])) + "}"

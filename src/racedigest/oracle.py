@@ -105,24 +105,25 @@ class EventTable:
     step functions what they add, so the table only grows.
 
     For the merge checks of ``trace_step_observing`` the table keeps groups:
-    per event its slot, the events at one (instance, index); per mutex, once
-    and join dep its source key (source, kind, label) and target key
-    (target, kind), the deps sharing it.  ``after`` keeps one ``History``
-    object per value, for the search and for every later step."""
+    per event its slot, the events at one (instance, index); per dep its
+    source key (source, kind, label) and target key (target, kind), the
+    deps sharing it; per create dep the creator's create event, which its
+    source must be followed by.  ``after`` keeps one ``History`` object per
+    value, for the search and for every later step."""
 
     def __init__(self):
         self.events: list[Event] = []
         self.deps: list[DepEdge] = []
         self.ids: dict[Event | DepEdge, int] = {}  # position in events or deps
         self.steps: dict[tuple[int, Edge], int] = {}  # (prev id, edge) -> event id
-        self.dep_sources: list[int] = []  # per dep, the id of its source event
-        self.dep_targets: list[int] = []  # per dep, the id of its target event
         self.slots: dict[tuple, int] = {}  # (instance, index) -> slot
         self.slot: list[int] = []  # per event, its slot
         self.slot_events: list[int] = []  # per slot, the mask of its events
         self.keys: dict[tuple, int] = {}  # (source id, kind, label) or (target id, kind) -> key
-        self.dep_keys: list[tuple[int, int] | None] = []  # per dep, its source and target key
+        self.dep_keys: list[tuple[int, int]] = []  # per dep, its source and target key
         self.key_deps: list[int] = []  # per key, the mask of its deps
+        self.create_deps = 0  # the mask of the create deps
+        self.claims: dict[int, int] = {}  # create dep id -> its creator's create event id
         self.histories: dict[History, History] = {}  # each value to its one object
         self.transfers: dict[tuple, History] = {}  # the arguments of a transfer -> its result
 
@@ -140,15 +141,9 @@ class EventTable:
         if i is None:
             i = self.ids[d] = len(self.deps)
             self.deps.append(d)
-            src, dst = self.ids[d.src], self.ids[d.dst]
-            self.dep_sources.append(src)
-            self.dep_targets.append(dst)
-            if d.kind == "create":
-                self.dep_keys.append(None)
-            else:
-                self.dep_keys.append((
-                    _group(self.keys, self.key_deps, (src, d.kind, d.label), 1 << i),
-                    _group(self.keys, self.key_deps, (dst, d.kind), 1 << i)))
+            self.dep_keys.append((
+                _group(self.keys, self.key_deps, (self.ids[d.src], d.kind, d.label), 1 << i),
+                _group(self.keys, self.key_deps, (self.ids[d.dst], d.kind), 1 << i)))
         return i
 
     def step(self, prev: int, edge: Edge) -> int:
@@ -271,11 +266,11 @@ _START = History(_EMPTY, _EMPTY, (), _EMPTY, _EMPTY, _EMPTY)
 
 class LocalTrace(_Masks):
     """Downward-closed event set of ``table`` with the unique maximal event
-    ``top`` (which its masks fix).  The ego thread is ``top.instance``; the
-    trace is that thread's complete knowledge of the computation, summed up
-    in ``history``."""
+    ``top`` (which its masks fix).  The ego thread is ``ego``, the instance
+    of ``top``; the trace is that thread's complete knowledge of the
+    computation, summed up in ``history``."""
 
-    __slots__ = ("top", "history", "_hash")
+    __slots__ = ("top", "ego", "history", "_hash")
 
     def __init__(self, table: EventTable, event_mask: int, dep_mask: int, top: Event,
                  history: History):
@@ -283,6 +278,7 @@ class LocalTrace(_Masks):
         self.event_mask = event_mask
         self.dep_mask = dep_mask
         self.top = top
+        self.ego: InstanceId = top.instance
         self.history = history
         self._hash = hash((event_mask, dep_mask))
 
@@ -292,10 +288,6 @@ class LocalTrace(_Masks):
     def __repr__(self) -> str:
         return (f"LocalTrace({self.top.describe()}, {self.event_mask.bit_count()} events, "
                 f"{self.dep_mask.bit_count()} deps)")
-
-    @property
-    def ego(self) -> InstanceId:
-        return self.top.instance
 
     def ego_node(self) -> str:
         return self.top.node
@@ -399,6 +391,8 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     table = t.table
     start = table.event_id(Event(child, 0, a.target, proto.start_node, None))
     dep = table.dep_id(DepEdge("create", None, t.top, table.events[start]))
+    table.claims[dep] = table.step(table.ids[t.top], edge)
+    table.create_deps |= 1 << dep
     return LocalTrace(table, t.event_mask | 1 << start, t.dep_mask | 1 << dep,
                       table.events[start], table.after(t.history, None))
 
@@ -408,9 +402,21 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
     """Merge the observed trace ``t1`` into ``t0`` and prolong by ``edge``.
 
     Returns None unless the traces agree on their shared past and the
-    per-mutex/per-once/per-join pairing rules still hold after adding the
-    new dependency.  Each input is a trace, so the checks compare only what
-    ``t1`` adds with ``t0``, on the ids of their table.
+    pairing rules still hold after adding the new dependency: an event
+    feeds at most one dep of a kind and label (one lock per unlock, one
+    child per create) and has at most one incoming dep.  A create dep's
+    source is followed by the create event, so the union may hold no other
+    event at that slot: a create dep claims the slot for the create event.
+    Each input is a trace, so the checks compare only what ``t1`` adds
+    (events and claims) with ``t0``, on the ids of their table.
+
+    The union is then acyclic.  An event a dep targets (a start, lock,
+    startO or join) has its one incoming dep in every trace holding it.
+    So a dep of one trace that targets an event of the other shares its
+    target key with that event's dep there, and one of the two is among
+    what ``t1`` adds: the check refuses it.  Every event of the union thus
+    has the predecessors it has in a trace holding it, a cycle of the
+    union would lie in one trace, and the new event has no successor.
     """
     act = edge.action
     if not act.is_observing:
@@ -429,25 +435,29 @@ def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
 
     em0, dm0, em1, dm1 = t0.event_mask, t0.dep_mask, t1.event_mask, t1.dep_mask
     ego, events, slot, slot_events = t0.ego, table.events, table.slot, table.slot_events
-    for x in _bits(em1 & ~em0):
+    claims, creates = table.claims, table.create_deps
+    c0 = c1 = 0  # the claims of the create deps of one trace only
+    for d in _bits(dm0 & ~dm1 & creates):
+        c0 |= 1 << claims[d]
+    for d in _bits(dm1 & ~dm0 & creates):
+        c1 |= 1 << claims[d]
+    have = em0 | c0
+    for x in _bits((em1 | c1) & ~have):
         # an event of the ego's past or past its top, or a second event at
         # a slot of t0's: the two pasts disagree
-        if events[x].instance == ego or slot_events[slot[x]] & em0:
+        if events[x].instance == ego or slot_events[slot[x]] & have:
             return None
-    # each observable feeds at most one observer; each observer has one source
+    # each event feeds one dep of a kind and label, and has one source
     key_deps = table.key_deps
     for d in _bits(dm1 & ~dm0):
-        keys = table.dep_keys[d]
-        if keys is not None and (key_deps[keys[0]] & dm0 or key_deps[keys[1]] & dm0):
+        src, dst = table.dep_keys[d]
+        if key_deps[src] & dm0 or key_deps[dst] & dm0:
             return None
-    deps = dm0 | dm1
     kind = _DEP_KIND[act.kind]
     label = act.target if act.kind in ("lock", "startO") else None
     # the new dep's source key: the observed top feeds no observer yet
     fed = table.keys.get((table.ids[top1], kind, label))
-    if fed is not None and key_deps[fed] & deps:
-        return None
-    if _crossing(table, em0, dm0, em1, dm1) and not _acyclic(table, em0 | em1, deps):
+    if fed is not None and key_deps[fed] & (dm0 | dm1):
         return None
     # with the degrees checked, t0 and t1 stay the closures of their tops
     return _extend(t0, edge, t1)
@@ -475,37 +485,6 @@ def _last_child(t: LocalTrace, create_id: str) -> InstanceId | None:
     or None if it never took that edge."""
     count = t.history.created.count(create_id)
     return t.ego + ((create_id, count - 1),) if count else None
-
-
-def _crossing(table: EventTable, em0: int, dm0: int, em1: int, dm1: int) -> bool:
-    """Whether a dep of one trace targets an event of the other without
-    being a dep of it.  Otherwise every event of the union has the
-    predecessors it has in a trace holding it, so a cycle of the union
-    would lie in one acyclic trace; the new event of a merge has no
-    successor.  Past the merge's other checks, only a start can have a dep
-    in each trace: its creator took one create edge at two points, which
-    needs a create edge in a loop (explicit-edge form)."""
-    targets = table.dep_targets
-    return (any(em0 >> targets[d] & 1 for d in _bits(dm1 & ~dm0))
-            or any(em1 >> targets[d] & 1 for d in _bits(dm0 & ~dm1)))
-
-
-def _acyclic(table: EventTable, event_mask: int, dep_mask: int) -> bool:
-    """Whether program order and ``dep_mask`` order ``event_mask`` (one
-    event per slot) without a cycle: Kahn's algorithm over masks."""
-    preds = {}  # per unplaced event, the mask of its predecessors
-    for i in _bits(event_mask):
-        e = table.events[i]
-        g = table.slots.get((e.instance, e.index - 1))
-        preds[i] = 0 if g is None else table.slot_events[g] & event_mask
-    for d in _bits(dep_mask):
-        preds[table.dep_targets[d]] |= 1 << table.dep_sources[d]
-    placed = 0
-    while ready := [i for i, mask in preds.items() if not mask & ~placed]:
-        for i in ready:
-            placed |= 1 << i
-            del preds[i]
-    return not preds
 
 
 # ---------------------------------------------------------------------------

@@ -55,25 +55,17 @@ class ConstraintSystem(namedtuple("ConstraintSystem", "program digest accumulato
 
     __slots__ = ()
 
-    @staticmethod
-    def build(program: Program, digest: Digest) -> "ConstraintSystem":
-        accumulators = {}
-        for e in program.all_edges():
-            if e.action.kind == "unlock" and is_atomicity_mutex(e.action.target):
-                (acc,) = program.edges_to(e.source)
-                kind = acc.action.kind
-                if kind not in ("read", "write"):
-                    raise ValueError(f"unlock of {e.action.target} not preceded by an access")
-                accumulators[e] = (
-                    acc.source,
-                    WRITE if kind == "write" else READ,
-                    acc.action.target,
-                )
-        return ConstraintSystem(program, digest, accumulators)
-
 
 def build_system(program: Program, digest: Digest) -> ConstraintSystem:
-    return ConstraintSystem.build(program, digest)
+    accumulators = {}
+    for e in program.all_edges():
+        if e.action.kind == "unlock" and is_atomicity_mutex(e.action.target):
+            (acc,) = program.edges_to(e.source)
+            kind = acc.action.kind
+            if kind not in ("read", "write"):
+                raise ValueError(f"unlock of {e.action.target} not preceded by an access")
+            accumulators[e] = (acc.source, WRITE if kind == "write" else READ, acc.action.target)
+    return ConstraintSystem(program, digest, accumulators)
 
 
 class Solution:

@@ -2,14 +2,26 @@
 its own transfer calls: every observing step taken afresh for every site,
 ego and partner, and ``mhp`` called both ways per pair.  The harness in
 ``racedigest.digest`` shares one table of observing steps between the
-stability and view laws; ``test_law_reference.py`` checks that it gives
-these functions' reports, violation for violation."""
+stability and view laws, and abstracts each distinct (ego, history)
+once; ``test_law_reference.py`` checks that it gives these functions'
+reports, violation for violation.  Here every trace is abstracted on its
+own, into a ``{trace: alpha}`` table."""
 
 from __future__ import annotations
 
-from racedigest.digest import Digest, LawReport, abstraction_table, realized_values
+from racedigest.digest import Digest, LawReport
 from racedigest.model import MAIN, Program, access_sequence, access_sites
 from racedigest.oracle import TraceSet
+
+
+def trace_table(d: Digest, ts: TraceSet) -> dict:
+    """``{trace: alpha}`` over the traces of ``ts``, each abstracted."""
+    return {t: d.abstract(t.ego, t.history) for t in ts.traces}
+
+
+def realized_values(d: Digest, ts: TraceSet) -> list:
+    """The initial digest values and those of every trace, in format order."""
+    return sorted(set(trace_table(d, ts).values()) | set(d.init_digests()), key=d.format_elem)
 
 
 def check_admissibility(d: Digest, p: Program, ts: TraceSet,
@@ -17,10 +29,10 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
     """Replay every concrete step of the enumeration (``ts.steps()``)
     against the digest transfer functions: the simulation law for
     local/observing steps, the creation laws, and the initialization law.
-    ``alpha`` is the digest's abstraction table over ``ts``."""
+    ``alpha`` is the digest's ``{trace: alpha}`` table over ``ts``."""
     report = LawReport(d.name)
     if alpha is None:
-        alpha = abstraction_table(d, ts)
+        alpha = trace_table(d, ts)
     fmt = d.format_elem
     create_edges = p.create_edges()
     realized_at_create: set[tuple] = set()

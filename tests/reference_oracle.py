@@ -208,8 +208,10 @@ def step_observing(p: Program, edge: Edge, t0, t1) -> Trace | None:
     """The merge of ``t1`` into ``t0`` at an observing edge as it stood on
     frozensets: the union of the event and dep sets prolonged by the new
     event, or None when the union holds two events at one (instance,
-    index), an event of the ego past its top, an observable feeding two
-    observers or an observer with two sources, or a cycle."""
+    index), an event of the ego past its top, an event feeding two deps
+    of one kind and label or one with two incoming deps, a create dep
+    whose source is followed by an event other than that create, or a
+    cycle."""
     act = edge.action
     if t0.ego_node() != edge.source:
         return None
@@ -230,10 +232,15 @@ def step_observing(p: Program, edge: Edge, t0, t1) -> Trace | None:
     new = Event(t0.ego, t0.top.index + 1, t0.top.proto, edge.target, edge)
     deps = t0.deps | t1.deps | {
         DepEdge(kind, act.target if act.kind != "join" else None, top1, new)}
-    observing = [d for d in deps if d.kind != "create"]
-    if (len({(d.src, d.kind, d.label) for d in observing}) < len(observing)
-            or len({(d.dst, d.kind) for d in observing}) < len(observing)):
+    if (len({(d.src, d.kind, d.label) for d in deps}) < len(deps)
+            or len({(d.dst, d.kind) for d in deps}) < len(deps)):
         return None
+    by_slot = {(e.instance, e.index): e for e in events | {new}}
+    for d in deps:
+        if d.kind == "create":
+            nxt = by_slot.get((d.src.instance, d.src.index + 1))
+            if nxt is not None and nxt.edge.action.create_id != d.dst.instance[-1][0]:
+                return None
     try:
         ancestors(events | {new}, deps)
     except ValueError:

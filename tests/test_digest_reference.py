@@ -64,8 +64,8 @@ def _check_maps(traces) -> None:
     for cap in (8, 1, 0):
         join = JoinDigest(cap)
         for t in traces:
-            assert once.abstract_trace(t)[1] == reference.completed_at(t)
-            assert join.abstract_trace(t).joined == reference.joined_of(t, cap)
+            assert once.abstract(t.ego, t.history)[1] == reference.completed_at(t)
+            assert join.abstract(t.ego, t.history).joined == reference.joined_of(t, cap)
 
 
 def test_once_and_join_maps_match_reference_on_corpus(corpus_cases):
@@ -83,9 +83,9 @@ def test_hand_written_programs_reach_the_cases():
     # the hand-off program has a trace that has seen an endO but knows no
     # completion; the twice program joins a second child and a first one
     handoff = enumerate_traces(instrument_atomicity(parse_program(HANDOFF))).traces
-    assert any(("endO", "o") in t.history.seen and not OnceDigest().abstract_trace(t)[1]
+    assert any(("endO", "o") in t.history.seen and not OnceDigest().abstract(t.ego, t.history)[1]
                and t.ego == (("e2", 0),) for t in handoff)
     twice = enumerate_traces(instrument_atomicity(parse_program(TWICE))).traces
-    joined = {frozenset(JoinDigest().abstract_trace(t).joined) for t in twice
+    joined = {frozenset(JoinDigest().abstract(t.ego, t.history).joined) for t in twice
               if t.top.action is not None and t.top.action.kind == "join" and t.ego == ()}
     assert frozenset() in joined and frozenset({("e1",), ("e1", "e3")}) in joined

@@ -8,14 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from racedigest.digest import (
-    ArityMismatch,
     ConfigError,
     Digest,
     MhpVerdict,
     ProductDigest,
-    abstraction_table,
     generic_mhp,
-    product_table,
 )
 from racedigest.digests import (
     MT,
@@ -291,13 +288,6 @@ def test_product_pointwise_and_meet():
     assert prod.mhp("g", (frozenset(), MT), (frozenset(), MT)) is T
 
 
-def test_product_arity_mismatch(prog0_traces):
-    prod = ProductDigest(build_digests(["lockset", "threadflag"]))
-    lockset_only = [abstraction_table(prod.components[0], prog0_traces)]
-    with pytest.raises(ArityMismatch):
-        product_table(prod, lockset_only)
-
-
 def test_product_component_none_collapses():
     prod = ProductDigest(build_digests(["lockset", "once"]))
     elem = (frozenset(), (frozenset(), frozenset()))
@@ -375,5 +365,6 @@ def test_abstract_trace_deeper_than_recursion_limit():
     )
     deepest = max(ts.traces, key=lambda t: len(t.events))
     assert len(deepest.events) > sys.getrecursionlimit()
-    alphas = {d.name: d.abstract_trace(deepest) for d in build_digests(CANONICAL_ORDER)}
+    alphas = {d.name: d.abstract(deepest.ego, deepest.history)
+              for d in build_digests(CANONICAL_ORDER)}
     assert alphas["once"][1] == frozenset({"o"})

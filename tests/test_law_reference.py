@@ -1,11 +1,13 @@
 """The law harness against ``reference_laws``, the laws as they were checked
-when each made its own transfer calls.  On every corpus case and for every
-shipped digest, their product, each registered mutant, the inexact-view
-digests and a digest whose predicate depends on argument order, the
-shared-table harness must give the same ``LawReport``: the same check count
-and the same violations in the same order.  Each test digest breaks the
-law it is there for on some case.  A call-count test pins the
-saving on the product."""
+when each made its own transfer calls and abstracted every trace.  On every
+corpus case, the generated programs (where many traces share an
+(ego, history)) and the once hand-off (where the once digest breaks the
+simulation law), and for every shipped digest, their product, each
+registered mutant, the inexact-view digests and a digest whose predicate
+depends on argument order, the harness must give the same ``LawReport``:
+the same check count and the same violations in the same order.  Each test
+digest breaks the law it is there for on some case.  Call-count tests pin
+the saving on the product and one abstraction per (ego, history)."""
 
 from __future__ import annotations
 
@@ -21,13 +23,20 @@ from racedigest.digests import (
     DEFAULT_TID_CAP,
     MUTANTS,
     ST_MAIN,
+    JoinDigest,
     LocksetDigest,
+    OnceDigest,
     ThreadFlagDigest,
+    ThreadIdDigest,
     build_digests,
 )
-from racedigest.model import Action, atomicity_mutex, is_atomicity_mutex
+from racedigest.dsl import parse_program
+from racedigest.model import (Action, atomicity_mutex, instrument_atomicity,
+                              is_atomicity_mutex)
+from racedigest.oracle import enumerate_traces
 
 from tests import reference_laws as reference
+from tests.conftest import GENERATED, ONCE_HANDOFF
 from tests.test_view_exactness import BlindOnce, BlindOverlapLockset, BlindThreadFlag, PathOnlyJoin
 
 
@@ -71,41 +80,63 @@ def _digests() -> dict:
 DIGESTS = _digests()
 
 
-def _reference(d, case, ts) -> tuple:
+@pytest.fixture(scope="module")
+def law_inputs(corpus_cases) -> list[tuple]:
+    """(name, program, trace set) of every corpus case, every generated
+    program and the once hand-off."""
+    out = [(case.name, case.program, case.traces()) for case in corpus_cases]
+    for name, src in {**GENERATED, "once-handoff": ONCE_HANDOFF}.items():
+        program = instrument_atomicity(parse_program(src))
+        out.append((name, program, enumerate_traces(program)))
+    return out
+
+
+def _reference(d, p, ts) -> tuple:
     realized = reference.realized_values(d, ts)
     return (
-        reference.check_admissibility(d, case.program, ts),
-        reference.check_access_stability(d, case.program, ts, realized),
-        reference.check_mhp_commutativity(d, case.program, ts, realized),
-        reference.check_view_exactness(d, case.program, ts, realized),
+        reference.check_admissibility(d, p, ts),
+        reference.check_access_stability(d, p, ts, realized),
+        reference.check_mhp_commutativity(d, p, ts, realized),
+        reference.check_view_exactness(d, p, ts, realized),
     )
 
 
 @pytest.mark.parametrize("name", list(DIGESTS))
-def test_laws_match_the_reference(corpus_cases, name):
+def test_laws_match_the_reference(law_inputs, name):
     d = DIGESTS[name]
-    for case in corpus_cases:
-        ts = case.traces()
-        want = _reference(d, case, ts)
+    for case, p, ts in law_inputs:
+        want = _reference(d, p, ts)
         # each law on its own, building its own table
         alone = (
-            harness.check_admissibility(d, case.program, ts),
-            harness.check_access_stability(d, case.program, ts),
-            harness.check_mhp_commutativity(d, case.program, ts),
-            harness.check_view_exactness(d, case.program, ts),
+            harness.check_admissibility(d, p, ts),
+            harness.check_access_stability(d, p, ts),
+            harness.check_mhp_commutativity(d, p, ts),
+            harness.check_view_exactness(d, p, ts),
         )
-        assert alone == want, case.name
+        assert alone == want, case
         # stability first, then the view law over the same table, as in
         # run_law_suite
         table = ObservingTable(d, harness.realized_values(d, ts))
-        stability = harness.check_access_stability(d, case.program, ts, table=table)
-        view = harness.check_view_exactness(d, case.program, ts, table=table)
-        assert (stability, view) == (want[1], want[3]), case.name
+        stability = harness.check_access_stability(d, p, ts, table=table)
+        view = harness.check_view_exactness(d, p, ts, table=table)
+        assert (stability, view) == (want[1], want[3]), case
         # and the view law first
         table = ObservingTable(d, harness.realized_values(d, ts))
-        view = harness.check_view_exactness(d, case.program, ts, table=table)
-        stability = harness.check_access_stability(d, case.program, ts, table=table)
-        assert (stability, view) == (want[1], want[3]), case.name
+        view = harness.check_view_exactness(d, p, ts, table=table)
+        stability = harness.check_access_stability(d, p, ts, table=table)
+        assert (stability, view) == (want[1], want[3]), case
+
+
+def test_law_inputs_share_keys_and_break_simulation(law_inputs):
+    # the comparison above covers traces that share an (ego, history), and
+    # per-step simulation violations
+    by_name = {name: ts for name, _, ts in law_inputs}
+    for name in GENERATED:
+        traces = by_name[name].traces
+        assert len({(t.ego, t.history) for t in traces}) < len(traces), name
+    _, p, ts = next(x for x in law_inputs if x[0] == "once-handoff")
+    violations = reference.check_admissibility(DIGESTS["once"], p, ts).violations
+    assert [v.law for v in violations].count("simulation") > 0
 
 
 def _violating(d, law, corpus_cases) -> list[str]:
@@ -156,3 +187,38 @@ def test_product_law_suite_makes_few_transfer_calls(corpus_cases, monkeypatch):
     # the harness before the shared table made 17,343 of these calls
     assert sum(calls.values()) <= 7000, dict(calls)
 
+
+ABSTRACTING = (LocksetDigest, ThreadFlagDigest, ThreadIdDigest, JoinDigest, OnceDigest,
+               ProductDigest)
+
+
+def test_law_suite_abstracts_each_key_once(corpus_cases, monkeypatch):
+    """``run_law_suite`` calls each digest's ``abstract`` once per distinct
+    (ego, history) of a case; calls a digest makes inside its own
+    ``abstract`` (the product's components, the join digest's tid) are not
+    counted."""
+    calls: Counter = Counter()
+    inside = [0]
+    for cls in ABSTRACTING:
+        original = cls.abstract
+
+        def counted(self, ego, history, _original=original):
+            if not inside[0]:
+                calls[self.name, ego, history] += 1
+            inside[0] += 1
+            try:
+                return _original(self, ego, history)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(cls, "abstract", counted)
+    names = [*CANONICAL_ORDER, "+".join(CANONICAL_ORDER)]
+    shared = 0
+    for case in corpus_cases:
+        traces = case.traces().traces
+        keys = {(t.ego, t.history) for t in traces}
+        shared += len(traces) - len(keys)
+        calls.clear()
+        assert run_law_suite([case]).passed
+        assert calls == Counter({(name, *key): 1 for name in names for key in keys}), case.name
+    assert shared > 0

@@ -440,11 +440,33 @@ def test_trace_steps_agree_with_enumeration_on_generated(name):
     assert steps > 0 and found == []
 
 
+# Main takes one of two create edges from one node, so one event is the
+# source of x's create dep in some traces and of y's in others.  The lock
+# of either child observing the other's unlock must not merge the two.
+CREATE_FORK = """\
+mutex a
+
+main @ s0:
+  s0: init a -> n
+  n: create x as c1 -> d1
+  n: create y as c2 -> d2
+
+x:
+  lock a
+  unlock a
+
+y:
+  lock a
+  unlock a
+"""
+
+
 @pytest.mark.parametrize("src", [
     "mutex a\n\nmain:\n  init a\n  init a\n",
     "once o\n\nmain:\n  initO o\n  initO o\n",
     "once o\n\nmain @ n0:\n  n0: initO o -> n1\n  n1: endO o -> n2\n",
-], ids=["init-twice", "initO-twice", "endO-outside-once"])
+    CREATE_FORK,
+], ids=["init-twice", "initO-twice", "endO-outside-once", "create-fork"])
 def test_trace_steps_block_what_enumeration_blocks(src):
     p = load(src)
     _, found = _disagreements(p, enumerate_traces(p))

@@ -173,7 +173,7 @@ def test_oracle_solution_agreement(prog1, prog1_traces):
     # and every concrete access appears in the accumulator
     product, sol = solve_for(prog1, ["lockset", "threadflag", "tid", "join", "once"])
     for t in prog1_traces.traces:
-        assert sol.reached(t.top.node, product.abstract_trace(t)), t.top.describe()
+        assert sol.reached(t.top.node, product.abstract(t.ego, t.history)), t.top.describe()
     made_by = {step.after: step for step in prog1_traces.steps()}
     for step in prog1_traces.steps():
         a = step.event.action
@@ -185,7 +185,7 @@ def test_oracle_solution_agreement(prog1, prog1_traces):
         record = AccessRecord(
             step.event.edge.source,
             "W" if a.kind == "write" else "R",
-            product.abstract_trace(before),
+            product.abstract(before.ego, before.history),
         )
         assert record in sol.records(a.target)
 
