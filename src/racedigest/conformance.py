@@ -28,15 +28,13 @@ from typing import NoReturn
 from .detector import RaceReport, detect, predicate_subsets
 from .digest import (
     Digest,
+    LawTables,
     MhpVerdict,
-    ObservingTable,
     ProductDigest,
-    abstraction_table,
     check_access_stability,
     check_admissibility,
     check_mhp_commutativity,
     check_view_exactness,
-    realized_values,
 )
 from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, MUTANTS, build_digests
 from .dsl import parse_program
@@ -266,22 +264,21 @@ def run_soundness_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
 
 
 def run_law_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
-    """Every shipped digest, then their product, on every case.  Each
-    digest abstracts each distinct (ego, history) of the traces once per
-    case.  One table of observing steps per digest and case serves both
-    the stability and the view law."""
+    """Every shipped digest, then their product, on every case.  One
+    ``LawTables`` per digest and case serves the four laws: each distinct
+    (ego, history) of the traces is abstracted once, and one table of
+    observing steps serves both the stability and the view law."""
     section = SuiteSection("laws")
     components = build_digests(CANONICAL_ORDER, tid_cap=tid_cap)
     digests = (*components, ProductDigest(components))
     for case, ts in _exhaustive(section, cases):
         for d in digests:
-            alpha = abstraction_table(d, ts)
-            table = ObservingTable(d, realized_values(d, ts, alpha))
+            laws = LawTables(d, ts)
             for report in (
-                check_admissibility(d, case.program, ts, alpha),
-                check_access_stability(d, case.program, ts, table=table),
-                check_mhp_commutativity(d, case.program, ts, table.realized),
-                check_view_exactness(d, case.program, ts, table=table),
+                check_admissibility(laws),
+                check_access_stability(laws),
+                check_mhp_commutativity(laws),
+                check_view_exactness(laws),
             ):
                 section.checks += report.checks
                 for v in report.violations:
@@ -301,7 +298,7 @@ def run_equivalence_suite(cases) -> SuiteSection:
                 if glob_a != glob_b or WRITE not in (type_a, type_b):
                     continue
                 section.checks += 1
-                if bidirectionally_compatible(case.program, ts, glob_a, site_a, site_b):
+                if bidirectionally_compatible(ts, glob_a, site_a, site_b):
                     pair = tuple(sorted(((site_a, type_a), (site_b, type_b))))
                     compatible.add((glob_a, pair[0], pair[1]))
         if compatible != racy:
@@ -339,11 +336,8 @@ def run_subsumption_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection
 def _catches(case: CorpusCase, ts: TraceSet, mutant: Digest, product: ProductDigest) -> bool:
     """Whether ``case`` catches ``mutant``: by a law, or else by a race the
     product holding it misses."""
-    alpha = abstraction_table(mutant, ts)
-    if not check_admissibility(mutant, case.program, ts, alpha).passed:
-        return True
-    realized = realized_values(mutant, ts, alpha)
-    if not check_access_stability(mutant, case.program, ts, realized).passed:
+    laws = LawTables(mutant, ts)
+    if not check_admissibility(laws).passed or not check_access_stability(laws).passed:
         return True
     flagged = detect(solve(build_system(case.program, product)), product).site_pairs()
     return not case.oracle_site_pairs() <= flagged

@@ -103,7 +103,7 @@ class RaceReport:
         """The keys flagged under ``enabled`` (default: every predicate)."""
         if enabled is None:
             enabled = self.mask_of(self.digests)
-        return {key for key, masks in self.masks.items() if any(not m & enabled for m in masks)}
+        return set(self.witnesses(enabled))
 
     def to_json_text(self) -> str:
         """The JSON report, as ``json.dumps(..., indent=2, sort_keys=True)

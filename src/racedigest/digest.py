@@ -23,7 +23,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .model import MAIN, Action, Edge, Program, access_sequence, access_sites, atomicity_mutex
+from .model import Action, Edge, access_sequence, access_sites, atomicity_mutex
 
 if TYPE_CHECKING:
     from .oracle import TraceSet
@@ -200,30 +200,82 @@ class LawReport:
         self.violations.append(LawViolation(law, detail))
 
 
-def abstraction_table(d: Digest, ts: TraceSet) -> dict:
-    """``{(ego, history): d.abstract(ego, history)}`` over the distinct
-    pairs of the traces of ``ts``, in the order first seen."""
-    keys = dict.fromkeys((t.ego, t.history) for t in ts.traces)
-    return {key: d.abstract(*key) for key in keys}
+class LawTables:
+    """What the laws read of digest ``d`` over the trace set ``ts``
+    (``traces``), each made once: ``alpha``, the digest's value at each
+    distinct (ego, history) of the traces, keyed in the order first seen;
+    ``realized``, the initial values and those of ``alpha``, in format
+    order; and the observing steps over the realized values, built on the
+    first use of each observing action: ``rows(act)[i][j]`` is
+    ``step_observing(act, realized[i], realized[j])``.
+
+    Building the rows of an action is the view-exactness law: each partner
+    is stepped and compared with the first partner of its
+    ``observed_view`` class, and one whose step equals that first step
+    holds the first step's object.  So the rows of an action hold at most
+    one object per (ego, view class) unless the view is inexact, and a
+    partner whose step differs from its class keeps its own result."""
+
+    def __init__(self, d: Digest, ts: TraceSet):
+        self.digest, self.traces = d, ts
+        keys = dict.fromkeys((t.ego, t.history) for t in ts.traces)
+        self.alpha = {key: d.abstract(*key) for key in keys}
+        self.realized = sorted(set(self.alpha.values()) | set(d.init_digests()),
+                               key=d.format_elem)
+        self._rows: dict[Action, list[list]] = {}
+        self._view_law: dict[Action, LawReport] = {}
+
+    def rows(self, act: Action) -> list[list]:
+        rows = self._rows.get(act)
+        if rows is None:
+            rows = self._rows[act] = self._build(act)
+        return rows
+
+    def view_law(self, act: Action) -> LawReport:
+        """The view-exactness checks and violations of building ``act``."""
+        self.rows(act)
+        return self._view_law[act]
+
+    def _build(self, act: Action) -> list[list]:
+        d, realized = self.digest, self.realized
+        fmt = d.format_elem
+        report = self._view_law[act] = LawReport(d.name)
+        by_view: dict = {}
+        for j, a1 in enumerate(realized):
+            by_view.setdefault(d.observed_view(act, a1), []).append(j)
+        rows = [[None] * len(realized) for _ in realized]
+        for first, *rest in by_view.values():
+            for a0, row in zip(realized, rows):
+                want = row[first] = d.step_observing(act, a0, realized[first])
+                for j in rest:
+                    report.checks += 1
+                    got = d.step_observing(act, a0, realized[j])
+                    if got == want:
+                        row[j] = want
+                        continue
+                    row[j] = got
+                    report.add(
+                        "view-exactness",
+                        f"{act.kind} {act.target} from {fmt(a0)}: partners "
+                        f"{fmt(realized[first])} and {fmt(realized[j])} share a view but "
+                        f"step to {'none' if want is None else fmt(want)} and "
+                        f"{'none' if got is None else fmt(got)}",
+                    )
+        return rows
 
 
-def check_admissibility(d: Digest, p: Program, ts: TraceSet,
-                        alpha: dict | None = None) -> LawReport:
+def check_admissibility(laws: LawTables) -> LawReport:
     """Replay every concrete step of the enumeration (``ts.steps()``)
     against the digest transfer functions: the simulation law for
     local/observing steps, the creation laws, and the initialization law.
-    ``alpha`` is the digest's abstraction table over ``ts``, read at each
-    trace's (ego, history)."""
+    Each trace is read as ``alpha`` at its (ego, history)."""
+    d, ts, alpha = laws.digest, laws.traces, laws.alpha
     report = LawReport(d.name)
-    if alpha is None:
-        alpha = abstraction_table(d, ts)
     fmt = d.format_elem
-    create_edges = p.create_edges()
+    create_edges = ts.program.create_edges()
     realized_at_create: set[tuple] = set()
 
-    init_trace = next(
-        t for t in ts.traces if t.top.instance == MAIN and t.top.index == 0
-    )
+    init_trace = ts.traces[0]  # main's start
     a_init = alpha[init_trace.ego, init_trace.history]
     report.checks += 1
     if d.init_digests() != frozenset({a_init}):
@@ -272,24 +324,14 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
     return report
 
 
-def realized_values(d: Digest, ts: TraceSet, alpha: dict | None = None) -> list:
-    """The initial digest values and those of every trace, in format order;
-    ``alpha`` is the digest's abstraction table over ``ts``."""
-    if alpha is None:
-        alpha = abstraction_table(d, ts)
-    return sorted(set(alpha.values()) | set(d.init_digests()), key=d.format_elem)
-
-
-def check_mhp_commutativity(d: Digest, p: Program, ts: TraceSet,
-                            realized: list | None = None) -> LawReport:
+def check_mhp_commutativity(laws: LawTables) -> LawReport:
     """The parallelism predicate must not depend on argument order: each
-    ordered pair is judged once per global and compared with its
-    transpose."""
+    ordered pair of realized values is judged once per global and compared
+    with its transpose."""
+    d, realized = laws.digest, laws.realized
     report = LawReport(d.name)
-    if realized is None:
-        realized = realized_values(d, ts)
     fmt = d.format_elem
-    for glob in sorted(p.globals):
+    for glob in sorted(laws.traces.program.globals):
         verdicts = [[d.mhp(glob, a, b) for b in realized] for a in realized]
         report.checks += len(realized) ** 2
         for a, row, column in zip(realized, verdicts, zip(*verdicts)):
@@ -300,79 +342,18 @@ def check_mhp_commutativity(d: Digest, p: Program, ts: TraceSet,
     return report
 
 
-class ObservingTable:
-    """The observing steps of one digest over its realized values, built
-    once per observing action on first use: ``rows(act)[i][j]`` is
-    ``step_observing(act, realized[i], realized[j])``.
-
-    Building the rows of an action is the view-exactness law: each partner
-    is stepped and compared with the first partner of its
-    ``observed_view`` class, and one whose step equals that first step
-    holds the first step's object.  So the rows of an action hold at most
-    one object per (ego, view class) unless the view is inexact, and a
-    partner whose step differs from its class keeps its own result."""
-
-    def __init__(self, d: Digest, realized: list):
-        self.digest = d
-        self.realized = realized
-        self._rows: dict[Action, list[list]] = {}
-        self._view_law: dict[Action, LawReport] = {}
-
-    def rows(self, act: Action) -> list[list]:
-        rows = self._rows.get(act)
-        if rows is None:
-            rows = self._rows[act] = self._build(act)
-        return rows
-
-    def view_law(self, act: Action) -> LawReport:
-        """The view-exactness checks and violations of building ``act``."""
-        self.rows(act)
-        return self._view_law[act]
-
-    def _build(self, act: Action) -> list[list]:
-        d, realized = self.digest, self.realized
-        fmt = d.format_elem
-        report = self._view_law[act] = LawReport(d.name)
-        by_view: dict = {}
-        for j, a1 in enumerate(realized):
-            by_view.setdefault(d.observed_view(act, a1), []).append(j)
-        rows = [[None] * len(realized) for _ in realized]
-        for first, *rest in by_view.values():
-            for a0, row in zip(realized, rows):
-                want = row[first] = d.step_observing(act, a0, realized[first])
-                for j in rest:
-                    report.checks += 1
-                    got = d.step_observing(act, a0, realized[j])
-                    if got == want:
-                        row[j] = want
-                        continue
-                    row[j] = got
-                    report.add(
-                        "view-exactness",
-                        f"{act.kind} {act.target} from {fmt(a0)}: partners "
-                        f"{fmt(realized[first])} and {fmt(realized[j])} share a view but "
-                        f"step to {'none' if want is None else fmt(want)} and "
-                        f"{'none' if got is None else fmt(got)}",
-                    )
-        return rows
-
-
-def check_access_stability(d: Digest, p: Program, ts: TraceSet,
-                           realized: list | None = None,
-                           table: ObservingTable | None = None) -> LawReport:
+def check_access_stability(laws: LawTables) -> LawReport:
     """An access sequence lock(m_g); access; unlock(m_g) must leave any
     realized digest unchanged whenever it is defined.  The lock steps are
-    read from ``table`` (one is built over ``realized`` if none is given),
-    and the access and unlock steps are taken once per distinct lock
-    result of each site and ego."""
+    read from ``laws.rows``, and the access and unlock steps are taken once
+    per distinct lock result of each site and ego."""
+    d, realized, p = laws.digest, laws.realized, laws.traces.program
     report = LawReport(d.name)
-    if table is None:
-        table = ObservingTable(d, realized_values(d, ts) if realized is None else realized)
-    realized, fmt = table.realized, d.format_elem
+    fmt = d.format_elem
     for site, glob, _ in access_sites(p):
         lock_e, acc_e, unl_e = access_sequence(p, site)
         report.checks += len(realized) ** 2
-        for a0, row in zip(realized, table.rows(lock_e.action)):
+        for a0, row in zip(realized, laws.rows(lock_e.action)):
             # id(lock result) -> what the sequence maps a0 to, where that is not a0
             moved: dict[int, object] = {}
             for r in {id(r): r for r in row if r is not None}.values():
@@ -392,19 +373,15 @@ def check_access_stability(d: Digest, p: Program, ts: TraceSet,
     return report
 
 
-def check_view_exactness(d: Digest, p: Program, ts: TraceSet,
-                         realized: list | None = None,
-                         table: ObservingTable | None = None) -> LawReport:
+def check_view_exactness(laws: LawTables) -> LawReport:
     """Two partner values with equal ``observed_view`` must give equal
     observing steps: for every observing action of the program, every
     realized ego value and every two realized partners of one view.  The
-    checks are those of building ``table`` (one is built over ``realized``
-    if none is given)."""
-    report = LawReport(d.name)
-    if table is None:
-        table = ObservingTable(d, realized_values(d, ts) if realized is None else realized)
-    for act in dict.fromkeys(e.action for e in p.all_edges() if e.action.is_observing):
-        built = table.view_law(act)
+    checks are those of building ``laws.rows``."""
+    report = LawReport(laws.digest.name)
+    program = laws.traces.program
+    for act in dict.fromkeys(e.action for e in program.all_edges() if e.action.is_observing):
+        built = laws.view_law(act)
         report.checks += built.checks
         report.violations.extend(built.violations)
     return report

@@ -369,7 +369,7 @@ _GUARDS = {
 }
 
 
-def trace_step_local(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
+def trace_step_local(edge: Edge, t: LocalTrace) -> LocalTrace | None:
     """Prolong ``t`` along a non-observing, non-creating edge, if possible."""
     a = edge.action
     if a.is_observing or a.is_creating:
@@ -397,8 +397,7 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
                       table.events[start], table.after(t.history, None))
 
 
-def trace_step_observing(p: Program, edge: Edge, t0: LocalTrace,
-                         t1: LocalTrace) -> LocalTrace | None:
+def trace_step_observing(edge: Edge, t0: LocalTrace, t1: LocalTrace) -> LocalTrace | None:
     """Merge the observed trace ``t1`` into ``t0`` and prolong by ``edge``.
 
     Returns None unless the traces agree on their shared past and the
@@ -755,15 +754,14 @@ def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
     return ts._racy
 
 
-def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
-                               site_a: str, site_b: str) -> bool:
+def bidirectionally_compatible(ts: TraceSet, glob: str, site_a: str, site_b: str) -> bool:
     """Both orders of the two access sequences are executable from some pair
     of prefix traces and some trace ending in an unlock/init of ``m_g``.
     The traces are grouped and each run of a sequence from a pair of
     traces is taken once per trace set: groups and runs are kept on ``ts``
     for every later pair of sites."""
-    seq_a = access_sequence(p, site_a)
-    seq_b = access_sequence(p, site_b)
+    seq_a = access_sequence(ts.program, site_a)
+    seq_b = access_sequence(ts.program, site_b)
     mg = atomicity_mutex(glob)
 
     by_node, by_mutex = _trace_groups(ts)
@@ -777,11 +775,11 @@ def bidirectionally_compatible(p: Program, ts: TraceSet, glob: str,
         key = (seq, t0, t1)
         if key not in runs:
             lock_e, acc_e, unl_e = seq
-            r = trace_step_observing(p, lock_e, t0, t1)
+            r = trace_step_observing(lock_e, t0, t1)
             if r is not None:
-                r = trace_step_local(p, acc_e, r)
+                r = trace_step_local(acc_e, r)
             if r is not None:
-                r = trace_step_local(p, unl_e, r)
+                r = trace_step_local(unl_e, r)
             runs[key] = r
         return runs[key]
 

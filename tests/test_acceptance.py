@@ -17,7 +17,7 @@ from racedigest.conformance import (
     run_soundness_suite,
 )
 from racedigest.detector import GENERIC, detect, predicate_subsets
-from racedigest.digest import ProductDigest, check_admissibility
+from racedigest.digest import LawTables, ProductDigest, check_admissibility
 from racedigest.digests import CANONICAL_ORDER, MUTANTS, build_digests
 from racedigest.oracle import enumerate_traces, find_racy_pairs
 from racedigest.solver import build_system, solve
@@ -140,7 +140,7 @@ def test_criterion_5_law_suite_and_mutant(corpus_cases):
 
     mutant = MUTANTS["lockset"]()
     case = next(c for c in corpus_cases if c.name == "prog1_running_example")
-    report = check_admissibility(mutant, case.program, case.traces())
+    report = check_admissibility(LawTables(mutant, case.traces()))
     assert not report.passed
 
     elapsed = time.perf_counter() - started

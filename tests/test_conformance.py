@@ -18,8 +18,10 @@ from racedigest.conformance import (
     run_subsumption_suite,
 )
 from racedigest.cli import main
-from racedigest.digest import check_admissibility
-from racedigest.digests import DEFAULT_TID_CAP, MUTANTS
+from racedigest.detector import detect
+from racedigest.digest import LawTables, ProductDigest, check_access_stability, check_admissibility
+from racedigest.digests import CANONICAL_ORDER, DEFAULT_TID_CAP, MUTANTS, build_digests
+from racedigest.solver import build_system, solve
 
 from tests.conftest import CORPUS_DIR
 
@@ -97,6 +99,40 @@ def test_mutant_suite_kills_all(corpus_cases):
     assert section.passed, "\n".join(section.failures)
 
 
+def _first_catch(cases, mutant, product) -> tuple[str, str] | None:
+    """The first case that catches ``mutant`` and what catches it there,
+    tried as the mutant suite tries them: admissibility, then access
+    stability, then a race the product holding the mutant misses."""
+    for case in cases:
+        laws = LawTables(mutant, case.traces())
+        for law, check in (("admissibility", check_admissibility),
+                           ("stability", check_access_stability)):
+            if not check(laws).passed:
+                return case.name, law
+        flagged = detect(solve(build_system(case.program, product)), product).site_pairs()
+        if not case.oracle_site_pairs() <= flagged:
+            return case.name, "soundness"
+    return None
+
+
+def test_each_mutant_is_caught_where_pinned(corpus_cases):
+    # "mutants: 5 checks" cannot tell a law catch from a soundness catch, so
+    # a broken law path could pass a mutant on to soundness unnoticed
+    caught = {}
+    for target, factory in sorted(MUTANTS.items()):
+        mutant = factory(DEFAULT_TID_CAP) if target in ("tid", "join") else factory()
+        components = list(build_digests(CANONICAL_ORDER))
+        components[CANONICAL_ORDER.index(target)] = mutant
+        caught[mutant.name] = _first_catch(corpus_cases, mutant, ProductDigest(tuple(components)))
+    assert caught == {
+        "join@premature": ("combo_needs_both", "admissibility"),
+        "lockset@overlap-empty": ("combo_needs_both", "admissibility"),
+        "once@completed-pair": ("once_after_completion", "soundness"),
+        "threadflag@spawned-pair": ("deep_paths_all_race", "soundness"),
+        "tid@eager-mayrun": ("deep_paths_all_race", "soundness"),
+    }
+
+
 @pytest.mark.parametrize("name, survivors", [
     ("empty_main", ["join@premature", "lockset@overlap-empty", "once@completed-pair",
                     "threadflag@spawned-pair", "tid@eager-mayrun"]),
@@ -117,7 +153,7 @@ def test_mutant_suite_reports_survivors(corpus_cases, name, survivors):
 def test_broken_lockset_fails_admissibility(corpus_cases):
     mutant = MUTANTS["lockset"]()
     case = next(c for c in corpus_cases if c.name == "prog1_running_example")
-    report = check_admissibility(mutant, case.program, case.traces())
+    report = check_admissibility(LawTables(mutant, case.traces()))
     assert not report.passed
     assert any(v.law == "simulation" for v in report.violations)
 

@@ -17,7 +17,7 @@ import pytest
 
 from racedigest import digest as harness
 from racedigest.conformance import run_law_suite
-from racedigest.digest import MhpVerdict, ObservingTable, ProductDigest
+from racedigest.digest import LawTables, MhpVerdict, ProductDigest
 from racedigest.digests import (
     CANONICAL_ORDER,
     DEFAULT_TID_CAP,
@@ -106,24 +106,24 @@ def test_laws_match_the_reference(law_inputs, name):
     d = DIGESTS[name]
     for case, p, ts in law_inputs:
         want = _reference(d, p, ts)
-        # each law on its own, building its own table
-        alone = (
-            harness.check_admissibility(d, p, ts),
-            harness.check_access_stability(d, p, ts),
-            harness.check_mhp_commutativity(d, p, ts),
-            harness.check_view_exactness(d, p, ts),
-        )
+        # each law on its own tables
+        alone = tuple(law(LawTables(d, ts)) for law in (
+            harness.check_admissibility,
+            harness.check_access_stability,
+            harness.check_mhp_commutativity,
+            harness.check_view_exactness,
+        ))
         assert alone == want, case
-        # stability first, then the view law over the same table, as in
+        # stability first, then the view law over the same tables, as in
         # run_law_suite
-        table = ObservingTable(d, harness.realized_values(d, ts))
-        stability = harness.check_access_stability(d, p, ts, table=table)
-        view = harness.check_view_exactness(d, p, ts, table=table)
+        laws = LawTables(d, ts)
+        stability = harness.check_access_stability(laws)
+        view = harness.check_view_exactness(laws)
         assert (stability, view) == (want[1], want[3]), case
         # and the view law first
-        table = ObservingTable(d, harness.realized_values(d, ts))
-        view = harness.check_view_exactness(d, p, ts, table=table)
-        stability = harness.check_access_stability(d, p, ts, table=table)
+        laws = LawTables(d, ts)
+        view = harness.check_view_exactness(laws)
+        stability = harness.check_access_stability(laws)
         assert (stability, view) == (want[1], want[3]), case
 
 
@@ -159,11 +159,11 @@ def test_lock_steps_share_one_object_per_view_class(corpus_cases):
     case = next(c for c in corpus_cases if c.name == "prog1_running_example")
     ts = case.traces()
     product = DIGESTS["product"]
-    table = ObservingTable(product, harness.realized_values(product, ts))
+    laws = LawTables(product, ts)
     lock = Action("lock", atomicity_mutex(sorted(case.program.globals)[0]))
-    classes = {product.observed_view(lock, a1) for a1 in table.realized}
-    for a0, row in zip(table.realized, table.rows(lock)):
-        assert row == [product.step_observing(lock, a0, a1) for a1 in table.realized]
+    classes = {product.observed_view(lock, a1) for a1 in laws.realized}
+    for a0, row in zip(laws.realized, laws.rows(lock)):
+        assert row == [product.step_observing(lock, a0, a1) for a1 in laws.realized]
         assert len({id(r) for r in row}) <= len(classes)
 
 

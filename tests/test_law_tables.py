@@ -1,15 +1,15 @@
 """The law harness reads tables built once per trace set.  Each is checked
 against what it stands for: a recorded trace's history against the
-history its events and deps define; the product's abstraction table,
-keyed on the (ego, history) of the traces, against its components'
-tables; and the step table against a walk over the events of the
-reference enumerator's pomsets."""
+history its events and deps define; the product's abstraction table
+(``LawTables.alpha``), keyed on the (ego, history) of the traces, against
+its components' tables; and the step table against a walk over the
+events of the reference enumerator's pomsets."""
 
 from __future__ import annotations
 
 import pytest
 
-from racedigest.digest import ProductDigest, abstraction_table
+from racedigest.digest import LawTables, ProductDigest
 from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import MAIN, instrument_atomicity
@@ -45,9 +45,9 @@ def test_product_table_is_the_product_abstraction(trace_sets, name):
     order, and the product's value there is the tuple of its components'."""
     ts = trace_sets[name]
     components = build_digests(CANONICAL_ORDER)
-    table = abstraction_table(ProductDigest(components), ts)
+    table = LawTables(ProductDigest(components), ts).alpha
     assert list(table) == list(dict.fromkeys((t.ego, t.history) for t in ts.traces))
-    tables = [abstraction_table(c, ts) for c in components]
+    tables = [LawTables(c, ts).alpha for c in components]
     for key, value in table.items():
         assert value == tuple(c[key] for c in tables), key[0]
 

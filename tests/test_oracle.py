@@ -78,7 +78,7 @@ def test_local_step_advances_access(prog1, prog1_traces):
     (site, _, _) = access_sites(prog1)[0]
     (acc_edge,) = prog1.edges_from(site)
     for t in traces_at_node(prog1_traces, site):
-        out = trace_step_local(prog1, acc_edge, t)
+        out = trace_step_local(acc_edge, t)
         assert out is not None
         assert out.ego_node() == acc_edge.target
         validate_local_trace(out)
@@ -88,7 +88,7 @@ def test_local_step_wrong_node_is_empty(prog1, prog1_traces):
     (site, _, _) = access_sites(prog1)[0]
     (acc_edge,) = prog1.edges_from(site)
     t = next(t for t in prog1_traces.traces if t.ego_node() != site)
-    assert trace_step_local(prog1, acc_edge, t) is None
+    assert trace_step_local(acc_edge, t) is None
 
 
 def test_pos_ran_without_endo_is_empty():
@@ -96,7 +96,7 @@ def test_pos_ran_without_endo_is_empty():
     ts = enumerate_traces(p)
     (pos_edge,) = [e for e in p.main().edges if e.action.kind == "pos_ran"]
     for t in traces_at_node(ts, pos_edge.source):
-        assert trace_step_local(p, pos_edge, t) is None
+        assert trace_step_local(pos_edge, t) is None
     # the guarded access is dead in every enumerated execution
     for pom in ts.pomsets:
         assert not any(
@@ -153,7 +153,7 @@ def test_local_steps_and_spawn_build_no_event_set(monkeypatch, prog1, prog1_trac
             if edge.action.kind == "create":
                 out = spawn(prog1, edge, t)
             elif not edge.action.is_observing:
-                out = trace_step_local(prog1, edge, t)
+                out = trace_step_local(edge, t)
             else:
                 continue
             if out is not None:
@@ -182,7 +182,7 @@ def test_observing_step_merges_unlock(prog1, prog1_traces):
     merged = None
     for t0 in starters:
         for t1 in unlocks:
-            merged = merged or trace_step_observing(prog1, lock_edge, t0, t1)
+            merged = merged or trace_step_observing(lock_edge, t0, t1)
     assert merged is not None
     validate_local_trace(merged)
     assert merged.ego != MAIN
@@ -211,9 +211,9 @@ def test_observable_consumed_at_most_once():
     assert second_lock is not None
     e, t0 = second_lock
     for t1 in init_traces:
-        assert trace_step_observing(p, e, t0, t1) is None
+        assert trace_step_observing(e, t0, t1) is None
     own_unlock = [t for t in traces_with_top(ts, "unlock", "a") if t.ego == t0.ego]
-    assert any(trace_step_observing(p, e, t0, t1) is not None for t1 in own_unlock)
+    assert any(trace_step_observing(e, t0, t1) is not None for t1 in own_unlock)
 
 
 def test_join_observes_only_matching_exit():
@@ -228,13 +228,13 @@ def test_join_observes_only_matching_exit():
     exits_t2 = [t for t in traces_with_top(ts, "exit") if edge_path(t.ego) == ("e2",)]
     assert starters and exits_t1 and exits_t2
     assert any(
-        trace_step_observing(p, join_edge, t0, t1) is not None
+        trace_step_observing(join_edge, t0, t1) is not None
         for t0 in starters
         for t1 in exits_t1
     )
     for t0 in starters:
         for t1 in exits_t2:
-            assert trace_step_observing(p, join_edge, t0, t1) is None
+            assert trace_step_observing(join_edge, t0, t1) is None
 
 
 def test_enumeration_contains_figure_trace(prog1, prog1_traces):
@@ -275,7 +275,7 @@ def test_step_determinism(prog1, prog1_traces):
     (site, _, _) = access_sites(prog1)[0]
     (acc_edge,) = prog1.edges_from(site)
     for t in traces_at_node(prog1_traces, site):
-        assert trace_step_local(prog1, acc_edge, t) == trace_step_local(prog1, acc_edge, t)
+        assert trace_step_local(acc_edge, t) == trace_step_local(acc_edge, t)
 
 
 def test_truncation_flag_on_infinite_loop():
@@ -332,18 +332,18 @@ def test_bidirectional_same_thread_false():
     p = load("global g\n\nmain:\n  g = 1\n  g = 2\n")
     ts = enumerate_traces(p)
     sites = [s for s, _, _ in access_sites(p)]
-    assert not bidirectionally_compatible(p, ts, "g", sites[0], sites[1])
+    assert not bidirectionally_compatible(ts, "g", sites[0], sites[1])
 
 
 def test_bidirectional_unsynchronized_true(prog0, prog0_traces):
     sites = [s for s, _, _ in access_sites(prog0)]
-    assert bidirectionally_compatible(prog0, prog0_traces, "g", sites[0], sites[1])
+    assert bidirectionally_compatible(prog0_traces, "g", sites[0], sites[1])
 
 
 def test_bidirectional_lock_protected_false(prog1, prog1_traces):
     sites = access_sites(prog1)
     protected = [s for s, _, _ in sites if s != "main.s0"]
-    assert not bidirectionally_compatible(prog1, prog1_traces, "g", protected[0], protected[1])
+    assert not bidirectionally_compatible(prog1_traces, "g", protected[0], protected[1])
 
 
 def test_mutex_chain_invariants(prog1_traces):
@@ -375,8 +375,8 @@ def _replay(p, step):
     if e.action.kind == "create":
         return step_creator(p, e.edge, step.before)
     if e.action.is_observing:
-        return trace_step_observing(p, e.edge, step.before, step.observed)
-    return trace_step_local(p, e.edge, step.before)
+        return trace_step_observing(e.edge, step.before, step.observed)
+    return trace_step_local(e.edge, step.before)
 
 
 def _successors(p, t, traces):
@@ -386,9 +386,9 @@ def _successors(p, t, traces):
         if edge.action.kind == "create":
             yield from (spawn(p, edge, t), step_creator(p, edge, t))
         elif edge.action.is_observing:
-            yield from (trace_step_observing(p, edge, t, t1) for t1 in traces)
+            yield from (trace_step_observing(edge, t, t1) for t1 in traces)
         else:
-            yield trace_step_local(p, edge, t)
+            yield trace_step_local(edge, t)
 
 
 def _wrong_history(t) -> bool:
@@ -496,4 +496,4 @@ def test_ego_does_not_retake_what_it_holds(src, kind):
     assert holding
     for t0 in holding:
         for edge in p.edges_from(t0.ego_node()):
-            assert all(trace_step_observing(p, edge, t0, t1) is None for t1 in traces)
+            assert all(trace_step_observing(edge, t0, t1) is None for t1 in traces)

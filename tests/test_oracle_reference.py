@@ -148,7 +148,7 @@ def test_observing_steps_match_reference(name, bounds):
             if t0.ego_node() != edge.source:
                 continue
             for t1 in traces:
-                got = trace_step_observing(program, edge, t0, t1)
+                got = trace_step_observing(edge, t0, t1)
                 want = reference.step_observing(program, edge, as_sets[t0], as_sets[t1])
                 assert (got and reference.content(got)) == (want and reference.content(want))
                 merged += got is not None
@@ -270,7 +270,7 @@ def test_merge_cycle_check_matches_reference():
             if t0.ego_node() != edge.source:
                 continue
             for t1 in traces:
-                got = trace_step_observing(program, edge, t0, t1)
+                got = trace_step_observing(edge, t0, t1)
                 want = reference.step_observing(program, edge, as_sets[t0], as_sets[t1])
                 assert (got and reference.content(got)) == (want and reference.content(want))
                 starts = [d.dst for d in as_sets[t0].deps | as_sets[t1].deps

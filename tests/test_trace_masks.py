@@ -102,11 +102,11 @@ def test_each_trace_is_made_by_one_step(program):
     assert all(s.event == s.after.top for s in steps)
 
 
-def bidirectionally_compatible_unmemoized(p, ts, glob, site_a, site_b) -> bool:
+def bidirectionally_compatible_unmemoized(ts, glob, site_a, site_b) -> bool:
     """``oracle.bidirectionally_compatible`` as it stood before each run
     was kept on the trace set."""
-    seq_a = access_sequence(p, site_a)
-    seq_b = access_sequence(p, site_b)
+    seq_a = access_sequence(ts.program, site_a)
+    seq_b = access_sequence(ts.program, site_b)
     mg = atomicity_mutex(glob)
     starters_a = [t for t in ts.traces if t.ego_node() == seq_a[0].source]
     starters_b = [t for t in ts.traces if t.ego_node() == seq_b[0].source]
@@ -115,13 +115,13 @@ def bidirectionally_compatible_unmemoized(p, ts, glob, site_a, site_b) -> bool:
 
     def run(seq, t0, t1):
         lock_e, acc_e, unl_e = seq
-        r = trace_step_observing(p, lock_e, t0, t1)
+        r = trace_step_observing(lock_e, t0, t1)
         if r is None:
             return None
-        r = trace_step_local(p, acc_e, r)
+        r = trace_step_local(acc_e, r)
         if r is None:
             return None
-        return trace_step_local(p, unl_e, r)
+        return trace_step_local(unl_e, r)
 
     for tl in landings:
         for ta in starters_a:
@@ -151,26 +151,26 @@ def test_equivalence_runs_each_sequence_once(monkeypatch):
     verdicts, distinct, unmemoized = {}, set(), 0
     step = oracle.trace_step_observing
 
-    def recording(p, edge, t0, t1):
+    def recording(edge, t0, t1):
         nonlocal unmemoized
         unmemoized += 1
         distinct.add((edge, t0, t1))
-        return step(p, edge, t0, t1)
+        return step(edge, t0, t1)
 
     monkeypatch.setattr(sys.modules[__name__], "trace_step_observing", recording)
     for case in load_corpus(CORPUS_DIR):
         for key in _write_pairs(case.program):
             verdicts[(case.name, *key)] = bidirectionally_compatible_unmemoized(
-                case.program, case.traces(), *key)
+                case.traces(), *key)
     assert (unmemoized, len(distinct), len(verdicts)) == (819, 395, 85)
 
     calls = []
     monkeypatch.setattr(oracle, "trace_step_observing",
-                        lambda p, *args: calls.append(args) or step(p, *args))
+                        lambda *args: calls.append(args) or step(*args))
     cases = load_corpus(CORPUS_DIR)
     for _ in range(2):  # the second pass reads every run off the trace sets
         got = {(case.name, *key): oracle.bidirectionally_compatible(
-                   case.program, case.traces(), *key)
+                   case.traces(), *key)
                for case in cases for key in _write_pairs(case.program)}
         assert got == verdicts
         assert len(calls) == len(set(calls)) == 395
@@ -183,6 +183,6 @@ def test_merge_of_two_trace_sets_is_refused(prog1):
                     if e.action.kind == "lock" and e.action.target == "a"]
     t0 = next(t for t in a.traces if t.ego_node() == lock_edge.source)
     with pytest.raises(ValueError, match="two trace sets"):
-        trace_step_observing(prog1, lock_edge, t0, b.traces[0])
+        trace_step_observing(lock_edge, t0, b.traces[0])
     # equal content in two tables is two traces
     assert a.traces[0].events == b.traces[0].events and a.traces[0] != b.traces[0]

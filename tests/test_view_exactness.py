@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from racedigest.digest import check_view_exactness
+from racedigest.digest import LawTables, check_view_exactness
 from racedigest.digests import (
     DEFAULT_TID_CAP,
     MUTANTS,
@@ -57,7 +57,7 @@ class BlindOverlapLockset(OverlapEmptyLockset):
 def _caught(digest, cases) -> list[str]:
     return [
         case.name for case in cases
-        if not check_view_exactness(digest, case.program, case.traces()).passed
+        if not check_view_exactness(LawTables(digest, case.traces())).passed
     ]
 
 
@@ -79,7 +79,7 @@ def test_registered_mutants_have_exact_views(corpus_cases):
 
 def test_violation_names_the_action_and_both_partners(corpus_cases):
     case = next(c for c in corpus_cases if c.name == "join_chain")
-    report = check_view_exactness(PathOnlyJoin(), case.program, case.traces())
+    report = check_view_exactness(LawTables(PathOnlyJoin(), case.traces()))
     assert report.checks > 0
     (law, detail), *_ = [(v.law, v.detail) for v in report.violations]
     assert law == "view-exactness"
