@@ -83,9 +83,7 @@ def cmd_oracle(args) -> int:
 
     program = _load(args.file)
     ts = enumerate_traces(program, depth=args.depth, width=args.width)
-    racy = sorted(
-        (r.glob, r.site_a, r.site_b) for r in find_racy_pairs(ts)
-    )
+    racy = sorted(find_racy_pairs(ts))
     payload = {
         "version": 1,
         "bounds": {"depth": args.depth, "width": args.width},

@@ -265,9 +265,10 @@ class LawTables:
 
 
 def check_admissibility(laws: LawTables) -> LawReport:
-    """Replay every concrete step of the enumeration (``ts.steps()``)
-    against the digest transfer functions: the simulation law for
-    local/observing steps, the creation laws, and the initialization law.
+    """Replay every concrete step of the enumeration, the one each trace
+    but main's start records, against the digest transfer functions: the
+    simulation law for local/observing steps, the creation laws, and the
+    initialization law.
     Each trace is read as ``alpha`` at its (ego, history)."""
     d, ts, alpha = laws.digest, laws.traces, laws.alpha
     report = LawReport(d.name)
@@ -285,8 +286,8 @@ def check_admissibility(laws: LawTables) -> LawReport:
             f"alpha(init) = {fmt(a_init)}",
         )
 
-    for step in ts.steps():
-        e, before, after = step.event, step.before, step.after
+    for after in ts.traces[1:]:
+        e, before, observed = after.top, after.before, after.observed
         a0, a_out = alpha[before.ego, before.history], alpha[after.ego, after.history]
         report.checks += 1
         if e.edge is None:
@@ -300,8 +301,8 @@ def check_admissibility(laws: LawTables) -> LawReport:
                 )
             continue
         act = e.action
-        if step.observed is not None:
-            got = d.step_observing(act, a0, alpha[step.observed.ego, step.observed.history])
+        if observed is not None:
+            got = d.step_observing(act, a0, alpha[observed.ego, observed.history])
         else:
             got = d.step_local(act, a0)
         if got is None or got != a_out:

@@ -21,8 +21,8 @@ pomsets and local traces are pairs of bitmasks over its ids, and each
 ``History`` value is one object of the table.  The enumerator holds each
 thread's local trace and takes each step with the code of the step
 functions, once per (trace, edge, observed trace), so it records every
-trace it reaches, with the step that made it, as it goes.  It decides
-the racy pairs as it takes each access.
+trace it reaches as it goes, each trace with the step that made it.  It
+decides the racy pairs as it takes each access.
 """
 
 from __future__ import annotations
@@ -268,18 +268,25 @@ class LocalTrace(_Masks):
     """Downward-closed event set of ``table`` with the unique maximal event
     ``top`` (which its masks fix).  The ego thread is ``ego``, the instance
     of ``top``; the trace is that thread's complete knowledge of the
-    computation, summed up in ``history``."""
+    computation, summed up in ``history``.
 
-    __slots__ = ("top", "ego", "history", "_hash")
+    The trace records the step that made it, which its masks fix: taking
+    ``top`` from the trace ``before``, merging the trace ``observed`` at a
+    lock, startO or join (else None).  At a child's start ``before`` is the
+    creator's trace before the create; main's start has None for both."""
+
+    __slots__ = ("top", "ego", "history", "before", "observed", "_hash")
 
     def __init__(self, table: EventTable, event_mask: int, dep_mask: int, top: Event,
-                 history: History):
+                 history: History, before: LocalTrace | None, observed: LocalTrace | None):
         self.table = table
         self.event_mask = event_mask
         self.dep_mask = dep_mask
         self.top = top
         self.ego: InstanceId = top.instance
         self.history = history
+        self.before = before
+        self.observed = observed
         self._hash = hash((event_mask, dep_mask))
 
     def __hash__(self) -> int:
@@ -299,48 +306,27 @@ class RacePair(namedtuple("RacePair", "glob site_a site_b")):
     __slots__ = ()
 
 
-class Step(namedtuple("Step", "event before observed after")):
-    """One concrete step of the enumeration: taking ``event`` from the
-    trace ``before`` (observing the trace ``observed`` at a lock, startO or
-    join) reaches the trace ``after``, which the search reached first by
-    this step.  In a new-thread step ``event`` is the child's start,
-    ``before`` the creator's trace before the create and ``observed``
-    None."""
-
-    __slots__ = ()
-
-
 class TraceSet:
     """What the bounded enumeration produced: the maximal pomsets over
     ``table``, whether (and by which bounds, ``truncated_by``: "depth" and
-    "width") some branch was cut off, the local traces and steps the search
-    recorded and the racy pairs it decided."""
+    "width") some branch was cut off, the local traces the search recorded
+    and the racy pairs it decided.
+
+    ``traces`` holds every reachable local trace, once each: main's start,
+    then each trace in the order the search first reached it, each with
+    the step that made it.  The search order is fixed (instances sorted,
+    edges in ``Program.all_edges`` order, a last-in first-out stack), so
+    walks over the traces do not depend on the process."""
 
     def __init__(self, program: Program, table: EventTable, pomsets: frozenset[Pomset],
                  truncated_by: tuple[str, ...], depth: int, width: int,
-                 traces: tuple[LocalTrace, ...], steps: tuple[Step, ...],
-                 racy: frozenset[RacePair]):
+                 traces: tuple[LocalTrace, ...], racy: frozenset[RacePair]):
         self.program, self.table, self.pomsets = program, table, pomsets
         self.truncated, self.truncated_by = bool(truncated_by), truncated_by
         self.depth, self.width = depth, width
-        self._traces, self._steps, self._racy = traces, steps, racy
+        self.traces, self._racy = traces, racy
         self._runs: dict = {}  # see bidirectionally_compatible
         self._groups: tuple[dict, dict] | None = None  # see _trace_groups
-
-    @property
-    def traces(self) -> tuple[LocalTrace, ...]:
-        """Every reachable local trace, once each: main's start, then each
-        trace in the order the search first reached it.  The search order
-        is fixed (instances sorted, edges in ``Program.all_edges`` order, a
-        last-in first-out stack), so walks over the traces do not depend on
-        the process."""
-        return self._traces
-
-    def steps(self) -> tuple[Step, ...]:
-        """The step that made each trace but main's start, in ``traces``
-        order: one per trace, as the masks of a trace fix its top event,
-        the trace before it and the observed one."""
-        return self._steps
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +380,7 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     table.claims[dep] = table.step(table.ids[t.top], edge)
     table.create_deps |= 1 << dep
     return LocalTrace(table, t.event_mask | 1 << start, t.dep_mask | 1 << dep,
-                      table.events[start], table.after(t.history, None))
+                      table.events[start], table.after(t.history, None), t, None)
 
 
 def trace_step_observing(edge: Edge, t0: LocalTrace, t1: LocalTrace) -> LocalTrace | None:
@@ -471,12 +457,13 @@ def _extend(t: LocalTrace, edge: Edge, observed: LocalTrace | None = None) -> Lo
     e = table.step(table.ids[t.top], edge)
     top = table.events[e]
     if observed is None:
-        return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, top, table.after(t.history, a))
+        return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, top,
+                          table.after(t.history, a), t, None)
     label = a.target if a.kind != "join" else None
     dep = table.dep_id(DepEdge(_DEP_KIND[a.kind], label, observed.top, top))
     return LocalTrace(table, t.event_mask | observed.event_mask | 1 << e,
                       t.dep_mask | observed.dep_mask | 1 << dep, top,
-                      table.after(t.history, a, observed.history, observed.ego))
+                      table.after(t.history, a, observed.history, observed.ego), t, observed)
 
 
 def _last_child(t: LocalTrace, create_id: str) -> InstanceId | None:
@@ -519,7 +506,7 @@ class _Search:
     The step memo holds the trace (and a create's child) each (trace, edge,
     observed trace) makes, keyed on identities: each trace of the search is
     the one object for its masks.  The masks of a trace fix its step, so a
-    memo miss is a new trace, recorded with its step.
+    memo miss is a new trace.
 
     Races.  The ancestors of an access with its global's ``m_g`` deps
     dropped are its event, the ancestors of the trace before it and, unless
@@ -536,15 +523,13 @@ class _Search:
         self.table = EventTable()
         self.guarded: dict[tuple[str, int], list[Edge]] = {}  # see ready
         self.memo: dict[tuple[int, int, int], tuple] = {}  # see take
-        self.steps: list[Step] = []  # in the order of the traces they made
+        self.traces: list[LocalTrace] = []  # the traces it made, in order
         self.visited: set[tuple[int, int]] = set()
         self.number = {g: k for k, g in enumerate(sorted(p.globals))}
         mutexes = {atomicity_mutex(g): k for g, k in self.number.items()}
-        self.edges_from: dict[str, list[Edge]] = {}
         self.dropped: dict[Edge, int] = {}  # lock edge of m_g -> the number of g
         self.site: dict[Edge, tuple] = {}  # access edge -> (global, (node, W/R))
         for e in p.all_edges():
-            self.edges_from.setdefault(e.source, []).append(e)
             a = e.action
             if a.kind == "lock" and a.target in mutexes:
                 self.dropped[e] = mutexes[a.target]
@@ -556,14 +541,14 @@ class _Search:
                              and WRITE in (x[1][1], y[1][1])} for x in self.site_events}
         self.racy: set[RacePair] = set()
 
-    def ready(self, t: LocalTrace) -> list[Edge]:
+    def ready(self, p: Program, t: LocalTrace) -> list[Edge]:
         """The edges from the node of ``t`` whose ``_GUARDS`` pass on its
         history (each history is the table's one object for its value)."""
         key = (t.top.node, id(t.history))
         edges = self.guarded.get(key)
         if edges is None:
             edges = self.guarded[key] = [
-                e for e in self.edges_from.get(t.top.node, ())
+                e for e in p.edges_from(t.top.node)
                 if (guard := _GUARDS.get(e.action.kind)) is None
                 or guard(t.history, e.action.target)]
         return edges
@@ -578,10 +563,11 @@ class _Search:
         if made is None:
             after = _extend(before, edge, observed)
             child = spawn(p, edge, before) if edge.action.is_creating else None
-            made = self.memo[key] = (after, child, self.ready(after), child and self.ready(child))
-            for t, seen in ((after, observed), (child, None)):
-                if t is not None:
-                    self.steps.append(Step(t.top, before, seen, t))
+            made = self.memo[key] = (after, child, self.ready(p, after),
+                                     child and self.ready(p, child))
+            self.traces.append(after)
+            if child is not None:
+                self.traces.append(child)
             if edge in self.site:
                 self.site_events[self.site[edge]] |= 1 << self.table.ids[after.top]
         return made
@@ -651,7 +637,8 @@ _PERSISTENT_KINDS = frozenset({"skip", "read", "write", "pos_ran", "neg_ran", "u
 def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     """The maximal execution pomsets reachable within the event and instance
     bounds, and which bounds, if any, cut off a branch, with every local
-    trace the search reached, the step that made it and the racy pairs.
+    trace the search reached, each with the step that made it, and the
+    racy pairs.
 
     A pomset stands for every interleaving of its events, so the search
     takes only a persistent set of steps at each state (Godefroid, LNCS
@@ -676,7 +663,7 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
     # The search allocates hundreds of thousands of containers (traces,
-    # steps, memo entries, states) that form no reference cycles, so the
+    # memo entries, states) that form no reference cycles, so the
     # cyclic collector would only traverse them again and again.
     collecting = gc.isenabled()
     gc.disable()
@@ -696,14 +683,13 @@ def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | Non
     search = _Search(p)
     table = search.table
     start = table.event_id(Event(MAIN, 0, p.main_label, p.main().start_node, None))
-    first = LocalTrace(table, 1 << start, 0, table.events[start], _START)
-    init = _State({MAIN: (first, (0,) * len(search.number), search.ready(first))}, {},
+    first = LocalTrace(table, 1 << start, 0, table.events[start], _START, None, None)
+    init = _State({MAIN: (first, (0,) * len(search.number), search.ready(p, first))}, {},
                   1 << start, 0)
     pomsets: set[tuple[int, int]] = set()
     blocked: set[str] = set()
-    # the nodes whose every outgoing edge has a persistent kind
-    alone = {node for node, edges in search.edges_from.items()
-             if all(e.action.kind in _PERSISTENT_KINDS for e in edges)}
+    # the nodes with an outgoing edge of a kind that is not persistent
+    shared = {e.source for e in p.all_edges() if e.action.kind not in _PERSISTENT_KINDS}
     search.visited.add((init.events, init.deps))
     stack = [init]
     while stack:
@@ -727,7 +713,7 @@ def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | Non
                     blocked.add("width")
                 else:
                     enabled.append((instance, edge))
-                    if reduce and mover is None and node in alone:
+                    if reduce and mover is None and node not in shared:
                         mover = instance
         if not enabled:
             pomsets.add((s.events, s.deps))
@@ -739,8 +725,7 @@ def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | Non
                 stack.append(ns)
     return TraceSet(
         p, table, frozenset(Pomset(table, evs, deps) for evs, deps in pomsets),
-        tuple(sorted(blocked)), depth, width, (first, *(step.after for step in search.steps)),
-        tuple(search.steps), frozenset(search.racy))
+        tuple(sorted(blocked)), depth, width, (first, *search.traces), frozenset(search.racy))
 
 
 # ---------------------------------------------------------------------------

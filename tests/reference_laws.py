@@ -26,9 +26,10 @@ def realized_values(d: Digest, ts: TraceSet) -> list:
 
 def check_admissibility(d: Digest, p: Program, ts: TraceSet,
                         alpha: dict | None = None) -> LawReport:
-    """Replay every concrete step of the enumeration (``ts.steps()``)
-    against the digest transfer functions: the simulation law for
-    local/observing steps, the creation laws, and the initialization law.
+    """Replay every concrete step of the enumeration, the one each trace
+    but main's start records, against the digest transfer functions: the
+    simulation law for local/observing steps, the creation laws, and the
+    initialization law.
     ``alpha`` is the digest's ``{trace: alpha}`` table over ``ts``."""
     report = LawReport(d.name)
     if alpha is None:
@@ -48,8 +49,10 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
             f"alpha(init) = {fmt(alpha[init_trace])}",
         )
 
-    for step in ts.steps():
-        e, a0, a_out = step.event, alpha[step.before], alpha[step.after]
+    for after in ts.traces:
+        if after.before is None:  # main's start
+            continue
+        e, a0, a_out = after.top, alpha[after.before], alpha[after]
         report.checks += 1
         if e.edge is None:
             ce = e.instance[-1][0]
@@ -62,8 +65,8 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
                 )
             continue
         act = e.action
-        if step.observed is not None:
-            got = d.step_observing(act, a0, alpha[step.observed])
+        if after.observed is not None:
+            got = d.step_observing(act, a0, alpha[after.observed])
         else:
             got = d.step_local(act, a0)
         if got is None or got != a_out:

@@ -176,7 +176,7 @@ def step_creator(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     table = t.table
     e = table.step(table.ids[t.top], edge)
     return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, table.events[e],
-                      t.history.after(edge.action))
+                      t.history.after(edge.action), t, None)
 
 
 def validate_local_trace(t) -> None:

@@ -174,16 +174,14 @@ def test_oracle_solution_agreement(prog1, prog1_traces):
     product, sol = solve_for(prog1, ["lockset", "threadflag", "tid", "join", "once"])
     for t in prog1_traces.traces:
         assert sol.reached(t.top.node, product.abstract(t.ego, t.history)), t.top.describe()
-    made_by = {step.after: step for step in prog1_traces.steps()}
-    for step in prog1_traces.steps():
-        a = step.event.action
+        a = t.top.action
         if a is None or a.kind not in ("read", "write"):
             continue
-        lock = made_by[step.before]
-        assert lock.event.action.kind == "lock"
+        lock = t.before
+        assert lock.top.action.kind == "lock"
         before = lock.before
         record = AccessRecord(
-            step.event.edge.source,
+            t.top.edge.source,
             "W" if a.kind == "write" else "R",
             product.abstract(before.ego, before.history),
         )
