@@ -10,9 +10,10 @@ Exit codes: 0 no races / suites pass, 1 races flagged / suite failures,
 2 usage or input errors (including an unreadable input path such as a
 directory, a negative --tid-cap, an init or initO outside main, code
 after a thread_exit, a goto to a label never placed, a label placed twice
-in one prototype, and a corpus expected.json that is not valid JSON or
-lacks a required key), solver divergence (the evaluation cap was hit) and
-internal failures (any other exception, reported as one
+in one prototype, a corpus expected.json that is not valid JSON or lacks
+a required key, and a corpus program.rlp that does not parse or validate,
+reported with its case name), solver divergence (the evaluation cap was
+hit) and internal failures (any other exception, reported as one
 ``error: internal: <type>: <message>`` line on stderr),
 3 oracle inconclusive: the enumeration was cut off by its bounds and found
 no race (races found in a truncated run still exit 1).
@@ -44,24 +45,19 @@ def _tid_cap(arg: str) -> int:
     return cap
 
 
-def _given_tid_cap(args) -> int:
-    from .digests import DEFAULT_TID_CAP
-
-    return DEFAULT_TID_CAP if args.tid_cap is None else args.tid_cap
-
-
 def _solve(args):
     """The program, its digest product and the solution.  The defaults of
     --digests and --tid-cap are read here, not when the parser is built,
     so that the oracle command loads no analyzer module."""
     from .digest import ProductDigest
-    from .digests import CANONICAL_ORDER, build_digests
+    from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, build_digests
     from .solver import build_system, solve
 
     program = _load(args.file)
     names = CANONICAL_ORDER if args.digests is None else [
         name.strip() for name in args.digests.split(",") if name.strip()]
-    product = ProductDigest(build_digests(names, tid_cap=_given_tid_cap(args)))
+    tid_cap = DEFAULT_TID_CAP if args.tid_cap is None else args.tid_cap
+    product = ProductDigest(build_digests(names, tid_cap=tid_cap))
     return program, product, solve(build_system(program, product))
 
 
@@ -129,7 +125,7 @@ def cmd_conform(args) -> int:
     from .conformance import load_corpus, run_all_suites
 
     cases = load_corpus(Path(args.dir))
-    result = run_all_suites(cases, tid_cap=_given_tid_cap(args))
+    result = run_all_suites(cases)
     sys.stdout.write(result.to_text())
     return 0 if result.passed else 1
 
@@ -165,7 +161,6 @@ def main(argv=None) -> int:
 
     pc = sub.add_parser("conform", help="run the corpus suites")
     pc.add_argument("dir")
-    pc.add_argument("--tid-cap", type=_tid_cap)
     pc.set_defaults(func=cmd_conform)
 
     args = parser.parse_args(argv)

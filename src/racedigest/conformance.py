@@ -1,8 +1,10 @@
 """Corpus definition and the suites tying analyzer, digests, and oracle together.
 
-A corpus case is a directory with ``program.rlp`` and ``expected.json``
-(frozen oracle ground truth plus provenance and the predicate subsets
-expected to prove race freedom).  The suites:
+A corpus case is a program's source and its ``expected.json`` (frozen
+oracle ground truth plus provenance and the predicate subsets expected to
+prove race freedom); on disk, a directory with ``program.rlp`` and
+``expected.json``.  The suites run under the default digests and thread-id
+cap, those the truth was frozen for:
 
 * expectations -- oracle results match the frozen truth, enumeration is
   exhaustive, and the promised race-free subsets hold;
@@ -36,69 +38,52 @@ from .digest import (
     check_mhp_commutativity,
     check_view_exactness,
 )
-from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, MUTANTS, build_digests
-from .dsl import parse_program
-from .model import READ, WRITE, access_sites, instrument_atomicity
+from .digests import CANONICAL_ORDER, MUTANTS, build_digests
+from .dsl import DslSyntaxError, parse_program
+from .model import READ, WRITE, ValidationError, access_sites, instrument_atomicity
 from .oracle import TraceSet, bidirectionally_compatible, enumerate_traces, find_racy_pairs
 from .solver import Solution, build_system, solve
 
 
-class InconclusiveBounds(Exception):
-    """A corpus case did not enumerate exhaustively within its bounds."""
-
-
 class CorpusCase:
-    """The case ``name`` in directory ``path``, with its parsed
-    expected.json.  Its program, trace set, racy pairs, solutions and race
-    reports are each made once, on first use."""
+    """The case ``name``: the program parsed and instrumented from
+    ``source`` and its expected.json ``expected``, both checked here, so a
+    case made in memory is checked as one loaded from a directory.  Its
+    trace set, racy pairs, solution and race report are each made once, on
+    first use."""
 
-    def __init__(self, name: str, path: Path, expected: dict) -> None:
-        self.name, self.path, self.expected = name, path, expected
-        self._program = None
+    def __init__(self, name: str, source: str, expected) -> None:
+        _check_expected(name, expected)
+        try:
+            self.program = instrument_atomicity(parse_program(source))
+        except (DslSyntaxError, ValidationError) as exc:
+            raise ValueError(f"{name}: program.rlp: {exc}") from None
+        self.name, self.expected = name, expected
         self._traces: TraceSet | None = None
         self._racy: frozenset | None = None
-        self._solutions: dict = {}
-        self._reports: dict = {}
-
-    @property
-    def program(self):
-        if self._program is None:
-            text = (self.path / "program.rlp").read_text(encoding="utf-8")
-            self._program = instrument_atomicity(parse_program(text))
-        return self._program
-
-    @property
-    def depth(self) -> int:
-        return self.expected["bounds"]["depth"]
-
-    @property
-    def width(self) -> int:
-        return self.expected["bounds"]["width"]
+        self._solution: tuple[ProductDigest, Solution] | None = None
+        self._report: RaceReport | None = None
 
     def traces(self) -> TraceSet:
         if self._traces is None:
-            self._traces = enumerate_traces(self.program, depth=self.depth, width=self.width)
+            bounds = self.expected["bounds"]
+            self._traces = enumerate_traces(self.program, depth=bounds["depth"],
+                                            width=bounds["width"])
         return self._traces
 
-    def require_exhaustive(self) -> TraceSet:
-        ts = self.traces()
-        if ts.truncated:
-            raise InconclusiveBounds(self.name)
-        return ts
-
-    def solution(self, tid_cap: int) -> tuple[ProductDigest, Solution]:
+    def solution(self) -> tuple[ProductDigest, Solution]:
         """The all-digest product and its solution, solved once."""
-        if tid_cap not in self._solutions:
-            product = ProductDigest(build_digests(CANONICAL_ORDER, tid_cap=tid_cap))
-            self._solutions[tid_cap] = (product, solve(build_system(self.program, product)))
-        return self._solutions[tid_cap]
+        if self._solution is None:
+            product = ProductDigest(build_digests(CANONICAL_ORDER))
+            self._solution = (product, solve(build_system(self.program, product)))
+        return self._solution
 
-    def report(self, tid_cap: int) -> RaceReport:
+    def report(self) -> RaceReport:
         """The bespoke race report of the all-digest solution, made once."""
-        if tid_cap not in self._reports:
-            product, sol = self.solution(tid_cap)
-            self._reports[tid_cap] = detect(sol, product)
-        return self._reports[tid_cap]
+        if self._report is None:
+            product, sol = self.solution()
+            self._report = detect(sol, product)
+        return self._report
 
     def oracle_site_pairs(self) -> frozenset:
         if self._racy is None:
@@ -161,8 +146,8 @@ def load_corpus(directory: Path) -> list[CorpusCase]:
             expected = json.loads((sub / "expected.json").read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{sub.name}: expected.json is not valid JSON: {exc}") from None
-        _check_expected(sub.name, expected)
-        cases.append(CorpusCase(sub.name, sub, expected))
+        source = (sub / "program.rlp").read_text(encoding="utf-8")
+        cases.append(CorpusCase(sub.name, source, expected))
     if not cases:
         raise FileNotFoundError(f"no corpus cases under {directory}")
     return cases
@@ -208,15 +193,14 @@ def _exhaustive(section: SuiteSection, cases, truncated: str = "InconclusiveBoun
     """Each case that enumerates exhaustively, with its traces; every other
     case fails ``section`` with the message ``truncated``."""
     for case in cases:
-        try:
-            ts = case.require_exhaustive()
-        except InconclusiveBounds:
+        ts = case.traces()
+        if ts.truncated:
             section.fail(f"{case.name}: {truncated}")
-            continue
-        yield case, ts
+        else:
+            yield case, ts
 
 
-def run_expectation_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
+def run_expectation_suite(cases) -> SuiteSection:
     section = SuiteSection("expectations")
     cases = list(cases)
     section.checks += len(cases)  # one per case: exhaustive, with the frozen races
@@ -225,7 +209,7 @@ def run_expectation_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection
         want = case.expected_site_pairs()
         if got != want:
             section.fail(f"{case.name}: oracle races {sorted(got)} != expected {sorted(want)}")
-        report = case.report(tid_cap)
+        report = case.report()
         for subset in case.expected["race_free_subsets"]:
             section.checks += 1
             flagged = report.site_pairs(report.mask_of(subset))
@@ -237,7 +221,7 @@ def run_expectation_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection
     return section
 
 
-def run_soundness_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
+def run_soundness_suite(cases) -> SuiteSection:
     """Zero false negatives for every predicate subset, and ablation
     monotonicity along the subset order."""
     section = SuiteSection("soundness")
@@ -247,7 +231,7 @@ def run_soundness_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
                   if set(small) <= set(big)]
     for case, _ in _exhaustive(section, cases):
         oracle_pairs = case.oracle_site_pairs()
-        report = case.report(tid_cap)
+        report = case.report()
         flags = {subset: report.site_pairs(report.mask_of(subset)) for subset in subsets}
         for subset, flagged in flags.items():
             section.checks += 1
@@ -263,13 +247,13 @@ def run_soundness_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     return section
 
 
-def run_law_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
+def run_law_suite(cases) -> SuiteSection:
     """Every shipped digest, then their product, on every case.  One
     ``LawTables`` per digest and case serves the four laws: each distinct
     (ego, history) of the traces is abstracted once, and one table of
     observing steps serves both the stability and the view law."""
     section = SuiteSection("laws")
-    components = build_digests(CANONICAL_ORDER, tid_cap=tid_cap)
+    components = build_digests(CANONICAL_ORDER)
     digests = (*components, ProductDigest(components))
     for case, ts in _exhaustive(section, cases):
         for d in digests:
@@ -308,11 +292,11 @@ def run_equivalence_suite(cases) -> SuiteSection:
     return section
 
 
-def run_subsumption_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
+def run_subsumption_suite(cases) -> SuiteSection:
     """Every record pair the thread flag excludes, thread ids exclude too."""
     section = SuiteSection("tid-subsumes-threadflag")
     for case in cases:
-        product, sol = case.solution(tid_cap)
+        product, sol = case.solution()
         by_name = {c.name: (i, c) for i, c in enumerate(product.components)}
         tf_i, tf = by_name["threadflag"]
         tid_i, tid = by_name["tid"]
@@ -343,14 +327,14 @@ def _catches(case: CorpusCase, ts: TraceSet, mutant: Digest, product: ProductDig
     return not case.oracle_site_pairs() <= flagged
 
 
-def run_mutant_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
+def run_mutant_suite(cases) -> SuiteSection:
     """Each registered mutant must be caught by the laws or by soundness on
     some case; the cases are tried in order up to the first that catches it."""
     section = SuiteSection("mutants")
     exhaustive = list(_exhaustive(section, cases))
     for target, factory in sorted(MUTANTS.items()):
-        mutant = factory() if target not in ("tid", "join") else factory(tid_cap)
-        components = list(build_digests(CANONICAL_ORDER, tid_cap=tid_cap))
+        mutant = factory()
+        components = list(build_digests(CANONICAL_ORDER))
         components[CANONICAL_ORDER.index(target)] = mutant
         product = ProductDigest(tuple(components))
         section.checks += 1
@@ -359,14 +343,7 @@ def run_mutant_suite(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteSection:
     return section
 
 
-def run_all_suites(cases, tid_cap: int = DEFAULT_TID_CAP) -> SuiteResult:
-    return SuiteResult(
-        [
-            run_expectation_suite(cases, tid_cap),
-            run_soundness_suite(cases, tid_cap),
-            run_law_suite(cases, tid_cap),
-            run_equivalence_suite(cases),
-            run_subsumption_suite(cases, tid_cap),
-            run_mutant_suite(cases, tid_cap),
-        ]
-    )
+def run_all_suites(cases) -> SuiteResult:
+    suites = (run_expectation_suite, run_soundness_suite, run_law_suite,
+              run_equivalence_suite, run_subsumption_suite, run_mutant_suite)
+    return SuiteResult([suite(cases) for suite in suites])

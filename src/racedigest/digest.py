@@ -33,11 +33,6 @@ class MhpVerdict(Enum):
     FALSE = "false"
     TOP = "top"
 
-    def meet(self, other: "MhpVerdict") -> "MhpVerdict":
-        if self is MhpVerdict.FALSE or other is MhpVerdict.FALSE:
-            return MhpVerdict.FALSE
-        return MhpVerdict.TOP
-
 
 class ConfigError(Exception):
     """Invalid digest configuration (e.g. join without thread ids)."""

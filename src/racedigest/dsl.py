@@ -112,7 +112,7 @@ class _ProtoBuilder:
     def branch(self, action: Action, src: int, dst: int, line: int) -> None:
         self.edges.append((src, action, dst, line))
 
-    def finish(self, used_create_ids: set[str]) -> ThreadPrototype:
+    def finish(self) -> ThreadPrototype:
         for name, line in self.jumped.items():
             if name not in self.placed:
                 raise DslSyntaxError(f"goto to label {name!r}, never placed in {self.label!r}",
@@ -259,7 +259,7 @@ def parse_program(text: str) -> Program:
     for b in builders:
         if b.label in prototypes:
             raise DslSyntaxError(f"duplicate prototype {b.label!r}", 1)
-        prototypes[b.label] = b.finish(used_create_ids)
+        prototypes[b.label] = b.finish()
 
     prototypes = {label: _append_exits(proto) for label, proto in prototypes.items()}
     # Atomicity mutexes are part of the model for every global, though only

@@ -14,9 +14,9 @@ universes.
 One transfer function, ``_transfer``, states every constraint: ``solve``
 adds the facts it derives and ``verify_postfixpoint`` checks that they are
 all in the solution.  The worklist iterates digest sets unsorted, in the
-order their values were first derived; the least fixpoint and
-``Solution.to_json()`` do not depend on that order.  ``evaluations`` counts
-digest step calls (``step_local``, ``step_observing``, ``new_digest``).
+order their values were first derived; the least fixpoint does not
+depend on that order.  ``evaluations`` counts digest step calls
+(``step_local``, ``step_observing``, ``new_digest``).
 
 An observing step reads only the partner's ``observed_view``, so ``solve``
 makes one step per distinct view: for each observing action and observed
@@ -84,27 +84,6 @@ class Solution:
 
     def records(self, glob: str) -> frozenset:
         return frozenset(self.races.get(glob, ()))
-
-    def to_json(self) -> dict:
-        fmt = self.system.digest.format_elem
-        pp = {
-            node: sorted(fmt(e) for e in elems)
-            for node, elems in sorted(self.pp.items())
-        }
-        obs = {
-            f"{kind} {target}" if target else kind: sorted(fmt(e) for e in elems)
-            for (kind, target), elems in sorted(
-                self.obs.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")
-            )
-        }
-        races = {
-            glob: [
-                {"site": r.site, "type": r.type, "digest": fmt(r.digest)}
-                for r in sorted(recs, key=lambda r: (r.site, r.type, fmt(r.digest)))
-            ]
-            for glob, recs in sorted(self.races.items())
-        }
-        return {"version": 1, "pp": pp, "obs": obs, "races": races}
 
 
 def _watchers(program: Program) -> dict:

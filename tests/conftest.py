@@ -52,6 +52,27 @@ t2:
 """
 
 
+def solution_json(sol) -> dict:
+    """A solver ``Solution`` as sorted JSON data: per node, per observable
+    key and per global, its digest values in format order."""
+    fmt = sol.system.digest.format_elem
+    pp = {node: sorted(fmt(e) for e in elems) for node, elems in sorted(sol.pp.items())}
+    obs = {
+        f"{kind} {target}" if target else kind: sorted(fmt(e) for e in elems)
+        for (kind, target), elems in sorted(
+            sol.obs.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")
+        )
+    }
+    races = {
+        glob: [
+            {"site": r.site, "type": r.type, "digest": fmt(r.digest)}
+            for r in sorted(recs, key=lambda r: (r.site, r.type, fmt(r.digest)))
+        ]
+        for glob, recs in sorted(sol.races.items())
+    }
+    return {"version": 1, "pp": pp, "obs": obs, "races": races}
+
+
 def corpus_program(name: str):
     text = (CORPUS_DIR / name / "program.rlp").read_text(encoding="utf-8")
     return instrument_atomicity(parse_program(text))

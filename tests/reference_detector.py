@@ -81,10 +81,8 @@ def reference_detect(sol, product, modes=None) -> ReferenceReport:
                 if WRITE not in (r0.type, r1.type):
                     continue
                 vs = verdicts(glob, r0.digest, r1.digest)
-                meet = MhpVerdict.TOP
-                for _, v in vs:
-                    meet = meet.meet(v)
-                if meet is not MhpVerdict.TOP:
+                # the meet of the verdicts: FALSE if any is FALSE
+                if any(v is MhpVerdict.FALSE for _, v in vs):
                     continue
                 site_a, site_b = sorted(((r0.site, r0.type), (r1.site, r1.type)))
                 key = (glob, site_a, site_b)

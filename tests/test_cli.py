@@ -142,7 +142,6 @@ def test_analyze_directory_exit_two(capsys):
     [
         ("analyze", rlp("prog0_unsync_writes")),
         ("ablate", rlp("prog0_unsync_writes")),
-        ("conform", str(CORPUS_DIR)),
     ],
 )
 def test_negative_tid_cap_exit_two(capsys, argv):
@@ -152,6 +151,17 @@ def test_negative_tid_cap_exit_two(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tid-cap: must be >= 0" in captured.err
+
+
+def test_conform_takes_no_tid_cap(capsys):
+    # the suites run at the default cap, the one expected.json was frozen at
+    with pytest.raises(SystemExit) as exc:
+        main(["conform", str(CORPUS_DIR), "--tid-cap", "8"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: racedigest ")
+    assert "unrecognized arguments: --tid-cap 8" in captured.err
 
 
 def test_conform_truncated_case_is_a_suite_failure(capsys, tmp_path):
@@ -206,6 +216,20 @@ def test_conform_malformed_expected_json_exit_two(capsys, tmp_path, case, edit, 
     code, out, err = run(capsys, "conform", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: c1: expected.json {error}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, error", [
+    ("g = = 1", "line 4:1: cannot parse action 'g = = 1'"),
+    ("create t as e\n\nt:\n  init a", "init a in 't': only main may init"),
+], ids=["syntax", "init-outside-main"])
+def test_conform_bad_program_names_its_case(capsys, tmp_path, line, error):
+    shutil.copytree(CORPUS_DIR / "prog0_unsync_writes", tmp_path / "a")
+    shutil.copytree(CORPUS_DIR / "prog0_unsync_writes", tmp_path / "bad")
+    (tmp_path / "bad" / "program.rlp").write_text(f"global g\nmutex a\nmain:\n  {line}\n",
+                                                  encoding="utf-8")
+    code, out, err = run(capsys, "conform", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad: program.rlp: {error}\n"
 
 
 def test_conform_invalid_json_exit_two(capsys, tmp_path):

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from racedigest import conformance
 from racedigest.conformance import (
-    InconclusiveBounds,
+    CorpusCase,
     load_corpus,
+    run_all_suites,
     run_equivalence_suite,
     run_expectation_suite,
     run_law_suite,
@@ -18,12 +22,36 @@ from racedigest.conformance import (
     run_subsumption_suite,
 )
 from racedigest.cli import main
-from racedigest.detector import detect
-from racedigest.digest import LawTables, ProductDigest, check_access_stability, check_admissibility
-from racedigest.digests import CANONICAL_ORDER, DEFAULT_TID_CAP, MUTANTS, build_digests
+from racedigest.detector import RaceReport, detect
+from racedigest.digest import (
+    LawTables,
+    MhpVerdict,
+    ProductDigest,
+    check_access_stability,
+    check_admissibility,
+)
+from racedigest.digests import (
+    CANONICAL_ORDER,
+    MUTANTS,
+    EagerMayRunTid,
+    ThreadIdDigest,
+    build_digests,
+)
+from racedigest.dsl import parse_program
+from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve
 
-from tests.conftest import CORPUS_DIR
+from perfbench.gen import expected_json, interleave_racy, locked_racy
+from tests.conftest import CORPUS_DIR, GENERATED
+
+
+def _case(name: str, **edits) -> CorpusCase:
+    """The corpus case ``name``, made anew in memory from its two files,
+    with the top-level keys ``edits`` replaced in its expected.json."""
+    directory = CORPUS_DIR / name
+    expected = json.loads((directory / "expected.json").read_text(encoding="utf-8"))
+    source = (directory / "program.rlp").read_text(encoding="utf-8")
+    return CorpusCase(name, source, {**expected, **edits})
 
 
 def test_corpus_loads_and_is_tagged(corpus_cases):
@@ -76,7 +104,7 @@ def test_expectation_and_soundness_share_one_report(monkeypatch):
     cases = load_corpus(CORPUS_DIR)
     assert run_expectation_suite(cases).passed and run_soundness_suite(cases).passed
     assert len(calls) == len(cases)
-    assert cases[0].report(DEFAULT_TID_CAP) is cases[0].report(DEFAULT_TID_CAP)
+    assert cases[0].report() is cases[0].report()
 
 
 def test_law_suite(corpus_cases):
@@ -120,7 +148,7 @@ def test_each_mutant_is_caught_where_pinned(corpus_cases):
     # a broken law path could pass a mutant on to soundness unnoticed
     caught = {}
     for target, factory in sorted(MUTANTS.items()):
-        mutant = factory(DEFAULT_TID_CAP) if target in ("tid", "join") else factory()
+        mutant = factory()
         components = list(build_digests(CANONICAL_ORDER))
         components[CANONICAL_ORDER.index(target)] = mutant
         caught[mutant.name] = _first_catch(corpus_cases, mutant, ProductDigest(tuple(components)))
@@ -168,11 +196,148 @@ def test_inconclusive_bounds_detected(tmp_path):
         ' "bounds": {"depth": 8, "width": 2}, "racy": [], "race_free_subsets": []}'
     )
     cases = load_corpus(tmp_path)
-    with pytest.raises(InconclusiveBounds):
-        cases[0].require_exhaustive()
+    assert cases[0].traces().truncated
     section = run_soundness_suite(cases)
     assert not section.passed
     assert "InconclusiveBounds" in section.failures[0]
+
+
+def test_generated_programs_pass_as_in_memory_cases():
+    # the truth of each generated program is analytic, at the benchmark's
+    # bounds; no file is written
+    cases = []
+    for name, source in sorted(GENERATED.items()):
+        truth = interleave_racy if name.startswith("interleave") else locked_racy
+        racy = truth(instrument_atomicity(parse_program(source)))
+        cases.append(CorpusCase(name, source, json.loads(expected_json(name, racy, 60, 5))))
+    assert len(cases) == 6
+    for suite in (run_expectation_suite, run_soundness_suite, run_law_suite,
+                  run_equivalence_suite, run_subsumption_suite):
+        section = suite(cases)
+        assert section.passed and section.checks > 0, (section.name, section.failures)
+
+
+def test_in_memory_case_reports_as_its_directory(tmp_path):
+    name = "prog1_running_example"
+    shutil.copytree(CORPUS_DIR / name, tmp_path / name)
+    want = run_all_suites(load_corpus(tmp_path)).to_text()
+    assert run_all_suites([_case(name)]).to_text() == want
+    assert "[pass] laws: " in want
+
+
+@pytest.mark.parametrize("action, expected, error", [
+    ("g = 1", {"bounds": {"depth": 40}, "racy": [], "race_free_subsets": []},
+     "c: expected.json lacks bounds.width"),
+    ("g = = 1", {"bounds": {"depth": 40, "width": 4}, "racy": [], "race_free_subsets": []},
+     "c: program.rlp: line 4:1: cannot parse action 'g = = 1'"),
+], ids=["expected-lacks-width", "program-syntax"])
+def test_in_memory_case_is_checked_when_made(action, expected, error):
+    with pytest.raises(ValueError) as exc:
+        CorpusCase("c", f"global g\n\nmain:\n  {action}\n", expected)
+    assert str(exc.value) == error
+
+
+# Each suite's failure path, reached by a planted fault: an edited truth, a
+# digest the suites build in place of a shipped one, or a broken detector or
+# race definition.  Each message names the case.
+
+def _plant(monkeypatch, target: str, digest) -> None:
+    """The suites build ``digest`` in place of the shipped digest ``target``."""
+    shipped = conformance.build_digests
+    monkeypatch.setattr(conformance, "build_digests", lambda names: tuple(
+        digest if d.name == target else d for d in shipped(names)))
+
+
+class _ShippedNameEagerTid(EagerMayRunTid):
+    """The registered tid mutant under the shipped name, so that the
+    soundness suite's subsets enable its predicate."""
+
+    name = "tid"
+
+
+class _BlindTid(ThreadIdDigest):
+    """Excludes no pair, so it is weaker than the thread flag."""
+
+    def mhp(self, glob, a, b):
+        return MhpVerdict.TOP
+
+
+class _AntiMonotoneReport(RaceReport):
+    """Flags a key when one of its masks meets the enabled predicates, so
+    enabling a predicate flags more, never less."""
+
+    def witnesses(self, enabled: int) -> dict:
+        return {key: pair for key, masks in self.masks.items()
+                for mask, pair in masks.items() if mask & enabled}
+
+
+def test_expectations_report_wrong_frozen_races():
+    case = _case("prog0_unsync_writes", racy=[])
+    section = run_expectation_suite([case])
+    assert section.failures == [
+        f"prog0_unsync_writes: oracle races {sorted(case.oracle_site_pairs())} != expected []"
+    ]
+
+
+def test_expectations_report_a_race_free_subset_that_flags():
+    section = run_expectation_suite([_case("prog1_running_example",
+                                           race_free_subsets=[["lockset"]])])
+    assert section.failures == [
+        "prog1_running_example: subset ['lockset'] should prove race freedom but flags "
+        "[(('main.s0', 'W'), ('main.s0', 'W')), (('main.s0', 'W'), ('main.s1', 'W')), "
+        "(('main.s0', 'W'), ('t1.s0', 'W'))]"
+    ]
+
+
+def test_soundness_reports_a_miss_under_a_subset(monkeypatch):
+    _plant(monkeypatch, "tid", _ShippedNameEagerTid())
+    case = _case("deep_paths_all_race")
+    section = run_soundness_suite([case])
+    races = sorted(case.oracle_site_pairs())
+    assert f"deep_paths_all_race: subset ['tid'] misses real races {races}" in section.failures
+    assert all(f.startswith("deep_paths_all_race: subset ") for f in section.failures)
+
+
+def test_soundness_reports_flags_that_grow_with_the_subset(monkeypatch):
+    real = conformance.detect
+
+    def anti_monotone(sol, product):
+        r = real(sol, product)
+        return _AntiMonotoneReport(r.digests, r.modes, r.masks, r.record_counts)
+
+    monkeypatch.setattr(conformance, "detect", anti_monotone)
+    section = run_soundness_suite([_case("prog1_running_example")])
+    assert "prog1_running_example: enabling ['lockset'] flags more than []" in section.failures
+    assert all(f.startswith("prog1_running_example: enabling ") for f in section.failures)
+
+
+def test_law_suite_names_the_case_the_digest_and_the_law(monkeypatch):
+    mutant = MUTANTS["lockset"]()
+    _plant(monkeypatch, "lockset", mutant)
+    case = _case("combo_needs_both")
+    section = run_law_suite([case])
+    first = check_admissibility(LawTables(mutant, case.traces())).violations[0]
+    assert first.law == "simulation"
+    want = f"combo_needs_both: lockset@overlap-empty: simulation: {first.detail}"
+    assert section.failures[0] == want
+
+
+def test_equivalence_reports_a_mismatch(monkeypatch):
+    monkeypatch.setattr(conformance, "bidirectionally_compatible", lambda *args: False)
+    case = _case("prog0_unsync_writes")
+    section = run_equivalence_suite([case])
+    assert section.failures == [
+        f"prog0_unsync_writes: bidirectionally compatible [] != racy "
+        f"{sorted(case.oracle_site_pairs())}"
+    ]
+
+
+def test_subsumption_reports_a_tid_weaker_than_the_thread_flag(monkeypatch):
+    _plant(monkeypatch, "tid", _BlindTid())
+    section = run_subsumption_suite([_case("prog1_running_example")])
+    assert ("prog1_running_example: g main.s0/t1.s0: threadflag excludes but tid does not"
+            in section.failures)
+    assert all(f.startswith("prog1_running_example: g ") for f in section.failures)
 
 
 _COUNTED_CONFORM = """

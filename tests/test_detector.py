@@ -6,7 +6,7 @@ import pytest
 
 from racedigest.detector import BESPOKE, GENERIC, RaceReport, ablate, detect
 from racedigest.digest import ProductDigest
-from racedigest.digests import CANONICAL_ORDER, DEFAULT_TID_CAP, build_digests
+from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve
@@ -128,7 +128,7 @@ def _dumped(report) -> str:
 @pytest.mark.parametrize("mode", [BESPOKE, GENERIC])
 def test_json_text_is_json_dumps_on_the_corpus(corpus_cases, mode):
     for case in corpus_cases:
-        product, sol = case.solution(DEFAULT_TID_CAP)
+        product, sol = case.solution()
         modes = {name: mode for name in CANONICAL_ORDER}
         want = reference_detect(sol, product, modes).to_json_text()
         assert detect(sol, product, modes).to_json_text() == want, case.name

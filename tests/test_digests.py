@@ -341,12 +341,22 @@ def test_product_steps_stop_at_the_first_none():
         assert step(ProductDigest((rec, _Refusing()))) is None and len(rec.calls) == 1
 
 
+class _Verdict(Digest):
+    """Judges every pair with one fixed verdict."""
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+
+    def mhp(self, glob, a, b):
+        return self.verdict
+
+
 @given(st.lists(st.sampled_from([F, T]), min_size=1, max_size=5))
 def test_verdict_meet_is_false_absorbing(verdicts):
-    out = T
-    for v in verdicts:
-        out = out.meet(v)
-    assert out is (F if F in verdicts else T)
+    # the product's predicate is the meet of its components' verdicts
+    product = ProductDigest(tuple(map(_Verdict, verdicts)))
+    elem = (None,) * len(verdicts)
+    assert product.mhp("g", elem, elem) is (F if F in verdicts else T)
 
 
 def test_registry_normalizes_order_and_rejects_unknown():

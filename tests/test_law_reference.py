@@ -3,8 +3,9 @@ when each made its own transfer calls and abstracted every trace.  On every
 corpus case, the generated programs (where many traces share an
 (ego, history)) and the once hand-off (where the once digest breaks the
 simulation law), and for every shipped digest, their product, each
-registered mutant, the inexact-view digests and a digest whose predicate
-depends on argument order, the harness must give the same ``LawReport``:
+registered mutant, the inexact-view digests, a digest whose predicate
+depends on argument order and three that break the initialization and
+creation laws, the harness must give the same ``LawReport``:
 the same check count and the same violations in the same order.  Each test
 digest breaks the law it is there for on some case.  Call-count tests pin
 the saving on the product and one abstraction per (ego, history)."""
@@ -20,7 +21,7 @@ from racedigest.conformance import run_law_suite
 from racedigest.digest import LawTables, MhpVerdict, ProductDigest
 from racedigest.digests import (
     CANONICAL_ORDER,
-    DEFAULT_TID_CAP,
+    MT,
     MUTANTS,
     ST_MAIN,
     JoinDigest,
@@ -64,15 +65,47 @@ class LeakyLockset(LocksetDigest):
         return out
 
 
+class MultiThreadedInit(ThreadFlagDigest):
+    """Starts main multi-threaded: breaks the initialization law."""
+
+    name = "threadflag@mt-init"
+
+    def init_digests(self):
+        return frozenset({MT})
+
+
+class InheritingThreadFlag(ThreadFlagDigest):
+    """Gives a child its creator's flag, not that of a spawned thread:
+    breaks the creation law."""
+
+    name = "threadflag@inherited"
+
+    def new_digest(self, elem, create_edge):
+        return elem
+
+
+class ChildlessThreadFlag(ThreadFlagDigest):
+    """Takes the create step but refuses the child a value: breaks both
+    creation laws."""
+
+    name = "threadflag@childless"
+
+    def new_digest(self, elem, create_edge):
+        return None
+
+
+ADMISSIBILITY_BREAKERS = (MultiThreadedInit, InheritingThreadFlag, ChildlessThreadFlag)
+
+
 def _digests() -> dict:
     shipped = build_digests(CANONICAL_ORDER)
     out = {d.name: d for d in shipped}
     out["product"] = ProductDigest(shipped)
-    for target, factory in sorted(MUTANTS.items()):
-        mutant = factory(DEFAULT_TID_CAP) if target in ("tid", "join") else factory()
+    for _, factory in sorted(MUTANTS.items()):
+        mutant = factory()
         out[mutant.name] = mutant
     for factory in (BlindThreadFlag, PathOnlyJoin, BlindOnce, BlindOverlapLockset,
-                    LeakyLockset, OrderedThreadFlag):
+                    LeakyLockset, OrderedThreadFlag, *ADMISSIBILITY_BREAKERS):
         out[factory.name] = factory()
     return out
 
@@ -153,6 +186,20 @@ def _violating(d, law, corpus_cases) -> list[str]:
 def test_differential_digests_break_their_law(corpus_cases, name, law):
     # the comparison above covers a violating path only if some case violates
     assert _violating(DIGESTS[name], law, corpus_cases)
+
+
+@pytest.mark.parametrize("factory, violations", [
+    (MultiThreadedInit, [("init", "init_digests() = ['MT'] but alpha(init) = ST_main")]),
+    (InheritingThreadFlag,
+     [("new-thread", "new_digest(ST_main, e1) = ST_main but alpha(child) = MT")]),
+    (ChildlessThreadFlag,
+     [("new-thread", "new_digest(ST_main, e1) = none but alpha(child) = MT"),
+      ("new-thread-defined", "create step defined on ST_main but new_digest is not")]),
+], ids=["init", "new-thread", "new-thread-defined"])
+def test_admissibility_catches_init_and_creation_faults(corpus_cases, factory, violations):
+    case = next(c for c in corpus_cases if c.name == "prog1_running_example")
+    report = harness.check_admissibility(LawTables(factory(), case.traces()))
+    assert [tuple(v) for v in report.violations] == violations
 
 
 def test_lock_steps_share_one_object_per_view_class(corpus_cases):

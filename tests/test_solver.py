@@ -20,6 +20,8 @@ from racedigest.solver import (
     verify_postfixpoint,
 )
 
+from tests.conftest import solution_json
+
 
 def solve_for(program, names):
     product = ProductDigest(build_digests(names))
@@ -141,7 +143,7 @@ from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve
-from tests.conftest import corpus_program
+from tests.conftest import corpus_program, solution_json
 from tests.test_sweep import locked_program
 
 for program in (
@@ -150,7 +152,7 @@ for program in (
 ):
     product = ProductDigest(build_digests(CANONICAL_ORDER))
     sol = solve(build_system(program, product))
-    print(json.dumps(sol.to_json(), sort_keys=True), sol.evaluations)
+    print(json.dumps(solution_json(sol), sort_keys=True), sol.evaluations)
 """
 
 
@@ -197,10 +199,10 @@ def test_divergence_guard(prog1):
 def test_solution_json_dump_deterministic(prog1):
     product, sol1 = solve_for(prog1, ["lockset", "threadflag"])
     product, sol2 = solve_for(prog1, ["lockset", "threadflag"])
-    a = json.dumps(sol1.to_json(), sort_keys=True)
-    b = json.dumps(sol2.to_json(), sort_keys=True)
+    a = json.dumps(solution_json(sol1), sort_keys=True)
+    b = json.dumps(solution_json(sol2), sort_keys=True)
     assert a == b
-    payload = sol1.to_json()
+    payload = solution_json(sol1)
     assert payload["version"] == 1
     assert payload["races"]["g"][0]["site"] == "main.s0"
 
@@ -208,7 +210,7 @@ def test_solution_json_dump_deterministic(prog1):
 def test_json_dump_golden_small_program():
     p = instrument_atomicity(parse_program("global g\n\nmain:\n  g = 1\n"))
     product, sol = solve_for(p, ["lockset"])
-    assert sol.to_json() == {
+    assert solution_json(sol) == {
         "version": 1,
         "pp": {
             "main.0": ["({})"],

@@ -13,7 +13,7 @@ from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve, verify_postfixpoint
 
 from perfbench.gen import locked_program
-from tests.conftest import CORPUS_DIR, GENERATED, corpus_program
+from tests.conftest import CORPUS_DIR, GENERATED, corpus_program, solution_json
 from tests.reference_solver import reference_solve
 from tests.test_sweep import locked_program as sweep_locked_program
 
@@ -47,7 +47,7 @@ def test_grouped_solver_matches_reference(name):
     for digest in _digests():
         cs = build_system(program, digest)
         sol, ref = solve(cs), reference_solve(cs)
-        assert sol.to_json() == ref.to_json(), digest.name
+        assert solution_json(sol) == solution_json(ref), digest.name
         assert verify_postfixpoint(sol) and verify_postfixpoint(ref), digest.name
         assert sol.evaluations <= ref.evaluations, digest.name
 

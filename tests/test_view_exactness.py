@@ -8,7 +8,6 @@ import pytest
 
 from racedigest.digest import LawTables, check_view_exactness
 from racedigest.digests import (
-    DEFAULT_TID_CAP,
     MUTANTS,
     JoinDigest,
     OnceDigest,
@@ -72,8 +71,8 @@ def test_law_catches_a_dropped_view_field(corpus_cases, factory):
 def test_registered_mutants_have_exact_views(corpus_cases):
     # the mutant suite solves with the grouped solver, so a mutant's view
     # must be exact for the suite to judge the mutant's own transfer
-    for target, factory in sorted(MUTANTS.items()):
-        mutant = factory(DEFAULT_TID_CAP) if target in ("tid", "join") else factory()
+    for _, factory in sorted(MUTANTS.items()):
+        mutant = factory()
         assert _caught(mutant, corpus_cases) == [], mutant.name
 
 
