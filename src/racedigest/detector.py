@@ -72,8 +72,9 @@ class RaceReport:
     set of enabled predicates a key is flagged when some mask is disjoint
     from it, and the first such mask's pair is the witness.  A key's masks
     end at the first 0: every later pair would be a later witness of the
-    same sets.  ``flagged`` holds the keys flagged with every predicate
-    enabled, sorted, and is built on first use.
+    same sets.  ``detect`` inserts the keys in sorted order, so every read
+    lists its keys sorted.  ``flagged`` holds the keys flagged with every
+    predicate enabled and is built on first use.
     """
 
     def __init__(self, digests: tuple[str, ...], modes: dict, masks: dict,
@@ -84,7 +85,7 @@ class RaceReport:
     @functools.cached_property
     def flagged(self) -> list[FlaggedPair]:
         witnesses = self.witnesses(self.mask_of(self.digests))
-        return [FlaggedPair(*key, witnesses[key]) for key in sorted(witnesses)]
+        return [FlaggedPair(*key, pair) for key, pair in witnesses.items()]
 
     def mask_of(self, names) -> int:
         return sum(1 << i for i, n in enumerate(self.digests) if n in names)
@@ -234,7 +235,9 @@ def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> 
     accumulators, each component's predicate in the mode ``modes`` names
     (default bespoke).  Each predicate runs once per distinct pair of
     component values: every shipped ``mhp`` is pure, and the values repeat
-    heavily across records."""
+    heavily across records.  The report's keys are inserted in sorted
+    order: globals sorted, then the (site, type) groups of the sorted
+    records, each with itself and every later group."""
     modes = _resolve_modes(product, modes)
     predicates = [
         comp.mhp if modes[comp.name] == BESPOKE else functools.partial(generic_mhp, comp)

@@ -335,7 +335,7 @@ class OverlapEmptyLockset(LocksetDigest):
 
 
 class SpawnedPairThreadFlag(ThreadFlagDigest):
-    """Wrongly claims two spawned threads never run in parallel."""
+    """Wrongly says two spawned threads never run in parallel."""
 
     name = "threadflag@spawned-pair"
 

@@ -12,17 +12,19 @@ event set carries labeled cross-thread dependencies:
 
 A *local trace* is the downward closure of a single event; its owning thread
 is the ego thread.  Every per-mutex chain alternates init/unlock with at most
-one following lock, which the step functions enforce when merging two local
-traces at an observing action.  Thread instances are named by their
-creation history (``model.InstanceId``).
+one following lock: a lock takes the offer of a free mutex, which it then
+holds.  Thread instances are named by their creation history
+(``model.InstanceId``).
 
 The events and deps of one trace set are interned in one ``EventTable``;
 pomsets and local traces are pairs of bitmasks over its ids, and each
 ``History`` value is one object of the table.  The enumerator holds each
-thread's local trace and takes each step with the code of the step
-functions, once per (trace, edge, observed trace), so it records every
-trace it reaches as it goes, each trace with the step that made it.  It
-decides the racy pairs as it takes each access.
+thread's local trace and takes each step once per (trace, edge, observed
+trace), so it records every trace it reaches as it goes, each trace with
+the step that made it.  Those recorded steps are the one copy of the
+local-trace step: the equivalence suite reads them
+(``bidirectionally_compatible``).  The search decides the racy pairs as it
+takes each access.
 """
 
 from __future__ import annotations
@@ -47,17 +49,15 @@ class Event(Value):
     """One configuration of one thread: the start marker (edge=None) or the
     state reached by taking ``edge``."""
 
-    __slots__ = _fields = ("instance", "index", "proto", "node", "edge")
+    __slots__ = _fields = ("instance", "index", "node", "edge")
     _compared = attrgetter(*_fields)
 
-    def __init__(self, instance: InstanceId, index: int, proto: str, node: str,
-                 edge: Edge | None) -> None:
+    def __init__(self, instance: InstanceId, index: int, node: str, edge: Edge | None) -> None:
         _set(self, "instance", instance)
         _set(self, "index", index)
-        _set(self, "proto", proto)
         _set(self, "node", node)
         _set(self, "edge", edge)
-        _set(self, "_hash", hash((instance, index, proto, node, edge)))
+        _set(self, "_hash", hash((instance, index, node, edge)))
 
     @property
     def action(self) -> Action | None:
@@ -101,29 +101,14 @@ def _members(mask: int, items: list) -> frozenset:
 class EventTable:
     """The interned events and dep edges of one trace set.  An item's id is
     its position in ``events`` or ``deps``, and an event or dep set is a
-    bitmask over the ids.  The enumerator interns what it reaches and the
-    step functions what they add, so the table only grows.
-
-    For the merge checks of ``trace_step_observing`` the table keeps groups:
-    per event its slot, the events at one (instance, index); per dep its
-    source key (source, kind, label) and target key (target, kind), the
-    deps sharing it; per create dep the creator's create event, which its
-    source must be followed by.  ``after`` keeps one ``History`` object per
-    value, for the search and for every later step."""
+    bitmask over the ids.  The enumerator interns what it reaches, so the
+    table only grows.  ``after`` keeps one ``History`` object per value."""
 
     def __init__(self):
         self.events: list[Event] = []
         self.deps: list[DepEdge] = []
         self.ids: dict[Event | DepEdge, int] = {}  # position in events or deps
         self.steps: dict[tuple[int, Edge], int] = {}  # (prev id, edge) -> event id
-        self.slots: dict[tuple, int] = {}  # (instance, index) -> slot
-        self.slot: list[int] = []  # per event, its slot
-        self.slot_events: list[int] = []  # per slot, the mask of its events
-        self.keys: dict[tuple, int] = {}  # (source id, kind, label) or (target id, kind) -> key
-        self.dep_keys: list[tuple[int, int]] = []  # per dep, its source and target key
-        self.key_deps: list[int] = []  # per key, the mask of its deps
-        self.create_deps = 0  # the mask of the create deps
-        self.claims: dict[int, int] = {}  # create dep id -> its creator's create event id
         self.histories: dict[History, History] = {}  # each value to its one object
         self.transfers: dict[tuple, History] = {}  # the arguments of a transfer -> its result
 
@@ -132,18 +117,13 @@ class EventTable:
         if i is None:
             i = self.ids[e] = len(self.events)
             self.events.append(e)
-            self.slot.append(_group(self.slots, self.slot_events, (e.instance, e.index), 1 << i))
         return i
 
     def dep_id(self, d: DepEdge) -> int:
-        """The id of ``d``, whose source and target are interned."""
         i = self.ids.get(d)
         if i is None:
             i = self.ids[d] = len(self.deps)
             self.deps.append(d)
-            self.dep_keys.append((
-                _group(self.keys, self.key_deps, (self.ids[d.src], d.kind, d.label), 1 << i),
-                _group(self.keys, self.key_deps, (self.ids[d.dst], d.kind), 1 << i)))
         return i
 
     def step(self, prev: int, edge: Edge) -> int:
@@ -152,7 +132,7 @@ class EventTable:
         if key not in self.steps:
             p = self.events[prev]
             self.steps[key] = self.event_id(
-                Event(p.instance, p.index + 1, p.proto, edge.target, edge))
+                Event(p.instance, p.index + 1, edge.target, edge))
         return self.steps[key]
 
     def after(self, h: History, a: Action | None, src: History | None = None,
@@ -165,16 +145,6 @@ class EventTable:
             out = h.after(a, src, joined) if a is not None else History.start(h)
             out = self.transfers[key] = self.histories.setdefault(out, out)
         return out
-
-
-def _group(groups: dict, masks: list, key: tuple, bit: int) -> int:
-    """The group of ``key``, made if new, with ``bit`` added to its mask."""
-    g = groups.get(key)
-    if g is None:
-        g = groups[key] = len(masks)
-        masks.append(0)
-    masks[g] |= bit
-    return g
 
 
 class _Masks:
@@ -325,26 +295,34 @@ class TraceSet:
         self.truncated, self.truncated_by = bool(truncated_by), truncated_by
         self.depth, self.width = depth, width
         self.traces, self._racy = traces, racy
-        self._runs: dict = {}  # see bidirectionally_compatible
-        self._groups: tuple[dict, dict] | None = None  # see _trace_groups
+        self._step_index: dict | None = None
+
+    def step_index(self) -> dict[Edge, dict[tuple, LocalTrace]]:
+        """Per edge, the steps the search recorded over it: (trace before,
+        observed trace or None) -> the trace made, in trace order; built on
+        first use.  A child's start is made by no edge of its own and is
+        left out."""
+        if self._step_index is None:
+            index: dict[Edge, dict[tuple, LocalTrace]] = {}
+            for t in self.traces:
+                if t.top.edge is not None:
+                    index.setdefault(t.top.edge, {})[(t.before, t.observed)] = t
+            self._step_index = index
+        return self._step_index
 
 
 # ---------------------------------------------------------------------------
-# Step functions over local traces
+# Steps over local traces
 # ---------------------------------------------------------------------------
 
 _DEP_KIND = {"lock": "mutex", "startO": "once", "join": "join"}
 
 
 # What the ego's history must show before each kind of local action: the
-# only copy of these guards, read by the local-trace steps and by the
-# enumerator.  The observing actions need none: only main inits
-# (validate_program), so each mutex (once variable) has one chain of
-# init/unlock (initO/endO) sources, each feeding one lock (startO).  A
-# source that would let the ego retake a mutex it holds (start a once it is
-# inside) already feeds a lock in the merged trace, which the degree check
-# of trace_step_observing rejects, or lies past the ego's top.  A join with
-# no create taken fails the last-child check.
+# only copy of these guards.  The observing actions need none: a lock
+# (startO) takes the offer of a free mutex (ready once variable), which is
+# gone while the ego holds it (is inside it), and a join takes the offer
+# of the exited last child, which a join with no create taken lacks.
 _GUARDS = {
     "pos_ran": lambda h, x: ("endO", x) in h.seen,
     "neg_ran": lambda h, x: ("endO", x) not in h.seen,
@@ -355,17 +333,6 @@ _GUARDS = {
 }
 
 
-def trace_step_local(edge: Edge, t: LocalTrace) -> LocalTrace | None:
-    """Prolong ``t`` along a non-observing, non-creating edge, if possible."""
-    a = edge.action
-    if a.is_observing or a.is_creating:
-        raise ValueError(f"{a.kind} is not a local step")
-    guard = _GUARDS.get(a.kind)
-    if t.ego_node() != edge.source or (guard is not None and not guard(t.history, a.target)):
-        return None
-    return _extend(t, edge)
-
-
 def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
     """The local trace of the thread created by ``edge`` from ``t``."""
     a = edge.action
@@ -373,79 +340,12 @@ def spawn(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
         return None
     occurrence = t.history.created.count(a.create_id)
     child: InstanceId = t.ego + ((a.create_id, occurrence),)
-    proto = p.prototypes[a.target]
+    start_node = p.prototypes[a.target].start_node
     table = t.table
-    start = table.event_id(Event(child, 0, a.target, proto.start_node, None))
+    start = table.event_id(Event(child, 0, start_node, None))
     dep = table.dep_id(DepEdge("create", None, t.top, table.events[start]))
-    table.claims[dep] = table.step(table.ids[t.top], edge)
-    table.create_deps |= 1 << dep
     return LocalTrace(table, t.event_mask | 1 << start, t.dep_mask | 1 << dep,
                       table.events[start], table.after(t.history, None), t, None)
-
-
-def trace_step_observing(edge: Edge, t0: LocalTrace, t1: LocalTrace) -> LocalTrace | None:
-    """Merge the observed trace ``t1`` into ``t0`` and prolong by ``edge``.
-
-    Returns None unless the traces agree on their shared past and the
-    pairing rules still hold after adding the new dependency: an event
-    feeds at most one dep of a kind and label (one lock per unlock, one
-    child per create) and has at most one incoming dep.  A create dep's
-    source is followed by the create event, so the union may hold no other
-    event at that slot: a create dep claims the slot for the create event.
-    Each input is a trace, so the checks compare only what ``t1`` adds
-    (events and claims) with ``t0``, on the ids of their table.
-
-    The union is then acyclic.  An event a dep targets (a start, lock,
-    startO or join) has its one incoming dep in every trace holding it.
-    So a dep of one trace that targets an event of the other shares its
-    target key with that event's dep there, and one of the two is among
-    what ``t1`` adds: the check refuses it.  Every event of the union thus
-    has the predecessors it has in a trace holding it, a cycle of the
-    union would lie in one trace, and the new event has no successor.
-    """
-    act = edge.action
-    if not act.is_observing:
-        raise ValueError(f"{act.kind} is not an observing action")
-    table = t0.table
-    if t1.table is not table:
-        raise ValueError("the traces belong to two trace sets")
-    if t0.ego_node() != edge.source:
-        return None
-    top1 = t1.top
-    a1 = top1.action
-    if a1 is None or a1.obs_key() not in act.observed_keys():
-        return None
-    if act.kind == "join" and top1.instance != _last_child(t0, act.target):
-        return None
-
-    em0, dm0, em1, dm1 = t0.event_mask, t0.dep_mask, t1.event_mask, t1.dep_mask
-    ego, events, slot, slot_events = t0.ego, table.events, table.slot, table.slot_events
-    claims, creates = table.claims, table.create_deps
-    c0 = c1 = 0  # the claims of the create deps of one trace only
-    for d in _bits(dm0 & ~dm1 & creates):
-        c0 |= 1 << claims[d]
-    for d in _bits(dm1 & ~dm0 & creates):
-        c1 |= 1 << claims[d]
-    have = em0 | c0
-    for x in _bits((em1 | c1) & ~have):
-        # an event of the ego's past or past its top, or a second event at
-        # a slot of t0's: the two pasts disagree
-        if events[x].instance == ego or slot_events[slot[x]] & have:
-            return None
-    # each event feeds one dep of a kind and label, and has one source
-    key_deps = table.key_deps
-    for d in _bits(dm1 & ~dm0):
-        src, dst = table.dep_keys[d]
-        if key_deps[src] & dm0 or key_deps[dst] & dm0:
-            return None
-    kind = _DEP_KIND[act.kind]
-    label = act.target if act.kind in ("lock", "startO") else None
-    # the new dep's source key: the observed top feeds no observer yet
-    fed = table.keys.get((table.ids[top1], kind, label))
-    if fed is not None and key_deps[fed] & (dm0 | dm1):
-        return None
-    # with the degrees checked, t0 and t1 stay the closures of their tops
-    return _extend(t0, edge, t1)
 
 
 def _extend(t: LocalTrace, edge: Edge, observed: LocalTrace | None = None) -> LocalTrace:
@@ -682,7 +582,7 @@ def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | Non
     step."""
     search = _Search(p)
     table = search.table
-    start = table.event_id(Event(MAIN, 0, p.main_label, p.main().start_node, None))
+    start = table.event_id(Event(MAIN, 0, p.main().start_node, None))
     first = LocalTrace(table, 1 << start, 0, table.events[start], _START, None, None)
     init = _State({MAIN: (first, (0,) * len(search.number), search.ready(p, first))}, {},
                   1 << start, 0)
@@ -741,59 +641,37 @@ def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
 
 def bidirectionally_compatible(ts: TraceSet, glob: str, site_a: str, site_b: str) -> bool:
     """Both orders of the two access sequences are executable from some pair
-    of prefix traces and some trace ending in an unlock/init of ``m_g``.
-    The traces are grouped and each run of a sequence from a pair of
-    traces is taken once per trace set: groups and runs are kept on ``ts``
-    for every later pair of sites."""
+    of prefix traces and some trace ending in an unlock/init of ``m_g``
+    (each sequence starts with a lock of ``m_g``, which observes it).  The
+    exhaustive search recorded every step from every reachable trace, so a
+    sequence runs from ``t0`` observing ``t1`` exactly when its three steps
+    are in ``ts.step_index()``.  A truncated ``ts`` lacks steps past its
+    bounds and is refused with ValueError."""
+    if ts.truncated:
+        raise ValueError("bidirectional compatibility needs an exhaustive trace set")
+    steps = ts.step_index()
     seq_a = access_sequence(ts.program, site_a)
     seq_b = access_sequence(ts.program, site_b)
-    mg = atomicity_mutex(glob)
-
-    by_node, by_mutex = _trace_groups(ts)
-    starters_a = by_node.get(seq_a[0].source, ())
-    starters_b = by_node.get(seq_b[0].source, ())
-    landings = by_mutex.get(mg, ())
-
-    runs = ts._runs  # (sequence, t0, t1) -> its end, or None
 
     def run(seq, t0: LocalTrace, t1: LocalTrace) -> LocalTrace | None:
-        key = (seq, t0, t1)
-        if key not in runs:
-            lock_e, acc_e, unl_e = seq
-            r = trace_step_observing(lock_e, t0, t1)
-            if r is not None:
-                r = trace_step_local(acc_e, r)
-            if r is not None:
-                r = trace_step_local(unl_e, r)
-            runs[key] = r
-        return runs[key]
+        lock_e, acc_e, unl_e = seq
+        t = steps.get(lock_e, {}).get((t0, t1))
+        if t is not None:
+            t = steps.get(acc_e, {}).get((t, None))
+        if t is not None:
+            t = steps.get(unl_e, {}).get((t, None))
+        return t
 
+    starters_b = dict.fromkeys(tb for tb, _ in steps.get(seq_b[0], ()))
     # one witness triple (ta, tb, tl) must admit both orders
-    for tl in landings:
-        for ta in starters_a:
-            a_first = run(seq_a, ta, tl)
-            if a_first is None:
+    for ta, tl in steps.get(seq_a[0], ()):
+        a_first = run(seq_a, ta, tl)
+        if a_first is None:
+            continue
+        for tb in starters_b:
+            if run(seq_b, tb, a_first) is None:
                 continue
-            for tb in starters_b:
-                if run(seq_b, tb, a_first) is None:
-                    continue
-                b_first = run(seq_b, tb, tl)
-                if b_first is not None and run(seq_a, ta, b_first) is not None:
-                    return True
+            b_first = run(seq_b, tb, tl)
+            if b_first is not None and run(seq_a, ta, b_first) is not None:
+                return True
     return False
-
-
-def _trace_groups(ts: TraceSet) -> tuple[dict, dict]:
-    """The traces of ``ts`` by ego node, and those whose top is an unlock
-    or init by its mutex (what a lock can observe), each group in trace
-    order; made on the first call per trace set and kept on ``ts``."""
-    if ts._groups is None:
-        by_node: dict[str, list[LocalTrace]] = {}
-        by_mutex: dict[str, list[LocalTrace]] = {}
-        for t in ts.traces:
-            by_node.setdefault(t.ego_node(), []).append(t)
-            a = t.top.action
-            if a is not None and a.kind in ("unlock", "init"):
-                by_mutex.setdefault(a.target, []).append(t)
-        ts._groups = (by_node, by_mutex)
-    return ts._groups

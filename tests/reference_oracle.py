@@ -7,16 +7,17 @@ holds each as bitmasks over one table, is compared against by content:
 pomsets and traces here are frozensets of events and deps.  Also the
 scan-based walks over one pomset (program-order predecessor, incoming
 dependency), a causal order of an event set, the history of a trace read
-off its events and deps by definition, the creator's own step over a
-create edge, the merge at an observing edge on frozensets and the
-structural check of a local trace, which only tests use."""
+off its events and deps by definition, the two steps of a local trace on
+frozensets (over a non-observing edge, and the merge at an observing
+edge), against which the steps the oracle's search records are checked,
+and the structural check of a local trace, which only tests use."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from racedigest.model import MAIN, READ, WRITE, Edge, InstanceId, Program, atomicity_mutex
-from racedigest.oracle import DepEdge, Event, History, LocalTrace, RacePair
+from racedigest.oracle import DepEdge, Event, History, RacePair
 
 
 @dataclass(frozen=True)
@@ -168,17 +169,6 @@ def closure(pom, top: Event, anc: dict | None = None) -> Trace:
     return Trace(past, deps, top, history(past, deps, top))
 
 
-def step_creator(p: Program, edge: Edge, t: LocalTrace) -> LocalTrace | None:
-    """Prolong the creating thread itself over its create edge, interning
-    the event it adds in the table of ``t``."""
-    if edge.action.kind != "create" or t.ego_node() != edge.source:
-        return None
-    table = t.table
-    e = table.step(table.ids[t.top], edge)
-    return LocalTrace(table, t.event_mask | 1 << e, t.dep_mask, table.events[e],
-                      t.history.after(edge.action), t, None)
-
-
 def validate_local_trace(t) -> None:
     """Assert the structural trace invariants; raises ValueError on violation."""
     ancestors(t.events, t.deps)  # raises on cycles
@@ -204,13 +194,49 @@ def validate_local_trace(t) -> None:
             observers.add((d.dst, d.kind))
 
 
+def _prolonged(t, edge: Edge) -> Event:
+    """The event the ego of ``t`` reaches by taking ``edge``."""
+    return Event(t.ego, t.top.index + 1, edge.target, edge)
+
+
+def step_local(edge: Edge, t) -> Trace | None:
+    """``t`` prolonged over the non-observing ``edge`` (at a create, the
+    creator's own step), or None when ``t`` is not at the edge's source or
+    fails its guard, read off the trace by definition: ``pos ran o`` needs
+    an endO of ``o`` in the trace and ``neg ran o`` none, ``init`` and
+    ``initO`` need no event of their kind and target, ``unlock a`` needs
+    ``a`` held and ``endO o`` needs ``o`` active."""
+    act = edge.action
+    if act.is_observing:
+        raise ValueError(f"{act.kind} is an observing action")
+    if t.ego_node() != edge.source:
+        return None
+    seen = {e.action.obs_key() for e in t.events if e.action is not None}
+    h, x = history(t.events, t.deps, t.top), act.target
+    allowed = {
+        "pos_ran": ("endO", x) in seen,
+        "neg_ran": ("endO", x) not in seen,
+        "init": ("init", x) not in seen,
+        "initO": ("initO", x) not in seen,
+        "unlock": x in h.held,
+        "endO": x in h.active,
+    }.get(act.kind, True)
+    if not allowed:
+        return None
+    new = _prolonged(t, edge)
+    events = t.events | {new}
+    return Trace(events, t.deps, new, history(events, t.deps, new))
+
+
 def step_observing(p: Program, edge: Edge, t0, t1) -> Trace | None:
-    """The merge of ``t1`` into ``t0`` at an observing edge as it stood on
-    frozensets: the union of the event and dep sets prolonged by the new
-    event, or None when the union holds two events at one (instance,
-    index), an event of the ego past its top, an event feeding two deps
-    of one kind and label or one with two incoming deps, a create dep
-    whose source is followed by an event other than that create, or a
+    """The merge of ``t1`` into ``t0`` at an observing edge on frozensets:
+    the union of the event and dep sets prolonged by the new event, with
+    the history its events and deps define, or None when ``t1``'s top is
+    not what the edge observes (at a join, the exit of the ego's last
+    child through the joined edge) or the union holds two events at one
+    (instance, index), an event of the ego past its top, an event feeding
+    two deps of one kind and label or one with two incoming deps, a create
+    dep whose source is followed by an event other than that create, or a
     cycle."""
     act = edge.action
     if t0.ego_node() != edge.source:
@@ -219,7 +245,8 @@ def step_observing(p: Program, edge: Edge, t0, t1) -> Trace | None:
     if top1.action is None or top1.action.obs_key() not in act.observed_keys():
         return None
     if act.kind == "join":
-        count = t0.history.created.count(act.target)
+        count = sum(1 for e in t0.events if e.instance == t0.ego and e.action is not None
+                    and e.action.kind == "create" and e.action.create_id == act.target)
         if top1.instance != t0.ego + ((act.target, count - 1),):
             return None
     events = t0.events | t1.events
@@ -229,7 +256,7 @@ def step_observing(p: Program, edge: Edge, t0, t1) -> Trace | None:
     if any(e.instance == t0.ego and e.index > t0.top.index for e in events):
         return None
     kind = {"lock": "mutex", "startO": "once", "join": "join"}[act.kind]
-    new = Event(t0.ego, t0.top.index + 1, t0.top.proto, edge.target, edge)
+    new = _prolonged(t0, edge)
     deps = t0.deps | t1.deps | {
         DepEdge(kind, act.target if act.kind != "join" else None, top1, new)}
     if (len({(d.src, d.kind, d.label) for d in deps}) < len(deps)
@@ -245,7 +272,7 @@ def step_observing(p: Program, edge: Edge, t0, t1) -> Trace | None:
         ancestors(events | {new}, deps)
     except ValueError:
         return None
-    return Trace(events | {new}, deps, new, t0.history.after(act, t1.history, t1.ego))
+    return Trace(events | {new}, deps, new, history(events | {new}, deps, new))
 
 
 @dataclass
@@ -277,7 +304,7 @@ class _State:
 
 def _initial_state(p: Program) -> _State:
     main = p.main()
-    start = Event(MAIN, 0, p.main_label, main.start_node, None)
+    start = Event(MAIN, 0, main.start_node, None)
     return _State(
         nodes={MAIN: main.start_node},
         last={MAIN: start},
@@ -338,7 +365,7 @@ def _apply(p: Program, s: _State, instance: InstanceId, edge: Edge) -> tuple[_St
     ns = s.copy()
     a = edge.action
     prev = ns.last[instance]
-    ev = Event(instance, prev.index + 1, prev.proto, edge.target, edge)
+    ev = Event(instance, prev.index + 1, edge.target, edge)
     past = ns.past[prev] | {ev}
     dep_src: Event | None = None
     if a.kind == "lock":
@@ -380,7 +407,7 @@ def _apply(p: Program, s: _State, instance: InstanceId, edge: Edge) -> tuple[_St
         ns.created[instance][a.create_id] = occurrence + 1
         child: InstanceId = instance + ((a.create_id, occurrence),)
         proto = p.prototypes[a.target]
-        start = Event(child, 0, a.target, proto.start_node, None)
+        start = Event(child, 0, proto.start_node, None)
         # the child depends on the creator's last configuration before create
         ns.deps = ns.deps | {DepEdge("create", None, prev, start)}
         ns.events = ns.events | {start}

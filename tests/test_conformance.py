@@ -248,13 +248,6 @@ def _plant(monkeypatch, target: str, digest) -> None:
         digest if d.name == target else d for d in shipped(names)))
 
 
-class _ShippedNameEagerTid(EagerMayRunTid):
-    """The registered tid mutant under the shipped name, so that the
-    soundness suite's subsets enable its predicate."""
-
-    name = "tid"
-
-
 class _BlindTid(ThreadIdDigest):
     """Excludes no pair, so it is weaker than the thread flag."""
 
@@ -290,12 +283,27 @@ def test_expectations_report_a_race_free_subset_that_flags():
 
 
 def test_soundness_reports_a_miss_under_a_subset(monkeypatch):
-    _plant(monkeypatch, "tid", _ShippedNameEagerTid())
+    _plant(monkeypatch, "tid", EagerMayRunTid())
     case = _case("deep_paths_all_race")
     section = run_soundness_suite([case])
     races = sorted(case.oracle_site_pairs())
-    assert f"deep_paths_all_race: subset ['tid'] misses real races {races}" in section.failures
+    assert (f"deep_paths_all_race: subset ['tid@eager-mayrun'] misses real races {races}"
+            in section.failures)
     assert all(f.startswith("deep_paths_all_race: subset ") for f in section.failures)
+
+
+def test_soundness_judges_a_component_of_any_name(monkeypatch):
+    # the subsets come from the names in each case's report, so a planted
+    # component is enabled and judged under its own name
+    _plant(monkeypatch, "tid", EagerMayRunTid())
+    cases = load_corpus(CORPUS_DIR)
+    assert cases[0].report().digests == tuple(
+        "tid@eager-mayrun" if n == "tid" else n for n in CANONICAL_ORDER)
+    section = run_soundness_suite(cases)
+    assert section.checks == 6561  # as with the shipped digests
+    assert len(section.failures) == 112
+    assert all(" misses real races " in f or " flags more than " in f for f in section.failures)
+    assert any("'tid@eager-mayrun'" in f for f in section.failures)
 
 
 def test_soundness_reports_flags_that_grow_with_the_subset(monkeypatch):
@@ -345,19 +353,19 @@ import sys
 from racedigest import oracle
 from racedigest.cli import main
 
-merges = 0
-merge = oracle.trace_step_observing
+steps = 0
+step = oracle._extend
 
 
 def counting(*args):
-    global merges
-    merges += 1
-    return merge(*args)
+    global steps
+    steps += 1
+    return step(*args)
 
 
-oracle.trace_step_observing = counting
+oracle._extend = counting
 code = main(["conform", sys.argv[1]])
-print(merges, code)
+print(steps, code)
 """
 
 
@@ -376,8 +384,8 @@ def test_conform_work_does_not_depend_on_the_process():
     assert len(runs) == 1, sorted(run.splitlines()[-1] for run in runs)
     *report, counts = runs.pop().splitlines()
     assert report[-1] == "all suites pass"
-    merges, code = map(int, counts.split())
-    assert merges > 0 and code == 0
+    steps, code = map(int, counts.split())
+    assert steps > 0 and code == 0
 
 
 CONFORM_CORPUS_REPORT = """\

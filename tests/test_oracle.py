@@ -13,17 +13,19 @@ from racedigest.oracle import (
     enumerate_traces,
     find_racy_pairs,
     spawn,
-    trace_step_local,
-    trace_step_observing,
 )
 
-from tests.conftest import GENERATED
+from perfbench.gen import interleave_program
+from tests.conftest import GENERATED, ONCE_HANDOFF
+from tests.test_oracle_reference import observing_steps
 from tests.reference_oracle import (
     Trace,
     causal_order,
+    content,
     history,
     pomset_ancestors,
-    step_creator,
+    step_local,
+    step_observing,
     validate_local_trace,
 )
 
@@ -54,6 +56,12 @@ def traces_at_node(ts, node: str):
     return [t for t in ts.traces if t.ego_node() == node]
 
 
+def recorded(ts, edge, t0, t1=None):
+    """The trace the search of ``ts`` made taking ``edge`` from ``t0``,
+    observing ``t1``, or None if it recorded no such step."""
+    return ts.step_index().get(edge, {}).get((t0, t1))
+
+
 def test_every_trace_is_well_formed(prog1_traces):
     for t in prog1_traces.traces:
         validate_local_trace(t)
@@ -77,8 +85,9 @@ def test_observable_feeding_two_observers_is_rejected(prog1_traces):
 def test_local_step_advances_access(prog1, prog1_traces):
     (site, _, _) = access_sites(prog1)[0]
     (acc_edge,) = prog1.edges_from(site)
+    assert not prog1_traces.truncated
     for t in traces_at_node(prog1_traces, site):
-        out = trace_step_local(acc_edge, t)
+        out = recorded(prog1_traces, acc_edge, t)
         assert out is not None
         assert out.ego_node() == acc_edge.target
         validate_local_trace(out)
@@ -88,15 +97,18 @@ def test_local_step_wrong_node_is_empty(prog1, prog1_traces):
     (site, _, _) = access_sites(prog1)[0]
     (acc_edge,) = prog1.edges_from(site)
     t = next(t for t in prog1_traces.traces if t.ego_node() != site)
-    assert trace_step_local(acc_edge, t) is None
+    assert recorded(prog1_traces, acc_edge, t) is None
+    assert step_local(acc_edge, t) is None
 
 
 def test_pos_ran_without_endo_is_empty():
     p = load("global g\nonce o\n\nmain:\n  initO o\n  pos ran o\n  g = 1\n")
     ts = enumerate_traces(p)
+    assert not ts.truncated
     (pos_edge,) = [e for e in p.main().edges if e.action.kind == "pos_ran"]
     for t in traces_at_node(ts, pos_edge.source):
-        assert trace_step_local(pos_edge, t) is None
+        assert recorded(ts, pos_edge, t) is None
+        assert step_local(pos_edge, t) is None
     # the guarded access is dead in every enumerated execution
     for pom in ts.pomsets:
         assert not any(
@@ -132,15 +144,17 @@ def test_spawn_creates_child_with_extended_path(prog1, prog1_traces):
     # spawning from a node without a create edge yields nothing
     assert spawn(prog1, create_edge, child) is None
     # the creating thread itself advances over the same edge
-    creator = step_creator(prog1, create_edge, t)
+    creator = recorded(prog1_traces, create_edge, t)
     assert creator is not None and creator.ego == MAIN
     assert creator.ego_node() == create_edge.target
 
 
 def test_local_steps_and_spawn_build_no_event_set(monkeypatch, prog1, prog1_traces):
-    """They OR their input's masks and carry its history forward
+    """The search's step code (``_extend``, and ``spawn`` at a child's
+    start) ORs its inputs' masks and carries the history forward
     (``History.after`` and ``History.start``), building no event or dep
-    set to fold a history over."""
+    set to fold a history over: each recorded step, replayed from the
+    traces it read, makes its trace so."""
     traces = prog1_traces.traces
 
     def build(mask, items):
@@ -148,24 +162,21 @@ def test_local_steps_and_spawn_build_no_event_set(monkeypatch, prog1, prog1_trac
 
     monkeypatch.setattr(oracle, "_members", build)
     made = set()
-    for t in traces:
-        for edge in prog1.edges_from(t.ego_node()):
-            if edge.action.kind == "create":
-                out = spawn(prog1, edge, t)
-            elif not edge.action.is_observing:
-                out = trace_step_local(edge, t)
-            else:
-                continue
-            if out is not None:
-                made.add(out.top.action.kind if out.top.action else "start")
-    assert {"start", "unlock", "write"} <= made
+    for t in traces[1:]:
+        if t.top.edge is None:
+            out = spawn(prog1, prog1.create_edges()[t.ego[-1][0]], t.before)
+        else:
+            out = oracle._extend(t.before, t.top.edge, t.observed)
+        assert out == t
+        made.add(out.top.action.kind if out.top.action else "start")
+    assert {"start", "lock", "unlock", "write"} <= made
 
 
 def test_step_functions_record_their_step(prog1, prog1_traces):
     (site, _, _) = access_sites(prog1)[0]
     (acc_edge,) = prog1.edges_from(site)
     for t in traces_at_node(prog1_traces, site):
-        out = trace_step_local(acc_edge, t)
+        out = oracle._extend(t, acc_edge)
         assert out.before is t and out.observed is None
 
     (lock_edge,) = [e for e in prog1.prototypes["t1"].edges
@@ -173,10 +184,11 @@ def test_step_functions_record_their_step(prog1, prog1_traces):
     merged = 0
     for t0 in traces_at_node(prog1_traces, lock_edge.source):
         for t1 in traces_with_top(prog1_traces, "unlock", "a", instance=MAIN):
-            out = trace_step_observing(lock_edge, t0, t1)
-            if out is not None:
+            if step_observing(prog1, lock_edge, t0, t1) is not None:
+                out = oracle._extend(t0, lock_edge, t1)
                 merged += 1
                 assert out.before is t0 and out.observed is t1
+                assert out == recorded(prog1_traces, lock_edge, t0, t1)
     assert merged
 
     (create_edge,) = [e for e in prog1.all_edges() if e.action.kind == "create"]
@@ -206,7 +218,7 @@ def test_observing_step_merges_unlock(prog1, prog1_traces):
     merged = None
     for t0 in starters:
         for t1 in unlocks:
-            merged = merged or trace_step_observing(lock_edge, t0, t1)
+            merged = merged or recorded(prog1_traces, lock_edge, t0, t1)
     assert merged is not None
     validate_local_trace(merged)
     assert merged.ego != MAIN
@@ -221,6 +233,7 @@ def test_observable_consumed_at_most_once():
         "b:\n  lock a\n  unlock a\n  lock a\n"
     )
     ts = enumerate_traces(p)
+    assert not ts.truncated
     b_edges = sorted(
         (e for e in p.prototypes["b"].edges if e.action.kind == "lock"),
         key=lambda e: e.source,
@@ -235,9 +248,10 @@ def test_observable_consumed_at_most_once():
     assert second_lock is not None
     e, t0 = second_lock
     for t1 in init_traces:
-        assert trace_step_observing(e, t0, t1) is None
+        assert recorded(ts, e, t0, t1) is None
+        assert step_observing(p, e, t0, t1) is None
     own_unlock = [t for t in traces_with_top(ts, "unlock", "a") if t.ego == t0.ego]
-    assert any(trace_step_observing(e, t0, t1) is not None for t1 in own_unlock)
+    assert any(recorded(ts, e, t0, t1) is not None for t1 in own_unlock)
 
 
 def test_join_observes_only_matching_exit():
@@ -246,19 +260,21 @@ def test_join_observes_only_matching_exit():
         "t1:\n  skip\n\nt2:\n  g = 1\n"
     )
     ts = enumerate_traces(p)
+    assert not ts.truncated
     (join_edge,) = [e for e in p.main().edges if e.action.kind == "join"]
     starters = [t for t in traces_at_node(ts, join_edge.source) if t.ego == MAIN]
     exits_t1 = [t for t in traces_with_top(ts, "exit") if edge_path(t.ego) == ("e1",)]
     exits_t2 = [t for t in traces_with_top(ts, "exit") if edge_path(t.ego) == ("e2",)]
     assert starters and exits_t1 and exits_t2
     assert any(
-        trace_step_observing(join_edge, t0, t1) is not None
+        recorded(ts, join_edge, t0, t1) is not None
         for t0 in starters
         for t1 in exits_t1
     )
     for t0 in starters:
         for t1 in exits_t2:
-            assert trace_step_observing(join_edge, t0, t1) is None
+            assert recorded(ts, join_edge, t0, t1) is None
+            assert step_observing(p, join_edge, t0, t1) is None
 
 
 def test_enumeration_contains_figure_trace(prog1, prog1_traces):
@@ -295,11 +311,15 @@ def test_empty_main_yields_init_trace():
 
 
 def test_step_determinism(prog1, prog1_traces):
-    # local and observing steps return at most one trace and are stable
+    # the search records one trace per (trace, edge, observed trace), and
+    # its step code, taken again, makes that trace
+    index = prog1_traces.step_index()
+    assert sum(map(len, index.values())) == sum(
+        t.top.edge is not None for t in prog1_traces.traces)
     (site, _, _) = access_sites(prog1)[0]
     (acc_edge,) = prog1.edges_from(site)
     for t in traces_at_node(prog1_traces, site):
-        assert trace_step_local(acc_edge, t) == trace_step_local(acc_edge, t)
+        assert oracle._extend(t, acc_edge) == recorded(prog1_traces, acc_edge, t)
 
 
 def test_truncation_flag_on_infinite_loop():
@@ -389,65 +409,56 @@ def test_mutex_chain_invariants(prog1_traces):
             assert len(deps) == 1 and deps[0].kind == "mutex"
 
 
-def _replay(p, t):
-    """The trace the step functions make from the traces the step that
-    made ``t`` read: the creator's trace before the create, or the trace
-    before the event and, at a lock, startO or join, the observed one."""
+def _rebuilt(p, t, sets):
+    """``t`` made anew from the traces its recorded step read: a child's
+    start by ``spawn`` from the creator's trace, every other trace by the
+    reference step on frozensets (``sets``) from the trace before it and,
+    at a lock, startO or join, the observed one."""
     e = t.top
-    if e.edge is None:  # a child's start event
+    if e.edge is None:
         return spawn(p, p.create_edges()[e.instance[-1][0]], t.before)
-    if e.action.kind == "create":
-        return step_creator(p, e.edge, t.before)
     if e.action.is_observing:
-        return trace_step_observing(e.edge, t.before, t.observed)
-    return trace_step_local(e.edge, t.before)
-
-
-def _successors(p, t, traces):
-    """Every trace the step functions build from ``t``, observing any of
-    ``traces``."""
-    for edge in p.edges_from(t.ego_node()):
-        if edge.action.kind == "create":
-            yield from (spawn(p, edge, t), step_creator(p, edge, t))
-        elif edge.action.is_observing:
-            yield from (trace_step_observing(edge, t, t1) for t1 in traces)
-        else:
-            yield trace_step_local(edge, t)
-
-
-def _wrong_history(t) -> bool:
-    return t.history != history(t.events, t.deps, t.top)
+        return step_observing(p, e.edge, sets[t.before], sets[t.observed])
+    return step_local(e.edge, sets[t.before])
 
 
 def _disagreements(p, ts) -> tuple[int, list[str]]:
-    """Compare the local-trace steps with the enumeration ``ts`` of ``p``:
-    the step each trace but main's start records must rebuild it exactly,
-    and on an exhaustive run no step may lead out of the enumerated
-    traces.  Every trace a step makes must carry the history its events
-    and deps define.  Returns the number of recorded steps and the
-    disagreements."""
+    """Compare the steps the search of ``ts`` recorded with the reference
+    steps on frozensets.  Each trace but main's start must carry the
+    history its events and deps define and be what its recorded step makes
+    from the traces it read.  On an exhaustive run the recorded steps are
+    every step there is: from each trace, over each edge and, at a lock,
+    startO or join, observing each trace whose top it may observe, the
+    reference steps exactly when a step was recorded, to the same trace,
+    and each child's start is enumerated.  Returns the number of recorded
+    steps and the disagreements."""
+    sets = {t: Trace(t.events, t.deps, t.top, t.history) for t in ts.traces}
     found = []
     for t in ts.traces[1:]:
-        rebuilt = _replay(p, t)
-        if rebuilt != t:
+        if t.history != history(t.events, t.deps, t.top):
+            found.append(f"{t.top.describe()} has history {t.history}")
+        rebuilt = _rebuilt(p, t, sets)
+        if rebuilt is None or content(rebuilt) != content(t):
             found.append(f"rebuilt {t.top.describe()} differs")
-        elif _wrong_history(rebuilt):
-            found.append(f"rebuilt {t.top.describe()} has history {rebuilt.history}")
     if not ts.truncated:
-        known = set(ts.traces)
-        for t in ts.traces:
-            for out in _successors(p, t, ts.traces):
-                if out is None:
-                    continue
-                if out not in known:
-                    found.append(f"step to {out.top.describe()} is not enumerated")
-                elif _wrong_history(out):
-                    found.append(f"step to {out.top.describe()} has history {out.history}")
+        known, index = set(ts.traces), ts.step_index()
+        steps = list(observing_steps(p, ts))
+        for t0 in ts.traces:
+            for edge in p.edges_from(t0.ego_node()):
+                if not edge.action.is_observing:
+                    got = index.get(edge, {}).get((t0, None))
+                    steps.append((edge, t0, None, got, step_local(edge, sets[t0])))
+                if edge.action.kind == "create" and spawn(p, edge, t0) not in known:
+                    found.append(f"start created from {t0!r} is not enumerated")
+        for edge, t0, t1, got, want in steps:
+            if (got and content(got)) != (want and content(want)):
+                found.append(f"{t0!r} over {edge.action.kind} observing {t1!r}: "
+                             f"recorded {got!r}, reference {want!r}")
     return len(ts.traces) - 1, found
 
 
 def test_trace_steps_agree_with_enumeration(corpus_cases):
-    # the local-trace steps and the enumerator state one semantics twice
+    # the search's steps against the reference steps on frozensets
     steps = 0
     for case in corpus_cases:
         n, found = _disagreements(case.program, case.traces())
@@ -456,10 +467,18 @@ def test_trace_steps_agree_with_enumeration(corpus_cases):
     assert steps > 0
 
 
-@pytest.mark.parametrize("name", sorted(GENERATED))
+# larger seeded benchmark programs, and one whose race rests on a hand-off
+MORE_GENERATED = {
+    "interleave-3x2-s0": interleave_program(3, 2, 0),
+    "interleave-2x3-s1": interleave_program(2, 3, 1),
+    "once-handoff": ONCE_HANDOFF,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED) + sorted(MORE_GENERATED))
 def test_trace_steps_agree_with_enumeration_on_generated(name):
-    p = load(GENERATED[name])
-    ts = enumerate_traces(p)
+    p = load({**GENERATED, **MORE_GENERATED}[name])
+    ts = enumerate_traces(p, 60, 5)
     assert not ts.truncated
     steps, found = _disagreements(p, ts)
     assert steps > 0 and found == []
@@ -510,7 +529,9 @@ def test_ego_does_not_retake_what_it_holds(src, kind):
     # with already feeds a lock (startO) or lies past t1's top; t1 holds the
     # mutex (is inside the once variable) and must not take it again
     p = load(src)
-    traces = enumerate_traces(p).traces
+    ts = enumerate_traces(p)
+    assert not ts.truncated
+    traces = ts.traces
     holding = [
         t for t in traces
         if t.ego == (("e1", 0),)
@@ -521,4 +542,6 @@ def test_ego_does_not_retake_what_it_holds(src, kind):
     assert holding
     for t0 in holding:
         for edge in p.edges_from(t0.ego_node()):
-            assert all(trace_step_observing(edge, t0, t1) is None for t1 in traces)
+            for t1 in traces:
+                assert recorded(ts, edge, t0, t1) is None
+                assert step_observing(p, edge, t0, t1) is None

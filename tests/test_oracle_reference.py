@@ -4,9 +4,11 @@ and racy pairs must all match, compared by content
 (``reference.content``), as the oracle holds its sets as masks.  The
 oracle decides each racy pair as its search takes the later access, from
 masks of the traces it records; the reference walks the causality order
-of every pomset with the global's ``m_g`` order stripped.  The generated
-inputs include races that rest on a dep other than ``m_g``, and a
-program whose merges would give a thread start two create deps."""
+of every pomset with the global's ``m_g`` order stripped.  The steps the
+search records are checked against the reference steps on frozensets.
+The generated inputs include races that rest on a dep other than
+``m_g``, and a program whose merges would give a thread start two create
+deps."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import pytest
 from racedigest import oracle
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
-from racedigest.oracle import enumerate_traces, find_racy_pairs, trace_step_observing
+from racedigest.oracle import enumerate_traces, find_racy_pairs
 
 from perfbench.gen import interleave_program as perfbench_interleave
 from tests import reference_oracle as reference
@@ -132,27 +134,49 @@ def test_oracle_matches_reference(name, bounds):
             placed.add(e)
 
 
+def observing_steps(program, ts):
+    """Each observing edge, trace ``t0`` at its source and trace ``t1``
+    whose top it may observe, with the step the search recorded (or None)
+    and the reference merge on frozensets (or None)."""
+    index = ts.step_index()
+    as_sets = {t: reference.Trace(t.events, t.deps, t.top, t.history) for t in ts.traces}
+    for edge in program.all_edges():
+        a = edge.action
+        if not a.is_observing:
+            continue
+        steps = index.get(edge, {})
+        for t0 in ts.traces:
+            if t0.ego_node() != edge.source:
+                continue
+            for t1 in ts.traces:
+                if t1.top.action is None or t1.top.action.obs_key() not in a.observed_keys():
+                    continue
+                want = reference.step_observing(program, edge, as_sets[t0], as_sets[t1])
+                yield edge, t0, t1, steps.get((t0, t1)), want
+
+
 @pytest.mark.parametrize("name,bounds", [pytest.param(name, None, id=name) for name in CORPUS]
                          + [pytest.param(name, (60, 5), id=name) for name in GENERATED])
 def test_observing_steps_match_reference(name, bounds):
-    """The merge on ids takes the frozenset merge's verdict on every pair
-    of traces at every observing edge, and builds the same trace."""
+    """On an exhaustive run the search records a step at every observing
+    edge from every pair of traces exactly when the frozenset merge takes
+    it, and the step makes the same trace."""
     program, (depth, width) = _input(name, bounds)
-    traces = enumerate_traces(program, depth=depth, width=width).traces
-    as_sets = {t: reference.Trace(t.events, t.deps, t.top, t.history) for t in traces}
+    ts = enumerate_traces(program, depth=depth, width=width)
+    assert not ts.truncated
     merged = 0
-    for edge in program.all_edges():
-        if not edge.action.is_observing:
-            continue
-        for t0 in traces:
-            if t0.ego_node() != edge.source:
-                continue
-            for t1 in traces:
-                got = trace_step_observing(edge, t0, t1)
-                want = reference.step_observing(program, edge, as_sets[t0], as_sets[t1])
-                assert (got and reference.content(got)) == (want and reference.content(want))
-                merged += got is not None
+    for _, _, _, got, want in observing_steps(program, ts):
+        assert (got and reference.content(got)) == (want and reference.content(want))
+        merged += got is not None
+    assert merged == _recorded_merges(ts)
     assert merged or name in ("empty_main", "guard_without_once", "unlock_unheld_stuck")
+
+
+def _recorded_merges(ts) -> int:
+    """The steps the search recorded at observing edges, so that a test
+    can tell that it met every one of them."""
+    return sum(len(steps) for edge, steps in ts.step_index().items()
+               if edge.action.is_observing)
 
 
 def test_generated_inputs_race_and_truncate():
@@ -251,33 +275,27 @@ def _needed_actions(t) -> int:
     return len(slots)
 
 
-def test_merge_cycle_check_matches_reference():
-    """A merge whose union would give a thread start two create deps (one
-    from each trace; this program has such merges) is refused, as the
-    frozenset merge with its full cycle check refuses it.  Every merge
-    taken is a trace the enumeration reaches, unless a run to it takes
-    more actions than the depth bound allows."""
+def test_truncated_steps_agree_with_reference():
+    """A cut run lacks steps but records no wrong one.  Every step recorded
+    at an observing edge is the frozenset merge of its traces, and every
+    merge the search did not record takes more actions to reach than the
+    depth bound allows.  The frozenset merge refuses each union that would
+    give a thread start two create deps, one from each trace (this program
+    has such unions)."""
     program = parse_program(CREATE_LOOPS)
     ts = enumerate_traces(program, depth=17, width=4)
-    traces = ts.traces
-    known = set(traces)
-    as_sets = {t: reference.Trace(t.events, t.deps, t.top, t.history) for t in traces}
-    two_creates = 0
-    for edge in program.all_edges():
-        if not edge.action.is_observing:
-            continue
-        for t0 in traces:
-            if t0.ego_node() != edge.source:
-                continue
-            for t1 in traces:
-                got = trace_step_observing(edge, t0, t1)
-                want = reference.step_observing(program, edge, as_sets[t0], as_sets[t1])
-                assert (got and reference.content(got)) == (want and reference.content(want))
-                starts = [d.dst for d in as_sets[t0].deps | as_sets[t1].deps
-                          if d.kind == "create"]
-                if len(set(starts)) < len(starts):
-                    two_creates += 1
-                    assert got is None
-                if got is not None and got not in known:
-                    assert _needed_actions(got) > ts.depth, got
-    assert two_creates > 0
+    assert ts.truncated
+    two_creates = missing = merged = 0
+    for _, t0, t1, got, want in observing_steps(program, ts):
+        if got is not None:
+            merged += 1
+            assert want is not None and reference.content(got) == reference.content(want)
+        elif want is not None:
+            missing += 1
+            assert _needed_actions(want) > ts.depth, want
+        starts = [d.dst for d in t0.deps | t1.deps if d.kind == "create"]
+        if len(set(starts)) < len(starts):
+            two_creates += 1
+            assert want is None
+    assert merged == _recorded_merges(ts)
+    assert two_creates > 0 and missing > 0

@@ -15,7 +15,7 @@ from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve
 
-from tests.conftest import CORPUS_DIR, corpus_program
+from tests.conftest import CORPUS_DIR, GENERATED, corpus_program
 from tests.reference_detector import DISABLED, reference_ablate, reference_detect
 
 
@@ -59,7 +59,19 @@ WHOLE_REPORT_MODES = [
 def _program(name: str):
     if name == "locked-4/4/6":
         return instrument_atomicity(parse_program(locked_program(4, 4, 6)))
+    if name in GENERATED:
+        return instrument_atomicity(parse_program(GENERATED[name]))
     return corpus_program(name)
+
+
+@pytest.mark.parametrize("name", PROGRAMS + sorted(GENERATED))
+def test_report_keys_are_inserted_sorted(name):
+    # so every read of the report, ``flagged`` included, lists its keys
+    # sorted without sorting them
+    product = ProductDigest(build_digests(CANONICAL_ORDER))
+    report = detect(solve(build_system(_program(name), product)), product)
+    assert list(report.masks) == sorted(report.masks)
+    assert [f.sort_key() for f in report.flagged] == sorted(report.site_pairs())
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

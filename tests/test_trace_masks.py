@@ -2,7 +2,7 @@
 set: recording the traces builds no event or dep set, each trace but
 main's start records the step that made it from earlier traces, the
 trace order does not depend on the hash seed, and the equivalence suite
-takes each access-sequence run once."""
+reads the steps the search recorded."""
 
 from __future__ import annotations
 
@@ -18,9 +18,10 @@ from racedigest.conformance import load_corpus, run_equivalence_suite
 from racedigest.dsl import parse_program
 from racedigest.model import (MAIN, WRITE, access_sequence, access_sites, atomicity_mutex,
                               instrument_atomicity)
-from racedigest.oracle import enumerate_traces, trace_step_local, trace_step_observing
+from racedigest.oracle import enumerate_traces
 
 from perfbench.gen import interleave_program
+from tests import reference_oracle as reference
 from tests.conftest import CORPUS_DIR, corpus_program
 from tests.test_oracle_reference import GENERATED as SMALL_PROGRAMS
 
@@ -100,26 +101,29 @@ def test_each_trace_is_made_by_one_step(program):
         assert t.observed is None or position[id(t.observed)] < k
 
 
-def bidirectionally_compatible_unmemoized(ts, glob, site_a, site_b) -> bool:
-    """``oracle.bidirectionally_compatible`` as it stood before each run
-    was kept on the trace set."""
+def bidirectionally_compatible_by_reference(ts, glob, site_a, site_b) -> bool:
+    """``oracle.bidirectionally_compatible`` by its definition: each run of
+    an access sequence is taken with the reference steps on frozensets,
+    from every pair of traces at the sequence's start and every trace
+    ending in an unlock/init of ``m_g``."""
     seq_a = access_sequence(ts.program, site_a)
     seq_b = access_sequence(ts.program, site_b)
     mg = atomicity_mutex(glob)
-    starters_a = [t for t in ts.traces if t.ego_node() == seq_a[0].source]
-    starters_b = [t for t in ts.traces if t.ego_node() == seq_b[0].source]
-    landings = [t for t in ts.traces if t.top.action is not None
+    as_sets = {t: reference.Trace(t.events, t.deps, t.top, t.history) for t in ts.traces}
+    starters_a = [as_sets[t] for t in ts.traces if t.ego_node() == seq_a[0].source]
+    starters_b = [as_sets[t] for t in ts.traces if t.ego_node() == seq_b[0].source]
+    landings = [as_sets[t] for t in ts.traces if t.top.action is not None
                 and t.top.action.obs_key() in (("unlock", mg), ("init", mg))]
 
     def run(seq, t0, t1):
         lock_e, acc_e, unl_e = seq
-        r = trace_step_observing(lock_e, t0, t1)
+        r = reference.step_observing(ts.program, lock_e, t0, t1)
         if r is None:
             return None
-        r = trace_step_local(acc_e, r)
+        r = reference.step_local(acc_e, r)
         if r is None:
             return None
-        return trace_step_local(unl_e, r)
+        return reference.step_local(unl_e, r)
 
     for tl in landings:
         for ta in starters_a:
@@ -143,44 +147,40 @@ def _write_pairs(p):
                 yield glob_a, site_a, site_b
 
 
-def test_equivalence_runs_each_sequence_once(monkeypatch):
-    """One observing step per distinct (lock edge, t0, t1) on the corpus,
-    with the verdicts of the run that takes every step it meets."""
-    verdicts, distinct, unmemoized = {}, set(), 0
-    step = oracle.trace_step_observing
-
-    def recording(edge, t0, t1):
-        nonlocal unmemoized
-        unmemoized += 1
-        distinct.add((edge, t0, t1))
-        return step(edge, t0, t1)
-
-    monkeypatch.setattr(sys.modules[__name__], "trace_step_observing", recording)
-    for case in load_corpus(CORPUS_DIR):
-        for key in _write_pairs(case.program):
-            verdicts[(case.name, *key)] = bidirectionally_compatible_unmemoized(
-                case.traces(), *key)
-    assert (unmemoized, len(distinct), len(verdicts)) == (819, 395, 85)
-
-    calls = []
-    monkeypatch.setattr(oracle, "trace_step_observing",
-                        lambda *args: calls.append(args) or step(*args))
+def test_equivalence_reads_the_recorded_steps(monkeypatch):
+    """On the 85 corpus pairs the verdicts are those of the runs taken with
+    the reference steps, and no trace is made after the search: the one
+    step index of each trace set serves every pair."""
     cases = load_corpus(CORPUS_DIR)
-    for _ in range(2):  # the second pass reads every run off the trace sets
-        got = {(case.name, *key): oracle.bidirectionally_compatible(
-                   case.traces(), *key)
-               for case in cases for key in _write_pairs(case.program)}
-        assert got == verdicts
-        assert len(calls) == len(set(calls)) == 395
-    assert run_equivalence_suite(cases).passed and len(calls) == 395
+    want = {(case.name, *key): bidirectionally_compatible_by_reference(case.traces(), *key)
+            for case in cases for key in _write_pairs(case.program)}
+    assert len(want) == 85 and any(want.values()) and not all(want.values())
+
+    index = {case.name: case.traces().step_index() for case in cases}
+
+    def made(*args):
+        raise AssertionError("a trace was made after the search")
+
+    monkeypatch.setattr(oracle, "_extend", made)
+    monkeypatch.setattr(oracle, "spawn", made)
+    got = {(case.name, *key): oracle.bidirectionally_compatible(case.traces(), *key)
+           for case in cases for key in _write_pairs(case.program)}
+    assert got == want
+    assert all(case.traces().step_index() is index[case.name] for case in cases)
+    assert run_equivalence_suite(cases).passed
 
 
-def test_merge_of_two_trace_sets_is_refused(prog1):
+def test_equivalence_refuses_a_truncated_trace_set():
+    # a cut run lacks the steps past its bounds
+    p = instrument_atomicity(parse_program("global g\n\nmain:\n  skip\n  label T\n"
+                                           "  g = 1\n  goto T\n"))
+    ts = enumerate_traces(p, depth=10, width=2)
+    assert ts.truncated
+    ((site, glob, _),) = access_sites(p)
+    with pytest.raises(ValueError, match="exhaustive trace set"):
+        oracle.bidirectionally_compatible(ts, glob, site, site)
+
+
+def test_equal_content_in_two_tables_is_two_traces(prog1):
     a, b = enumerate_traces(prog1), enumerate_traces(prog1)
-    (lock_edge,) = [e for e in prog1.prototypes["t1"].edges
-                    if e.action.kind == "lock" and e.action.target == "a"]
-    t0 = next(t for t in a.traces if t.ego_node() == lock_edge.source)
-    with pytest.raises(ValueError, match="two trace sets"):
-        trace_step_observing(lock_edge, t0, b.traces[0])
-    # equal content in two tables is two traces
     assert a.traces[0].events == b.traces[0].events and a.traces[0] != b.traces[0]

@@ -20,7 +20,7 @@ CASES = sorted(p.name for p in CORPUS_DIR.iterdir() if (p / "program.rlp").is_fi
 
 
 def _event(index: int = 1) -> Event:
-    return Event((("e1", 0),), index, "t", "t.1", Edge("t.0", Action("lock", "a"), "t.1", line=3))
+    return Event((("e1", 0),), index, "t.1", Edge("t.0", Action("lock", "a"), "t.1", line=3))
 
 
 def _program(mutexes=("a",)) -> Program:
