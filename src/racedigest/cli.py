@@ -22,6 +22,7 @@ no race (races found in a truncated run still exit 1).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -164,6 +165,11 @@ def main(argv=None) -> int:
     pc.set_defaults(func=cmd_conform)
 
     args = parser.parse_args(argv)
+    # What a command builds (traces, solver facts, records, report rows)
+    # forms no reference cycles, so the cyclic collector would only
+    # traverse it again and again: it is paused for the command.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except Exception as exc:
@@ -178,6 +184,9 @@ def main(argv=None) -> int:
             # a fault of racedigest itself must not read as "races flagged"
             print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

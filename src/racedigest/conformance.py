@@ -228,11 +228,11 @@ def run_soundness_suite(cases) -> SuiteSection:
     for case, _ in _exhaustive(section, cases):
         oracle_pairs = case.oracle_site_pairs()
         report = case.report()
-        subsets = predicate_subsets(report.digests)
+        masks = {subset: report.mask_of(subset) for subset in predicate_subsets(report.digests)}
         # the (smaller, larger) subset pairs, in combination order
-        inclusions = [(small, big) for small, big in itertools.combinations(subsets, 2)
-                      if set(small) <= set(big)]
-        flags = {subset: report.site_pairs(report.mask_of(subset)) for subset in subsets}
+        inclusions = [(small, big) for (small, ms), (big, mb) in
+                      itertools.combinations(masks.items(), 2) if ms & mb == ms]
+        flags = {subset: report.site_pairs(mask) for subset, mask in masks.items()}
         for subset, flagged in flags.items():
             section.checks += 1
             missed = oracle_pairs - flagged

@@ -106,6 +106,10 @@ class ProductDigest(Digest):
             raise ConfigError("product of zero digests")
         self.components = tuple(components)
         self.name = "+".join(c.name for c in components)
+        # the components' steps and predicates, looked up once
+        self._step_local = tuple(c.step_local for c in self.components)
+        self._step_observing = tuple(c.step_observing for c in self.components)
+        self._mhp = tuple(c.mhp for c in self.components)
 
     def init_digests(self) -> frozenset:
         parts = [sorted(c.init_digests(), key=c.format_elem) for c in self.components]
@@ -125,8 +129,8 @@ class ProductDigest(Digest):
 
     def step_local(self, act: Action, elem):
         out = []
-        for c, e in zip(self.components, elem):
-            v = c.step_local(act, e)
+        for step, e in zip(self._step_local, elem):
+            v = step(act, e)
             if v is None:
                 return None
             out.append(v)
@@ -134,8 +138,8 @@ class ProductDigest(Digest):
 
     def step_observing(self, act: Action, elem0, elem1):
         out = []
-        for c, e0, e1 in zip(self.components, elem0, elem1):
-            v = c.step_observing(act, e0, e1)
+        for step, e0, e1 in zip(self._step_observing, elem0, elem1):
+            v = step(act, e0, e1)
             if v is None:
                 return None
             out.append(v)
@@ -146,8 +150,8 @@ class ProductDigest(Digest):
 
     def mhp(self, glob: str, a, b) -> MhpVerdict:
         # the meet of the components' verdicts: FALSE at the first FALSE
-        for c, ea, eb in zip(self.components, a, b):
-            if c.mhp(glob, ea, eb) is MhpVerdict.FALSE:
+        for mhp, ea, eb in zip(self._mhp, a, b):
+            if mhp(glob, ea, eb) is MhpVerdict.FALSE:
                 return MhpVerdict.FALSE
         return MhpVerdict.TOP
 
@@ -197,12 +201,13 @@ class LawReport:
 
 class LawTables:
     """What the laws read of digest ``d`` over the trace set ``ts``
-    (``traces``), each made once: ``alpha``, the digest's value at each
-    distinct (ego, history) of the traces, keyed in the order first seen;
-    ``realized``, the initial values and those of ``alpha``, in format
-    order; and the observing steps over the realized values, built on the
-    first use of each observing action: ``rows(act)[i][j]`` is
-    ``step_observing(act, realized[i], realized[j])``.
+    (``traces``), each made once: ``values``, the digest's value at each
+    distinct (ego, history) of the traces, in the order of
+    ``ts.law_steps().keys``, and ``alpha``, the same values keyed on the
+    (ego, history); ``realized``, the initial values and those of
+    ``alpha``, in format order; and the observing steps over the realized
+    values, built on the first use of each observing action:
+    ``rows(act)[i][j]`` is ``step_observing(act, realized[i], realized[j])``.
 
     Building the rows of an action is the view-exactness law: each partner
     is stepped and compared with the first partner of its
@@ -213,10 +218,10 @@ class LawTables:
 
     def __init__(self, d: Digest, ts: TraceSet):
         self.digest, self.traces = d, ts
-        keys = dict.fromkeys((t.ego, t.history) for t in ts.traces)
-        self.alpha = {key: d.abstract(*key) for key in keys}
-        self.realized = sorted(set(self.alpha.values()) | set(d.init_digests()),
-                               key=d.format_elem)
+        keys = ts.law_steps().keys
+        self.values = [d.abstract(*key) for key in keys]
+        self.alpha = dict(zip(keys, self.values))
+        self.realized = sorted(set(self.values) | set(d.init_digests()), key=d.format_elem)
         self._rows: dict[Action, list[list]] = {}
         self._view_law: dict[Action, LawReport] = {}
 
@@ -259,20 +264,32 @@ class LawTables:
         return rows
 
 
+def _misses(report: LawReport, made: dict, values: list, got) -> list[tuple]:
+    """One check of ``report`` per trace of a ``LawSteps`` group ``made``,
+    and the (position, value) of each trace whose value is not ``got``."""
+    out = []
+    for after, positions in made.items():
+        report.checks += len(positions)
+        if got is None or got != values[after]:
+            out += [(pos, values[after]) for pos in positions]
+    return out
+
+
 def check_admissibility(laws: LawTables) -> LawReport:
     """Replay every concrete step of the enumeration, the one each trace
     but main's start records, against the digest transfer functions: the
     simulation law for local/observing steps, the creation laws, and the
     initialization law.
-    Each trace is read as ``alpha`` at its (ego, history)."""
-    d, ts, alpha = laws.digest, laws.traces, laws.alpha
+    Each trace is read as ``alpha`` at its (ego, history), so the transfer
+    is taken once per group of ``ts.law_steps()``; each step is still one
+    check, and each violating step is reported, in trace order."""
+    d, ts, values = laws.digest, laws.traces, laws.values
+    table = ts.law_steps()
     report = LawReport(d.name)
     fmt = d.format_elem
-    create_edges = ts.program.create_edges()
     realized_at_create: set[tuple] = set()
 
-    init_trace = ts.traces[0]  # main's start
-    a_init = alpha[init_trace.ego, init_trace.history]
+    a_init = values[0]  # main's start
     report.checks += 1
     if d.init_digests() != frozenset({a_init}):
         report.add(
@@ -281,34 +298,30 @@ def check_admissibility(laws: LawTables) -> LawReport:
             f"alpha(init) = {fmt(a_init)}",
         )
 
-    for after in ts.traces[1:]:
-        e, before, observed = after.top, after.before, after.observed
-        a0, a_out = alpha[before.ego, before.history], alpha[after.ego, after.history]
-        report.checks += 1
-        if e.edge is None:
-            ce = e.instance[-1][0]
-            got = d.new_digest(a0, create_edges[ce])
-            if got is None or got != a_out:
-                report.add(
-                    "new-thread",
-                    f"new_digest({fmt(a0)}, {ce}) = "
-                    f"{'none' if got is None else fmt(got)} but alpha(child) = {fmt(a_out)}",
-                )
-            continue
-        act = e.action
+    found: list[tuple[int, str, str]] = []  # (trace position, law, detail)
+    for (edge, before, observed), made in table.steps.items():
+        a0, act = values[before], edge.action
         if observed is not None:
-            got = d.step_observing(act, a0, alpha[observed.ego, observed.history])
+            got = d.step_observing(act, a0, values[observed])
         else:
             got = d.step_local(act, a0)
-        if got is None or got != a_out:
-            report.add(
-                "simulation",
-                f"step {e.describe()} from {fmt(a0)} gave "
-                f"{'none' if got is None else fmt(got)} but alpha(result) = {fmt(a_out)}",
-            )
+        for pos, a_out in _misses(report, made, values, got):
+            found.append((pos, "simulation",
+                          f"step {ts.traces[pos].top.describe()} from {fmt(a0)} gave "
+                          f"{'none' if got is None else fmt(got)} but alpha(result) = {fmt(a_out)}"))
         if act.kind == "create":
             realized_at_create.add((a0, act.create_id))
+    for (edge, before), made in table.starts.items():
+        a0, ce = values[before], edge.action.create_id
+        got = d.new_digest(a0, edge)
+        for pos, a_out in _misses(report, made, values, got):
+            found.append((pos, "new-thread",
+                          f"new_digest({fmt(a0)}, {ce}) = "
+                          f"{'none' if got is None else fmt(got)} but alpha(child) = {fmt(a_out)}"))
+    for _, law, detail in sorted(found):
+        report.add(law, detail)
 
+    create_edges = ts.program.create_edges()
     for a0, ce in sorted(realized_at_create, key=lambda x: (fmt(x[0]), x[1])):
         report.checks += 1
         act = create_edges[ce].action

@@ -23,13 +23,13 @@ thread's local trace and takes each step once per (trace, edge, observed
 trace), so it records every trace it reaches as it goes, each trace with
 the step that made it.  Those recorded steps are the one copy of the
 local-trace step: the equivalence suite reads them
-(``bidirectionally_compatible``).  The search decides the racy pairs as it
-takes each access.
+(``bidirectionally_compatible``), and the law harness reads them grouped
+by what a digest sees of them (``LawSteps``).  The search decides the
+racy pairs as it takes each access.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import namedtuple
 from operator import attrgetter
 
@@ -296,6 +296,7 @@ class TraceSet:
         self.depth, self.width = depth, width
         self.traces, self._racy = traces, racy
         self._step_index: dict | None = None
+        self._law_steps: LawSteps | None = None
 
     def step_index(self) -> dict[Edge, dict[tuple, LocalTrace]]:
         """Per edge, the steps the search recorded over it: (trace before,
@@ -309,6 +310,41 @@ class TraceSet:
                     index.setdefault(t.top.edge, {})[(t.before, t.observed)] = t
             self._step_index = index
         return self._step_index
+
+    def law_steps(self) -> LawSteps:
+        """The steps the law harness replays, grouped; built on first use."""
+        if self._law_steps is None:
+            self._law_steps = LawSteps(self)
+        return self._law_steps
+
+
+class LawSteps:
+    """The recorded steps of the trace set ``ts`` as the law harness reads
+    them, where a trace counts only as its (ego, history).
+
+    ``keys`` holds the distinct (ego, history) of the traces, in the order
+    first seen, so main's start has key 0.  ``steps`` groups every trace
+    but main's start and the children's starts by its step, (edge, key
+    before, key observed or None), and ``starts`` groups each child's
+    start by (create edge, key of the creator's trace before the create).
+    A group maps the key of each trace it makes to those traces'
+    positions in ``ts.traces``, in trace order."""
+
+    def __init__(self, ts: TraceSet):
+        index: dict[tuple, int] = {}
+        key_of = {id(t): index.setdefault((t.ego, t.history), len(index)) for t in ts.traces}
+        self.keys: list[tuple] = list(index)
+        self.steps: dict[tuple, dict[int, list[int]]] = {}
+        self.starts: dict[tuple, dict[int, list[int]]] = {}
+        create_edges = ts.program.create_edges()
+        for pos, t in enumerate(ts.traces[1:], 1):
+            edge, before = t.top.edge, key_of[id(t.before)]
+            if edge is None:
+                group = self.starts.setdefault((create_edges[t.ego[-1][0]], before), {})
+            else:
+                observed = None if t.observed is None else key_of[id(t.observed)]
+                group = self.steps.setdefault((edge, before, observed), {})
+            group.setdefault(key_of[id(t)], []).append(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +598,8 @@ def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:
     and the enumeration runs again without the reduction."""
     if depth < 1 or width < 1:
         raise ValueError("bounds must be at least 1")
-    # The search allocates hundreds of thousands of containers (traces,
-    # memo entries, states) that form no reference cycles, so the
-    # cyclic collector would only traverse them again and again.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        found = _explore(p, depth, width, reduce=True)
-        return found if found is not None else _explore(p, depth, width, reduce=False)
-    finally:
-        if collecting:
-            gc.enable()
+    found = _explore(p, depth, width, reduce=True)
+    return found if found is not None else _explore(p, depth, width, reduce=False)
 
 
 def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | None:

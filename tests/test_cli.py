@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import shutil
@@ -343,6 +344,31 @@ def test_internal_failure_exit_two(capsys, monkeypatch, argv):
     monkeypatch.setattr(racedigest.conformance, "solve", broken)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: internal: RuntimeError: solver state lost\n")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_commands_run_with_the_collector_paused(capsys, monkeypatch, collecting):
+    original, paused = racedigest.oracle.enumerate_traces, []
+
+    def recorded(*args, **kwargs):
+        paused.append(gc.isenabled())
+        if len(paused) == 2:
+            raise RuntimeError("search failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(racedigest.oracle, "enumerate_traces", recorded)
+    prog = rlp("prog0_unsync_writes")
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run(capsys, "oracle", prog)[0] == 1
+        assert gc.isenabled() is collecting
+        # the caller's state is back also after a failure reported as exit 2
+        assert run(capsys, "oracle", prog) == (
+            2, "", "error: internal: RuntimeError: search failed\n")
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
+    assert paused == [False, False]
 
 
 def test_reports_do_not_depend_on_hash_seed():

@@ -170,6 +170,19 @@ def test_law_inputs_share_keys_and_break_simulation(law_inputs):
     _, p, ts = next(x for x in law_inputs if x[0] == "once-handoff")
     violations = reference.check_admissibility(DIGESTS["once"], p, ts).violations
     assert [v.law for v in violations].count("simulation") > 0
+    # the harness takes each distinct step once; here 143 steps are 39, and
+    # two mutants break admissibility twice each
+    _, p, ts = next(x for x in law_inputs if x[0] == "interleave-2x2-s0")
+    table = ts.law_steps()
+    assert (len(ts.traces) - 1, len(table.steps) + len(table.starts)) == (143, 39)
+    for name in ("join@premature", "lockset@overlap-empty"):
+        assert len(reference.check_admissibility(DIGESTS[name], p, ts).violations) == 2, name
+    # here the lockset mutant breaks repeated steps, whose repeats fall
+    # between those of another step: trace order is not the steps' order
+    _, p, ts = next(x for x in law_inputs if x[0] == "locked-2/1/1-s0")
+    violations = reference.check_admissibility(DIGESTS["lockset@overlap-empty"], p, ts).violations
+    details = [v.detail for v in violations]
+    assert details != sorted(details, key=details.index)
 
 
 def _violating(d, law, corpus_cases) -> list[str]:

@@ -2,14 +2,16 @@
 against what it stands for: a recorded trace's history against the
 history its events and deps define; the product's abstraction table
 (``LawTables.alpha``), keyed on the (ego, history) of the traces, against
-its components' tables; and the step table against a walk over the
-events of the reference enumerator's pomsets."""
+its components' tables; the recorded steps against a walk over the
+events of the reference enumerator's pomsets; and the grouped steps the
+harness replays (``TraceSet.law_steps``) against the traces."""
 
 from __future__ import annotations
 
 import pytest
 
-from racedigest.digest import LawTables, ProductDigest
+from racedigest import oracle
+from racedigest.digest import LawTables, ProductDigest, check_admissibility
 from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import MAIN, instrument_atomicity
@@ -91,3 +93,49 @@ def test_step_table_matches_a_walk_over_the_pomsets(trace_sets, name):
     for t in made:
         assert id(t.before) in own
         assert t.observed is None or id(t.observed) in own
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, *GENERATED])
+def test_law_steps_hold_every_step_once(trace_sets, name):
+    """Every trace but main's start is a member of one group, in trace
+    order, under the keys of its own step and (ego, history)."""
+    ts = trace_sets[name]
+    table = ts.law_steps()
+    assert table.keys == list(dict.fromkeys((t.ego, t.history) for t in ts.traces))
+    index = {key: i for i, key in enumerate(table.keys)}
+
+    def key(t):
+        return None if t is None else index[t.ego, t.history]
+
+    positions = []
+    for (edge, before, observed), made in table.steps.items():
+        for after, members in made.items():
+            for t in map(ts.traces.__getitem__, members):
+                assert (t.top.edge, key(t.before), key(t.observed), key(t)) == (
+                    edge, before, observed, after)
+            positions += members
+    for (edge, before), made in table.starts.items():
+        for after, members in made.items():
+            for t in map(ts.traces.__getitem__, members):
+                assert t.top.edge is None and t.ego[-1][0] == edge.action.create_id
+                assert (key(t.before), t.observed, key(t)) == (before, None, after)
+            positions += members
+    assert sorted(positions) == list(range(1, len(ts.traces)))
+    assert all(members == sorted(members) for groups in (table.steps, table.starts)
+               for made in groups.values() for members in made.values())
+
+
+def test_law_tables_share_one_step_table(monkeypatch, prog1):
+    built = []
+
+    class Counted(oracle.LawSteps):
+        def __init__(self, ts):
+            built.append(ts)
+            super().__init__(ts)
+
+    monkeypatch.setattr(oracle, "LawSteps", Counted)
+    ts = enumerate_traces(prog1)
+    components = build_digests(CANONICAL_ORDER)
+    for d in (components[0], ProductDigest(components)):
+        assert check_admissibility(LawTables(d, ts)).passed
+    assert built == [ts]

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 
 import pytest
 
@@ -335,31 +334,6 @@ def test_create_loop_truncated_prefix_shows_self_race():
     assert ts.truncated
     pairs = {(r.glob, r.site_a, r.site_b) for r in find_racy_pairs(ts)}
     assert ("g", ("w.s0", "W"), ("w.s0", "W")) in pairs
-
-
-@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
-def test_enumeration_pauses_the_collector(monkeypatch, collecting):
-    explore, paused = oracle._explore, []
-
-    def recorded(*args, **kwargs):
-        paused.append(gc.isenabled())
-        if len(paused) == 3:
-            raise RuntimeError("search failed")
-        return explore(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_explore", recorded)
-    # the reduced search gives up at the depth bound, so both searches run
-    p = load("global g\n\nmain:\n  skip\n  label T\n  g = 1\n  goto T\n")
-    (gc.enable if collecting else gc.disable)()
-    try:
-        assert enumerate_traces(p, depth=10, width=2).truncated
-        assert gc.isenabled() is collecting
-        with pytest.raises(RuntimeError):
-            enumerate_traces(p, depth=10, width=2)
-        assert gc.isenabled() is collecting
-    finally:
-        gc.enable()
-    assert paused == [False, False, False]
 
 
 def test_racy_pairs_prog0(prog0, prog0_traces):
