@@ -24,37 +24,13 @@ import functools
 import itertools
 import json
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 from .digest import MhpVerdict, ProductDigest, generic_mhp
-from .model import WRITE, Value
+from .model import WRITE
 from .solver import Solution
 
 BESPOKE = "bespoke"
 GENERIC = "generic"
-
-
-_set = object.__setattr__
-
-
-class FlaggedPair(Value):
-    """A flagged pair of access sites of ``glob``, each (node, W/R) and
-    ``site_a <= site_b``, with the formatted digests of its witnessing
-    record pair, which equality and hash ignore."""
-
-    __slots__ = _fields = ("glob", "site_a", "site_b", "witness_digests")
-    _compared = attrgetter("glob", "site_a", "site_b")
-
-    def __init__(self, glob: str, site_a: tuple[str, str], site_b: tuple[str, str],
-                 witness_digests: tuple[str, str]) -> None:
-        _set(self, "glob", glob)
-        _set(self, "site_a", site_a)
-        _set(self, "site_b", site_b)
-        _set(self, "witness_digests", witness_digests)
-        _set(self, "_hash", hash((glob, site_a, site_b)))
-
-    def sort_key(self) -> tuple:
-        return (self.glob, self.site_a, self.site_b)
 
 
 def predicate_subsets(names) -> list[tuple[str, ...]]:
@@ -73,8 +49,8 @@ class RaceReport:
     from it, and the first such mask's pair is the witness.  A key's masks
     end at the first 0: every later pair would be a later witness of the
     same sets.  ``detect`` inserts the keys in sorted order, so every read
-    lists its keys sorted.  ``flagged`` holds the keys flagged with every
-    predicate enabled and is built on first use.
+    lists its keys sorted.  ``flagged`` is the witness map with every
+    predicate enabled, built on first use.
     """
 
     def __init__(self, digests: tuple[str, ...], modes: dict, masks: dict,
@@ -83,9 +59,8 @@ class RaceReport:
         self.record_counts = record_counts
 
     @functools.cached_property
-    def flagged(self) -> list[FlaggedPair]:
-        witnesses = self.witnesses(self.mask_of(self.digests))
-        return [FlaggedPair(*key, pair) for key, pair in witnesses.items()]
+    def flagged(self) -> dict:
+        return self.witnesses(self.mask_of(self.digests))
 
     def mask_of(self, names) -> int:
         return sum(1 << i for i, n in enumerate(self.digests) if n in names)
@@ -99,12 +74,6 @@ class RaceReport:
                     out[key] = pair
                     break
         return out
-
-    def site_pairs(self, enabled: int | None = None) -> set:
-        """The keys flagged under ``enabled`` (default: every predicate)."""
-        if enabled is None:
-            enabled = self.mask_of(self.digests)
-        return set(self.witnesses(enabled))
 
     def to_json_text(self) -> str:
         """The JSON report, as ``json.dumps(..., indent=2, sort_keys=True)
@@ -135,10 +104,9 @@ class RaceReport:
                 yield text
                 continue
             yield "[\n"
-            for i, f in enumerate(self.flagged):
+            for i, ((glob, (a, ta), (b, tb)), (wa, wb)) in enumerate(self.flagged.items()):
                 yield (later if i else first) % (
-                    enc(f.site_a[0]), enc(f.site_a[1]), enc(f.site_b[0]), enc(f.site_b[1]),
-                    enc(f.glob), enc(f.witness_digests[0]), enc(f.witness_digests[1]))
+                    enc(a), enc(ta), enc(b), enc(tb), enc(glob), enc(wa), enc(wb))
             yield "\n  ]"
         yield "\n}\n"
 
@@ -149,10 +117,10 @@ class RaceReport:
         ]
         if not self.flagged:
             lines.append("no potential races found")
-        for f in self.flagged:
-            loc_a = _site_text(f.site_a, program)
-            loc_b = _site_text(f.site_b, program)
-            lines.append(f"race on {f.glob}: {loc_a} with {loc_b}")
+        for glob, site_a, site_b in self.flagged:
+            loc_a = _site_text(site_a, program)
+            loc_b = _site_text(site_b, program)
+            lines.append(f"race on {glob}: {loc_a} with {loc_b}")
         return "\n".join(lines) + "\n"
 
 

@@ -203,9 +203,8 @@ class LawTables:
     """What the laws read of digest ``d`` over the trace set ``ts``
     (``traces``), each made once: ``values``, the digest's value at each
     distinct (ego, history) of the traces, in the order of
-    ``ts.law_steps().keys``, and ``alpha``, the same values keyed on the
-    (ego, history); ``realized``, the initial values and those of
-    ``alpha``, in format order; and the observing steps over the realized
+    ``ts.law_steps().keys``; ``realized``, the initial values and those of
+    ``values``, in format order; and the observing steps over the realized
     values, built on the first use of each observing action:
     ``rows(act)[i][j]`` is ``step_observing(act, realized[i], realized[j])``.
 
@@ -218,9 +217,7 @@ class LawTables:
 
     def __init__(self, d: Digest, ts: TraceSet):
         self.digest, self.traces = d, ts
-        keys = ts.law_steps().keys
-        self.values = [d.abstract(*key) for key in keys]
-        self.alpha = dict(zip(keys, self.values))
+        self.values = [d.abstract(*key) for key in ts.law_steps().keys]
         self.realized = sorted(set(self.values) | set(d.init_digests()), key=d.format_elem)
         self._rows: dict[Action, list[list]] = {}
         self._view_law: dict[Action, LawReport] = {}
@@ -280,9 +277,10 @@ def check_admissibility(laws: LawTables) -> LawReport:
     but main's start records, against the digest transfer functions: the
     simulation law for local/observing steps, the creation laws, and the
     initialization law.
-    Each trace is read as ``alpha`` at its (ego, history), so the transfer
-    is taken once per group of ``ts.law_steps()``; each step is still one
-    check, and each violating step is reported, in trace order."""
+    Each trace is read as the ``values`` entry of its (ego, history), so
+    the transfer is taken once per group of ``ts.law_steps()``; each step
+    is still one check, and each violating step is reported, in trace
+    order."""
     d, ts, values = laws.digest, laws.traces, laws.values
     table = ts.law_steps()
     report = LawReport(d.name)

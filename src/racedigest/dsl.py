@@ -31,10 +31,9 @@ from .model import (
 
 
 class DslSyntaxError(Exception):
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}:{column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}:1: {message}")
         self.line = line
-        self.column = column
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -62,7 +61,6 @@ class _ProtoBuilder:
         self.labels: dict[str, int] = {}
         self.placed: dict[str, int] = {}  # label -> line placing it
         self.jumped: dict[str, int] = {}  # label -> line of the first goto to it
-        self.order: list[int] = []
         self.counter = 0
         self.current = self._fresh()
         self.create_counter = 0

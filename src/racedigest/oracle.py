@@ -33,8 +33,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter
 
-from .model import (MAIN, READ, WRITE, Action, Edge, InstanceId, Program, Value, access_sequence,
-                    atomicity_mutex, fmt_action)
+from .model import (LOCAL_KINDS, MAIN, OBSERVABLE_KINDS, READ, WRITE, Action, Edge, InstanceId,
+                    Program, Value, access_sequence, atomicity_mutex, fmt_action)
 
 _set = object.__setattr__
 
@@ -566,8 +566,7 @@ def _apply(p: Program, search: _Search, s: _State, instance: InstanceId,
 # The kinds of step an instance may take alone: while its next steps are all
 # of these kinds, they commute with every step of the other instances (see
 # enumerate_traces).
-_PERSISTENT_KINDS = frozenset({"skip", "read", "write", "pos_ran", "neg_ran", "unlock", "endO",
-                               "exit", "init", "initO"})
+_PERSISTENT_KINDS = LOCAL_KINDS | OBSERVABLE_KINDS
 
 
 def enumerate_traces(p: Program, depth: int = 40, width: int = 4) -> TraceSet:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from racedigest.detector import BESPOKE, GENERIC, FlaggedPair
+from racedigest.detector import BESPOKE, GENERIC
 from racedigest.digest import MhpVerdict, generic_mhp
 from racedigest.model import WRITE
 
@@ -21,7 +21,7 @@ class ReferenceReport:
     def __init__(self, digests, modes, flagged, verdicts, record_counts):
         self.digests = digests
         self.modes = modes
-        self.flagged = flagged  # sorted FlaggedPairs
+        self.flagged = flagged  # sorted site key -> witness digests
         self.verdicts = verdicts  # site key -> ((digest, verdict), ...) of its witness
         self.record_counts = record_counts
 
@@ -33,15 +33,15 @@ class ReferenceReport:
             "accesses": {g: self.record_counts[g] for g in sorted(self.record_counts)},
             "flagged": [
                 {
-                    "global": f.glob,
-                    "a": {"site": f.site_a[0], "type": f.site_a[1]},
-                    "b": {"site": f.site_b[0], "type": f.site_b[1]},
-                    "witness_digests": list(f.witness_digests),
+                    "global": key[0],
+                    "a": {"site": key[1][0], "type": key[1][1]},
+                    "b": {"site": key[2][0], "type": key[2][1]},
+                    "witness_digests": list(witness),
                     "verdicts": [
-                        {"digest": name, "verdict": v} for name, v in self.verdicts[f.sort_key()]
+                        {"digest": name, "verdict": v} for name, v in self.verdicts[key]
                     ],
                 }
-                for f in self.flagged
+                for key, witness in self.flagged.items()
             ],
             "race_free": not self.flagged,
         }
@@ -67,7 +67,7 @@ def reference_detect(sol, product, modes=None) -> ReferenceReport:
             out.append((comp.name, v))
         return out
 
-    flagged: dict[tuple, FlaggedPair] = {}
+    flagged: dict[tuple, tuple[str, str]] = {}
     witness_verdicts = {}
     record_counts = {}
     for glob in sorted(sol.races):
@@ -87,20 +87,13 @@ def reference_detect(sol, product, modes=None) -> ReferenceReport:
                 site_a, site_b = sorted(((r0.site, r0.type), (r1.site, r1.type)))
                 key = (glob, site_a, site_b)
                 if key not in flagged:
-                    flagged[key] = FlaggedPair(
-                        glob,
-                        site_a,
-                        site_b,
-                        witness_digests=(
-                            product.format_elem(r0.digest),
-                            product.format_elem(r1.digest),
-                        ),
-                    )
+                    flagged[key] = (product.format_elem(r0.digest),
+                                    product.format_elem(r1.digest))
                     witness_verdicts[key] = tuple((n, v.value) for n, v in vs)
     return ReferenceReport(
         tuple(names),
         modes,
-        sorted(flagged.values(), key=FlaggedPair.sort_key),
+        dict(sorted(flagged.items())),
         witness_verdicts,
         record_counts,
     )
@@ -118,4 +111,4 @@ def reference_ablate(sol, product) -> list[dict]:
 
 def distinct_site_pairs(report) -> set:
     """The flagged keys of ``report`` whose two sites differ."""
-    return {f.sort_key() for f in report.flagged if f.site_a != f.site_b}
+    return {key for key in report.flagged if key[1] != key[2]}

@@ -35,7 +35,7 @@ def analyze(program, names, modes=None):
 
 
 def node_pairs(report):
-    return {(f.site_a[0], f.site_b[0]) for f in report.flagged}
+    return {(a[0], b[0]) for _, a, b in report.flagged}
 
 
 def ok(line: str) -> None:
@@ -45,8 +45,8 @@ def ok(line: str) -> None:
 def test_criterion_1_running_example_flag_sets():
     started = time.perf_counter()
     prog1 = corpus_program("prog1_running_example")
-    assert analyze(prog1, ["lockset", "threadflag"]).flagged == []
-    assert analyze(prog1, ["lockset", "tid"]).flagged == []
+    assert analyze(prog1, ["lockset", "threadflag"]).flagged == {}
+    assert analyze(prog1, ["lockset", "tid"]).flagged == {}
 
     lockset_only = analyze(prog1, ["lockset"])
     assert {p[1:] for p in distinct_site_pairs(lockset_only)} == {
@@ -84,12 +84,12 @@ def test_criterion_2_racy_microbenchmark_under_every_subset():
     subsets = predicate_subsets(FULL)
     assert len(set(subsets)) == 2 ** len(FULL)
     for subset in subsets:
-        flagged = report.site_pairs(report.mask_of(subset))
+        flagged = report.witnesses(report.mask_of(subset))
         assert {p for p in flagged if p[1] != p[2]} == {race}, subset
         assert race in flagged
 
     for names in (["lockset"], ["threadflag"], ["tid"], ["once"], ["tid", "join"]):
-        assert race in analyze(prog0, names).site_pairs(), names
+        assert race in analyze(prog0, names).flagged, names
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -100,12 +100,12 @@ def test_criterion_3_once_program():
     started = time.perf_counter()
     prog = corpus_program("once_device_init")
 
-    assert analyze(prog, list(FULL)).flagged == []
+    assert analyze(prog, list(FULL)).flagged == {}
 
     product = ProductDigest(build_digests(FULL))
     sol = solve(build_system(prog, product))
     report = detect(sol, product)
-    without_once = report.site_pairs(report.mask_of([n for n in FULL if n != "once"]))
+    without_once = report.witnesses(report.mask_of([n for n in FULL if n != "once"]))
     assert without_once, "without once knowledge the writes must be flagged"
     assert all(glob == "dev" for glob, _, _ in without_once)
 

@@ -174,7 +174,7 @@ def test_conform_truncated_case_is_a_suite_failure(capsys, tmp_path):
     code, out, err = run(capsys, "conform", str(tmp_path))
     assert code == 1
     assert "SUITE FAILURES" in out
-    assert "prog1_truncated: InconclusiveBounds" in out
+    assert "prog1_truncated: enumeration truncated (bounds too small)" in out
     assert "Traceback" not in err
 
 

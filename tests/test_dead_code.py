@@ -1,17 +1,21 @@
 """No dead code in the package, checked with ``ast`` alone, as the
 project depends on no linter: every name a module imports is used in it,
-and every private name defined at module level (``_name``) is read in
-it."""
+every private name defined at module level (``_name``) is read in it, and
+every attribute stored on ``self`` is read somewhere in the project."""
 
 from __future__ import annotations
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "racedigest"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "racedigest"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
+# the files whose reads keep a stored attribute alive
+READERS = ("src", "tests", "perfbench")
 
 
 def _read(tree: ast.Module) -> set[str]:
@@ -52,7 +56,66 @@ def test_no_unused_import_or_private_name(module):
     assert unused == []
 
 
+def _set_name(node: ast.AST) -> ast.Constant | None:
+    """The name string of a ``_set(self, "name", value)`` call."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_set"
+            and len(node.args) > 1 and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "self" and isinstance(node.args[1], ast.Constant)):
+        return node.args[1]
+    return None
+
+
+def _stored(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each attribute stored on ``self``, by assignment or through
+    ``_set(self, "name", ...)``, with its line."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            out.append((node.lineno, node.attr))
+        elif (name := _set_name(node)) is not None:
+            out.append((node.lineno, name.value))
+    return out
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    """Each name the module reads as an attribute (``x.name``, ``x.name +=``)
+    or could read by name (the string ``"name"``, as ``getattr`` takes,
+    other than the name a ``_set`` call stores)."""
+    stores = {id(name) for name in map(_set_name, ast.walk(tree)) if name is not None}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            out.add(node.target.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in stores):
+            out.add(node.value)
+    return out
+
+
+@functools.cache
+def _project_reads() -> frozenset[str]:
+    out = set()
+    for path in sorted(p for d in READERS for p in (ROOT / d).rglob("*.py")):
+        out |= _attributes_read(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_stored_attribute_left_unread(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
+    read = _project_reads()
+    assert [f"line {line}: self.{name}" for line, name in _stored(tree) if name not in read] == []
+
+
 def test_the_check_sees_what_it_looks_for():
     tree = ast.parse("import os\nfrom x import y as z\n_a = 1\n\n\ndef _f():\n    return y\n")
     assert [n for _, n in _imported(tree) if n not in _read(tree)] == ["os", "z"]
     assert [n for _, n in _private(tree) if n not in _read(tree)] == ["_a", "_f"]
+    tree = ast.parse("class A:\n    def __init__(self):\n        self.a = self.b = 1\n"
+                     "        _set(self, 'c', 2)\n        _set(self, 'e', 3)\n"
+                     "        self.n += 1\n        other.d = 4\n        print(self.b, 'c')\n")
+    assert sorted(n for _, n in _stored(tree)) == ["a", "b", "c", "e", "n"]
+    assert [n for _, n in _stored(tree) if n not in _attributes_read(tree)] == ["a", "e"]

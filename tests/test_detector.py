@@ -23,14 +23,14 @@ def run(program, names, modes=None):
 
 def sites(report, predicates=None):
     """Flagged node pairs, with every predicate or only ``predicates``."""
-    if predicates is None:
-        return {(f.site_a[0], f.site_b[0]) for f in report.flagged}
-    return {(a[0], b[0]) for _, a, b in report.site_pairs(report.mask_of(predicates))}
+    enabled = report.flagged if predicates is None else report.witnesses(
+        report.mask_of(predicates))
+    return {(a[0], b[0]) for _, a, b in enabled}
 
 
 def test_prog1_combined_digests_prove_race_freedom(prog1):
-    assert run(prog1, ["lockset", "threadflag"]).flagged == []
-    assert run(prog1, ["lockset", "tid"]).flagged == []
+    assert run(prog1, ["lockset", "threadflag"]).flagged == {}
+    assert run(prog1, ["lockset", "tid"]).flagged == {}
 
 
 def test_prog1_lockset_alone(prog1):
@@ -98,9 +98,7 @@ def test_mode_validation(prog1):
 
 def test_report_metadata_and_witnesses(prog0):
     report = run(prog0, ["threadflag", "tid"])
-    (pair,) = report.flagged
-    assert pair.glob == "g"
-    assert pair.site_a == ("main.s0", "W") and pair.site_b == ("t1.s0", "W")
+    assert list(report.flagged) == [("g", ("main.s0", "W"), ("t1.s0", "W"))]
     (entry,) = json.loads(report.to_json_text())["flagged"]
     assert [(v["digest"], v["verdict"]) for v in entry["verdicts"]] == [
         ("threadflag", "top"), ("tid", "top")
@@ -148,7 +146,7 @@ def test_json_text_on_a_generated_locked_program():
     assert report.to_json_text() == _dumped(report)
     flagged = json.loads(report.to_json_text())["flagged"]
     assert [(f["global"], f["a"]["site"], f["b"]["site"]) for f in flagged] == [
-        (f.glob, f.site_a[0], f.site_b[0]) for f in report.flagged
+        (glob, a[0], b[0]) for glob, a, b in report.flagged
     ]
 
 

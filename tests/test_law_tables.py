@@ -1,8 +1,8 @@
 """The law harness reads tables built once per trace set.  Each is checked
 against what it stands for: a recorded trace's history against the
-history its events and deps define; the product's abstraction table
-(``LawTables.alpha``), keyed on the (ego, history) of the traces, against
-its components' tables; the recorded steps against a walk over the
+history its events and deps define; the product's values
+(``LawTables.values``), one per (ego, history) of the traces, against its
+components' values; the recorded steps against a walk over the
 events of the reference enumerator's pomsets; and the grouped steps the
 harness replays (``TraceSet.law_steps``) against the traces."""
 
@@ -46,12 +46,14 @@ def test_product_table_is_the_product_abstraction(trace_sets, name):
     """Each distinct (ego, history) of the traces is a key, in first-seen
     order, and the product's value there is the tuple of its components'."""
     ts = trace_sets[name]
+    keys = ts.law_steps().keys
+    assert keys == list(dict.fromkeys((t.ego, t.history) for t in ts.traces))
     components = build_digests(CANONICAL_ORDER)
-    table = LawTables(ProductDigest(components), ts).alpha
-    assert list(table) == list(dict.fromkeys((t.ego, t.history) for t in ts.traces))
-    tables = [LawTables(c, ts).alpha for c in components]
-    for key, value in table.items():
-        assert value == tuple(c[key] for c in tables), key[0]
+    values = LawTables(ProductDigest(components), ts).values
+    parts = [LawTables(c, ts).values for c in components]
+    assert len(values) == len(keys)
+    for key, value, *part in zip(keys, values, *parts):
+        assert value == tuple(part), key[0]
 
 
 def _walked_steps(program, ts) -> set[tuple]:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from racedigest.detector import FlaggedPair
 from racedigest.digest import LawViolation
 from racedigest.digests import JoinElem, TidElem
 from racedigest.dsl import parse_program, print_program
@@ -41,8 +40,6 @@ VALUES = {
     "Program": (_program, lambda: _program(("a", "b"))),
     "ThreadPrototype": (lambda: _program().main(),
                         lambda: ThreadPrototype("main", "main.1", frozenset())),
-    "FlaggedPair": (lambda: FlaggedPair("g", ("u", "R"), ("v", "W"), ("x", "y")),
-                    lambda: FlaggedPair("g", ("u", "W"), ("v", "W"), ("x", "y"))),
     "TidElem": (lambda: TidElem(("e1",), ("e2",), True), lambda: TidElem(("e1",), (), True)),
     "JoinElem": (lambda: JoinElem(TidElem((), ("e1",), True), frozenset({("e1",)})),
                  lambda: JoinElem(TidElem((), ("e1",), True), frozenset())),
@@ -82,12 +79,6 @@ def test_edge_equality_and_hash_ignore_line():
     a, b = Edge("u", Action("skip"), "v", line=1), Edge("u", Action("skip"), "v", line=7)
     assert a == b and hash(a) == hash(b)
     assert (a.line, b.line) == (1, 7)
-
-
-def test_flagged_pair_equality_ignores_witness():
-    a = FlaggedPair("g", ("u", "R"), ("v", "W"), ("x", "y"))
-    b = FlaggedPair("g", ("u", "R"), ("v", "W"), witness_digests=("p", "q"))
-    assert a == b and hash(a) == hash(b)
 
 
 @pytest.mark.parametrize("case", CASES)
