@@ -31,7 +31,6 @@ from .detector import RaceReport, detect, predicate_subsets
 from .digest import (
     Digest,
     LawTables,
-    MhpVerdict,
     ProductDigest,
     check_access_stability,
     check_admissibility,
@@ -309,7 +308,7 @@ def run_subsumption_suite(cases) -> SuiteSection:
                     section.checks += 1
                     tf_v = tf.mhp(glob, r0.digest[tf_i], r1.digest[tf_i])
                     tid_v = tid.mhp(glob, r0.digest[tid_i], r1.digest[tid_i])
-                    if tf_v is MhpVerdict.FALSE and tid_v is not MhpVerdict.FALSE:
+                    if not tf_v and tid_v:
                         section.fail(
                             f"{case.name}: {glob} {r0.site}/{r1.site}: threadflag excludes "
                             "but tid does not"

@@ -25,7 +25,7 @@ import itertools
 import json
 from json.encoder import encode_basestring_ascii
 
-from .digest import MhpVerdict, ProductDigest, generic_mhp
+from .digest import ProductDigest, generic_mhp
 from .model import WRITE
 from .solver import Solution
 
@@ -85,7 +85,7 @@ class RaceReport:
     def _json_chunks(self):
         enc = encode_basestring_ascii
         # a witness pair has no predicate answering false
-        verdicts = [{"digest": name, "verdict": MhpVerdict.TOP.value} for name in self.digests]
+        verdicts = [{"digest": name, "verdict": "top"} for name in self.digests]
         first = _PAIR_TEMPLATE.replace("VERDICTS", _nested(verdicts, 3).replace("%", "%%"))
         later = ",\n" + first
         fields = {
@@ -188,8 +188,7 @@ def _key_masks(glob: str, rows: list, cols: list, tables: list) -> dict:
                 key = ids[i] * width + ids[j]
                 v = cache.get(key)
                 if v is None:
-                    excluded = pred(glob, values[ids[i]], values[ids[j]]) is MhpVerdict.FALSE
-                    v = cache[key] = bit if excluded else 0
+                    v = cache[key] = 0 if pred(glob, values[ids[i]], values[ids[j]]) else bit
                 m |= v
             if m not in masks:
                 masks[m] = (label_i, label_j)

@@ -6,32 +6,26 @@ created threads, a step per local action, and a binary step per observing
 action combining the ego value with the value of the observed trace.  All
 steps are deterministic -- they return one value or None for "impossible".
 
-Each digest also provides a commutative may-happen-in-parallel predicate
-over the two-point lattice {false, top}: ``false`` proves two accesses are
-never unordered, ``top`` means nothing is claimed.  ``generic_mhp`` derives
-such a predicate for any access-stable digest from its atomicity-mutex lock
-step.  The law harness replays enumerated concrete steps against the
-transfer functions to check the simulation, creation, and initialization
-laws, plus access stability and the exactness of each digest's observed
-view.
+Each digest also provides a commutative may-happen-in-parallel predicate,
+a ``bool`` standing for the two-point lattice {false, top}: False proves two
+accesses never run in parallel, True (top) claims nothing.  ``generic_mhp``
+derives such a predicate for any access-stable digest from its
+atomicity-mutex lock step.  The law harness replays enumerated concrete
+steps against the transfer functions to check the simulation, creation,
+and initialization laws, plus access stability and the exactness of each
+digest's observed view.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from .model import Action, Edge, access_sequence, access_sites, atomicity_mutex
 
 if TYPE_CHECKING:
     from .oracle import TraceSet
-
-
-class MhpVerdict(Enum):
-    FALSE = "false"
-    TOP = "top"
 
 
 class ConfigError(Exception):
@@ -77,7 +71,7 @@ class Digest:
     def observed_view(self, act: Action, elem1):
         return elem1
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
+    def mhp(self, glob: str, a, b) -> bool:
         raise NotImplementedError
 
     def abstract(self, ego, history):
@@ -87,13 +81,22 @@ class Digest:
         return repr(elem)
 
 
-def generic_mhp(d: Digest, glob: str, a, b) -> MhpVerdict:
+def generic_mhp(d: Digest, glob: str, a, b) -> bool:
     """The predicate any access-stable admissible digest induces: two
     accesses may be parallel only if the atomicity lock merges both ways."""
     act = Action("lock", atomicity_mutex(glob))
-    if d.step_observing(act, a, b) is None or d.step_observing(act, b, a) is None:
-        return MhpVerdict.FALSE
-    return MhpVerdict.TOP
+    return d.step_observing(act, a, b) is not None and d.step_observing(act, b, a) is not None
+
+
+def _all_defined(steps):
+    """The tuple of the component results ``steps`` yields, or None at the
+    first None, taking no later component's step."""
+    out = []
+    for v in steps:
+        if v is None:
+            return None
+        out.append(v)
+    return tuple(out)
 
 
 class ProductDigest(Digest):
@@ -115,45 +118,22 @@ class ProductDigest(Digest):
         parts = [sorted(c.init_digests(), key=c.format_elem) for c in self.components]
         return frozenset(itertools.product(*parts))
 
-    # Each step is the tuple of the component steps, or None at the first
-    # None, calling no later component.
-
     def new_digest(self, elem, create_edge: Edge):
-        out = []
-        for c, e in zip(self.components, elem):
-            v = c.new_digest(e, create_edge)
-            if v is None:
-                return None
-            out.append(v)
-        return tuple(out)
+        return _all_defined(c.new_digest(e, create_edge) for c, e in zip(self.components, elem))
 
     def step_local(self, act: Action, elem):
-        out = []
-        for step, e in zip(self._step_local, elem):
-            v = step(act, e)
-            if v is None:
-                return None
-            out.append(v)
-        return tuple(out)
+        return _all_defined(step(act, e) for step, e in zip(self._step_local, elem))
 
     def step_observing(self, act: Action, elem0, elem1):
-        out = []
-        for step, e0, e1 in zip(self._step_observing, elem0, elem1):
-            v = step(act, e0, e1)
-            if v is None:
-                return None
-            out.append(v)
-        return tuple(out)
+        return _all_defined(
+            step(act, e0, e1) for step, e0, e1 in zip(self._step_observing, elem0, elem1))
 
     def observed_view(self, act: Action, elem1):
         return tuple(c.observed_view(act, e) for c, e in zip(self.components, elem1))
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
-        # the meet of the components' verdicts: FALSE at the first FALSE
-        for mhp, ea, eb in zip(self._mhp, a, b):
-            if mhp(glob, ea, eb) is MhpVerdict.FALSE:
-                return MhpVerdict.FALSE
-        return MhpVerdict.TOP
+    def mhp(self, glob: str, a, b) -> bool:
+        # the meet of the components' verdicts: False at the first False
+        return all(mhp(glob, ea, eb) for mhp, ea, eb in zip(self._mhp, a, b))
 
     def abstract(self, ego, history):
         return tuple(c.abstract(ego, history) for c in self.components)
@@ -343,7 +323,7 @@ def check_mhp_commutativity(laws: LawTables) -> LawReport:
         report.checks += len(realized) ** 2
         for a, row, column in zip(realized, verdicts, zip(*verdicts)):
             for b, ab, ba in zip(realized, row, column):
-                if ab is not ba:
+                if ab != ba:
                     report.add("mhp-commutativity",
                                f"{glob}: mhp({fmt(a)}, {fmt(b)}) depends on order")
     return report

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .digest import ConfigError, Digest, MhpVerdict
+from .digest import ConfigError, Digest
 from .model import Action, Edge, edge_path, is_atomicity_mutex
 
 ST_MAIN = "ST_main"
@@ -66,8 +66,8 @@ class LocksetDigest(Digest):
     def observed_view(self, act: Action, elem1):
         return None
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
-        return MhpVerdict.FALSE if a & b else MhpVerdict.TOP
+    def mhp(self, glob: str, a, b) -> bool:
+        return not (a & b)
 
     def abstract(self, ego, history):
         return history.held
@@ -100,10 +100,8 @@ class ThreadFlagDigest(Digest):
     def observed_view(self, act: Action, elem1):
         return elem1 == ST_MAIN if act.kind == "lock" else None
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
-        if a == ST_MAIN or b == ST_MAIN or (a == MT_MAIN and b == MT_MAIN):
-            return MhpVerdict.FALSE
-        return MhpVerdict.TOP
+    def mhp(self, glob: str, a, b) -> bool:
+        return not (a == ST_MAIN or b == ST_MAIN or (a == MT_MAIN and b == MT_MAIN))
 
     def abstract(self, ego, history):
         if ego != ():
@@ -143,12 +141,20 @@ class ThreadIdDigest(Digest):
     def init_digests(self) -> frozenset:
         return frozenset({TidElem((), (), True)})
 
+    def child_path(self, elem: TidElem, ce: str) -> tuple[str, ...] | None:
+        """The path of the child ``elem`` creates through edge ``ce``, or
+        None when ``elem`` is the overflow element or its path is at the cap."""
+        if elem.path is None or len(elem.path) >= self.cap:
+            return None
+        return elem.path + (ce,)
+
     def new_digest(self, elem, create_edge: Edge):
         ce = create_edge.action.create_id
-        if elem.path is None or len(elem.path) + 1 > self.cap:
+        path = self.child_path(elem, ce)
+        if path is None:
             return TID_OVERFLOW
         unique = elem.unique and ce not in elem.path and ce not in elem.created
-        return TidElem(elem.path + (ce,), (), unique)
+        return TidElem(path, (), unique)
 
     def step_local(self, act: Action, elem):
         if act.kind == "create" and elem.path is not None:
@@ -169,11 +175,9 @@ class ThreadIdDigest(Digest):
             return True
         return b.path[len(a.path)] in a.created
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
+    def mhp(self, glob: str, a, b) -> bool:
         same = a.path is not None and a.path == b.path and a.unique and b.unique
-        if same or not self.may_run(a, b) or not self.may_run(b, a):
-            return MhpVerdict.FALSE
-        return MhpVerdict.TOP
+        return not same and self.may_run(a, b) and self.may_run(b, a)
 
     def abstract(self, ego, history):
         path = edge_path(ego)
@@ -227,27 +231,19 @@ class JoinDigest(Digest):
             return self.step_local(act, elem0)
         ce = act.target
         tid0, tid1 = elem0.tid, elem1.tid
-        if tid0.path is not None and len(tid0.path) + 1 <= self.cap:
-            child_path = tid0.path + (ce,)
-            if tid1.path is not None and tid1.path != child_path:
-                return None  # exit of a thread this join cannot observe
+        child_path = self._tid.child_path(tid0, ce)
+        if child_path is not None and tid1.path is not None and tid1.path != child_path:
+            return None  # exit of a thread this join cannot observe
         joined = elem0.joined | elem1.joined
-        if (
-            tid0.path is not None
-            and len(tid0.path) + 1 <= self.cap
-            and tid0.unique
-            and tid0.created.count(ce) == 1
-        ):
-            joined = joined | {tid0.path + (ce,)}
+        if child_path is not None and tid0.unique and tid0.created.count(ce) == 1:
+            joined = joined | {child_path}
         return JoinElem(tid0, joined)
 
     def observed_view(self, act: Action, elem1):
         return (elem1.tid.path, elem1.joined) if act.kind == "join" else None
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
-        if self._terminated_before(a, b) or self._terminated_before(b, a):
-            return MhpVerdict.FALSE
-        return MhpVerdict.TOP
+    def mhp(self, glob: str, a, b) -> bool:
+        return not (self._terminated_before(a, b) or self._terminated_before(b, a))
 
     @staticmethod
     def _terminated_before(ego: JoinElem, other: JoinElem) -> bool:
@@ -301,12 +297,10 @@ class OnceDigest(Digest):
     def observed_view(self, act: Action, elem1):
         return elem1[1] if act.kind == "startO" else None
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
+    def mhp(self, glob: str, a, b) -> bool:
         active_a, completed_a = a
         active_b, completed_b = b
-        if active_a & (active_b | completed_b) or active_b & (active_a | completed_a):
-            return MhpVerdict.FALSE
-        return MhpVerdict.TOP
+        return not (active_a & (active_b | completed_b) or active_b & (active_a | completed_a))
 
     def abstract(self, ego, history):
         return (history.active, history.completed)
@@ -339,10 +333,8 @@ class SpawnedPairThreadFlag(ThreadFlagDigest):
 
     name = "threadflag@spawned-pair"
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
-        if a == MT and b == MT:
-            return MhpVerdict.FALSE
-        return super().mhp(glob, a, b)
+    def mhp(self, glob: str, a, b) -> bool:
+        return not (a == MT and b == MT) and super().mhp(glob, a, b)
 
 
 class EagerMayRunTid(ThreadIdDigest):
@@ -363,13 +355,10 @@ class CreateCountsAsJoin(JoinDigest):
 
     def step_local(self, act: Action, elem):
         out = super().step_local(act, elem)
-        if (
-            out is not None
-            and act.kind == "create"
-            and out.tid.path is not None
-            and len(out.tid.path) + 1 <= self.cap
-        ):
-            return JoinElem(out.tid, out.joined | {out.tid.path + (act.create_id,)})
+        if out is not None and act.kind == "create":
+            path = self._tid.child_path(out.tid, act.create_id)
+            if path is not None:
+                return JoinElem(out.tid, out.joined | {path})
         return out
 
 
@@ -378,10 +367,8 @@ class CompletedPairOnce(OnceDigest):
 
     name = "once@completed-pair"
 
-    def mhp(self, glob: str, a, b) -> MhpVerdict:
-        if a[1] & b[1]:
-            return MhpVerdict.FALSE
-        return super().mhp(glob, a, b)
+    def mhp(self, glob: str, a, b) -> bool:
+        return not (a[1] & b[1]) and super().mhp(glob, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The pairwise race check as it stood before the exclusion-mask sweep:
 ``detect`` re-evaluated every component predicate per record pair, a
-disabled component answering top, and ``ablate`` ran it once per predicate
-subset.  Kept only as the reference the detector's masks are compared
-against; it renders its own copy of the report JSON.  Also the distinct
+disabled component answering True (top), and ``ablate`` ran it once per
+predicate subset.  Kept only as the reference the detector's masks are
+compared against; it renders its own copy of the report JSON.  Also the distinct
 site pairs of a report, which only tests read."""
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import itertools
 import json
 
 from racedigest.detector import BESPOKE, GENERIC
-from racedigest.digest import MhpVerdict, generic_mhp
+from racedigest.digest import generic_mhp
 from racedigest.model import WRITE
 
 DISABLED = "disabled"
@@ -59,7 +59,7 @@ def reference_detect(sol, product, modes=None) -> ReferenceReport:
         for comp, a, b in zip(product.components, d0, d1):
             mode = modes[comp.name]
             if mode == DISABLED:
-                v = MhpVerdict.TOP
+                v = True
             elif mode == GENERIC:
                 v = generic_mhp(comp, glob, a, b)
             else:
@@ -81,15 +81,15 @@ def reference_detect(sol, product, modes=None) -> ReferenceReport:
                 if WRITE not in (r0.type, r1.type):
                     continue
                 vs = verdicts(glob, r0.digest, r1.digest)
-                # the meet of the verdicts: FALSE if any is FALSE
-                if any(v is MhpVerdict.FALSE for _, v in vs):
+                # the meet of the verdicts: False if any is False
+                if not all(v for _, v in vs):
                     continue
                 site_a, site_b = sorted(((r0.site, r0.type), (r1.site, r1.type)))
                 key = (glob, site_a, site_b)
                 if key not in flagged:
                     flagged[key] = (product.format_elem(r0.digest),
                                     product.format_elem(r1.digest))
-                    witness_verdicts[key] = tuple((n, v.value) for n, v in vs)
+                    witness_verdicts[key] = tuple((n, "top" if v else "false") for n, v in vs)
     return ReferenceReport(
         tuple(names),
         modes,

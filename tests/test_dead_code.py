@@ -1,12 +1,15 @@
 """No dead code in the package, checked with ``ast`` alone, as the
 project depends on no linter: every name a module imports is used in it,
-every private name defined at module level (``_name``) is read in it, and
-every attribute stored on ``self`` is read somewhere in the project."""
+every private name defined at module level (``_name``) is read in it,
+every public function or class defined at module level is read somewhere
+in the project outside its own definition, and every attribute stored on
+``self`` is read somewhere in the project."""
 
 from __future__ import annotations
 
 import ast
 import functools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "racedigest"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
-# the files whose reads keep a stored attribute alive
+# the files whose reads keep a public name or a stored attribute alive
 READERS = ("src", "tests", "perfbench")
 
 
@@ -96,11 +99,49 @@ def _attributes_read(tree: ast.Module) -> set[str]:
 
 
 @functools.cache
+def _project_trees() -> tuple[ast.Module, ...]:
+    return tuple(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+                 for path in sorted(p for d in READERS for p in (ROOT / d).rglob("*.py")))
+
+
+@functools.cache
 def _project_reads() -> frozenset[str]:
-    out = set()
-    for path in sorted(p for d in READERS for p in (ROOT / d).rglob("*.py")):
-        out |= _attributes_read(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    return frozenset(out)
+    return frozenset().union(*map(_attributes_read, _project_trees()))
+
+
+def _name_reads(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name: as a name, an attribute or an
+    imported name."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def _unread_public(tree: ast.Module, reads: Counter) -> list[tuple[int, str]]:
+    """Each public function or class ``tree`` defines at module level whose
+    every read in ``reads`` lies in its own definition, with its line."""
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and reads[node.name] <= _name_reads(node)[node.name]]
+
+
+@functools.cache
+def _project_name_reads() -> Counter:
+    return sum(map(_name_reads, _project_trees()), Counter())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_public_name_left_unread(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
+    unread = _unread_public(tree, _project_name_reads())
+    assert [f"line {line}: {name}" for line, name in unread] == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -119,3 +160,7 @@ def test_the_check_sees_what_it_looks_for():
                      "        self.n += 1\n        other.d = 4\n        print(self.b, 'c')\n")
     assert sorted(n for _, n in _stored(tree)) == ["a", "b", "c", "e", "n"]
     assert [n for _, n in _stored(tree) if n not in _attributes_read(tree)] == ["a", "e"]
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n\n\ndef g():\n    pass\n\n\n"
+                     "class C:\n    pass\n\n\nclass D:\n    pass\n\n\ndef _p():\n    pass\n")
+    reads = _name_reads(tree) + _name_reads(ast.parse("from m import g\nx.C.y\n"))
+    assert [n for _, n in _unread_public(tree, reads)] == ["f", "D"]

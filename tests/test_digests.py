@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from racedigest.digest import (
     ConfigError,
     Digest,
-    MhpVerdict,
     ProductDigest,
     generic_mhp,
 )
@@ -34,7 +33,7 @@ from racedigest.dsl import parse_program
 from racedigest.model import Action, Edge, instrument_atomicity
 from racedigest.oracle import enumerate_traces
 
-F, T = MhpVerdict.FALSE, MhpVerdict.TOP
+F, T = False, True
 
 LOCK_A = Action("lock", "a")
 UNLOCK_A = Action("unlock", "a")

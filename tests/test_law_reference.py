@@ -6,19 +6,22 @@ simulation law), and for every shipped digest, their product, each
 registered mutant, the inexact-view digests, a digest whose predicate
 depends on argument order and three that break the initialization and
 creation laws, the harness must give the same ``LawReport``:
-the same check count and the same violations in the same order.  Each test
-digest breaks the law it is there for on some case.  Call-count tests pin
-the saving on the product and one abstraction per (ego, history)."""
+the same check count and the same violations in the same order, and each
+``mhp`` and ``generic_mhp`` verdict on the realized values is exactly a
+``bool``.  Each test digest breaks the law it is there for on some case.
+Call-count tests pin the saving on the product and one abstraction per
+(ego, history)."""
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
 
 from racedigest import digest as harness
 from racedigest.conformance import run_law_suite
-from racedigest.digest import LawTables, MhpVerdict, ProductDigest
+from racedigest.digest import LawTables, ProductDigest, generic_mhp
 from racedigest.digests import (
     CANONICAL_ORDER,
     MT,
@@ -47,7 +50,7 @@ class OrderedThreadFlag(ThreadFlagDigest):
     name = "threadflag@ordered-mhp"
 
     def mhp(self, glob, a, b):
-        return MhpVerdict.FALSE if a == ST_MAIN else MhpVerdict.TOP
+        return a != ST_MAIN
 
 
 class LeakyLockset(LocksetDigest):
@@ -158,6 +161,12 @@ def test_laws_match_the_reference(law_inputs, name):
         view = harness.check_view_exactness(laws)
         stability = harness.check_access_stability(laws)
         assert (stability, view) == (want[1], want[3]), case
+        # commutativity compares verdicts with != and the reference detector
+        # renders them from the value, so each verdict is exactly a bool
+        for glob in sorted(p.globals):
+            for a, b in itertools.product(laws.realized, repeat=2):
+                assert type(d.mhp(glob, a, b)) is bool, case
+                assert type(generic_mhp(d, glob, a, b)) is bool, case
 
 
 def test_law_inputs_share_keys_and_break_simulation(law_inputs):
