@@ -281,7 +281,7 @@ def run_equivalence_suite(cases) -> SuiteSection:
                 if glob_a != glob_b or WRITE not in (type_a, type_b):
                     continue
                 section.checks += 1
-                if bidirectionally_compatible(ts, glob_a, site_a, site_b):
+                if bidirectionally_compatible(ts, site_a, site_b):
                     pair = tuple(sorted(((site_a, type_a), (site_b, type_b))))
                     compatible.add((glob_a, pair[0], pair[1]))
         if compatible != racy:

@@ -210,7 +210,6 @@ class JoinDigest(Digest):
     name = "join"
 
     def __init__(self, cap: int = DEFAULT_TID_CAP):
-        self.cap = cap
         self._tid = ThreadIdDigest(cap)
 
     def init_digests(self) -> frozenset:
@@ -221,10 +220,7 @@ class JoinDigest(Digest):
         return JoinElem(self._tid.new_digest(elem.tid, create_edge), frozenset())
 
     def step_local(self, act: Action, elem):
-        tid = self._tid.step_local(act, elem.tid)
-        if tid is None:
-            return None
-        return JoinElem(tid, elem.joined)
+        return JoinElem(self._tid.step_local(act, elem.tid), elem.joined)
 
     def step_observing(self, act: Action, elem0, elem1):
         if act.kind != "join":
@@ -258,7 +254,7 @@ class JoinDigest(Digest):
         # unique and it is the first child created through its edge
         joined = frozenset(
             edge_path(child) for child in history.terminated
-            if len(child) <= self.cap and child[-1][1] == 0 and _alpha_unique(child[:-1])
+            if len(child) <= self._tid.cap and child[-1][1] == 0 and _alpha_unique(child[:-1])
         )
         return JoinElem(self._tid.abstract(ego, history), joined)
 

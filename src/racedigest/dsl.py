@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 
 from .model import (
+    MAIN_LABEL,
     Action,
     atomicity_mutex,
     Edge,
@@ -119,7 +120,7 @@ class _ProtoBuilder:
             edges = frozenset(
                 Edge(str(s), a, str(t), line=ln) for (s, a, t, ln) in self.edges
             )
-            return ThreadPrototype(self.label, self.explicit_start, edges)
+            return ThreadPrototype(self.explicit_start, edges)
         # canonical names for union-find roots, in first-appearance order
         names: dict[int, str] = {}
 
@@ -133,7 +134,7 @@ class _ProtoBuilder:
         edges = frozenset(
             Edge(name_of(s), a, name_of(t), line=ln) for (s, a, t, ln) in self.edges
         )
-        return ThreadPrototype(self.label, names[self.find(0)], edges)
+        return ThreadPrototype(names[self.find(0)], edges)
 
 
 def _parse_action(text: str, lineno: int, declared: dict[str, set[str]],
@@ -259,7 +260,7 @@ def parse_program(text: str) -> Program:
             raise DslSyntaxError(f"duplicate prototype {b.label!r}", 1)
         prototypes[b.label] = b.finish()
 
-    prototypes = {label: _append_exits(proto) for label, proto in prototypes.items()}
+    prototypes = {label: _append_exits(label, proto) for label, proto in prototypes.items()}
     # Atomicity mutexes are part of the model for every global, though only
     # the machine form may mention them in edges.
     mutexes = frozenset(declared["mutex"]) | frozenset(
@@ -274,8 +275,8 @@ def parse_program(text: str) -> Program:
     return validate_program(program)
 
 
-def _append_exits(proto: ThreadPrototype) -> ThreadPrototype:
-    """Append an observable thread-exit edge at every sink node."""
+def _append_exits(label: str, proto: ThreadPrototype) -> ThreadPrototype:
+    """Append an observable thread-exit edge at every sink node of ``label``."""
     sources = {e.source for e in proto.edges}
     exit_targets = {e.target for e in proto.edges if e.action.kind == "exit"}
     edges = list(proto.edges)
@@ -284,9 +285,9 @@ def _append_exits(proto: ThreadPrototype) -> ThreadPrototype:
     for n in sinks:
         if n in exit_targets:
             continue
-        edges.append(Edge(n, Action("exit"), f"{proto.label}.x{counter}"))
+        edges.append(Edge(n, Action("exit"), f"{label}.x{counter}"))
         counter += 1
-    return ThreadPrototype(proto.label, proto.start_node, frozenset(edges))
+    return ThreadPrototype(proto.start_node, frozenset(edges))
 
 
 def print_program(p: Program) -> str:
@@ -299,7 +300,7 @@ def print_program(p: Program) -> str:
             lines.append(f"mutex {m}")
     for o in sorted(p.once_vars):
         lines.append(f"once {o}")
-    order = [p.main_label] + sorted(lbl for lbl in p.prototypes if lbl != p.main_label)
+    order = [MAIN_LABEL] + sorted(lbl for lbl in p.prototypes if lbl != MAIN_LABEL)
     for label in order:
         proto = p.prototypes[label]
         lines.append("")

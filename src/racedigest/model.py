@@ -32,6 +32,7 @@ RESERVED_MUTEX_PREFIX = "m_"
 InstanceId = tuple  # tuple[tuple[str, int], ...]; main is ()
 
 MAIN: InstanceId = ()
+MAIN_LABEL = "main"  # the prototype main runs
 
 
 def edge_path(instance: InstanceId) -> tuple[str, ...]:
@@ -143,9 +144,9 @@ class Edge(Value):
         _set(self, "_hash", hash((source, action, target)))
 
 
-class ThreadPrototype(namedtuple("ThreadPrototype", "label start_node edges")):
-    """A prototype ``label``: a CFG (a frozenset of edges) entered at
-    ``start_node``."""
+class ThreadPrototype(namedtuple("ThreadPrototype", "start_node edges")):
+    """A CFG (a frozenset of edges) entered at ``start_node``; its label is
+    its key in ``Program.prototypes``."""
 
     __slots__ = ()
 
@@ -158,21 +159,19 @@ class ThreadPrototype(namedtuple("ThreadPrototype", "label start_node edges")):
 
 
 class Program(Value):
-    """The thread prototypes by label and the declared names.  Its edges are
-    sorted and indexed by source and target once, on first use."""
+    """The thread prototypes by label (main's is ``MAIN_LABEL``) and the
+    declared names.  Its edges are sorted and indexed once, on first use."""
 
-    _fields = ("prototypes", "globals", "mutexes", "once_vars", "main_label")
+    _fields = ("prototypes", "globals", "mutexes", "once_vars")
     __slots__ = _fields + ("_edges", "_by_source", "_by_target")
     _compared = attrgetter(*_fields)
 
     def __init__(self, prototypes: dict[str, ThreadPrototype], globals: frozenset[str],
-                 mutexes: frozenset[str], once_vars: frozenset[str],
-                 main_label: str = "main") -> None:
+                 mutexes: frozenset[str], once_vars: frozenset[str]) -> None:
         _set(self, "prototypes", prototypes)
         _set(self, "globals", globals)
         _set(self, "mutexes", mutexes)
         _set(self, "once_vars", once_vars)
-        _set(self, "main_label", main_label)
         # the prototypes dict is hashed by its labels
         _set(self, "_hash", hash((frozenset(prototypes), globals, mutexes)))
         _set(self, "_edges", None)
@@ -180,7 +179,7 @@ class Program(Value):
         _set(self, "_by_target", None)
 
     def main(self) -> ThreadPrototype:
-        return self.prototypes[self.main_label]
+        return self.prototypes[MAIN_LABEL]
 
     def all_edges(self) -> tuple[Edge, ...]:
         """Every edge, by prototype label and then ``sorted_edges``; sorted
@@ -235,13 +234,11 @@ def is_atomicity_mutex(mutex: str) -> bool:
 
 def validate_program(p: Program) -> Program:
     """Check the structural invariants; returns ``p`` or raises ValidationError."""
-    if p.main_label not in p.prototypes:
+    if MAIN_LABEL not in p.prototypes:
         raise ValidationError("program has no 'main' prototype")
     seen_nodes: dict[str, str] = {}
     create_ids: dict[str, str] = {}
     for label, proto in p.prototypes.items():
-        if proto.label != label:
-            raise ValidationError(f"prototype {label!r} mislabeled as {proto.label!r}")
         for n in proto.nodes():
             if n in seen_nodes and seen_nodes[n] != label:
                 raise ValidationError(f"node {n!r} appears in prototypes {seen_nodes[n]!r} and {label!r}")
@@ -271,12 +268,12 @@ def validate_program(p: Program) -> Program:
                 line = f" (line {e.line})" if e.line is not None else ""
                 raise ValidationError(f"code after thread_exit in {label!r}{line}")
             # one main instance does every init, so no mutex (once) has two
-            if a.kind in ("init", "initO") and label != p.main_label:
+            if a.kind in ("init", "initO") and label != MAIN_LABEL:
                 raise ValidationError(f"{a.kind} {a.target} in {label!r}: only main may init")
             if a.kind == "create":
                 if a.target not in p.prototypes:
                     raise ValidationError(f"create of unknown prototype {a.target!r}")
-                if a.target == p.main_label:
+                if a.target == MAIN_LABEL:
                     raise ValidationError(f"create of main in {label!r}: main runs once")
                 if a.create_id is None:
                     raise ValidationError("create edge without an id")
@@ -328,7 +325,7 @@ def instrument_atomicity(p: Program) -> Program:
             else:
                 edges.append(e)
         start = proto.start_node
-        if label == p.main_label:
+        if label == MAIN_LABEL:
             prologue: list[Edge] = []
             cur = "main.i0"
             for i, g in enumerate(sorted(p.globals)):
@@ -338,14 +335,13 @@ def instrument_atomicity(p: Program) -> Program:
             if prologue:
                 start = "main.i0"
                 edges.extend(prologue)
-        new_protos[label] = ThreadPrototype(label, start, frozenset(edges))
+        new_protos[label] = ThreadPrototype(start, frozenset(edges))
 
     out = Program(
         prototypes=new_protos,
         globals=p.globals,
         mutexes=p.mutexes | frozenset(atomicity_mutex(g) for g in p.globals),
         once_vars=p.once_vars,
-        main_label=p.main_label,
     )
     return validate_program(out)
 
@@ -364,14 +360,17 @@ def access_sites(p: Program) -> list[tuple[str, str, str]]:
 
 
 def access_sequence(p: Program, site: str) -> tuple[Edge, Edge, Edge]:
-    """The (lock, access, unlock) edges of the access sequence at ``site``."""
-    incoming = p.edges_to(site)
-    if len(incoming) != 1 or incoming[0].action.kind != "lock":
-        raise ValidationError(f"{site!r} is not an access site")
-    lock_e = incoming[0]
-    (acc_e,) = p.edges_from(site)
-    (unl_e,) = p.edges_from(acc_e.target)
-    return lock_e, acc_e, unl_e
+    """The (lock m_g, access of g, unlock m_g) edges at ``site``: the lock the
+    only edge into it, the others the only edges out of their sources.  Else
+    (say, in a program not instrumented) raises ValidationError."""
+    into, out = p.edges_to(site), p.edges_from(site)
+    if len(into) == len(out) == 1 and out[0].action.kind in ("read", "write"):
+        mg = atomicity_mutex(out[0].action.target)
+        after = p.edges_from(out[0].target)
+        if ([(e.action.kind, e.action.target) for e in (*into, *after)]
+                == [("lock", mg), ("unlock", mg)]):
+            return into[0], out[0], after[0]
+    raise ValidationError(f"{site!r} is not an access site")
 
 
 def fmt_action(a: Action) -> str:

@@ -33,8 +33,8 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter
 
-from .model import (LOCAL_KINDS, MAIN, OBSERVABLE_KINDS, READ, WRITE, Action, Edge, InstanceId,
-                    Program, Value, access_sequence, atomicity_mutex, fmt_action)
+from .model import (LOCAL_KINDS, MAIN, OBSERVABLE_KINDS, WRITE, Action, Edge, InstanceId,
+                    Program, Value, access_sequence, access_sites, fmt_action)
 
 _set = object.__setattr__
 
@@ -462,15 +462,12 @@ class _Search:
         self.traces: list[LocalTrace] = []  # the traces it made, in order
         self.visited: set[tuple[int, int]] = set()
         self.number = {g: k for k, g in enumerate(sorted(p.globals))}
-        mutexes = {atomicity_mutex(g): k for g, k in self.number.items()}
         self.dropped: dict[Edge, int] = {}  # lock edge of m_g -> the number of g
         self.site: dict[Edge, tuple] = {}  # access edge -> (global, (node, W/R))
-        for e in p.all_edges():
-            a = e.action
-            if a.kind == "lock" and a.target in mutexes:
-                self.dropped[e] = mutexes[a.target]
-            elif a.kind in ("read", "write"):
-                self.site[e] = (a.target, (e.source, WRITE if a.kind == "write" else READ))
+        for site, glob, typ in access_sites(p):
+            lock_e, acc_e, _ = access_sequence(p, site)
+            self.dropped[lock_e] = self.number[glob]
+            self.site[acc_e] = (glob, (site, typ))
         self.site_events = dict.fromkeys(self.site.values(), 0)
         # per site, the sites of its global not yet known to race with it
         self.partners = {x: {y for y in self.site_events if y[0] == x[0]
@@ -665,14 +662,14 @@ def find_racy_pairs(ts: TraceSet) -> frozenset[RacePair]:
     return ts._racy
 
 
-def bidirectionally_compatible(ts: TraceSet, glob: str, site_a: str, site_b: str) -> bool:
-    """Both orders of the two access sequences are executable from some pair
-    of prefix traces and some trace ending in an unlock/init of ``m_g``
-    (each sequence starts with a lock of ``m_g``, which observes it).  The
-    exhaustive search recorded every step from every reachable trace, so a
-    sequence runs from ``t0`` observing ``t1`` exactly when its three steps
-    are in ``ts.step_index()``.  A truncated ``ts`` lacks steps past its
-    bounds and is refused with ValueError."""
+def bidirectionally_compatible(ts: TraceSet, site_a: str, site_b: str) -> bool:
+    """Both orders of the access sequences at two sites of one global ``g`` are
+    executable from some pair of prefix traces and some trace ending in an
+    unlock/init of ``m_g`` (each sequence starts with a lock of ``m_g``, which
+    observes it).  The exhaustive search recorded every step from every
+    reachable trace, so a sequence runs from ``t0`` observing ``t1`` exactly
+    when its three steps are in ``ts.step_index()``.  A truncated ``ts`` lacks
+    steps past its bounds and is refused with ValueError."""
     if ts.truncated:
         raise ValueError("bidirectional compatibility needs an exhaustive trace set")
     steps = ts.step_index()

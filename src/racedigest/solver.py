@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 
 from .digest import Digest
-from .model import READ, WRITE, Edge, Program, is_atomicity_mutex
+from .model import Edge, Program, access_sequence, access_sites
 
 
 class SolverDivergence(Exception):
@@ -57,15 +57,10 @@ class ConstraintSystem(namedtuple("ConstraintSystem", "program digest accumulato
 
 
 def build_system(program: Program, digest: Digest) -> ConstraintSystem:
-    accumulators = {}
-    for e in program.all_edges():
-        if e.action.kind == "unlock" and is_atomicity_mutex(e.action.target):
-            (acc,) = program.edges_to(e.source)
-            kind = acc.action.kind
-            if kind not in ("read", "write"):
-                raise ValueError(f"unlock of {e.action.target} not preceded by an access")
-            accumulators[e] = (acc.source, WRITE if kind == "write" else READ, acc.action.target)
-    return ConstraintSystem(program, digest, accumulators)
+    """Raises ValidationError at an access not wrapped in its ``m_g``."""
+    return ConstraintSystem(program, digest, {
+        access_sequence(program, site)[2]: (site, typ, glob)
+        for site, glob, typ in access_sites(program)})
 
 
 class Solution:

@@ -117,6 +117,28 @@ def test_oracle_exit_codes_under_truncation(capsys, case, bounds, code, text):
     assert json.loads(out)["exhaustive"] is (code == 0)
 
 
+@pytest.mark.parametrize("bounds", [("0", "4"), ("40", "0")], ids=["depth", "width"])
+def test_one_bad_oracle_bound_exit_two(capsys, bounds):
+    argv = ("oracle", rlp("prog0_unsync_writes"), "--depth", bounds[0], "--width", bounds[1])
+    assert run(capsys, *argv) == (2, "", "error: bounds must be at least 1\n")
+
+
+@pytest.mark.parametrize("case", ["deep_paths_all_race", "join_chain", "nested_create"])
+def test_analyze_at_tid_cap_one_flags_every_oracle_race(capsys, case):
+    # a grandchild's id is the overflow element at cap 1, which may run
+    # beside any thread: every race stays flagged (join_chain has none)
+    def pairs(records):
+        return {(r["global"], *sorted((r["a"]["site"], r["b"]["site"]))) for r in records}
+
+    code, out, _ = run(capsys, "oracle", rlp(case), "--format", "json")
+    racy = pairs(json.loads(out)["racy"])
+    assert code == (1 if racy else 0)
+    code, out, _ = run(capsys, "analyze", rlp(case), "--format", "json", "--tid-cap", "1")
+    report = json.loads(out)
+    assert code == 1 and racy <= pairs(report["flagged"])
+    assert any("tid:overflow" in w for f in report["flagged"] for w in f["witness_digests"])
+
+
 def test_ablate_monotone_rows(capsys):
     code, out, _ = run(capsys, "ablate", rlp("prog1_running_example"))
     assert code == 0

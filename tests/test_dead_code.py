@@ -1,6 +1,7 @@
 """No dead code in the package, checked with ``ast`` alone, as the
 project depends on no linter: every name a module imports is used in it,
 every private name defined at module level (``_name``) is read in it,
+every function defined at module level reads each of its parameters,
 every public function or class defined at module level is read somewhere
 in the project outside its own definition, and every attribute stored on
 ``self`` is read somewhere in the project."""
@@ -21,8 +22,8 @@ MODULES = sorted(p.name for p in SRC.glob("*.py"))
 READERS = ("src", "tests", "perfbench")
 
 
-def _read(tree: ast.Module) -> set[str]:
-    """The names the module reads anywhere."""
+def _read(tree: ast.AST) -> set[str]:
+    """The names the module (or function) reads anywhere."""
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
@@ -57,6 +58,25 @@ def test_no_unused_import_or_private_name(module):
     unused = [f"line {line}: import of {name}" for line, name in _imported(tree) if name not in read]
     unused += [f"line {line}: {name}" for line, name in _private(tree) if name not in read]
     assert unused == []
+
+
+def _unread_parameters(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each parameter of a function defined at module level that the
+    function never reads, as ``function(parameter)``, with its line."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            read = _read(node)
+            out += [(node.lineno, f"{node.name}({p.arg})") for p in params if p.arg not in read]
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_parameter_left_unread(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
+    assert [f"line {line}: {name}" for line, name in _unread_parameters(tree)] == []
 
 
 def _set_name(node: ast.AST) -> ast.Constant | None:
@@ -155,6 +175,10 @@ def test_the_check_sees_what_it_looks_for():
     tree = ast.parse("import os\nfrom x import y as z\n_a = 1\n\n\ndef _f():\n    return y\n")
     assert [n for _, n in _imported(tree) if n not in _read(tree)] == ["os", "z"]
     assert [n for _, n in _private(tree) if n not in _read(tree)] == ["_a", "_f"]
+    tree = ast.parse("def f(a, b, /, c, *d, e, **g):\n    return a + c + e\n\n\n"
+                     "def h(x):\n    def inner():\n        return x\n    return inner\n\n\n"
+                     "class K:\n    def m(self, y):\n        pass\n")
+    assert [n for _, n in _unread_parameters(tree)] == ["f(b)", "f(d)", "f(g)"]
     tree = ast.parse("class A:\n    def __init__(self):\n        self.a = self.b = 1\n"
                      "        _set(self, 'c', 2)\n        _set(self, 'e', 3)\n"
                      "        self.n += 1\n        other.d = 4\n        print(self.b, 'c')\n")

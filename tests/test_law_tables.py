@@ -11,8 +11,10 @@ from __future__ import annotations
 import pytest
 
 from racedigest import oracle
-from racedigest.digest import LawTables, ProductDigest, check_admissibility
-from racedigest.digests import CANONICAL_ORDER, build_digests
+from racedigest.digest import (LawTables, ProductDigest, check_access_stability,
+                               check_admissibility, check_mhp_commutativity,
+                               check_view_exactness)
+from racedigest.digests import CANONICAL_ORDER, JoinDigest, ThreadIdDigest, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import MAIN, instrument_atomicity
 from racedigest.oracle import enumerate_traces
@@ -54,6 +56,23 @@ def test_product_table_is_the_product_abstraction(trace_sets, name):
     assert len(values) == len(keys)
     for key, value, *part in zip(keys, values, *parts):
         assert value == tuple(part), key[0]
+
+
+@pytest.mark.parametrize("name", ["deep_paths_all_race", "join_chain", "nested_create"])
+@pytest.mark.parametrize("digest,overflow", [(ThreadIdDigest(cap=1), "tid:overflow"),
+                                             (JoinDigest(cap=1), "tid:overflowj[]")],
+                         ids=["tid", "join"])
+def test_tid_cap_one_realizes_the_overflow_element(trace_sets, name, digest, overflow):
+    """At cap 1 a grandchild's id is the overflow element: the laws hold
+    with it realized beside ids that fit the cap."""
+    laws = LawTables(digest, trace_sets[name])
+    for check in (check_admissibility, check_access_stability, check_mhp_commutativity,
+                  check_view_exactness):
+        report = check(laws)
+        assert report.passed and report.checks, check.__name__
+    realized = [digest.format_elem(e) for e in laws.realized]
+    assert overflow in realized
+    assert any(r.startswith("tid!") for r in realized)
 
 
 def _walked_steps(program, ts) -> set[tuple]:

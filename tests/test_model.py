@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from racedigest.digest import ProductDigest
+from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import DslSyntaxError, parse_program, print_program
 from racedigest.model import (
+    MAIN_LABEL,
     WRITE,
     ValidationError,
     access_sequence,
@@ -12,6 +15,8 @@ from racedigest.model import (
     instrument_atomicity,
     sorted_edges,
 )
+from racedigest.oracle import enumerate_traces
+from racedigest.solver import build_system
 
 from tests.conftest import CODE_AFTER_EXIT
 
@@ -39,7 +44,7 @@ def test_parse_running_example():
     assert set(p.prototypes) == {"main", "t1"}
     assert p.globals == {"g"}
     assert p.mutexes == {"a", atomicity_mutex("g")}
-    assert p.main_label == "main"
+    assert p.main() is p.prototypes[MAIN_LABEL]
 
 
 def test_empty_main_is_single_start_node_plus_exit():
@@ -167,6 +172,38 @@ def test_access_sites_running_example():
 def test_access_sites_read_only():
     p = instrument_atomicity(parse_program("global g\n\nmain:\n  x = g\n"))
     assert [s[1:] for s in access_sites(p)] == [("g", "R")]
+
+
+# the access sequence at s as instrumentation makes it, in machine form
+WRAPPED = ("global g\nglobal h\n\nmain @ m0:\n"
+           "  m0: lock m_g -> s\n  s: g = 1 -> t\n  t: unlock m_g -> x\n")
+
+
+@pytest.mark.parametrize("src", [
+    WRAPPED.replace("lock m_g ->", "lock m_h ->"),
+    WRAPPED.replace("unlock m_g", "unlock m_h"),
+    WRAPPED.replace("unlock m_g", "skip"),
+    WRAPPED.replace("g = 1", "h = 1"),
+    WRAPPED + "  m0: skip -> s\n",
+    WRAPPED + "  s: g = 2 -> t\n",
+    WRAPPED + "  t: skip -> x\n",
+], ids=["other-lock", "other-unlock", "no-unlock", "other-global", "second-way-in",
+        "second-access", "second-way-out"])
+def test_access_sequence_refuses_a_broken_wrapping(src):
+    p = parse_program(src)
+    assert [e.target for e in access_sequence(parse_program(WRAPPED), "s")] == ["s", "t", "x"]
+    with pytest.raises(ValidationError, match=r"^'s' is not an access site$"):
+        access_sequence(p, "s")
+
+
+def test_an_unwrapped_access_is_refused_by_analyzer_and_oracle():
+    # not instrumented: analyzed, it would record no access and so no race
+    p = parse_program("global g\n\nmain:\n  create t\n  g = 1\n\nt:\n  g = 2\n")
+    assert [site for site, _, _ in access_sites(p)] == ["main.1", "t.0"]
+    with pytest.raises(ValidationError, match=r"^'main.1' is not an access site$"):
+        build_system(p, ProductDigest(build_digests(CANONICAL_ORDER)))
+    with pytest.raises(ValidationError, match=r"^'main.1' is not an access site$"):
+        enumerate_traces(p)
 
 
 def test_roundtrip_plain_and_instrumented():

@@ -350,18 +350,18 @@ def test_bidirectional_same_thread_false():
     p = load("global g\n\nmain:\n  g = 1\n  g = 2\n")
     ts = enumerate_traces(p)
     sites = [s for s, _, _ in access_sites(p)]
-    assert not bidirectionally_compatible(ts, "g", sites[0], sites[1])
+    assert not bidirectionally_compatible(ts, sites[0], sites[1])
 
 
 def test_bidirectional_unsynchronized_true(prog0, prog0_traces):
     sites = [s for s, _, _ in access_sites(prog0)]
-    assert bidirectionally_compatible(prog0_traces, "g", sites[0], sites[1])
+    assert bidirectionally_compatible(prog0_traces, sites[0], sites[1])
 
 
 def test_bidirectional_lock_protected_false(prog1, prog1_traces):
     sites = access_sites(prog1)
     protected = [s for s, _, _ in sites if s != "main.s0"]
-    assert not bidirectionally_compatible(prog1_traces, "g", protected[0], protected[1])
+    assert not bidirectionally_compatible(prog1_traces, protected[0], protected[1])
 
 
 def test_mutex_chain_invariants(prog1_traces):

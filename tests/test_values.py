@@ -25,7 +25,7 @@ def _event(index: int = 1) -> Event:
 def _program(mutexes=("a",)) -> Program:
     edges = frozenset({Edge("main.0", Action("skip"), "main.1"),
                        Edge("main.1", Action("exit"), "main.2")})
-    return Program({"main": ThreadPrototype("main", "main.0", edges)}, frozenset({"g"}),
+    return Program({"main": ThreadPrototype("main.0", edges)}, frozenset({"g"}),
                    frozenset(mutexes), frozenset())
 
 
@@ -39,7 +39,7 @@ VALUES = {
                 lambda: DepEdge("mutex", "b", _event(), _event(2))),
     "Program": (_program, lambda: _program(("a", "b"))),
     "ThreadPrototype": (lambda: _program().main(),
-                        lambda: ThreadPrototype("main", "main.1", frozenset())),
+                        lambda: ThreadPrototype("main.1", frozenset())),
     "TidElem": (lambda: TidElem(("e1",), ("e2",), True), lambda: TidElem(("e1",), (), True)),
     "JoinElem": (lambda: JoinElem(TidElem((), ("e1",), True), frozenset({("e1",)})),
                  lambda: JoinElem(TidElem((), ("e1",), True), frozenset())),
