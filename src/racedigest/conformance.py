@@ -60,7 +60,7 @@ class CorpusCase:
         self.name, self.expected = name, expected
         self._traces: TraceSet | None = None
         self._racy: frozenset | None = None
-        self._solution: tuple[ProductDigest, Solution] | None = None
+        self._solution: Solution | None = None
         self._report: RaceReport | None = None
 
     def traces(self) -> TraceSet:
@@ -70,18 +70,18 @@ class CorpusCase:
                                             width=bounds["width"])
         return self._traces
 
-    def solution(self) -> tuple[ProductDigest, Solution]:
-        """The all-digest product and its solution, solved once."""
+    def solution(self) -> Solution:
+        """The all-digest solution, solved once; its product is ``system.digest``."""
         if self._solution is None:
             product = ProductDigest(build_digests(CANONICAL_ORDER))
-            self._solution = (product, solve(build_system(self.program, product)))
+            self._solution = solve(build_system(self.program, product))
         return self._solution
 
     def report(self) -> RaceReport:
         """The bespoke race report of the all-digest solution, made once."""
         if self._report is None:
-            product, sol = self.solution()
-            self._report = detect(sol, product)
+            sol = self.solution()
+            self._report = detect(sol, sol.system.digest)
         return self._report
 
     def oracle_site_pairs(self) -> frozenset:
@@ -295,7 +295,8 @@ def run_subsumption_suite(cases) -> SuiteSection:
     """Every record pair the thread flag excludes, thread ids exclude too."""
     section = SuiteSection("tid-subsumes-threadflag")
     for case in cases:
-        product, sol = case.solution()
+        sol = case.solution()
+        product = sol.system.digest
         by_name = {c.name: (i, c) for i, c in enumerate(product.components)}
         tf_i, tf = by_name["threadflag"]
         tid_i, tid = by_name["tid"]

@@ -26,7 +26,7 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from .digest import ProductDigest, generic_mhp
-from .model import WRITE
+from .model import WRITE, Program
 from .solver import Solution
 
 BESPOKE = "bespoke"
@@ -110,7 +110,7 @@ class RaceReport:
             yield "\n  ]"
         yield "\n}\n"
 
-    def to_text(self, program=None) -> str:
+    def to_text(self, program: Program) -> str:
         lines = [
             f"digests: {', '.join(self.digests)}",
             "modes: " + ", ".join(f"{k}={self.modes[k]}" for k in sorted(self.modes)),
@@ -151,15 +151,10 @@ def _nested(value, level: int) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
 
 
-def _site_text(site: tuple[str, str], program) -> str:
+def _site_text(site: tuple[str, str], program: Program) -> str:
     node, typ = site
-    suffix = ""
-    if program is not None:
-        for e in program.edges_from(node):
-            if e.line is not None:
-                suffix = f" (line {e.line})"
-                break
-    return f"{typ}@{node}{suffix}"
+    (access,) = program.edges_from(node)  # an access site's one edge out
+    return f"{typ}@{node}" if access.line is None else f"{typ}@{node} (line {access.line})"
 
 
 def _resolve_modes(product: ProductDigest, modes: dict | None) -> dict:

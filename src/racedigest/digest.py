@@ -1,10 +1,11 @@
 """Digest abstraction: history summaries with transfer functions.
 
 A digest is a set of abstract values together with transfer functions that
-mirror the concrete trace semantics: an initial set, a value for newly
-created threads, a step per local action, and a binary step per observing
-action combining the ego value with the value of the observed trace.  All
-steps are deterministic -- they return one value or None for "impossible".
+mirror the concrete trace semantics: one initial value, a value for each
+thread created through a create id, a step per local action, and a binary
+step per observing action combining the ego value with the value of the
+observed trace.  All steps are deterministic -- they return one value or
+None for "impossible".
 
 Each digest also provides a commutative may-happen-in-parallel predicate,
 a ``bool`` standing for the two-point lattice {false, top}: False proves two
@@ -18,11 +19,10 @@ digest's observed view.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .model import Action, Edge, access_sequence, access_sites, atomicity_mutex
+from .model import Action, access_sequence, access_sites, atomicity_mutex
 
 if TYPE_CHECKING:
     from .oracle import TraceSet
@@ -35,9 +35,13 @@ class ConfigError(Exception):
 class Digest:
     """Base digest: every action leaves the value unchanged.
 
-    Subclasses override the actions they track.  ``step_observing`` falls
-    back to the local step on the first argument, which realizes the usual
-    "other observing" rows of transfer tables.
+    ``init_digest()`` is the value of main's start, and
+    ``new_digest(elem, create_id)`` the value of the thread an ego at
+    ``elem`` creates through the create edge ``create_id`` (create ids
+    are unique per program), or None.  Subclasses override the actions
+    they track.  ``step_observing`` falls back to the local step on the
+    first argument, which realizes the usual "other observing" rows of
+    transfer tables.
 
     ``observed_view(act, elem1)`` is the part of the partner value ``elem1``
     that ``step_observing(act, elem0, elem1)`` reads: two partner values
@@ -56,10 +60,10 @@ class Digest:
 
     name = "digest"
 
-    def init_digests(self) -> frozenset:
+    def init_digest(self):
         raise NotImplementedError
 
-    def new_digest(self, elem, create_edge: Edge):
+    def new_digest(self, elem, create_id: str):
         raise NotImplementedError
 
     def step_local(self, act: Action, elem):
@@ -101,7 +105,7 @@ def _all_defined(steps):
 
 class ProductDigest(Digest):
     """Component-wise combination; the predicate is the meet of components.
-    A value is a tuple of one component value each: ``init_digests``, the
+    A value is a tuple of one component value each: ``init_digest``, the
     transfer and ``abstract`` build every value that way."""
 
     def __init__(self, components: tuple[Digest, ...]):
@@ -114,12 +118,11 @@ class ProductDigest(Digest):
         self._step_observing = tuple(c.step_observing for c in self.components)
         self._mhp = tuple(c.mhp for c in self.components)
 
-    def init_digests(self) -> frozenset:
-        parts = [sorted(c.init_digests(), key=c.format_elem) for c in self.components]
-        return frozenset(itertools.product(*parts))
+    def init_digest(self):
+        return tuple(c.init_digest() for c in self.components)
 
-    def new_digest(self, elem, create_edge: Edge):
-        return _all_defined(c.new_digest(e, create_edge) for c, e in zip(self.components, elem))
+    def new_digest(self, elem, create_id: str):
+        return _all_defined(c.new_digest(e, create_id) for c, e in zip(self.components, elem))
 
     def step_local(self, act: Action, elem):
         return _all_defined(step(act, e) for step, e in zip(self._step_local, elem))
@@ -183,7 +186,7 @@ class LawTables:
     """What the laws read of digest ``d`` over the trace set ``ts``
     (``traces``), each made once: ``values``, the digest's value at each
     distinct (ego, history) of the traces, in the order of
-    ``ts.law_steps().keys``; ``realized``, the initial values and those of
+    ``ts.law_steps().keys``; ``realized``, the initial value and those of
     ``values``, in format order; and the observing steps over the realized
     values, built on the first use of each observing action:
     ``rows(act)[i][j]`` is ``step_observing(act, realized[i], realized[j])``.
@@ -198,7 +201,7 @@ class LawTables:
     def __init__(self, d: Digest, ts: TraceSet):
         self.digest, self.traces = d, ts
         self.values = [d.abstract(*key) for key in ts.law_steps().keys]
-        self.realized = sorted(set(self.values) | set(d.init_digests()), key=d.format_elem)
+        self.realized = sorted(set(self.values) | {d.init_digest()}, key=d.format_elem)
         self._rows: dict[Action, list[list]] = {}
         self._view_law: dict[Action, LawReport] = {}
 
@@ -267,14 +270,10 @@ def check_admissibility(laws: LawTables) -> LawReport:
     fmt = d.format_elem
     realized_at_create: set[tuple] = set()
 
-    a_init = values[0]  # main's start
+    a_init, init = values[0], d.init_digest()  # main's start
     report.checks += 1
-    if d.init_digests() != frozenset({a_init}):
-        report.add(
-            "init",
-            f"init_digests() = {sorted(map(fmt, d.init_digests()))} but "
-            f"alpha(init) = {fmt(a_init)}",
-        )
+    if init != a_init:
+        report.add("init", f"init_digest() = {fmt(init)} but alpha(init) = {fmt(a_init)}")
 
     found: list[tuple[int, str, str]] = []  # (trace position, law, detail)
     for (edge, before, observed), made in table.steps.items():
@@ -288,10 +287,10 @@ def check_admissibility(laws: LawTables) -> LawReport:
                           f"step {ts.traces[pos].top.describe()} from {fmt(a0)} gave "
                           f"{'none' if got is None else fmt(got)} but alpha(result) = {fmt(a_out)}"))
         if act.kind == "create":
-            realized_at_create.add((a0, act.create_id))
-    for (edge, before), made in table.starts.items():
-        a0, ce = values[before], edge.action.create_id
-        got = d.new_digest(a0, edge)
+            realized_at_create.add((a0, act))
+    for (ce, before), made in table.starts.items():
+        a0 = values[before]
+        got = d.new_digest(a0, ce)
         for pos, a_out in _misses(report, made, values, got):
             found.append((pos, "new-thread",
                           f"new_digest({fmt(a0)}, {ce}) = "
@@ -299,11 +298,9 @@ def check_admissibility(laws: LawTables) -> LawReport:
     for _, law, detail in sorted(found):
         report.add(law, detail)
 
-    create_edges = ts.program.create_edges()
-    for a0, ce in sorted(realized_at_create, key=lambda x: (fmt(x[0]), x[1])):
+    for a0, act in sorted(realized_at_create, key=lambda x: (fmt(x[0]), x[1].create_id)):
         report.checks += 1
-        act = create_edges[ce].action
-        if d.step_local(act, a0) is not None and d.new_digest(a0, create_edges[ce]) is None:
+        if d.step_local(act, a0) is not None and d.new_digest(a0, act.create_id) is None:
             report.add(
                 "new-thread-defined",
                 f"create step defined on {fmt(a0)} but new_digest is not",

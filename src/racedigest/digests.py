@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .digest import ConfigError, Digest
-from .model import Action, Edge, edge_path, is_atomicity_mutex
+from .model import Action, edge_path, is_atomicity_mutex
 
 ST_MAIN = "ST_main"
 MT_MAIN = "MT_main"
@@ -43,10 +43,10 @@ def _saturate_counts(edge_ids) -> tuple[str, ...]:
 class LocksetDigest(Digest):
     name = "lockset"
 
-    def init_digests(self) -> frozenset:
-        return frozenset({frozenset()})
+    def init_digest(self):
+        return frozenset()
 
-    def new_digest(self, elem, create_edge: Edge):
+    def new_digest(self, elem, create_id: str):
         return frozenset()
 
     def step_local(self, act: Action, elem):
@@ -79,10 +79,10 @@ class LocksetDigest(Digest):
 class ThreadFlagDigest(Digest):
     name = "threadflag"
 
-    def init_digests(self) -> frozenset:
-        return frozenset({ST_MAIN})
+    def init_digest(self):
+        return ST_MAIN
 
-    def new_digest(self, elem, create_edge: Edge):
+    def new_digest(self, elem, create_id: str):
         return MT
 
     def step_local(self, act: Action, elem):
@@ -138,8 +138,8 @@ class ThreadIdDigest(Digest):
     def __init__(self, cap: int = DEFAULT_TID_CAP):
         self.cap = cap
 
-    def init_digests(self) -> frozenset:
-        return frozenset({TidElem((), (), True)})
+    def init_digest(self):
+        return TidElem((), (), True)
 
     def child_path(self, elem: TidElem, ce: str) -> tuple[str, ...] | None:
         """The path of the child ``elem`` creates through edge ``ce``, or
@@ -148,12 +148,11 @@ class ThreadIdDigest(Digest):
             return None
         return elem.path + (ce,)
 
-    def new_digest(self, elem, create_edge: Edge):
-        ce = create_edge.action.create_id
-        path = self.child_path(elem, ce)
+    def new_digest(self, elem, create_id: str):
+        path = self.child_path(elem, create_id)
         if path is None:
             return TID_OVERFLOW
-        unique = elem.unique and ce not in elem.path and ce not in elem.created
+        unique = elem.unique and create_id not in elem.path and create_id not in elem.created
         return TidElem(path, (), unique)
 
     def step_local(self, act: Action, elem):
@@ -212,12 +211,11 @@ class JoinDigest(Digest):
     def __init__(self, cap: int = DEFAULT_TID_CAP):
         self._tid = ThreadIdDigest(cap)
 
-    def init_digests(self) -> frozenset:
-        (tid0,) = self._tid.init_digests()
-        return frozenset({JoinElem(tid0, frozenset())})
+    def init_digest(self):
+        return JoinElem(self._tid.init_digest(), frozenset())
 
-    def new_digest(self, elem, create_edge: Edge):
-        return JoinElem(self._tid.new_digest(elem.tid, create_edge), frozenset())
+    def new_digest(self, elem, create_id: str):
+        return JoinElem(self._tid.new_digest(elem.tid, create_id), frozenset())
 
     def step_local(self, act: Action, elem):
         return JoinElem(self._tid.step_local(act, elem.tid), elem.joined)
@@ -266,10 +264,10 @@ class JoinDigest(Digest):
 class OnceDigest(Digest):
     name = "once"
 
-    def init_digests(self) -> frozenset:
-        return frozenset({(frozenset(), frozenset())})
+    def init_digest(self):
+        return (frozenset(), frozenset())
 
-    def new_digest(self, elem, create_edge: Edge):
+    def new_digest(self, elem, create_id: str):
         return (frozenset(), elem[1])
 
     def step_local(self, act: Action, elem):

@@ -199,6 +199,8 @@ def parse_program(text: str) -> Program:
         if m:
             if once_stack:
                 raise DslSyntaxError("unterminated 'once' block", lineno)
+            if any(b.label == m.group(1) for b in builders):
+                raise DslSyntaxError(f"duplicate prototype {m.group(1)!r}", lineno)
             builders.append(_ProtoBuilder(m.group(1), m.group(2)))
             continue
         m = _DECL_RE.match(line)
@@ -254,13 +256,7 @@ def parse_program(text: str) -> Program:
     if once_stack:
         raise DslSyntaxError("unterminated 'once' block", once_stack[-1][2])
 
-    prototypes: dict[str, ThreadPrototype] = {}
-    for b in builders:
-        if b.label in prototypes:
-            raise DslSyntaxError(f"duplicate prototype {b.label!r}", 1)
-        prototypes[b.label] = b.finish()
-
-    prototypes = {label: _append_exits(label, proto) for label, proto in prototypes.items()}
+    prototypes = {b.label: _append_exits(b.label, b.finish()) for b in builders}
     # Atomicity mutexes are part of the model for every global, though only
     # the machine form may mention them in edges.
     mutexes = frozenset(declared["mutex"]) | frozenset(

@@ -200,14 +200,6 @@ class Program(Value):
             _set(self, "_by_target", _index(self.all_edges(), attrgetter("target")))
         return self._by_target.get(node, [])
 
-    def create_edges(self) -> dict[str, Edge]:
-        """Map from create-edge id to its edge."""
-        out: dict[str, Edge] = {}
-        for e in self.all_edges():
-            if e.action.kind == "create":
-                out[e.action.create_id] = e
-        return out
-
 
 def _index(edges, key) -> dict[str, list[Edge]]:
     out: dict[str, list[Edge]] = {}

@@ -326,7 +326,7 @@ class LawSteps:
     first seen, so main's start has key 0.  ``steps`` groups every trace
     but main's start and the children's starts by its step, (edge, key
     before, key observed or None), and ``starts`` groups each child's
-    start by (create edge, key of the creator's trace before the create).
+    start by (create id, key of the creator's trace before the create).
     A group maps the key of each trace it makes to those traces'
     positions in ``ts.traces``, in trace order."""
 
@@ -336,11 +336,10 @@ class LawSteps:
         self.keys: list[tuple] = list(index)
         self.steps: dict[tuple, dict[int, list[int]]] = {}
         self.starts: dict[tuple, dict[int, list[int]]] = {}
-        create_edges = ts.program.create_edges()
         for pos, t in enumerate(ts.traces[1:], 1):
             edge, before = t.top.edge, key_of[id(t.before)]
             if edge is None:
-                group = self.starts.setdefault((create_edges[t.ego[-1][0]], before), {})
+                group = self.starts.setdefault((t.ego[-1][0], before), {})
             else:
                 observed = None if t.observed is None else key_of[id(t.observed)]
                 group = self.steps.setdefault((edge, before, observed), {})

@@ -115,7 +115,7 @@ def _transfer(cs: ConstraintSystem, edge: Edge, elem, observed: dict):
             facts.append(("race", glob, AccessRecord(site, typ, out)))
     yield facts
     if act.kind == "create":
-        child = digest.new_digest(elem, edge)
+        child = digest.new_digest(elem, act.create_id)
         start = cs.program.prototypes[act.target].start_node
         yield () if child is None else (("pp", start, child),)
 
@@ -156,9 +156,7 @@ def solve(cs: ConstraintSystem, max_evaluations: int = 1_000_000) -> Solution:
             for fact in facts:
                 push(fact)
 
-    start = program.main().start_node
-    for elem in sorted(digest.init_digests(), key=digest.format_elem):
-        push(("pp", start, elem))
+    push(("pp", program.main().start_node, digest.init_digest()))
 
     pp = tables["pp"]
     while queue:
@@ -189,8 +187,7 @@ def verify_postfixpoint(sol: Solution) -> bool:
     """Re-evaluate every materialized constraint; True iff nothing changes."""
     cs = sol.system
     tables = {"pp": sol.pp, "obs": sol.obs, "race": sol.races}
-    start = cs.program.main().start_node
-    if not all(sol.reached(start, elem) for elem in cs.digest.init_digests()):
+    if not sol.reached(cs.program.main().start_node, cs.digest.init_digest()):
         return False
     return all(
         value in tables[kind].get(key, ())

@@ -20,8 +20,8 @@ def trace_table(d: Digest, ts: TraceSet) -> dict:
 
 
 def realized_values(d: Digest, ts: TraceSet) -> list:
-    """The initial digest values and those of every trace, in format order."""
-    return sorted(set(trace_table(d, ts).values()) | set(d.init_digests()), key=d.format_elem)
+    """The initial digest value and those of every trace, in format order."""
+    return sorted(set(trace_table(d, ts).values()) | {d.init_digest()}, key=d.format_elem)
 
 
 def check_admissibility(d: Digest, p: Program, ts: TraceSet,
@@ -35,18 +35,16 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
     if alpha is None:
         alpha = trace_table(d, ts)
     fmt = d.format_elem
-    create_edges = p.create_edges()
     realized_at_create: set[tuple] = set()
 
     init_trace = next(
         t for t in ts.traces if t.top.instance == MAIN and t.top.index == 0
     )
     report.checks += 1
-    if d.init_digests() != frozenset({alpha[init_trace]}):
+    if d.init_digest() != alpha[init_trace]:
         report.add(
             "init",
-            f"init_digests() = {sorted(map(fmt, d.init_digests()))} but "
-            f"alpha(init) = {fmt(alpha[init_trace])}",
+            f"init_digest() = {fmt(d.init_digest())} but alpha(init) = {fmt(alpha[init_trace])}",
         )
 
     for after in ts.traces:
@@ -56,7 +54,7 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
         report.checks += 1
         if e.edge is None:
             ce = e.instance[-1][0]
-            got = d.new_digest(a0, create_edges[ce])
+            got = d.new_digest(a0, ce)
             if got is None or got != a_out:
                 report.add(
                     "new-thread",
@@ -76,12 +74,11 @@ def check_admissibility(d: Digest, p: Program, ts: TraceSet,
                 f"{'none' if got is None else fmt(got)} but alpha(result) = {fmt(a_out)}",
             )
         if act.kind == "create":
-            realized_at_create.add((a0, act.create_id))
+            realized_at_create.add((a0, act))
 
-    for a0, ce in sorted(realized_at_create, key=lambda x: (fmt(x[0]), x[1])):
+    for a0, act in sorted(realized_at_create, key=lambda x: (fmt(x[0]), x[1].create_id)):
         report.checks += 1
-        act = create_edges[ce].action
-        if d.step_local(act, a0) is not None and d.new_digest(a0, create_edges[ce]) is None:
+        if d.step_local(act, a0) is not None and d.new_digest(a0, act.create_id) is None:
             report.add(
                 "new-thread-defined",
                 f"create step defined on {fmt(a0)} but new_digest is not",

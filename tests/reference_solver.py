@@ -42,9 +42,7 @@ def reference_solve(cs: ConstraintSystem, max_evaluations: int = 1_000_000) -> S
             for fact in facts:
                 push(fact)
 
-    start = program.main().start_node
-    for elem in sorted(cs.digest.init_digests(), key=cs.digest.format_elem):
-        push(("pp", start, elem))
+    push(("pp", program.main().start_node, cs.digest.init_digest()))
 
     pp, obs = tables["pp"], tables["obs"]
     while queue:

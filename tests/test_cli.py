@@ -353,6 +353,14 @@ def test_bad_label_exit_two(capsys, tmp_path, command, src, line):
     assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
+def test_duplicate_prototype_names_its_header_line(capsys, tmp_path):
+    path = tmp_path / "p.rlp"
+    path.write_text("global g\n\nmain:\n  create t as e\n\nt:\n  g = 1\n\nt:\n  g = 2\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", "error: line 9:1: duplicate prototype 't'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", rlp("prog1_running_example")),
     ("ablate", rlp("prog1_running_example")),

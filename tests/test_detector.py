@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from racedigest.detector import BESPOKE, GENERIC, RaceReport, ablate, detect
+from racedigest.detector import BESPOKE, GENERIC, RaceReport, ablate, detect, predicate_subsets
 from racedigest.digest import ProductDigest
 from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
+from racedigest.oracle import enumerate_traces, find_racy_pairs
 from racedigest.solver import build_system, solve
 
 from perfbench.gen import locked_program
@@ -49,6 +50,36 @@ def test_prog1_lockset_alone(prog1):
 def test_prog1_threadflag_alone(prog1):
     report = run(prog1, ["threadflag"])
     assert sites(report) == {("main.s1", "t1.s0"), ("t1.s0", "t1.s0")}
+
+
+# Two instances of one prototype, each creating a child: a child races
+# with the instance that is not its creator, which tid's may_run must not
+# order just because the child's path is longer.
+COUSINS = """\
+global g
+
+main:
+  create w as e1
+  create w as e2
+
+w:
+  g = 1
+  create u as e3
+
+u:
+  g = 2
+"""
+
+
+def test_cousin_races_are_flagged_under_every_subset():
+    program = instrument_atomicity(parse_program(COUSINS))
+    ts = enumerate_traces(program, depth=40, width=5)
+    assert not ts.truncated
+    racy = {(r.glob, r.site_a, r.site_b) for r in find_racy_pairs(ts)}
+    assert len(racy) == 3
+    report = run(program, CANONICAL_ORDER)
+    for subset in predicate_subsets(report.digests):
+        assert racy <= report.witnesses(report.mask_of(subset)).keys(), subset
 
 
 def test_identical_records_can_race(prog0):
@@ -126,7 +157,8 @@ def _dumped(report) -> str:
 @pytest.mark.parametrize("mode", [BESPOKE, GENERIC])
 def test_json_text_is_json_dumps_on_the_corpus(corpus_cases, mode):
     for case in corpus_cases:
-        product, sol = case.solution()
+        sol = case.solution()
+        product = sol.system.digest
         modes = {name: mode for name in CANONICAL_ORDER}
         want = reference_detect(sol, product, modes).to_json_text()
         assert detect(sol, product, modes).to_json_text() == want, case.name

@@ -30,7 +30,7 @@ from racedigest.digests import (
     build_digests,
 )
 from racedigest.dsl import parse_program
-from racedigest.model import Action, Edge, instrument_atomicity
+from racedigest.model import Action, instrument_atomicity
 from racedigest.oracle import enumerate_traces
 
 F, T = False, True
@@ -38,10 +38,7 @@ F, T = False, True
 LOCK_A = Action("lock", "a")
 UNLOCK_A = Action("unlock", "a")
 LOCK_MG = Action("lock", "m_g")
-
-
-def create_edge(cid="e1", proto="t1"):
-    return Edge("u", Action("create", proto, create_id=cid), "v")
+CREATE_E1 = Action("create", "t1", create_id="e1")
 
 
 # --- lockset ---------------------------------------------------------------
@@ -54,8 +51,8 @@ def test_lockset_lock_unlock():
     assert d.step_observing(LOCK_A, s1, frozenset()) is None  # relock
     assert d.step_local(UNLOCK_A, s1) == s
     assert d.step_local(UNLOCK_A, s) is None  # unlock without holding
-    assert d.init_digests() == {frozenset()}
-    assert d.new_digest(s1, create_edge()) == frozenset()
+    assert d.init_digest() == frozenset()
+    assert d.new_digest(s1, "e1") == frozenset()
 
 
 @given(st.frozensets(st.sampled_from(["a", "b", "c"])))
@@ -99,8 +96,8 @@ def test_threadflag_transfer_table_exhaustive():
         )
         for kind, target in (("unlock", "a"), ("init", "a"), ("write", "g"), ("skip", None)):
             assert d.step_local(Action(kind, target, local="x"), m) == m
-    assert d.init_digests() == {ST_MAIN}
-    assert d.new_digest(MT_MAIN, create_edge()) == MT
+    assert d.init_digest() == ST_MAIN
+    assert d.new_digest(MT_MAIN, "e1") == MT
 
 
 def test_threadflag_mhp():
@@ -122,29 +119,29 @@ def test_threadflag_generic_mhp_excludes_single_threaded():
 
 def test_tid_new_digest_extends_path():
     d = ThreadIdDigest()
-    (root,) = d.init_digests()
-    child = d.new_digest(root, create_edge("e1"))
+    root = d.init_digest()
+    child = d.new_digest(root, "e1")
     assert child == TidElem(("e1",), (), True)
-    grand = d.new_digest(child, create_edge("e2"))
+    grand = d.new_digest(child, "e2")
     assert grand.path == ("e1", "e2") and grand.unique
 
 
 def test_tid_create_step_tracks_counts():
     d = ThreadIdDigest()
-    (root,) = d.init_digests()
-    once = d.step_local(create_edge("e1").action, root)
+    root = d.init_digest()
+    once = d.step_local(CREATE_E1, root)
     assert once.created == ("e1",)
-    twice = d.step_local(create_edge("e1").action, once)
+    twice = d.step_local(CREATE_E1, once)
     assert twice.created == ("e1", "e1")
-    thrice = d.step_local(create_edge("e1").action, twice)
+    thrice = d.step_local(CREATE_E1, twice)
     assert thrice.created == ("e1", "e1")  # saturated
 
 
 def test_tid_uniqueness_lost_on_repeat_create():
     d = ThreadIdDigest()
-    (root,) = d.init_digests()
-    after = d.step_local(create_edge("e1").action, root)
-    second_child = d.new_digest(after, create_edge("e1"))
+    root = d.init_digest()
+    after = d.step_local(CREATE_E1, root)
+    second_child = d.new_digest(after, "e1")
     assert second_child.unique is False
 
 
@@ -169,13 +166,13 @@ def test_tid_mhp_not_yet_created():
 
 def test_tid_overflow_is_inert():
     d = ThreadIdDigest(cap=1)
-    (root,) = d.init_digests()
-    child = d.new_digest(root, create_edge("e1"))
+    root = d.init_digest()
+    child = d.new_digest(root, "e1")
     assert child.path == ("e1",)
-    grand = d.new_digest(child, create_edge("e2"))
+    grand = d.new_digest(child, "e2")
     assert grand is TID_OVERFLOW
-    assert d.new_digest(grand, create_edge("e1")) is TID_OVERFLOW
-    assert d.step_local(create_edge("e1").action, grand) is TID_OVERFLOW
+    assert d.new_digest(grand, "e1") is TID_OVERFLOW
+    assert d.step_local(CREATE_E1, grand) is TID_OVERFLOW
     assert d.mhp("g", grand, grand) is T
     assert d.mhp("g", root, grand) is T
 
@@ -184,8 +181,8 @@ def test_tid_overflow_is_inert():
 
 def test_join_records_unique_single_child():
     d = JoinDigest()
-    (root,) = d.init_digests()
-    at_join = d.step_local(create_edge("e1").action, root)
+    root = d.init_digest()
+    at_join = d.step_local(CREATE_E1, root)
     child_exit = JoinElem(TidElem(("e1",), (), True), frozenset())
     out = d.step_observing(Action("join", "e1"), at_join, child_exit)
     assert out.joined == {("e1",)}
@@ -193,8 +190,8 @@ def test_join_records_unique_single_child():
 
 def test_join_merges_transitive_joins():
     d = JoinDigest()
-    (root,) = d.init_digests()
-    at_join = d.step_local(create_edge("e1").action, root)
+    root = d.init_digest()
+    at_join = d.step_local(CREATE_E1, root)
     child_exit = JoinElem(TidElem(("e1",), ("e2",), True), frozenset({("e1", "e2")}))
     out = d.step_observing(Action("join", "e1"), at_join, child_exit)
     assert out.joined == {("e1",), ("e1", "e2")}
@@ -202,9 +199,9 @@ def test_join_merges_transitive_joins():
 
 def test_join_skips_doubly_created_edge():
     d = JoinDigest()
-    (root,) = d.init_digests()
-    s = d.step_local(create_edge("e1").action, root)
-    s = d.step_local(create_edge("e1").action, s)
+    root = d.init_digest()
+    s = d.step_local(CREATE_E1, root)
+    s = d.step_local(CREATE_E1, s)
     child_exit = JoinElem(TidElem(("e1",), (), True), frozenset())
     out = d.step_observing(Action("join", "e1"), s, child_exit)
     assert out.joined == frozenset()  # cannot tell which child terminated
@@ -212,8 +209,8 @@ def test_join_skips_doubly_created_edge():
 
 def test_join_prunes_foreign_exits():
     d = JoinDigest()
-    (root,) = d.init_digests()
-    at_join = d.step_local(create_edge("e1").action, root)
+    root = d.init_digest()
+    at_join = d.step_local(CREATE_E1, root)
     stranger = JoinElem(TidElem(("e9",), (), True), frozenset())
     assert d.step_observing(Action("join", "e1"), at_join, stranger) is None
 
@@ -243,7 +240,7 @@ def test_join_requires_tid_in_product():
 def test_once_transfer_table():
     d = OnceDigest()
     empty = (frozenset(), frozenset())
-    assert d.init_digests() == {empty}
+    assert d.init_digest() == empty
     started = d.step_observing(Action("startO", "o"), empty, empty)
     assert started == (frozenset({"o"}), frozenset())
     assert d.step_observing(Action("startO", "o"), started, empty) is None  # recursion
@@ -259,7 +256,7 @@ def test_once_transfer_table():
     assert d.step_local(Action("neg_ran", "o"), empty) == empty
     # other observing actions keep only the ego pair
     assert d.step_observing(LOCK_A, started, done) == started
-    assert d.new_digest(done, create_edge()) == (frozenset(), frozenset({"o"}))
+    assert d.new_digest(done, "e1") == (frozenset(), frozenset({"o"}))
 
 
 def test_once_mhp():
@@ -278,7 +275,7 @@ def test_once_mhp():
 
 def test_product_pointwise_and_meet():
     prod = ProductDigest(build_digests(["lockset", "threadflag"]))
-    (init,) = prod.init_digests()
+    init = prod.init_digest()
     assert init == (frozenset(), ST_MAIN)
     stepped = prod.step_observing(LOCK_A, init, (frozenset(), MT))
     assert stepped is None  # threadflag coordinate rejects the merge
@@ -301,7 +298,7 @@ class _Recording(Digest):
     def __init__(self):
         self.calls = []
 
-    def new_digest(self, elem, create_edge):
+    def new_digest(self, elem, create_id):
         self.calls.append("new")
         return elem
 
@@ -317,7 +314,7 @@ class _Recording(Digest):
 class _Refusing(Digest):
     name = "refusing"
 
-    def new_digest(self, elem, create_edge):
+    def new_digest(self, elem, create_id):
         return None
 
     def step_local(self, act, elem):
@@ -328,8 +325,7 @@ class _Refusing(Digest):
 
 
 def test_product_steps_stop_at_the_first_none():
-    create = Edge("n0", Action("create", "t", create_id="c"), "n1")
-    steps = (lambda d: d.new_digest((0, 1), create), lambda d: d.step_local(UNLOCK_A, (0, 1)),
+    steps = (lambda d: d.new_digest((0, 1), "c"), lambda d: d.step_local(UNLOCK_A, (0, 1)),
              lambda d: d.step_observing(LOCK_A, (0, 1), (2, 3)))
     for step in steps:
         rec = _Recording()

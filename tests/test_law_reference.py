@@ -73,8 +73,8 @@ class MultiThreadedInit(ThreadFlagDigest):
 
     name = "threadflag@mt-init"
 
-    def init_digests(self):
-        return frozenset({MT})
+    def init_digest(self):
+        return MT
 
 
 class InheritingThreadFlag(ThreadFlagDigest):
@@ -83,7 +83,7 @@ class InheritingThreadFlag(ThreadFlagDigest):
 
     name = "threadflag@inherited"
 
-    def new_digest(self, elem, create_edge):
+    def new_digest(self, elem, create_id):
         return elem
 
 
@@ -93,7 +93,7 @@ class ChildlessThreadFlag(ThreadFlagDigest):
 
     name = "threadflag@childless"
 
-    def new_digest(self, elem, create_edge):
+    def new_digest(self, elem, create_id):
         return None
 
 
@@ -211,7 +211,7 @@ def test_differential_digests_break_their_law(corpus_cases, name, law):
 
 
 @pytest.mark.parametrize("factory, violations", [
-    (MultiThreadedInit, [("init", "init_digests() = ['MT'] but alpha(init) = ST_main")]),
+    (MultiThreadedInit, [("init", "init_digest() = MT but alpha(init) = ST_main")]),
     (InheritingThreadFlag,
      [("new-thread", "new_digest(ST_main, e1) = ST_main but alpha(child) = MT")]),
     (ChildlessThreadFlag,

@@ -135,10 +135,10 @@ def test_law_steps_hold_every_step_once(trace_sets, name):
                 assert (t.top.edge, key(t.before), key(t.observed), key(t)) == (
                     edge, before, observed, after)
             positions += members
-    for (edge, before), made in table.starts.items():
+    for (ce, before), made in table.starts.items():
         for after, members in made.items():
             for t in map(ts.traces.__getitem__, members):
-                assert t.top.edge is None and t.ego[-1][0] == edge.action.create_id
+                assert t.top.edge is None and t.ego[-1][0] == ce
                 assert (key(t.before), t.observed, key(t)) == (before, None, after)
             positions += members
     assert sorted(positions) == list(range(1, len(ts.traces)))

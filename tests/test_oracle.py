@@ -61,6 +61,11 @@ def recorded(ts, edge, t0, t1=None):
     return ts.step_index().get(edge, {}).get((t0, t1))
 
 
+def creating_edge(p, t):
+    """The create edge of the child whose start is ``t``."""
+    return next(e for e in p.all_edges() if e.action.create_id == t.ego[-1][0])
+
+
 def test_every_trace_is_well_formed(prog1_traces):
     for t in prog1_traces.traces:
         validate_local_trace(t)
@@ -163,7 +168,7 @@ def test_local_steps_and_spawn_build_no_event_set(monkeypatch, prog1, prog1_trac
     made = set()
     for t in traces[1:]:
         if t.top.edge is None:
-            out = spawn(prog1, prog1.create_edges()[t.ego[-1][0]], t.before)
+            out = spawn(prog1, creating_edge(prog1, t), t.before)
         else:
             out = oracle._extend(t.before, t.top.edge, t.observed)
         assert out == t
@@ -390,7 +395,7 @@ def _rebuilt(p, t, sets):
     at a lock, startO or join, the observed one."""
     e = t.top
     if e.edge is None:
-        return spawn(p, p.create_edges()[e.instance[-1][0]], t.before)
+        return spawn(p, creating_edge(p, t), t.before)
     if e.action.is_observing:
         return step_observing(p, e.edge, sets[t.before], sets[t.observed])
     return step_local(e.edge, sets[t.before])
