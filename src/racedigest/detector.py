@@ -199,7 +199,10 @@ def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> 
     component values: every shipped ``mhp`` is pure, and the values repeat
     heavily across records.  The report's keys are inserted in sorted
     order: globals sorted, then the (site, type) groups of the sorted
-    records, each with itself and every later group."""
+    records, each with itself and every later group.  ``product`` must be
+    the solution's own, ``sol.system.digest``; any other is refused."""
+    if product is not sol.system.digest:
+        raise ValueError(f"product {product.name} is not the one the solution was solved for")
     modes = _resolve_modes(product, modes)
     predicates = [
         comp.mhp if modes[comp.name] == BESPOKE else functools.partial(generic_mhp, comp)
@@ -232,7 +235,8 @@ def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> 
 def ablate(sol: Solution, product: ProductDigest) -> list[dict]:
     """Flag counts for every subset of predicates, the digests themselves
     staying active (only their exclusion power is varied): one bespoke
-    report, then a mask test per subset and distinct mask list."""
+    report, then a mask test per subset and distinct mask list.  Like
+    ``detect``, it refuses a ``product`` other than ``sol.system.digest``."""
     report = detect(sol, product)
     shapes = collections.Counter(tuple(masks) for masks in report.masks.values())
     rows = []

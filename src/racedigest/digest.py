@@ -20,6 +20,7 @@ digest's observed view.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .model import Action, access_sequence, access_sites, atomicity_mutex
@@ -187,23 +188,35 @@ class LawTables:
     (``traces``), each made once: ``values``, the digest's value at each
     distinct (ego, history) of the traces, in the order of
     ``ts.law_steps().keys``; ``realized``, the initial value and those of
-    ``values``, in format order; and the observing steps over the realized
-    values, built on the first use of each observing action:
-    ``rows(act)[i][j]`` is ``step_observing(act, realized[i], realized[j])``.
+    ``values``, in format order; and, built on first use, the observing
+    steps and ``mhp`` verdicts over the realized values:
+    ``rows(act)[i][j]`` is ``step_observing(act, realized[i], realized[j])``
+    and ``verdicts(glob)[i][j]`` is ``mhp(glob, realized[i], realized[j])``.
 
     Building the rows of an action is the view-exactness law: each partner
-    is stepped and compared with the first partner of its
-    ``observed_view`` class, and one whose step equals that first step
-    holds the first step's object.  So the rows of an action hold at most
-    one object per (ego, view class) unless the view is inexact, and a
-    partner whose step differs from its class keeps its own result."""
+    is compared with the first partner of its ``observed_view`` class, and
+    one whose step equals that first step holds the first step's object.
+    So the rows of an action hold at most one object per (ego, view class)
+    unless the view is inexact, and a partner whose step differs from its
+    class keeps its own result.
+
+    A ``ProductDigest``'s ``values``, ``rows`` and ``verdicts`` are read
+    off one table per component, ``parts``, without calling the product;
+    admissibility and access stability still step its own transfer."""
 
     def __init__(self, d: Digest, ts: TraceSet):
         self.digest, self.traces = d, ts
-        self.values = [d.abstract(*key) for key in ts.law_steps().keys]
+        product = isinstance(d, ProductDigest)
+        self.parts = tuple(LawTables(c, ts) for c in d.components) if product else ()
+        self.values = (list(zip(*(part.values for part in self.parts))) if product
+                       else [d.abstract(*key) for key in ts.law_steps().keys])
         self.realized = sorted(set(self.values) | {d.init_digest()}, key=d.format_elem)
+        # per part, the position in its realized of each realized value's component
+        index = [{v: i for i, v in enumerate(part.realized)} for part in self.parts]
+        self._at = [[ix[a[k]] for a in self.realized] for k, ix in enumerate(index)]
         self._rows: dict[Action, list[list]] = {}
         self._view_law: dict[Action, LawReport] = {}
+        self._verdicts: dict[str, list[list]] = {}
 
     def rows(self, act: Action) -> list[list]:
         rows = self._rows.get(act)
@@ -216,24 +229,44 @@ class LawTables:
         self.rows(act)
         return self._view_law[act]
 
+    def verdicts(self, glob: str) -> list[list]:
+        table = self._verdicts.get(glob)
+        if table is None:
+            table = self._verdicts[glob] = self._table(
+                partial(self.digest.mhp, glob), [p.verdicts(glob) for p in self.parts], all)
+        return table
+
+    def _table(self, step, tables: list, meet) -> list[list]:
+        """``step`` over each ordered pair of realized values; for a product,
+        ``meet`` of the parts' entries in ``tables``, one table per part."""
+        if not self.parts:
+            return [[step(a0, a1) for a1 in self.realized] for a0 in self.realized]
+        seen: dict = {}
+        out = []
+        for i in range(len(self.realized)):
+            # per part, its row at ego i's component, read at each partner's component
+            columns = [map(t[at[i]].__getitem__, at) for t, at in zip(tables, self._at)]
+            out.append([seen.setdefault(v, v) for v in map(meet, zip(*columns))])
+        return out
+
     def _build(self, act: Action) -> list[list]:
         d, realized = self.digest, self.realized
+        rows = self._table(partial(d.step_observing, act), [p.rows(act) for p in self.parts],
+                           _all_defined)
         fmt = d.format_elem
         report = self._view_law[act] = LawReport(d.name)
         by_view: dict = {}
         for j, a1 in enumerate(realized):
             by_view.setdefault(d.observed_view(act, a1), []).append(j)
-        rows = [[None] * len(realized) for _ in realized]
         for first, *rest in by_view.values():
             for a0, row in zip(realized, rows):
-                want = row[first] = d.step_observing(act, a0, realized[first])
+                want = row[first]
                 for j in rest:
                     report.checks += 1
-                    got = d.step_observing(act, a0, realized[j])
+                    got = row[j]
                     if got == want:
                         row[j] = want
                         continue
-                    row[j] = got
                     report.add(
                         "view-exactness",
                         f"{act.kind} {act.target} from {fmt(a0)}: partners "
@@ -310,13 +343,13 @@ def check_admissibility(laws: LawTables) -> LawReport:
 
 def check_mhp_commutativity(laws: LawTables) -> LawReport:
     """The parallelism predicate must not depend on argument order: each
-    ordered pair of realized values is judged once per global and compared
-    with its transpose."""
+    entry of ``laws.verdicts``, one per global and ordered pair of realized
+    values, is compared with its transpose."""
     d, realized = laws.digest, laws.realized
     report = LawReport(d.name)
     fmt = d.format_elem
     for glob in sorted(laws.traces.program.globals):
-        verdicts = [[d.mhp(glob, a, b) for b in realized] for a in realized]
+        verdicts = laws.verdicts(glob)
         report.checks += len(realized) ** 2
         for a, row, column in zip(realized, verdicts, zip(*verdicts)):
             for b, ab, ba in zip(realized, row, column):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from racedigest.detector import BESPOKE, GENERIC, RaceReport, ablate, detect, predicate_subsets
+from racedigest.detector import (BESPOKE, GENERIC, RaceReport, _key_masks, ablate, detect,
+                                 predicate_subsets)
 from racedigest.digest import ProductDigest
 from racedigest.digests import CANONICAL_ORDER, build_digests
 from racedigest.dsl import parse_program
@@ -125,6 +126,27 @@ def test_mode_validation(prog1):
     for mode in ("sometimes", "disabled"):
         with pytest.raises(ValueError):
             run(prog1, ["lockset"], {"lockset": mode})
+
+
+def test_detect_and_ablate_refuse_a_foreign_product(prog1):
+    product = ProductDigest(build_digests(["lockset", "threadflag"]))
+    sol = solve(build_system(prog1, product))
+    twin = ProductDigest(build_digests(["lockset", "threadflag"]))
+    for call in (lambda: detect(sol, twin), lambda: detect(sol, twin, {"lockset": GENERIC}),
+                 lambda: ablate(sol, twin)):
+        with pytest.raises(ValueError, match="not the one the solution was solved for"):
+            call()
+    assert detect(sol, product).flagged == {}
+
+
+def test_key_masks_of_two_groups_visit_pairs_below_the_diagonal():
+    """Between two distinct groups every row meets every column: here the
+    one pair no predicate excludes, records 1 and 2, is row 1 against
+    column 0, below the diagonal of the rows x cols grid."""
+    rows, cols = [(0, "a0"), (1, "a1")], [(2, "b0"), (3, "b1")]
+    table = (1, [0, 1, 2, 3], [0, 1, 2, 3], 4, lambda glob, x, y: {x, y} == {1, 2}, {})
+    masks = _key_masks("g", rows, cols, [table])
+    assert masks == {1: ("a0", "b0"), 0: ("a1", "b0")}
 
 
 def test_report_metadata_and_witnesses(prog0):

@@ -2,7 +2,9 @@
 against what it stands for: a recorded trace's history against the
 history its events and deps define; the product's values
 (``LawTables.values``), one per (ego, history) of the traces, against its
-components' values; the recorded steps against a walk over the
+abstraction, and its observing steps and verdicts, read off its
+components' tables, against its transfer and predicate; the recorded
+steps against a walk over the
 events of the reference enumerator's pomsets; and the grouped steps the
 harness replays (``TraceSet.law_steps``) against the traces."""
 
@@ -46,16 +48,37 @@ def test_index_histories_match_the_per_trace_fold(trace_sets, name):
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, *GENERATED])
 def test_product_table_is_the_product_abstraction(trace_sets, name):
     """Each distinct (ego, history) of the traces is a key, in first-seen
-    order, and the product's value there is the tuple of its components'."""
+    order, and the product's value there, read off its components' tables,
+    is the one ``ProductDigest.abstract`` gives."""
     ts = trace_sets[name]
     keys = ts.law_steps().keys
     assert keys == list(dict.fromkeys((t.ego, t.history) for t in ts.traces))
-    components = build_digests(CANONICAL_ORDER)
-    values = LawTables(ProductDigest(components), ts).values
-    parts = [LawTables(c, ts).values for c in components]
-    assert len(values) == len(keys)
-    for key, value, *part in zip(keys, values, *parts):
-        assert value == tuple(part), key[0]
+    product = ProductDigest(build_digests(CANONICAL_ORDER))
+    laws = LawTables(product, ts)
+    assert [p.digest for p in laws.parts] == list(product.components)
+    assert laws.values == [product.abstract(*key) for key in keys]
+
+
+@pytest.mark.parametrize("name", [*CORPUS_NAMES, *GENERATED])
+def test_product_tables_match_the_product_transfer(trace_sets, name):
+    """The product's rows and verdicts are read off its components'
+    tables, not made by its own ``step_observing`` and ``mhp``; here each
+    entry is checked against those, and each distinct step is one object
+    per table."""
+    ts = trace_sets[name]
+    product = ProductDigest(build_digests(CANONICAL_ORDER))
+    laws = LawTables(product, ts)
+    realized = laws.realized
+    observing = {e.action for e in ts.program.all_edges() if e.action.is_observing}
+    for act in observing:
+        rows = laws.rows(act)
+        for a0, row in zip(realized, rows):
+            assert row == [product.step_observing(act, a0, a1) for a1 in realized], act
+        steps = [r for row in rows for r in row]
+        assert len({id(r) for r in steps}) == len(set(steps)), act
+    for glob in sorted(ts.program.globals):
+        assert laws.verdicts(glob) == [[product.mhp(glob, a, b) for b in realized]
+                                       for a in realized], glob
 
 
 @pytest.mark.parametrize("name", ["deep_paths_all_race", "join_chain", "nested_create"])
