@@ -50,8 +50,7 @@ def _solve(args):
     """The program, its digest product and the solution.  The defaults of
     --digests and --tid-cap are read here, not when the parser is built,
     so that the oracle command loads no analyzer module."""
-    from .digest import ProductDigest
-    from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, build_digests
+    from .digests import CANONICAL_ORDER, DEFAULT_TID_CAP, ProductDigest, build_digests
     from .solver import build_system, solve
 
     program = _load(args.file)
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as exc:
         # imported here, as the oracle command loads neither module
-        from .digest import ConfigError
+        from .digests import ConfigError
         from .solver import SolverDivergence
 
         if isinstance(exc, (DslSyntaxError, ValidationError, ConfigError, OSError,

@@ -29,15 +29,14 @@ from typing import NoReturn
 
 from .detector import RaceReport, detect, predicate_subsets
 from .digest import (
-    Digest,
+    MUTANTS,
     LawTables,
-    ProductDigest,
     check_access_stability,
     check_admissibility,
     check_mhp_commutativity,
     check_view_exactness,
 )
-from .digests import CANONICAL_ORDER, MUTANTS, build_digests
+from .digests import CANONICAL_ORDER, Digest, ProductDigest, build_digests
 from .dsl import DslSyntaxError, parse_program
 from .model import READ, WRITE, ValidationError, access_sites, instrument_atomicity
 from .oracle import TraceSet, bidirectionally_compatible, enumerate_traces, find_racy_pairs

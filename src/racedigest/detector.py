@@ -25,7 +25,7 @@ import itertools
 import json
 from json.encoder import encode_basestring_ascii
 
-from .digest import ProductDigest, generic_mhp
+from .digests import ProductDigest, generic_mhp
 from .model import WRITE, Program
 from .solver import Solution
 

@@ -1,4 +1,19 @@
-"""The shipped digest instances.
+"""The digest interface, the shipped digests and their product.
+
+A digest is a set of abstract values together with transfer functions that
+mirror the concrete trace semantics: one initial value, a value for each
+thread created through a create id, a step per local action, and a binary
+step per observing action combining the ego value with the value of the
+observed trace.  All steps are deterministic -- they return one value or
+None for "impossible".
+
+Each digest also provides a commutative may-happen-in-parallel predicate,
+a ``bool`` standing for the two-point lattice {false, top}: False proves two
+accesses never run in parallel, True (top) claims nothing.  ``generic_mhp``
+derives such a predicate for any access-stable digest from its
+atomicity-mutex lock step.
+
+The shipped instances:
 
 * lockset    -- the set of mutexes held by the ego thread
 * threadflag -- single-threaded main / multi-threaded main / other thread
@@ -8,18 +23,140 @@
                 propagated through join chains (rides on thread ids)
 * once       -- active and completed once-control variables
 
-Each digest implements the abstraction map used by the law harness, from
-a local trace's ego instance and history, and a bespoke
-may-happen-in-parallel predicate.  A few
-deliberately broken variants are registered for mutation testing.
+Each implements the abstraction map the law harness checks it against,
+from a local trace's ego instance and history, and a bespoke predicate.
+``ProductDigest`` combines them and ``build_digests`` builds them by name.
+The laws and the broken digests they must catch live in ``digest``, which
+the analyzer never loads.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .digest import ConfigError, Digest
-from .model import Action, edge_path, is_atomicity_mutex
+from .model import Action, atomicity_mutex, edge_path
+
+
+class ConfigError(Exception):
+    """Invalid digest configuration (e.g. join without thread ids)."""
+
+
+class Digest:
+    """Base digest: every action leaves the value unchanged.
+
+    ``init_digest()`` is the value of main's start, and
+    ``new_digest(elem, create_id)`` the value of the thread an ego at
+    ``elem`` creates through the create edge ``create_id`` (create ids
+    are unique per program), or None.  Subclasses override the actions
+    they track.  ``step_observing`` falls back to the local step on the
+    first argument, which realizes the usual "other observing" rows of
+    transfer tables.
+
+    ``observed_view(act, elem1)`` is the part of the partner value ``elem1``
+    that ``step_observing(act, elem0, elem1)`` reads: two partner values
+    with equal views must give equal steps from every ego value (the
+    view-exactness law).  The solver makes one observing step per distinct
+    view, so a view that drops a field the step reads loses facts.  The
+    default, the whole partner value, is always exact; a digest whose step
+    ignores the partner returns ``None``.
+
+    ``abstract(ego, history)`` is the abstraction map the law harness
+    checks the transfer against: the value of a local trace whose ego
+    thread is the instance ``ego`` and whose knowledge is the oracle's
+    ``History`` value ``history``.  It may read nothing else of the trace,
+    so the harness abstracts each distinct pair once.
+    """
+
+    name = "digest"
+
+    def init_digest(self):
+        raise NotImplementedError
+
+    def new_digest(self, elem, create_id: str):
+        raise NotImplementedError
+
+    def step_local(self, act: Action, elem):
+        return elem
+
+    def step_observing(self, act: Action, elem0, elem1):
+        return self.step_local(act, elem0)
+
+    def observed_view(self, act: Action, elem1):
+        return elem1
+
+    def mhp(self, glob: str, a, b) -> bool:
+        raise NotImplementedError
+
+    def abstract(self, ego, history):
+        raise NotImplementedError
+
+    def format_elem(self, elem) -> str:
+        return repr(elem)
+
+
+def generic_mhp(d: Digest, glob: str, a, b) -> bool:
+    """The predicate any access-stable admissible digest induces: two
+    accesses may be parallel only if the atomicity lock merges both ways."""
+    act = Action("lock", atomicity_mutex(glob))
+    return d.step_observing(act, a, b) is not None and d.step_observing(act, b, a) is not None
+
+
+def _all_defined(steps):
+    """The tuple of the component results ``steps`` yields, or None at the
+    first None, taking no later component's step."""
+    out = []
+    for v in steps:
+        if v is None:
+            return None
+        out.append(v)
+    return tuple(out)
+
+
+class ProductDigest(Digest):
+    """Component-wise combination; the predicate is the meet of components.
+    A value is a tuple of one component value each: ``init_digest``, the
+    transfer and ``abstract`` build every value that way."""
+
+    def __init__(self, components: tuple[Digest, ...]):
+        if not components:
+            raise ConfigError("product of zero digests")
+        self.components = tuple(components)
+        self.name = "+".join(c.name for c in components)
+        # the components' steps and predicates, looked up once
+        self._step_local = tuple(c.step_local for c in self.components)
+        self._step_observing = tuple(c.step_observing for c in self.components)
+        self._mhp = tuple(c.mhp for c in self.components)
+
+    def init_digest(self):
+        return tuple(c.init_digest() for c in self.components)
+
+    def new_digest(self, elem, create_id: str):
+        return _all_defined(c.new_digest(e, create_id) for c, e in zip(self.components, elem))
+
+    def step_local(self, act: Action, elem):
+        return _all_defined(step(act, e) for step, e in zip(self._step_local, elem))
+
+    def step_observing(self, act: Action, elem0, elem1):
+        return _all_defined(
+            step(act, e0, e1) for step, e0, e1 in zip(self._step_observing, elem0, elem1))
+
+    def observed_view(self, act: Action, elem1):
+        return tuple(c.observed_view(act, e) for c, e in zip(self.components, elem1))
+
+    def mhp(self, glob: str, a, b) -> bool:
+        # the meet of the components' verdicts: False at the first False
+        return all(mhp(glob, ea, eb) for mhp, ea, eb in zip(self._mhp, a, b))
+
+    def abstract(self, ego, history):
+        return tuple(c.abstract(ego, history) for c in self.components)
+
+    def format_elem(self, elem) -> str:
+        return "(" + " | ".join(c.format_elem(e) for c, e in zip(self.components, elem)) + ")"
+
+
+# ---------------------------------------------------------------------------
+# Shipped digests
+# ---------------------------------------------------------------------------
 
 ST_MAIN = "ST_main"
 MT_MAIN = "MT_main"
@@ -304,68 +441,6 @@ class OnceDigest(Digest):
 
 
 # ---------------------------------------------------------------------------
-# Mutants for the mutation-testing hook
-# ---------------------------------------------------------------------------
-
-class OverlapEmptyLockset(LocksetDigest):
-    """Declares atomicity locks impossible under overlapping locksets, which
-    breaks the simulation law."""
-
-    name = "lockset@overlap-empty"
-
-    def step_observing(self, act: Action, elem0, elem1):
-        if act.kind == "lock" and is_atomicity_mutex(act.target) and elem0 & elem1:
-            return None
-        return super().step_observing(act, elem0, elem1)
-
-    def observed_view(self, act: Action, elem1):
-        return elem1 if act.kind == "lock" and is_atomicity_mutex(act.target) else None
-
-
-class SpawnedPairThreadFlag(ThreadFlagDigest):
-    """Wrongly says two spawned threads never run in parallel."""
-
-    name = "threadflag@spawned-pair"
-
-    def mhp(self, glob: str, a, b) -> bool:
-        return not (a == MT and b == MT) and super().mhp(glob, a, b)
-
-
-class EagerMayRunTid(ThreadIdDigest):
-    """may_run ignores whether the creating edge was already taken."""
-
-    name = "tid@eager-mayrun"
-
-    def may_run(self, a: TidElem, b: TidElem) -> bool:
-        if a.path is None or b.path is None:
-            return True
-        return not (len(b.path) > len(a.path) and b.path[: len(a.path)] == a.path)
-
-
-class CreateCountsAsJoin(JoinDigest):
-    """Marks a thread as terminated already at its creation."""
-
-    name = "join@premature"
-
-    def step_local(self, act: Action, elem):
-        out = super().step_local(act, elem)
-        if out is not None and act.kind == "create":
-            path = self._tid.child_path(out.tid, act.create_id)
-            if path is not None:
-                return JoinElem(out.tid, out.joined | {path})
-        return out
-
-
-class CompletedPairOnce(OnceDigest):
-    """Wrongly orders any two accesses that both saw a completion."""
-
-    name = "once@completed-pair"
-
-    def mhp(self, glob: str, a, b) -> bool:
-        return not (a[1] & b[1]) and super().mhp(glob, a, b)
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -388,12 +463,3 @@ def build_digests(names, tid_cap: int = DEFAULT_TID_CAP) -> tuple[Digest, ...]:
         "once": OnceDigest,
     }
     return tuple(factories[n]() for n in CANONICAL_ORDER if n in requested)
-
-
-MUTANTS = {
-    "lockset": OverlapEmptyLockset,
-    "threadflag": SpawnedPairThreadFlag,
-    "tid": EagerMayRunTid,
-    "join": CreateCountsAsJoin,
-    "once": CompletedPairOnce,
-}

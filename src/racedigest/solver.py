@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 
-from .digest import Digest
+from .digests import Digest
 from .model import Edge, Program, access_sequence, access_sites
 
 

@@ -11,7 +11,7 @@ import itertools
 import json
 
 from racedigest.detector import BESPOKE, GENERIC
-from racedigest.digest import generic_mhp
+from racedigest.digests import generic_mhp
 from racedigest.model import WRITE
 
 DISABLED = "disabled"

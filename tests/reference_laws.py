@@ -9,7 +9,8 @@ own, into a ``{trace: alpha}`` table."""
 
 from __future__ import annotations
 
-from racedigest.digest import Digest, LawReport
+from racedigest.digest import LawReport
+from racedigest.digests import Digest
 from racedigest.model import MAIN, Program, access_sequence, access_sites
 from racedigest.oracle import TraceSet
 

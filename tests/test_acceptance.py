@@ -17,8 +17,8 @@ from racedigest.conformance import (
     run_soundness_suite,
 )
 from racedigest.detector import GENERIC, detect, predicate_subsets
-from racedigest.digest import LawTables, ProductDigest, check_admissibility
-from racedigest.digests import CANONICAL_ORDER, MUTANTS, build_digests
+from racedigest.digest import MUTANTS, LawTables, check_admissibility
+from racedigest.digests import CANONICAL_ORDER, ProductDigest, build_digests
 from racedigest.oracle import enumerate_traces, find_racy_pairs
 from racedigest.solver import build_system, solve
 

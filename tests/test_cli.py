@@ -424,40 +424,35 @@ def test_reports_do_not_depend_on_hash_seed():
     assert conform.endswith(b"all suites pass\n")
 
 
-_ANALYZER_MODULES = """
+_LOADED_MODULES = """
 import contextlib, io, sys
 import racedigest.cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = racedigest.cli.main(["analyze", sys.argv[1], "--format", "json"])
-loaded = sorted(m for m in ("racedigest.oracle", "racedigest.conformance") if m in sys.modules)
-print(code, out.getvalue().startswith("{"), loaded)
-"""
-
-
-def test_analyze_loads_neither_oracle_nor_conformance():
-    # the analyzer modules do not import the oracle; only oracle and conform load it
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    done = subprocess.run(
-        [sys.executable, "-c", _ANALYZER_MODULES, rlp("prog1_running_example")],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert done.stdout == "0 True []\n"
-
-
-_ORACLE_MODULES = """
-import contextlib, io, sys
-import racedigest.cli
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = racedigest.cli.main(["oracle", sys.argv[1], "--format", "json"])
+    code = racedigest.cli.main([sys.argv[1], sys.argv[2], "--format", "json"])
 print(code, out.getvalue().startswith("{"))
 print(sorted(m for m in sys.modules if m.startswith("racedigest.")))
 """
 
 
+@pytest.mark.parametrize("command", ["analyze", "ablate"])
+def test_analyzer_commands_load_only_analyzer_modules(command):
+    # neither the oracle, the conformance suites nor the law harness and
+    # mutants of racedigest.digest: a call compiles only what it runs
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, command, rlp("prog1_running_example")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout == (
+        "0 True\n['racedigest.cli', 'racedigest.detector', 'racedigest.digests', "
+        "'racedigest.dsl', 'racedigest.model', 'racedigest.solver']\n"
+    )
+
+
 def test_oracle_loads_no_analyzer_module():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     done = subprocess.run(
-        [sys.executable, "-c", _ORACLE_MODULES, rlp("prog0_unsync_writes")],
+        [sys.executable, "-c", _LOADED_MODULES, "oracle", rlp("prog0_unsync_writes")],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert done.stdout == (

@@ -24,18 +24,13 @@ from racedigest.conformance import (
 from racedigest.cli import main
 from racedigest.detector import RaceReport, detect
 from racedigest.digest import (
+    MUTANTS,
+    EagerMayRunTid,
     LawTables,
-    ProductDigest,
     check_access_stability,
     check_admissibility,
 )
-from racedigest.digests import (
-    CANONICAL_ORDER,
-    MUTANTS,
-    EagerMayRunTid,
-    ThreadIdDigest,
-    build_digests,
-)
+from racedigest.digests import CANONICAL_ORDER, ProductDigest, ThreadIdDigest, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve

@@ -6,8 +6,7 @@ import pytest
 
 from racedigest.detector import (BESPOKE, GENERIC, RaceReport, _key_masks, ablate, detect,
                                  predicate_subsets)
-from racedigest.digest import ProductDigest
-from racedigest.digests import CANONICAL_ORDER, build_digests
+from racedigest.digests import CANONICAL_ORDER, ProductDigest, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.oracle import enumerate_traces, find_racy_pairs
@@ -55,7 +54,12 @@ def test_prog1_threadflag_alone(prog1):
 
 # Two instances of one prototype, each creating a child: a child races
 # with the instance that is not its creator, which tid's may_run must not
-# order just because the child's path is longer.
+# order just because the child's path is longer.  In COUSINS main creates
+# the two through two edges.  In LOOP_COUSINS it creates them through one
+# edge, completing once o in between, so only the first instance, whose id
+# is unique, passes ``neg ran o`` and writes g, before its own create; the
+# child of the second, whose id is not unique, races with that write, and
+# may_run must not order the two unless both ids are unique.
 COUSINS = """\
 global g
 
@@ -71,13 +75,41 @@ u:
   g = 2
 """
 
+LOOP_COUSINS = """\
+global g
+once o
 
-def test_cousin_races_are_flagged_under_every_subset():
-    program = instrument_atomicity(parse_program(COUSINS))
+main:
+  initO o
+  label L
+  create w as e1
+  neg ran o
+  once o
+    skip
+  end
+  goto L
+
+w:
+  goto A B
+  label A
+  neg ran o
+  g = 1
+  label B
+  create u as e3
+
+u:
+  g = 2
+"""
+
+
+@pytest.mark.parametrize("source,races", [(COUSINS, 3), (LOOP_COUSINS, 2)],
+                         ids=["two-edges", "one-edge-twice"])
+def test_cousin_races_are_flagged_under_every_subset(source, races):
+    program = instrument_atomicity(parse_program(source))
     ts = enumerate_traces(program, depth=40, width=5)
     assert not ts.truncated
     racy = {(r.glob, r.site_a, r.site_b) for r in find_racy_pairs(ts)}
-    assert len(racy) == 3
+    assert len(racy) == races
     report = run(program, CANONICAL_ORDER)
     for subset in predicate_subsets(report.digests):
         assert racy <= report.witnesses(report.mask_of(subset)).keys(), subset

@@ -7,27 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from racedigest.digest import (
-    ConfigError,
-    Digest,
-    ProductDigest,
-    generic_mhp,
-)
+from racedigest.digest import MUTANTS
 from racedigest.digests import (
     MT,
     MT_MAIN,
-    MUTANTS,
     ST_MAIN,
     CANONICAL_ORDER,
+    ConfigError,
+    Digest,
     JoinDigest,
     JoinElem,
     LocksetDigest,
     OnceDigest,
+    ProductDigest,
     ThreadFlagDigest,
     ThreadIdDigest,
     TidElem,
     TID_OVERFLOW,
     build_digests,
+    generic_mhp,
 )
 from racedigest.dsl import parse_program
 from racedigest.model import Action, instrument_atomicity

@@ -21,18 +21,19 @@ import pytest
 
 from racedigest import digest as harness
 from racedigest.conformance import run_law_suite
-from racedigest.digest import LawTables, ProductDigest, generic_mhp
+from racedigest.digest import MUTANTS, LawTables
 from racedigest.digests import (
     CANONICAL_ORDER,
     MT,
-    MUTANTS,
     ST_MAIN,
     JoinDigest,
     LocksetDigest,
     OnceDigest,
+    ProductDigest,
     ThreadFlagDigest,
     ThreadIdDigest,
     build_digests,
+    generic_mhp,
 )
 from racedigest.dsl import parse_program
 from racedigest.model import (Action, atomicity_mutex, instrument_atomicity,

@@ -13,10 +13,10 @@ from __future__ import annotations
 import pytest
 
 from racedigest import oracle
-from racedigest.digest import (LawTables, ProductDigest, check_access_stability,
-                               check_admissibility, check_mhp_commutativity,
-                               check_view_exactness)
-from racedigest.digests import CANONICAL_ORDER, JoinDigest, ThreadIdDigest, build_digests
+from racedigest.digest import (LawTables, check_access_stability, check_admissibility,
+                               check_mhp_commutativity, check_view_exactness)
+from racedigest.digests import (CANONICAL_ORDER, JoinDigest, ProductDigest, ThreadIdDigest,
+                                build_digests)
 from racedigest.dsl import parse_program
 from racedigest.model import MAIN, instrument_atomicity
 from racedigest.oracle import enumerate_traces

@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from racedigest.digest import ProductDigest
-from racedigest.digests import CANONICAL_ORDER, build_digests
+from racedigest.digests import CANONICAL_ORDER, ProductDigest, build_digests
 from racedigest.dsl import DslSyntaxError, parse_program, print_program
 from racedigest.model import (
     MAIN_LABEL,

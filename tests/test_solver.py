@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from racedigest.digest import ProductDigest
-from racedigest.digests import MT, MT_MAIN, ST_MAIN, build_digests
+from racedigest.digests import MT, MT_MAIN, ST_MAIN, ProductDigest, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import access_sites, instrument_atomicity
 from racedigest.solver import (
@@ -138,8 +137,7 @@ def test_observing_self_loop_gains_values_while_observed():
 
 _SEEDED_SOLVE = """
 import json
-from racedigest.digest import ProductDigest
-from racedigest.digests import CANONICAL_ORDER, build_digests
+from racedigest.digests import CANONICAL_ORDER, ProductDigest, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from racedigest.digest import ProductDigest
-from racedigest.digests import CANONICAL_ORDER, build_digests
+from racedigest.digests import CANONICAL_ORDER, ProductDigest, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.solver import build_system, solve, verify_postfixpoint

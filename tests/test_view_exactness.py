@@ -6,14 +6,8 @@ from __future__ import annotations
 
 import pytest
 
-from racedigest.digest import LawTables, check_view_exactness
-from racedigest.digests import (
-    MUTANTS,
-    JoinDigest,
-    OnceDigest,
-    OverlapEmptyLockset,
-    ThreadFlagDigest,
-)
+from racedigest.digest import MUTANTS, LawTables, OverlapEmptyLockset, check_view_exactness
+from racedigest.digests import JoinDigest, OnceDigest, ThreadFlagDigest
 
 
 class BlindThreadFlag(ThreadFlagDigest):
