@@ -10,9 +10,9 @@ cap, those the truth was frozen for:
   exhaustive, and the promised race-free subsets hold;
 * soundness    -- for every predicate subset, flagged pairs cover the
   oracle's racy pairs, and flag counts shrink monotonically with subsets;
-* laws         -- every shipped digest and their product pass admissibility,
-  access stability, predicate commutativity and view exactness on every
-  case;
+* laws         -- every shipped digest passes admissibility, access
+  stability, predicate commutativity and view exactness on every case
+  (their product's laws follow from these);
 * equivalence  -- racy pairs coincide with bidirectionally compatible
   write pairs;
 * subsumption  -- everything the thread flag excludes, thread ids exclude;
@@ -251,18 +251,16 @@ def run_soundness_suite(cases) -> SuiteSection:
 
 
 def run_law_suite(cases) -> SuiteSection:
-    """Every shipped digest, then their product, on every case.  The
-    product's ``LawTables`` holds one per component, and each table serves
-    the four laws of its digest: each distinct (ego, history) of the traces
-    is abstracted once per component, one table of observing steps serves
-    both the stability and the view law, and the product's values, steps
-    and verdicts are read off its components'."""
+    """Every shipped digest on every case, each on its own ``LawTables``,
+    which serves the four laws of the digest: each distinct (ego, history)
+    of the traces is abstracted once, and one table of observing steps
+    serves both the stability and the view law.  Their product is not
+    checked: its laws follow from its components' (``ProductDigest``)."""
     section = SuiteSection("laws")
-    product = ProductDigest(build_digests(CANONICAL_ORDER))
+    digests = build_digests(CANONICAL_ORDER)
     for case, ts in _exhaustive(section, cases):
-        tables = LawTables(product, ts)
-        for laws in (*tables.parts, tables):
-            d = laws.digest
+        for d in digests:
+            laws = LawTables(d, ts)
             for report in (
                 check_admissibility(laws),
                 check_access_stability(laws),

@@ -13,7 +13,6 @@ and not this module.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from typing import TYPE_CHECKING
 
 from .digests import (
@@ -27,7 +26,6 @@ from .digests import (
     ThreadFlagDigest,
     ThreadIdDigest,
     TidElem,
-    _all_defined,
 )
 from .model import Action, access_sequence, access_sites, is_atomicity_mutex
 
@@ -78,9 +76,8 @@ class LawTables:
     distinct (ego, history) of the traces, in the order of
     ``ts.law_steps().keys``; ``realized``, the initial value and those of
     ``values``, in format order; and, built on first use, the observing
-    steps and ``mhp`` verdicts over the realized values:
-    ``rows(act)[i][j]`` is ``step_observing(act, realized[i], realized[j])``
-    and ``verdicts(glob)[i][j]`` is ``mhp(glob, realized[i], realized[j])``.
+    steps over the realized values: ``rows(act)[i][j]`` is
+    ``step_observing(act, realized[i], realized[j])``.
 
     Building the rows of an action is the view-exactness law: each partner
     is compared with the first partner of its ``observed_view`` class, and
@@ -89,23 +86,18 @@ class LawTables:
     unless the view is inexact, and a partner whose step differs from its
     class keeps its own result.
 
-    A ``ProductDigest``'s ``values``, ``rows`` and ``verdicts`` are read
-    off one table per component, ``parts``, without calling the product;
-    admissibility and access stability still step its own transfer."""
+    A ``ProductDigest`` is refused: its laws follow from its components',
+    each checked on its own tables."""
 
     def __init__(self, d: Digest, ts: TraceSet):
+        if isinstance(d, ProductDigest):
+            raise ValueError(f"{d.name}: a product's laws follow from its components'; "
+                             "check each component")
         self.digest, self.traces = d, ts
-        product = isinstance(d, ProductDigest)
-        self.parts = tuple(LawTables(c, ts) for c in d.components) if product else ()
-        self.values = (list(zip(*(part.values for part in self.parts))) if product
-                       else [d.abstract(*key) for key in ts.law_steps().keys])
+        self.values = [d.abstract(*key) for key in ts.law_steps().keys]
         self.realized = sorted(set(self.values) | {d.init_digest()}, key=d.format_elem)
-        # per part, the position in its realized of each realized value's component
-        index = [{v: i for i, v in enumerate(part.realized)} for part in self.parts]
-        self._at = [[ix[a[k]] for a in self.realized] for k, ix in enumerate(index)]
         self._rows: dict[Action, list[list]] = {}
         self._view_law: dict[Action, LawReport] = {}
-        self._verdicts: dict[str, list[list]] = {}
 
     def rows(self, act: Action) -> list[list]:
         rows = self._rows.get(act)
@@ -118,30 +110,9 @@ class LawTables:
         self.rows(act)
         return self._view_law[act]
 
-    def verdicts(self, glob: str) -> list[list]:
-        table = self._verdicts.get(glob)
-        if table is None:
-            table = self._verdicts[glob] = self._table(
-                partial(self.digest.mhp, glob), [p.verdicts(glob) for p in self.parts], all)
-        return table
-
-    def _table(self, step, tables: list, meet) -> list[list]:
-        """``step`` over each ordered pair of realized values; for a product,
-        ``meet`` of the parts' entries in ``tables``, one table per part."""
-        if not self.parts:
-            return [[step(a0, a1) for a1 in self.realized] for a0 in self.realized]
-        seen: dict = {}
-        out = []
-        for i in range(len(self.realized)):
-            # per part, its row at ego i's component, read at each partner's component
-            columns = [map(t[at[i]].__getitem__, at) for t, at in zip(tables, self._at)]
-            out.append([seen.setdefault(v, v) for v in map(meet, zip(*columns))])
-        return out
-
     def _build(self, act: Action) -> list[list]:
         d, realized = self.digest, self.realized
-        rows = self._table(partial(d.step_observing, act), [p.rows(act) for p in self.parts],
-                           _all_defined)
+        rows = [[d.step_observing(act, a0, a1) for a1 in realized] for a0 in realized]
         fmt = d.format_elem
         report = self._view_law[act] = LawReport(d.name)
         by_view: dict = {}
@@ -231,14 +202,14 @@ def check_admissibility(laws: LawTables) -> LawReport:
 
 
 def check_mhp_commutativity(laws: LawTables) -> LawReport:
-    """The parallelism predicate must not depend on argument order: each
-    entry of ``laws.verdicts``, one per global and ordered pair of realized
-    values, is compared with its transpose."""
+    """The parallelism predicate must not depend on argument order: its
+    verdict on each global and ordered pair of realized values is compared
+    with its transpose."""
     d, realized = laws.digest, laws.realized
     report = LawReport(d.name)
     fmt = d.format_elem
     for glob in sorted(laws.traces.program.globals):
-        verdicts = laws.verdicts(glob)
+        verdicts = [[d.mhp(glob, a, b) for b in realized] for a in realized]
         report.checks += len(realized) ** 2
         for a, row, column in zip(realized, verdicts, zip(*verdicts)):
             for b, ab, ba in zip(realized, row, column):

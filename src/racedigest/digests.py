@@ -115,7 +115,9 @@ def _all_defined(steps):
 class ProductDigest(Digest):
     """Component-wise combination; the predicate is the meet of components.
     A value is a tuple of one component value each: ``init_digest``, the
-    transfer and ``abstract`` build every value that way."""
+    transfer and ``abstract`` build every value that way.  So its laws are
+    its components': the law suite checks those, and ``LawTables`` refuses
+    a product."""
 
     def __init__(self, components: tuple[Digest, ...]):
         if not components:

@@ -385,7 +385,7 @@ def test_conform_work_does_not_depend_on_the_process():
 CONFORM_CORPUS_REPORT = """\
 [pass] expectations: 52 checks
 [pass] soundness: 6561 checks
-[pass] laws: 17932 checks
+[pass] laws: 8565 checks
 [pass] equivalence: 85 checks
 [pass] tid-subsumes-threadflag: 91 checks
 [pass] mutants: 5 checks

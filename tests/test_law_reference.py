@@ -2,15 +2,18 @@
 when each made its own transfer calls and abstracted every trace.  On every
 corpus case, the generated programs (where many traces share an
 (ego, history)) and the once hand-off (where the once digest breaks the
-simulation law), and for every shipped digest, their product, each
-registered mutant, the inexact-view digests, a digest whose predicate
-depends on argument order and three that break the initialization and
-creation laws, the harness must give the same ``LawReport``:
-the same check count and the same violations in the same order, and each
-``mhp`` and ``generic_mhp`` verdict on the realized values is exactly a
-``bool``.  Each test digest breaks the law it is there for on some case.
-Call-count tests pin the saving on the product and one abstraction per
-(ego, history)."""
+simulation law), and for every shipped digest, each registered mutant,
+the inexact-view digests, a digest whose predicate depends on argument
+order and three that break the initialization and creation laws, the
+harness must give the same ``LawReport``: the same check count and the
+same violations in the same order, and each ``mhp`` and ``generic_mhp``
+verdict on the realized values is exactly a ``bool``.  Each test digest
+breaks the law it is there for on some case.  The harness refuses the
+product, whose laws follow from its components': wherever the reference
+finds a product breaking a law, with any of these digests in its slot, the
+harness finds one of its components breaking that law.  Call-count tests
+pin that the law suite makes no product call and abstracts each
+(ego, history) once."""
 
 from __future__ import annotations
 
@@ -138,18 +141,56 @@ def _reference(d, p, ts) -> tuple:
     )
 
 
+LAWS = (harness.check_admissibility, harness.check_access_stability,
+        harness.check_mhp_commutativity, harness.check_view_exactness)
+
+
+def _harness_breaks(d, ts) -> set[str]:
+    """The laws the harness finds ``d`` breaking on ``ts``."""
+    laws = LawTables(d, ts)
+    return {v.law for law in LAWS for v in law(laws).violations}
+
+
+@pytest.fixture(scope="module")
+def shipped_breaks(law_inputs) -> dict:
+    """``_harness_breaks`` of each shipped digest on each law input, by
+    (input, digest name)."""
+    return {(case, d.name): _harness_breaks(d, ts)
+            for case, _, ts in law_inputs for d in build_digests(CANONICAL_ORDER)}
+
+
+def _product_breaks(product, law_inputs, shipped_breaks) -> dict[tuple[str, str], bool]:
+    """Each (input, law) where the reference finds ``product`` breaking a
+    law, and whether the harness finds one of its components breaking that
+    law there."""
+    out = {}
+    for case, p, ts in law_inputs:
+        caught = set()
+        for c in product.components:
+            broken = shipped_breaks.get((case, c.name))
+            caught |= _harness_breaks(c, ts) if broken is None else broken
+        for report in _reference(product, p, ts):
+            out.update(((case, v.law), v.law in caught) for v in report.violations)
+    return out
+
+
+def _uncaught(breaks: dict) -> list[tuple[str, str]]:
+    return [key for key, caught in breaks.items() if not caught]
+
+
 @pytest.mark.parametrize("name", list(DIGESTS))
-def test_laws_match_the_reference(law_inputs, name):
+def test_laws_match_the_reference(law_inputs, shipped_breaks, name):
     d = DIGESTS[name]
+    if isinstance(d, ProductDigest):
+        # the product's own code is checked against its components' laws
+        assert _uncaught(_product_breaks(d, law_inputs, shipped_breaks)) == []
+        with pytest.raises(ValueError, match="a product's laws follow from its components'"):
+            LawTables(d, law_inputs[0][2])
+        return
     for case, p, ts in law_inputs:
         want = _reference(d, p, ts)
         # each law on its own tables
-        alone = tuple(law(LawTables(d, ts)) for law in (
-            harness.check_admissibility,
-            harness.check_access_stability,
-            harness.check_mhp_commutativity,
-            harness.check_view_exactness,
-        ))
+        alone = tuple(law(LawTables(d, ts)) for law in LAWS)
         assert alone == want, case
         # stability first, then the view law over the same tables, as in
         # run_law_suite
@@ -168,6 +209,45 @@ def test_laws_match_the_reference(law_inputs, name):
             for a, b in itertools.product(laws.realized, repeat=2):
                 assert type(d.mhp(glob, a, b)) is bool, case
                 assert type(generic_mhp(d, glob, a, b)) is bool, case
+
+
+class SwappedPartnerProduct(ProductDigest):
+    """Hands each component the partner's value as its ego and the ego's
+    as its partner: breaks the product's simulation law, though every
+    component keeps its laws."""
+
+    def step_observing(self, act, elem0, elem1):
+        return super().step_observing(act, elem1, elem0)
+
+
+def test_product_check_catches_a_planted_product_fault(law_inputs, shipped_breaks):
+    # the product entry of test_laws_match_the_reference fails on this product
+    product = SwappedPartnerProduct(build_digests(CANONICAL_ORDER))
+    breaks = _product_breaks(product, law_inputs, shipped_breaks)
+    assert ("prog1_running_example", "simulation") in _uncaught(breaks)
+
+
+FAULTY = (*MUTANTS.values(), BlindThreadFlag, PathOnlyJoin, BlindOnce, BlindOverlapLockset,
+          LeakyLockset, OrderedThreadFlag, *ADMISSIBILITY_BREAKERS)
+
+
+def test_component_checks_catch_every_product_fault(law_inputs, shipped_breaks):
+    """Each faulty test digest, in its slot of the shipped product: wherever
+    the reference finds the product breaking a law, the harness finds a
+    component breaking that law, so checking the components alone loses no
+    fault of the product."""
+    broken = set()
+    for factory in FAULTY:
+        d = factory()
+        components = list(build_digests(CANONICAL_ORDER))
+        components[CANONICAL_ORDER.index(d.name.split("@")[0])] = d
+        product = ProductDigest(tuple(components))
+        breaks = _product_breaks(product, law_inputs, shipped_breaks)
+        assert _uncaught(breaks) == [], d.name
+        broken |= {law for _, law in breaks}
+    # the products break every law but commutativity on some input
+    assert broken == {"init", "simulation", "new-thread", "new-thread-defined",
+                      "access-stability", "view-exactness"}
 
 
 def test_law_inputs_share_keys_and_break_simulation(law_inputs):
@@ -228,13 +308,13 @@ def test_admissibility_catches_init_and_creation_faults(corpus_cases, factory, v
 def test_lock_steps_share_one_object_per_view_class(corpus_cases):
     case = next(c for c in corpus_cases if c.name == "prog1_running_example")
     ts = case.traces()
-    product = DIGESTS["product"]
-    laws = LawTables(product, ts)
     lock = Action("lock", atomicity_mutex(sorted(case.program.globals)[0]))
-    classes = {product.observed_view(lock, a1) for a1 in laws.realized}
-    for a0, row in zip(laws.realized, laws.rows(lock)):
-        assert row == [product.step_observing(lock, a0, a1) for a1 in laws.realized]
-        assert len({id(r) for r in row}) <= len(classes)
+    for d in build_digests(CANONICAL_ORDER):
+        laws = LawTables(d, ts)
+        classes = {d.observed_view(lock, a1) for a1 in laws.realized}
+        for a0, row in zip(laws.realized, laws.rows(lock)):
+            assert row == [d.step_observing(lock, a0, a1) for a1 in laws.realized], d.name
+            assert len({id(r) for r in row}) <= len(classes), d.name
 
 
 TRANSFER = ("step_observing", "step_local", "new_digest", "mhp")
@@ -253,12 +333,11 @@ def test_product_law_suite_makes_few_transfer_calls(corpus_cases, monkeypatch):
 
         monkeypatch.setattr(ProductDigest, name, counted)
     section = run_law_suite(corpus_cases)
-    assert section.passed and section.checks == 17932
+    assert section.passed and section.checks == 8565
     # the harness before the shared table made 17,343 of these calls, and
-    # 6,821 while it stepped the product's rows and verdicts itself; now no
-    # mhp call is left, and the rest replay the transfer for admissibility
-    # and access stability
-    assert calls == Counter(step_local=955, step_observing=138, new_digest=56), dict(calls)
+    # 1,149 while it checked the product on its components' tables; the
+    # product's laws follow from its components', and it is not called
+    assert calls == Counter(), dict(calls)
 
 
 ABSTRACTING = (LocksetDigest, ThreadFlagDigest, ThreadIdDigest, JoinDigest, OnceDigest,
@@ -267,8 +346,8 @@ ABSTRACTING = (LocksetDigest, ThreadFlagDigest, ThreadIdDigest, JoinDigest, Once
 
 def test_law_suite_abstracts_each_key_once(corpus_cases, monkeypatch):
     """``run_law_suite`` calls each component's ``abstract`` once per
-    distinct (ego, history) of a case, and the product's never: its values
-    are read off the components'.  Calls a digest makes inside its own
+    distinct (ego, history) of a case, and the product's never: the
+    product is not checked.  Calls a digest makes inside its own
     ``abstract`` (the join digest's tid) are not counted."""
     calls: Counter = Counter()
     inside = [0]

@@ -1,14 +1,16 @@
 """The law harness reads tables built once per trace set.  Each is checked
 against what it stands for: a recorded trace's history against the
-history its events and deps define; the product's values
+history its events and deps define; a digest's values
 (``LawTables.values``), one per (ego, history) of the traces, against its
-abstraction, and its observing steps and verdicts, read off its
-components' tables, against its transfer and predicate; the recorded
-steps against a walk over the
-events of the reference enumerator's pomsets; and the grouped steps the
-harness replays (``TraceSet.law_steps``) against the traces."""
+abstraction; the product's transfer and predicate against its
+components', the component-wise facts its laws follow from; the
+recorded steps against a walk over the events of the reference
+enumerator's pomsets; and the grouped steps the harness replays
+(``TraceSet.law_steps``) against the traces."""
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
@@ -48,37 +50,42 @@ def test_index_histories_match_the_per_trace_fold(trace_sets, name):
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, *GENERATED])
 def test_product_table_is_the_product_abstraction(trace_sets, name):
     """Each distinct (ego, history) of the traces is a key, in first-seen
-    order, and the product's value there, read off its components' tables,
-    is the one ``ProductDigest.abstract`` gives."""
+    order, and the product's value there is the tuple of its components'
+    ``LawTables.values``."""
     ts = trace_sets[name]
     keys = ts.law_steps().keys
     assert keys == list(dict.fromkeys((t.ego, t.history) for t in ts.traces))
     product = ProductDigest(build_digests(CANONICAL_ORDER))
-    laws = LawTables(product, ts)
-    assert [p.digest for p in laws.parts] == list(product.components)
-    assert laws.values == [product.abstract(*key) for key in keys]
+    parts = [LawTables(c, ts) for c in product.components]
+    assert [product.abstract(*key) for key in keys] == list(zip(*(p.values for p in parts)))
 
 
 @pytest.mark.parametrize("name", [*CORPUS_NAMES, *GENERATED])
 def test_product_tables_match_the_product_transfer(trace_sets, name):
-    """The product's rows and verdicts are read off its components'
-    tables, not made by its own ``step_observing`` and ``mhp``; here each
-    entry is checked against those, and each distinct step is one object
-    per table."""
+    """The product is component-wise on its realized values, which is why
+    its laws follow from its components': its initial value and each view
+    are the tuples of theirs, each observing step is the tuple of theirs
+    (None at a None), and each verdict is the meet of theirs."""
     ts = trace_sets[name]
     product = ProductDigest(build_digests(CANONICAL_ORDER))
-    laws = LawTables(product, ts)
-    realized = laws.realized
+    components = product.components
+    assert product.init_digest() == tuple(c.init_digest() for c in components)
+    values = zip(*(LawTables(c, ts).values for c in components))
+    realized = sorted(set(values) | {product.init_digest()}, key=product.format_elem)
+    pairs = list(itertools.product(realized, repeat=2))
     observing = {e.action for e in ts.program.all_edges() if e.action.is_observing}
     for act in observing:
-        rows = laws.rows(act)
-        for a0, row in zip(realized, rows):
-            assert row == [product.step_observing(act, a0, a1) for a1 in realized], act
-        steps = [r for row in rows for r in row]
-        assert len({id(r) for r in steps}) == len(set(steps)), act
+        for a0, a1 in pairs:
+            steps = [c.step_observing(act, x, y) for c, x, y in zip(components, a0, a1)]
+            want = None if None in steps else tuple(steps)
+            assert product.step_observing(act, a0, a1) == want, act
+        for a1 in realized:
+            assert product.observed_view(act, a1) == tuple(
+                c.observed_view(act, e) for c, e in zip(components, a1)), act
     for glob in sorted(ts.program.globals):
-        assert laws.verdicts(glob) == [[product.mhp(glob, a, b) for b in realized]
-                                       for a in realized], glob
+        for a, b in pairs:
+            assert product.mhp(glob, a, b) is all(
+                c.mhp(glob, x, y) for c, x, y in zip(components, a, b)), glob
 
 
 @pytest.mark.parametrize("name", ["deep_paths_all_race", "join_chain", "nested_create"])
@@ -179,7 +186,6 @@ def test_law_tables_share_one_step_table(monkeypatch, prog1):
 
     monkeypatch.setattr(oracle, "LawSteps", Counted)
     ts = enumerate_traces(prog1)
-    components = build_digests(CANONICAL_ORDER)
-    for d in (components[0], ProductDigest(components)):
+    for d in build_digests(CANONICAL_ORDER)[:2]:
         assert check_admissibility(LawTables(d, ts)).passed
     assert built == [ts]

@@ -1,10 +1,14 @@
-"""The test settings and the language floor: a failing property test is
-reported by name under the project's pytest settings, and every Python
-file parses with the oldest grammar ``requires-python`` admits."""
+"""The test settings, the language floor and the benchmark's reads: a
+failing property test is reported by name under the project's pytest
+settings, every Python file parses with the oldest grammar
+``requires-python`` admits, and every name the benchmark under
+``perfbench/`` reads of ``racedigest`` resolves, though the tests never
+import the benchmark."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import shutil
 import subprocess
 import sys
@@ -55,3 +59,81 @@ def test_every_source_parses_with_the_oldest_supported_grammar():
         except SyntaxError as exc:
             failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert failures == []
+
+
+def _benchmark_reads(source: str) -> list[tuple[str, tuple[str, ...]]]:
+    """What a benchmark file with text ``source`` reads of ``racedigest``,
+    as (module, attribute path) pairs: each ``import racedigest.X`` and
+    ``from racedigest.X import Y``, function-local ones too, and each
+    entry of ``INSTRUMENTED`` and ``REPORT_METHODS``."""
+    tree = ast.parse(source)
+    reads = []
+    bound = {}  # a name a from-import binds -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            reads += [(a.name, ()) for a in node.names if a.name.split(".")[0] == "racedigest"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "racedigest":
+            for a in node.names:
+                reads.append((node.module, (a.name,)))
+                bound[a.asname or a.name] = node.module, a.name
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("INSTRUMENTED", "REPORT_METHODS")):
+            continue
+        for entry in node.value.elts:
+            owner, attr = entry.elts[:2]
+            if isinstance(owner, ast.Name):  # a class a from-import binds
+                module, name = bound[owner.id]
+                reads.append((module, (name, attr.value)))
+            else:  # a module, racedigest.X
+                reads.append((ast.unparse(owner), (attr.value,)))
+    return reads
+
+
+def _unresolved(reads) -> list[str]:
+    """The dotted name of each read that does not resolve."""
+    out = []
+    for module, attrs in reads:
+        try:
+            obj = importlib.import_module(module)
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except (ImportError, AttributeError):
+            out.append(".".join((module, *attrs)))
+    return out
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # the tests never import perfbench/, so a name the benchmark reads and
+    # a refactor drops would otherwise fail only when the benchmark runs
+    reads = [read for path in sorted((ROOT / "perfbench").glob("*.py"))
+             for read in _benchmark_reads(path.read_text(encoding="utf-8"))]
+    for read in (("racedigest.digest", ("ProductDigest",)),
+                 ("racedigest.digest", ("check_mhp_commutativity",)),
+                 ("racedigest.detector", ("RaceReport", "to_text")),
+                 ("racedigest.cli", ())):
+        assert read in reads
+    assert _unresolved(reads) == []
+
+
+PLANTED_BENCHMARK = """\
+import racedigest.digest
+from racedigest.detector import RaceReport
+
+
+def setup():
+    from racedigest.digest import NoSuchDigest
+
+
+INSTRUMENTED = [(racedigest.digest, "no_such_law", "digest.none", None)]
+REPORT_METHODS = [(RaceReport, "to_nothing")]
+"""
+
+
+def test_a_name_the_benchmark_reads_and_the_package_lacks_is_rejected():
+    assert sorted(_unresolved(_benchmark_reads(PLANTED_BENCHMARK))) == [
+        "racedigest.detector.RaceReport.to_nothing",
+        "racedigest.digest.NoSuchDigest",
+        "racedigest.digest.no_such_law",
+    ]
