@@ -17,6 +17,11 @@ hit) and internal failures (any other exception, reported as one
 ``error: internal: <type>: <message>`` line on stderr),
 3 oracle inconclusive: the enumeration was cut off by its bounds and found
 no race (races found in a truncated run still exit 1).
+
+``run`` is the process entry point (``python -m racedigest.cli`` and the
+``racedigest`` console script).  ``main(argv)`` is the in-process API: it
+returns the exit code, restores the caller's collector state and never
+freezes the heap.
 """
 
 from __future__ import annotations
@@ -188,5 +193,16 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """Run ``main`` on the process's arguments and exit with its code.
+    Every way out, a usage error or ``--help`` included, freezes the heap
+    first: the interpreter's shutdown then runs its cyclic-collector
+    passes without traversing what the call imported or built."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

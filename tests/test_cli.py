@@ -388,6 +388,9 @@ def test_commands_run_with_the_collector_paused(capsys, monkeypatch, collecting)
 
     monkeypatch.setattr(racedigest.oracle, "enumerate_traces", recorded)
     prog = rlp("prog0_unsync_writes")
+    # only the process entry point freezes: main must not build up a
+    # permanent generation in a process that calls it again and again
+    frozen = gc.get_freeze_count()
     (gc.enable if collecting else gc.disable)()
     try:
         assert run(capsys, "oracle", prog)[0] == 1
@@ -399,29 +402,70 @@ def test_commands_run_with_the_collector_paused(capsys, monkeypatch, collecting)
     finally:
         gc.enable()
     assert paused == [False, False]
+    assert gc.get_freeze_count() == frozen
+
+
+_FROZEN_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen: {gc.get_freeze_count() > 0}\\n"))
+runpy.run_module("racedigest.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("analyze", rlp("prog1_running_example"), "--digests", "lockset,threadflag"), 0),
+    (("oracle", rlp("prog0_unsync_writes")), 1),
+    (("analyze", rlp("no_such_case")), 2),
+    (("oracle", rlp("prog0_unsync_writes"), "--depth", "3", "--width", "1"), 3),
+    (("analyze",), 2),
+    (("--help",), 0),
+], ids=["race-free", "racy", "missing-file", "inconclusive", "usage-error", "help"])
+def test_every_way_out_of_the_process_freezes_the_heap(argv, code):
+    # the atexit hooks run after the entry point returns or raises and
+    # before the shutdown's collector passes the freeze spares
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run(
+        [sys.executable, "-c", _FROZEN_AT_EXIT, *argv],
+        env=env, capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert done.returncode == code
+    assert done.stderr.endswith("frozen: True\n")
+
+
+_REPORTS = [
+    *([cmd, rlp("prog1_running_example"), "--format", "json"]
+      for cmd in ("analyze", "ablate", "oracle")),
+    ["conform", str(CORPUS_DIR)],
+]
+
+
+def _process(argv, hash_seed: str):
+    """``python -m racedigest.cli *argv`` in a fresh interpreter:
+    (exit code, stdout bytes, stderr bytes)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), PYTHONHASHSEED=hash_seed)
+    done = subprocess.run(
+        [sys.executable, "-m", "racedigest.cli", *argv],
+        env=env, capture_output=True, check=False, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_reports_do_not_depend_on_hash_seed():
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    prog = rlp("prog1_running_example")
-    commands = [[cmd, prog, "--format", "json"] for cmd in ("analyze", "ablate", "oracle")]
-    commands.append(["conform", str(CORPUS_DIR)])
-    outputs = []
-    for seed in ("1", "2"):
-        env["PYTHONHASHSEED"] = seed
-        outputs.append(
-            [
-                subprocess.run(
-                    [sys.executable, "-m", "racedigest.cli", *argv],
-                    env=env, capture_output=True, check=False, timeout=120,
-                ).stdout
-                for argv in commands
-            ]
-        )
+    outputs = [[_process(argv, seed) for argv in _REPORTS] for seed in ("1", "2")]
     assert outputs[0] == outputs[1]
     *reports, conform = outputs[0]
-    assert all(out.startswith(b"{") for out in reports)
-    assert conform.endswith(b"all suites pass\n")
+    assert all(out.startswith(b"{") for _, out, _ in reports)
+    assert conform[1].endswith(b"all suites pass\n")
+
+
+@pytest.mark.parametrize("argv", [
+    *_REPORTS,
+    ["analyze", rlp("no_such_case")],
+    ["oracle", rlp("prog0_unsync_writes"), "--depth", "3", "--width", "1"],
+], ids=["analyze", "ablate", "oracle", "conform", "missing-file", "inconclusive"])
+def test_the_process_prints_what_main_returns(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert _process(argv, "0") == (code, out.encode(), err.encode())
 
 
 _LOADED_MODULES = """

@@ -1,7 +1,8 @@
-"""The test settings, the language floor and the benchmark's reads: a
-failing property test is reported by name under the project's pytest
-settings, every Python file parses with the oldest grammar
-``requires-python`` admits, and every name the benchmark under
+"""The test settings, the language floor, the console scripts and the
+benchmark's reads: a failing property test is reported by name under the
+project's pytest settings, every Python file parses with the oldest
+grammar ``requires-python`` admits, every console script's target is a
+callable the package has, and every name the benchmark under
 ``perfbench/`` reads of ``racedigest`` resolves, though the tests never
 import the benchmark."""
 
@@ -137,3 +138,51 @@ def test_a_name_the_benchmark_reads_and_the_package_lacks_is_rejected():
         "racedigest.digest.NoSuchDigest",
         "racedigest.digest.no_such_law",
     ]
+
+
+def _broken_scripts(pyproject: str) -> list[str]:
+    """The console scripts in the ``[project.scripts]`` table of a
+    pyproject.toml with text ``pyproject`` whose ``module:attribute``
+    target does not import or is not callable.  The text is read line by
+    line: Python 3.10, the ``requires-python`` floor, has no ``tomllib``."""
+    broken, in_scripts = [], False
+    for line in pyproject.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            in_scripts = line == "[project.scripts]"
+        elif in_scripts and "=" in line and not line.startswith("#"):
+            name, target = (part.strip().strip("\"'") for part in line.split("=", 1))
+            module, _, attr = target.partition(":")
+            try:
+                obj = importlib.import_module(module)
+                for part in attr.split("."):
+                    obj = getattr(obj, part)
+            except (ImportError, AttributeError):
+                obj = None
+            if not callable(obj):
+                broken.append(name)
+    return broken
+
+
+def test_every_console_script_target_is_callable():
+    # the tests call racedigest.cli by module, so a typo in a target would
+    # break only the installed command
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'racedigest = "racedigest.cli:run"' in pyproject
+    assert _broken_scripts(pyproject) == []
+
+
+PLANTED_PYPROJECT = """\
+[project.scripts]
+typo = "racedigest.cli:rnu"
+no-module = "racedigest.clii:run"
+not-callable = "racedigest.cli:__doc__"
+fine = "racedigest.cli:main"
+
+[tool.other]
+outside = "racedigest.cli:rnu"
+"""
+
+
+def test_a_console_script_that_cannot_run_is_rejected():
+    assert _broken_scripts(PLANTED_PYPROJECT) == ["typo", "no-module", "not-callable"]
