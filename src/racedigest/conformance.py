@@ -252,10 +252,10 @@ def run_soundness_suite(cases) -> SuiteSection:
 
 def run_law_suite(cases) -> SuiteSection:
     """Every shipped digest on every case, each on its own ``LawTables``,
-    which serves the four laws of the digest: each distinct (ego, history)
-    of the traces is abstracted once, and one table of observing steps
-    serves both the stability and the view law.  Their product is not
-    checked: its laws follow from its components' (``ProductDigest``)."""
+    which abstracts each distinct (ego, history) of the traces once:
+    admissibility replays the traces' steps on it, and the three
+    oracle-free laws are checked on its realized values.  Their product is
+    not checked: its laws follow from its components' (``ProductDigest``)."""
     section = SuiteSection("laws")
     digests = build_digests(CANONICAL_ORDER)
     for case, ts in _exhaustive(section, cases):
@@ -263,9 +263,9 @@ def run_law_suite(cases) -> SuiteSection:
             laws = LawTables(d, ts)
             for report in (
                 check_admissibility(laws),
-                check_access_stability(laws),
-                check_mhp_commutativity(laws),
-                check_view_exactness(laws),
+                check_access_stability(d, case.program, laws.realized),
+                check_mhp_commutativity(d, case.program, laws.realized),
+                check_view_exactness(d, case.program, laws.realized),
             ):
                 section.checks += report.checks
                 for v in report.violations:
@@ -325,7 +325,8 @@ def _catches(case: CorpusCase, ts: TraceSet, mutant: Digest, product: ProductDig
     """Whether ``case`` catches ``mutant``: by a law, or else by a race the
     product holding it misses."""
     laws = LawTables(mutant, ts)
-    if not check_admissibility(laws).passed or not check_access_stability(laws).passed:
+    if (not check_admissibility(laws).passed
+            or not check_access_stability(mutant, case.program, laws.realized).passed):
         return True
     flagged = detect(solve(build_system(case.program, product)), product).flagged
     return not case.oracle_site_pairs() <= flagged.keys()

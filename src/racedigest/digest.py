@@ -1,9 +1,12 @@
 """Digest laws and the broken digests they must catch.
 
-The law harness replays enumerated concrete steps against the transfer
-functions of a digest from ``digests`` to check the simulation, creation
-and initialization laws, plus access stability, the commutativity of the
-parallelism predicate and the exactness of each digest's observed view.
+The law harness checks a digest from ``digests`` in two ways.
+``check_admissibility`` replays enumerated concrete steps, read through a
+``LawTables``, against the digest's transfer functions: the simulation,
+creation and initialization laws.  Access stability, the commutativity of
+the parallelism predicate and the exactness of each observed view read no
+trace: each takes the digest, a program and a list of digest values, and
+makes its own transfer calls.
 ``MUTANTS`` registers one deliberately broken variant of each shipped
 digest, which the law or the soundness suite must catch.  Only ``conform``
 and the tests load this module; the analyzer commands load ``digests``
@@ -27,7 +30,7 @@ from .digests import (
     ThreadIdDigest,
     TidElem,
 )
-from .model import Action, access_sequence, access_sites, is_atomicity_mutex
+from .model import Action, Program, access_sequence, access_sites, is_atomicity_mutex
 
 if TYPE_CHECKING:
     from .oracle import TraceSet
@@ -71,20 +74,12 @@ class LawReport:
 
 
 class LawTables:
-    """What the laws read of digest ``d`` over the trace set ``ts``
-    (``traces``), each made once: ``values``, the digest's value at each
-    distinct (ego, history) of the traces, in the order of
-    ``ts.law_steps().keys``; ``realized``, the initial value and those of
-    ``values``, in format order; and, built on first use, the observing
-    steps over the realized values: ``rows(act)[i][j]`` is
-    ``step_observing(act, realized[i], realized[j])``.
-
-    Building the rows of an action is the view-exactness law: each partner
-    is compared with the first partner of its ``observed_view`` class, and
-    one whose step equals that first step holds the first step's object.
-    So the rows of an action hold at most one object per (ego, view class)
-    unless the view is inexact, and a partner whose step differs from its
-    class keeps its own result.
+    """What ``check_admissibility`` reads of digest ``d`` over the trace set
+    ``ts`` (``traces``), each made once: ``values``, the digest's value at
+    each distinct (ego, history) of the traces, in the order of
+    ``ts.law_steps().keys``; and ``realized``, the initial value and those
+    of ``values``, in format order, the value list the three oracle-free
+    laws are checked on.
 
     A ``ProductDigest`` is refused: its laws follow from its components',
     each checked on its own tables."""
@@ -96,45 +91,6 @@ class LawTables:
         self.digest, self.traces = d, ts
         self.values = [d.abstract(*key) for key in ts.law_steps().keys]
         self.realized = sorted(set(self.values) | {d.init_digest()}, key=d.format_elem)
-        self._rows: dict[Action, list[list]] = {}
-        self._view_law: dict[Action, LawReport] = {}
-
-    def rows(self, act: Action) -> list[list]:
-        rows = self._rows.get(act)
-        if rows is None:
-            rows = self._rows[act] = self._build(act)
-        return rows
-
-    def view_law(self, act: Action) -> LawReport:
-        """The view-exactness checks and violations of building ``act``."""
-        self.rows(act)
-        return self._view_law[act]
-
-    def _build(self, act: Action) -> list[list]:
-        d, realized = self.digest, self.realized
-        rows = [[d.step_observing(act, a0, a1) for a1 in realized] for a0 in realized]
-        fmt = d.format_elem
-        report = self._view_law[act] = LawReport(d.name)
-        by_view: dict = {}
-        for j, a1 in enumerate(realized):
-            by_view.setdefault(d.observed_view(act, a1), []).append(j)
-        for first, *rest in by_view.values():
-            for a0, row in zip(realized, rows):
-                want = row[first]
-                for j in rest:
-                    report.checks += 1
-                    got = row[j]
-                    if got == want:
-                        row[j] = want
-                        continue
-                    report.add(
-                        "view-exactness",
-                        f"{act.kind} {act.target} from {fmt(a0)}: partners "
-                        f"{fmt(realized[first])} and {fmt(realized[j])} share a view but "
-                        f"step to {'none' if want is None else fmt(want)} and "
-                        f"{'none' if got is None else fmt(got)}",
-                    )
-        return rows
 
 
 def _misses(report: LawReport, made: dict, values: list, got) -> list[tuple]:
@@ -201,14 +157,13 @@ def check_admissibility(laws: LawTables) -> LawReport:
     return report
 
 
-def check_mhp_commutativity(laws: LawTables) -> LawReport:
+def check_mhp_commutativity(d: Digest, program: Program, realized: list) -> LawReport:
     """The parallelism predicate must not depend on argument order: its
-    verdict on each global and ordered pair of realized values is compared
-    with its transpose."""
-    d, realized = laws.digest, laws.realized
+    verdict on each global of ``program`` and ordered pair of the values
+    ``realized`` is compared with its transpose."""
     report = LawReport(d.name)
     fmt = d.format_elem
-    for glob in sorted(laws.traces.program.globals):
+    for glob in sorted(program.globals):
         verdicts = [[d.mhp(glob, a, b) for b in realized] for a in realized]
         report.checks += len(realized) ** 2
         for a, row, column in zip(realized, verdicts, zip(*verdicts)):
@@ -219,48 +174,56 @@ def check_mhp_commutativity(laws: LawTables) -> LawReport:
     return report
 
 
-def check_access_stability(laws: LawTables) -> LawReport:
-    """An access sequence lock(m_g); access; unlock(m_g) must leave any
-    realized digest unchanged whenever it is defined.  The lock steps are
-    read from ``laws.rows``, and the access and unlock steps are taken once
-    per distinct lock result of each site and ego."""
-    d, realized, p = laws.digest, laws.realized, laws.traces.program
+def check_access_stability(d: Digest, program: Program, realized: list) -> LawReport:
+    """An access sequence lock(m_g); access; unlock(m_g) of ``program``
+    must leave each value of ``realized``, observing each of them, unchanged
+    whenever it is defined."""
     report = LawReport(d.name)
     fmt = d.format_elem
-    for site, glob, _ in access_sites(p):
-        lock_e, acc_e, unl_e = access_sequence(p, site)
+    for site, _, _ in access_sites(program):
+        lock_e, acc_e, unl_e = access_sequence(program, site)
         report.checks += len(realized) ** 2
-        for a0, row in zip(realized, laws.rows(lock_e.action)):
-            # id(lock result) -> what the sequence maps a0 to, where that is not a0
-            moved: dict[int, object] = {}
-            for r in {id(r): r for r in row if r is not None}.values():
-                out = d.step_local(acc_e.action, r)
-                if out is not None:
-                    out = d.step_local(unl_e.action, out)
-                if out is not None and out != a0:
-                    moved[id(r)] = out
-            if moved:
-                for a1, r in zip(realized, row):
-                    if id(r) in moved:
-                        report.add(
-                            "access-stability",
-                            f"sequence at {site} maps {fmt(a0)} (observing "
-                            f"{fmt(a1)}) to {fmt(moved[id(r)])}",
-                        )
+        for a0 in realized:
+            for a1 in realized:
+                r = d.step_observing(lock_e.action, a0, a1)
+                if r is not None:
+                    r = d.step_local(acc_e.action, r)
+                if r is not None:
+                    r = d.step_local(unl_e.action, r)
+                if r is not None and r != a0:
+                    report.add("access-stability",
+                               f"sequence at {site} maps {fmt(a0)} (observing "
+                               f"{fmt(a1)}) to {fmt(r)}")
     return report
 
 
-def check_view_exactness(laws: LawTables) -> LawReport:
+def check_view_exactness(d: Digest, program: Program, realized: list) -> LawReport:
     """Two partner values with equal ``observed_view`` must give equal
-    observing steps: for every observing action of the program, every
-    realized ego value and every two realized partners of one view.  The
-    checks are those of building ``laws.rows``."""
-    report = LawReport(laws.digest.name)
-    program = laws.traces.program
+    observing steps: for every observing action of ``program``, every ego
+    value of ``realized`` and every two partners of ``realized`` in one
+    view class, each partner is compared with the first of its class."""
+    report = LawReport(d.name)
+    fmt = d.format_elem
     for act in dict.fromkeys(e.action for e in program.all_edges() if e.action.is_observing):
-        built = laws.view_law(act)
-        report.checks += built.checks
-        report.violations.extend(built.violations)
+        by_view: dict = {}
+        for a1 in realized:
+            by_view.setdefault(d.observed_view(act, a1), []).append(a1)
+        for first, *rest in by_view.values():
+            if not rest:
+                continue
+            for a0 in realized:
+                want = d.step_observing(act, a0, first)
+                for a1 in rest:
+                    report.checks += 1
+                    got = d.step_observing(act, a0, a1)
+                    if got != want:
+                        report.add(
+                            "view-exactness",
+                            f"{act.kind} {act.target} from {fmt(a0)}: partners {fmt(first)} "
+                            f"and {fmt(a1)} share a view but step to "
+                            f"{'none' if want is None else fmt(want)} and "
+                            f"{'none' if got is None else fmt(got)}",
+                        )
     return report
 
 

@@ -39,6 +39,9 @@ class DslSyntaxError(Exception):
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NODE = r"[A-Za-z0-9_.@~$]+"
+# the alphabet of the ids the parser makes (``label.cN``): a separator such
+# as ``,`` in an id would let two thread-id paths print alike
+_CREATE_ID_RE = re.compile(r"[A-Za-z0-9_.]+")
 _DECL_RE = re.compile(rf"^(global|mutex|once)\s+({_IDENT})$")
 _PROTO_RE = re.compile(rf"^({_IDENT})\s*(?:@\s*({_NODE})\s*)?:$")
 _EDGE_RE = re.compile(rf"^({_NODE})\s*:\s*(.*?)\s*->\s*({_NODE})$")
@@ -162,6 +165,8 @@ def _parse_action(text: str, lineno: int, declared: dict[str, set[str]],
             if toks[2] != "as":
                 raise DslSyntaxError("expected 'create <proto> [as <id>]'", lineno)
             cid = toks[3]
+            if not _CREATE_ID_RE.fullmatch(cid):
+                raise DslSyntaxError(f"create-edge id {cid!r} must match [A-Za-z0-9_.]+", lineno)
         else:
             cid = f"{builder.label}.c{builder.create_counter}"
             builder.create_counter += 1

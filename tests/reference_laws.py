@@ -1,11 +1,12 @@
-"""The four digest laws as the harness checked them when each law made
-its own transfer calls: every observing step taken afresh for every site,
-ego and partner, and ``mhp`` called both ways per pair.  The harness in
-``racedigest.digest`` shares one table of observing steps between the
-stability and view laws, and abstracts each distinct (ego, history)
-once; ``test_law_reference.py`` checks that it gives these functions'
-reports, violation for violation.  Here every trace is abstracted on its
-own, into a ``{trace: alpha}`` table."""
+"""The four digest laws, each read off the traces on its own.  Every trace
+is abstracted on its own, into a ``{trace: alpha}`` table, admissibility
+replays each trace's step alone, and each law that reads no trace finds
+its realized values itself when it is given none.  The harness in
+``racedigest.digest`` abstracts each distinct (ego, history) once, takes
+each distinct step's transfer once, and hands its three oracle-free laws,
+which take ``(digest, program, values)``, the values it realized; its
+stability and view loops are these.  ``test_law_reference.py`` checks
+that it gives these functions' reports, violation for violation."""
 
 from __future__ import annotations
 

@@ -283,6 +283,36 @@ def test_code_after_thread_exit_exit_two(capsys, tmp_path, command):
     assert err == "error: code after thread_exit in 'main' (line 4)\n"
 
 
+# Two thread ids printed alike when a create id held a separator: path
+# ("a,b",) and path ("a", "b") both formatted as tid![a,b]c[], and the
+# report's order of the tied records followed the hash seed.
+COMMA_CREATE_ID = ("global g\nmain:\ncreate t as a,b\ncreate x as a\nt:\ng = 1\n"
+                   "x:\nskip\nlabel L\ng = 3\ncreate t as b\ngoto L\n")
+
+
+@pytest.mark.parametrize("source, line", [
+    (COMMA_CREATE_ID, 3),
+    ("global g\n\nmain @ s:\n  s: create t as a,b -> e\n\nt @ u:\n  u: g = 1 -> v\n", 4),
+    ("main:\n  create t as e-1\n\nt:\n  skip\n", 2),
+], ids=["sugared", "explicit", "dash"])
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_create_id_outside_the_generated_alphabet_exit_two(capsys, tmp_path, command,
+                                                           source, line):
+    path = tmp_path / "p.rlp"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}:1: create-edge id ") and err.count("\n") == 1
+    assert "must match [A-Za-z0-9_.]+" in err
+
+
+def test_create_ids_of_the_generated_alphabet_parse(capsys, tmp_path):
+    path = tmp_path / "p.rlp"
+    path.write_text("global g\nmain:\n  create t as main.c9_X\n  create t\nt:\n  g = 1\n",
+                    encoding="utf-8")
+    assert run(capsys, "analyze", str(path))[0] == 1
+
+
 @pytest.mark.parametrize("case, bounds, code", [
     ("prog0_unsync_writes", (), 1),
     ("prog0_unsync_writes", ("--depth", "3", "--width", "1"), 3),

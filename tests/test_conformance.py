@@ -127,9 +127,10 @@ def _first_catch(cases, mutant, product) -> tuple[str, str] | None:
     stability, then a race the product holding the mutant misses."""
     for case in cases:
         laws = LawTables(mutant, case.traces())
-        for law, check in (("admissibility", check_admissibility),
-                           ("stability", check_access_stability)):
-            if not check(laws).passed:
+        for law, report in (
+                ("admissibility", check_admissibility(laws)),
+                ("stability", check_access_stability(mutant, case.program, laws.realized))):
+            if not report.passed:
                 return case.name, law
         flagged = detect(solve(build_system(case.program, product)), product).flagged
         if not case.oracle_site_pairs() <= flagged.keys():

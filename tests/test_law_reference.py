@@ -1,5 +1,7 @@
 """The law harness against ``reference_laws``, the laws as they were checked
-when each made its own transfer calls and abstracted every trace.  On every
+when every trace was abstracted on its own and admissibility replayed each
+trace's step alone.  The harness abstracts each (ego, history) once and
+hands the three oracle-free laws its realized values.  On every
 corpus case, the generated programs (where many traces share an
 (ego, history)) and the once hand-off (where the once digest breaks the
 simulation law), and for every shipped digest, each registered mutant,
@@ -39,8 +41,7 @@ from racedigest.digests import (
     generic_mhp,
 )
 from racedigest.dsl import parse_program
-from racedigest.model import (Action, atomicity_mutex, instrument_atomicity,
-                              is_atomicity_mutex)
+from racedigest.model import instrument_atomicity, is_atomicity_mutex
 from racedigest.oracle import enumerate_traces
 
 from tests import reference_laws as reference
@@ -141,22 +142,29 @@ def _reference(d, p, ts) -> tuple:
     )
 
 
-LAWS = (harness.check_admissibility, harness.check_access_stability,
-        harness.check_mhp_commutativity, harness.check_view_exactness)
+ORACLE_FREE = (harness.check_access_stability, harness.check_mhp_commutativity,
+               harness.check_view_exactness)
 
 
-def _harness_breaks(d, ts) -> set[str]:
-    """The laws the harness finds ``d`` breaking on ``ts``."""
+def _harness(d, p, ts) -> tuple:
+    """The harness's four reports on ``d`` over ``ts``, in the order of
+    ``_reference``: admissibility on a ``LawTables``, and the three
+    oracle-free laws on its realized values."""
     laws = LawTables(d, ts)
-    return {v.law for law in LAWS for v in law(laws).violations}
+    return (harness.check_admissibility(laws), *(law(d, p, laws.realized) for law in ORACLE_FREE))
+
+
+def _harness_breaks(d, p, ts) -> set[str]:
+    """The laws the harness finds ``d`` breaking on ``ts``."""
+    return {v.law for report in _harness(d, p, ts) for v in report.violations}
 
 
 @pytest.fixture(scope="module")
 def shipped_breaks(law_inputs) -> dict:
     """``_harness_breaks`` of each shipped digest on each law input, by
     (input, digest name)."""
-    return {(case, d.name): _harness_breaks(d, ts)
-            for case, _, ts in law_inputs for d in build_digests(CANONICAL_ORDER)}
+    return {(case, d.name): _harness_breaks(d, p, ts)
+            for case, p, ts in law_inputs for d in build_digests(CANONICAL_ORDER)}
 
 
 def _product_breaks(product, law_inputs, shipped_breaks) -> dict[tuple[str, str], bool]:
@@ -168,7 +176,7 @@ def _product_breaks(product, law_inputs, shipped_breaks) -> dict[tuple[str, str]
         caught = set()
         for c in product.components:
             broken = shipped_breaks.get((case, c.name))
-            caught |= _harness_breaks(c, ts) if broken is None else broken
+            caught |= _harness_breaks(c, p, ts) if broken is None else broken
         for report in _reference(product, p, ts):
             out.update(((case, v.law), v.law in caught) for v in report.violations)
     return out
@@ -188,25 +196,11 @@ def test_laws_match_the_reference(law_inputs, shipped_breaks, name):
             LawTables(d, law_inputs[0][2])
         return
     for case, p, ts in law_inputs:
-        want = _reference(d, p, ts)
-        # each law on its own tables
-        alone = tuple(law(LawTables(d, ts)) for law in LAWS)
-        assert alone == want, case
-        # stability first, then the view law over the same tables, as in
-        # run_law_suite
-        laws = LawTables(d, ts)
-        stability = harness.check_access_stability(laws)
-        view = harness.check_view_exactness(laws)
-        assert (stability, view) == (want[1], want[3]), case
-        # and the view law first
-        laws = LawTables(d, ts)
-        view = harness.check_view_exactness(laws)
-        stability = harness.check_access_stability(laws)
-        assert (stability, view) == (want[1], want[3]), case
+        assert _harness(d, p, ts) == _reference(d, p, ts), case
         # commutativity compares verdicts with != and the reference detector
         # renders them from the value, so each verdict is exactly a bool
         for glob in sorted(p.globals):
-            for a, b in itertools.product(laws.realized, repeat=2):
+            for a, b in itertools.product(reference.realized_values(d, ts), repeat=2):
                 assert type(d.mhp(glob, a, b)) is bool, case
                 assert type(generic_mhp(d, glob, a, b)) is bool, case
 
@@ -305,18 +299,6 @@ def test_admissibility_catches_init_and_creation_faults(corpus_cases, factory, v
     assert [tuple(v) for v in report.violations] == violations
 
 
-def test_lock_steps_share_one_object_per_view_class(corpus_cases):
-    case = next(c for c in corpus_cases if c.name == "prog1_running_example")
-    ts = case.traces()
-    lock = Action("lock", atomicity_mutex(sorted(case.program.globals)[0]))
-    for d in build_digests(CANONICAL_ORDER):
-        laws = LawTables(d, ts)
-        classes = {d.observed_view(lock, a1) for a1 in laws.realized}
-        for a0, row in zip(laws.realized, laws.rows(lock)):
-            assert row == [d.step_observing(lock, a0, a1) for a1 in laws.realized], d.name
-            assert len({id(r) for r in row}) <= len(classes), d.name
-
-
 TRANSFER = ("step_observing", "step_local", "new_digest", "mhp")
 
 
@@ -334,9 +316,8 @@ def test_product_law_suite_makes_few_transfer_calls(corpus_cases, monkeypatch):
         monkeypatch.setattr(ProductDigest, name, counted)
     section = run_law_suite(corpus_cases)
     assert section.passed and section.checks == 8565
-    # the harness before the shared table made 17,343 of these calls, and
-    # 1,149 while it checked the product on its components' tables; the
-    # product's laws follow from its components', and it is not called
+    # the product's laws follow from its components', so the suite checks
+    # each component and never calls the product's transfer or predicate
     assert calls == Counter(), dict(calls)
 
 

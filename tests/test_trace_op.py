@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+import racedigest.cli
+import racedigest.conformance
 from tests.conftest import CORPUS_DIR
 
 ROOT = CORPUS_DIR.parent
@@ -49,7 +51,25 @@ def test_traced_call_matches_untraced(tmp_path, argv):
 LAW_SPANS = ("digest.admissibility", "digest.stability", "digest.commutativity", "conformance.laws")
 
 
-def test_traced_conform_matches_untraced(tmp_path):
+def _in_process_law_checks(monkeypatch, capsys, corpus) -> dict:
+    """The checks ``check_access_stability`` and ``check_mhp_commutativity``
+    report over an in-process ``conform`` of ``corpus``, by span name."""
+    checks = dict.fromkeys(("digest.stability", "digest.commutativity"), 0)
+    for name, law in zip(checks, ("check_access_stability", "check_mhp_commutativity")):
+        original = getattr(racedigest.conformance, law)
+
+        def counted(*args, _name=name, _original=original):
+            report = _original(*args)
+            checks[_name] += report.checks
+            return report
+
+        monkeypatch.setattr(racedigest.conformance, law, counted)
+    assert racedigest.cli.main(["conform", str(corpus)]) == 0
+    capsys.readouterr()
+    return checks
+
+
+def test_traced_conform_matches_untraced(tmp_path, monkeypatch, capsys):
     corpus = tmp_path / "corpus"
     for name in ("once_after_completion", "prog1_running_example", "two_children_race"):
         shutil.copytree(CORPUS_DIR / name, corpus / name)
@@ -63,3 +83,7 @@ def test_traced_conform_matches_untraced(tmp_path):
         found = [s for s in spans if s["name"] == name]
         assert found, name
         assert all(s["counters"]["checks"] > 0 for s in found), name
+    # each law span counts the checks the law reports in-process
+    for name, want in _in_process_law_checks(monkeypatch, capsys, corpus).items():
+        assert want > 0
+        assert sum(s["counters"]["checks"] for s in spans if s["name"] == name) == want, name
