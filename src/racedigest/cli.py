@@ -73,10 +73,12 @@ def cmd_analyze(args) -> int:
     program, product, sol = _solve(args)
     mode = GENERIC if args.predicate == "generic" else BESPOKE
     report = detect(sol, product, {d.name: mode for d in product.components})
+    # streamed in blocks to the stdout of the moment, which a caller may
+    # have redirected
     if args.format == "json":
-        sys.stdout.write(report.to_json_text())
+        report.to_json_text(sys.stdout)
     else:
-        sys.stdout.write(report.to_text(program))
+        report.to_text(program, sys.stdout)
     return 1 if report.flagged else 0
 
 

@@ -15,6 +15,11 @@ subset is a mask read: a site pair is flagged under it when some mask is
 disjoint from the subset.  ``flagged`` is the read with every predicate
 enabled; ``ablate``, the conformance suites and the tests read every other
 subset off one bespoke report.
+
+``RaceReport.to_json_text`` and ``to_text`` render the flagged pairs from
+pieces made once per site, global and witness.  Given a stream they write
+the report to it in blocks as they go, which is how ``analyze`` prints
+it; without one they return the whole text.
 """
 
 from __future__ import annotations
@@ -75,19 +80,20 @@ class RaceReport:
                     break
         return out
 
-    def to_json_text(self) -> str:
+    def to_json_text(self, out=None) -> str | None:
         """The JSON report, as ``json.dumps(..., indent=2, sort_keys=True)
-        + "\\n"`` lays it out, written without per-pair dicts: each flagged
-        pair fills one template through the C string encoder, and the
-        verdicts block, the same for every pair, is rendered once."""
-        return "".join(self._json_chunks())
+        + "\\n"`` lays it out, written without per-pair dicts.  A flagged
+        pair is one f-string of pieces made once per report: each site
+        block, global and witness is encoded on first use, and the verdicts
+        block, the same for every pair, is rendered once.  Returned as one
+        string, or, given the text stream ``out``, written to it in blocks
+        (``_emit``) and None returned."""
+        return _emit(self._json_chunks(), out)
 
     def _json_chunks(self):
         enc = encode_basestring_ascii
         # a witness pair has no predicate answering false
-        verdicts = [{"digest": name, "verdict": "top"} for name in self.digests]
-        first = _PAIR_TEMPLATE.replace("VERDICTS", _nested(verdicts, 3).replace("%", "%%"))
-        later = ",\n" + first
+        verdicts = _nested([{"digest": name, "verdict": "top"} for name in self.digests], 3)
         fields = {
             "version": "1",
             "digests": _nested(list(self.digests), 1),
@@ -104,45 +110,76 @@ class RaceReport:
                 yield text
                 continue
             yield "[\n"
-            for i, ((glob, (a, ta), (b, tb)), (wa, wb)) in enumerate(self.flagged.items()):
-                yield (later if i else first) % (
-                    enc(a), enc(ta), enc(b), enc(tb), enc(glob), enc(wa), enc(wb))
+            sites = _Memo(lambda site: (f'{{\n        "site": {enc(site[0])},\n'
+                                            f'        "type": {enc(site[1])}\n      }}'))
+            strings = _Memo(enc)
+            sep = ""
+            for (glob, a, b), (wa, wb) in self.flagged.items():
+                # one flagged pair, as json.dumps(indent=2, sort_keys=True)
+                # writes it two levels deep
+                yield (f'{sep}    {{\n'
+                       f'      "a": {sites[a]},\n'
+                       f'      "b": {sites[b]},\n'
+                       f'      "global": {strings[glob]},\n'
+                       f'      "verdicts": {verdicts},\n'
+                       f'      "witness_digests": [\n'
+                       f'        {strings[wa]},\n'
+                       f'        {strings[wb]}\n'
+                       f'      ]\n'
+                       f'    }}')
+                sep = ",\n"
             yield "\n  ]"
         yield "\n}\n"
 
-    def to_text(self, program: Program) -> str:
-        lines = [
-            f"digests: {', '.join(self.digests)}",
-            "modes: " + ", ".join(f"{k}={self.modes[k]}" for k in sorted(self.modes)),
-        ]
+    def to_text(self, program: Program, out=None) -> str | None:
+        """One line per flagged pair, after the digests and modes; returned
+        or written like ``to_json_text``.  Each site's text is made once."""
+        return _emit(self._text_lines(program), out)
+
+    def _text_lines(self, program: Program):
+        yield f"digests: {', '.join(self.digests)}\n"
+        yield "modes: " + ", ".join(f"{k}={self.modes[k]}" for k in sorted(self.modes)) + "\n"
         if not self.flagged:
-            lines.append("no potential races found")
+            yield "no potential races found\n"
+        sites = _Memo(lambda site: _site_text(site, program))
         for glob, site_a, site_b in self.flagged:
-            loc_a = _site_text(site_a, program)
-            loc_b = _site_text(site_b, program)
-            lines.append(f"race on {glob}: {loc_a} with {loc_b}")
-        return "\n".join(lines) + "\n"
+            yield f"race on {glob}: {sites[site_a]} with {sites[site_b]}\n"
 
 
-# one flagged pair of the JSON report, as json.dumps(indent=2, sort_keys=True)
-# writes it two levels deep
-_PAIR_TEMPLATE = """\
-    {
-      "a": {
-        "site": %s,
-        "type": %s
-      },
-      "b": {
-        "site": %s,
-        "type": %s
-      },
-      "global": %s,
-      "verdicts": VERDICTS,
-      "witness_digests": [
-        %s,
-        %s
-      ]
-    }"""
+class _Memo(dict):
+    """key -> ``fn(key)``, computed on first use."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+# at least this many characters go to the stream in one write: with
+# unbuffered output every write is a system call
+_BLOCK_CHARS = 1 << 16
+
+
+def _emit(chunks, out) -> str | None:
+    """The concatenated ``chunks`` when ``out`` is None; otherwise None,
+    after writing them to ``out`` in blocks of at least ``_BLOCK_CHARS``
+    characters (the last block may be shorter), never holding more than
+    one block."""
+    if out is None:
+        return "".join(chunks)
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK_CHARS:
+            out.write("".join(block))
+            block, size = [], 0
+    if block:
+        out.write("".join(block))
+    return None
 
 
 def _nested(value, level: int) -> str:
@@ -210,9 +247,11 @@ def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> 
     ]
     masks: dict = {}
     record_counts = {}
+    # a digest value recurs across records and globals: each is formatted once
+    formatted = _Memo(product.format_elem)
     for glob in sorted(sol.races):
         records = sorted(
-            ((r.site, r.type, product.format_elem(r.digest), r.digest) for r in sol.records(glob)),
+            ((r.site, r.type, formatted[r.digest], r.digest) for r in sol.records(glob)),
             key=lambda r: r[:3],
         )
         record_counts[glob] = len(records)

@@ -32,6 +32,7 @@ the analyzer never loads.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .model import Action, atomicity_mutex, edge_path
@@ -96,20 +97,17 @@ class Digest:
 
 def generic_mhp(d: Digest, glob: str, a, b) -> bool:
     """The predicate any access-stable admissible digest induces: two
-    accesses may be parallel only if the atomicity lock merges both ways."""
-    act = Action("lock", atomicity_mutex(glob))
+    accesses may be parallel only if the atomicity lock merges both ways.
+    The detector calls it once per distinct value pair of a global, so the
+    lock action is built once per global, not per call."""
+    act = _atomicity_lock(glob)
     return d.step_observing(act, a, b) is not None and d.step_observing(act, b, a) is not None
 
 
-def _all_defined(steps):
-    """The tuple of the component results ``steps`` yields, or None at the
-    first None, taking no later component's step."""
-    out = []
-    for v in steps:
-        if v is None:
-            return None
-        out.append(v)
-    return tuple(out)
+# one immutable action per global name, kept for the life of the process
+@functools.lru_cache(maxsize=None)
+def _atomicity_lock(glob: str) -> Action:
+    return Action("lock", atomicity_mutex(glob))
 
 
 class ProductDigest(Digest):
@@ -117,7 +115,12 @@ class ProductDigest(Digest):
     A value is a tuple of one component value each: ``init_digest``, the
     transfer and ``abstract`` build every value that way.  So its laws are
     its components': the law suite checks those, and ``LawTables`` refuses
-    a product."""
+    a product.
+
+    ``new_digest``, ``step_local`` and ``step_observing`` step the
+    components in order and return None at the first None, stepping no
+    later component.  Each is a plain loop: the solver makes one such call
+    per evaluation, and a generator per call cost more than the steps."""
 
     def __init__(self, components: tuple[Digest, ...]):
         if not components:
@@ -133,14 +136,31 @@ class ProductDigest(Digest):
         return tuple(c.init_digest() for c in self.components)
 
     def new_digest(self, elem, create_id: str):
-        return _all_defined(c.new_digest(e, create_id) for c, e in zip(self.components, elem))
+        out = []
+        for c, e in zip(self.components, elem):
+            v = c.new_digest(e, create_id)
+            if v is None:
+                return None
+            out.append(v)
+        return tuple(out)
 
     def step_local(self, act: Action, elem):
-        return _all_defined(step(act, e) for step, e in zip(self._step_local, elem))
+        out = []
+        for step, e in zip(self._step_local, elem):
+            v = step(act, e)
+            if v is None:
+                return None
+            out.append(v)
+        return tuple(out)
 
     def step_observing(self, act: Action, elem0, elem1):
-        return _all_defined(
-            step(act, e0, e1) for step, e0, e1 in zip(self._step_observing, elem0, elem1))
+        out = []
+        for step, e0, e1 in zip(self._step_observing, elem0, elem1):
+            v = step(act, e0, e1)
+            if v is None:
+                return None
+            out.append(v)
+        return tuple(out)
 
     def observed_view(self, act: Action, elem1):
         return tuple(c.observed_view(act, e) for c, e in zip(self.components, elem1))
@@ -357,7 +377,9 @@ class JoinDigest(Digest):
         return JoinElem(self._tid.new_digest(elem.tid, create_id), frozenset())
 
     def step_local(self, act: Action, elem):
-        return JoinElem(self._tid.step_local(act, elem.tid), elem.joined)
+        tid = self._tid.step_local(act, elem.tid)
+        # most actions leave the thread id, and so the whole value, as it is
+        return elem if tid is elem.tid else JoinElem(tid, elem.joined)
 
     def step_observing(self, act: Action, elem0, elem1):
         if act.kind != "join":

@@ -10,12 +10,16 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import racedigest.cli
 import racedigest.conformance
 from tests.conftest import CORPUS_DIR
+
+from perfbench import trace_op
+from perfbench.gen import locked_program
 
 ROOT = CORPUS_DIR.parent
 PROG1 = str(CORPUS_DIR / "prog1_running_example" / "program.rlp")
@@ -87,3 +91,48 @@ def test_traced_conform_matches_untraced(tmp_path, monkeypatch, capsys):
     for name, want in _in_process_law_checks(monkeypatch, capsys, corpus).items():
         assert want > 0
         assert sum(s["counters"]["checks"] for s in spans if s["name"] == name) == want, name
+
+
+class _TimedWrites:
+    """A text stream that keeps each write with the time it was made."""
+
+    def __init__(self) -> None:
+        self.writes: list[tuple[float, str]] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append((time.perf_counter(), text))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_one_report_span_covers_the_streamed_report(monkeypatch, tmp_path, fmt):
+    """The tracer wraps ``RaceReport.to_json_text`` and ``to_text`` by name
+    as ``detector.report``; ``analyze`` streams its report through them,
+    so one such span holds every write of the report."""
+    # every attribute the tracer replaces is put back after the test
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("racedigest"):
+            for _, attr, _, _ in trace_op.INSTRUMENTED:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, getattr(module, attr))
+    for cls, attr in trace_op.REPORT_METHODS:
+        monkeypatch.setattr(cls, attr, getattr(cls, attr))
+    tracer = trace_op.Tracer("op")
+    tracer.install()
+    path = tmp_path / "locked.rlp"
+    path.write_text(locked_program(6, 6, 12, 0), encoding="utf-8")
+    out = _TimedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    # generic text is about 75 KB, so both formats take more than one write
+    assert racedigest.cli.main(["analyze", str(path), "--predicate", "generic",
+                                "--format", fmt]) == 1
+    (report,) = [s for s in tracer.spans if s["name"] == "detector.report"]
+    (detect,) = [s for s in tracer.spans if s["name"] == "detector.detect"]
+    assert tracer.spans[report["parent"]]["name"] == "cli.main"
+    assert detect["end"] <= report["start"]
+    assert len(out.writes) > 1
+    assert all(report["start"] <= t <= report["end"] for t, _ in out.writes)
+    assert "".join(text for _, text in out.writes).startswith("{" if fmt == "json" else "digests:")
