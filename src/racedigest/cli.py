@@ -10,7 +10,9 @@ Exit codes: 0 no races / suites pass, 1 races flagged / suite failures,
 2 usage or input errors (including an unreadable input path such as a
 directory, a negative --tid-cap, an init or initO outside main, code
 after a thread_exit, a create-edge id outside [A-Za-z0-9_.]+, a goto to
-a label never placed, a label placed twice in one prototype, a corpus
+a label never placed, a label placed twice in one prototype, a node named
+like one the atomicity instrumentation or the parser's exit edges add
+(``<label>.s<n>``, ``<label>.t<n>``, ``main.i<n>``, ``<label>.x<n>``), a corpus
 expected.json that is not valid JSON or lacks a required key, and a
 corpus program.rlp that does not parse or validate, reported with its
 case name), solver divergence (the evaluation cap was hit) and internal

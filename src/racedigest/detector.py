@@ -47,15 +47,16 @@ class RaceReport:
     """The distinct exclusion masks of every (global, site_a, site_b) key.
 
     Bit ``i`` of a mask is set when component ``i``'s predicate answers
-    false for a record pair.  ``masks`` maps each key to its masks, in order
-    of first appearance among the key's record pairs, each with the
-    formatted digests of the first record pair that produced it.  Under a
-    set of enabled predicates a key is flagged when some mask is disjoint
-    from it, and the first such mask's pair is the witness.  A key's masks
-    end at the first 0: every later pair would be a later witness of the
-    same sets.  ``detect`` inserts the keys in sorted order, so every read
-    lists its keys sorted.  ``flagged`` is the witness map with every
-    predicate enabled, built on first use.
+    false for a record pair.  ``masks`` maps each key to its masks, in the
+    order ``detect`` meets the key's record pairs (sorted records, each
+    with itself and every later one), each with the formatted digests of
+    the first record pair that produced it.  Under a set of enabled
+    predicates a key is flagged when some mask is disjoint from it, and the
+    first such mask's pair is the witness.  A key's masks end at the first
+    0: every later pair would be a later witness of the same sets.
+    ``detect`` inserts the keys in sorted order, so every read lists its
+    keys sorted.  ``flagged`` is the witness map with every predicate
+    enabled, built on first use.
     """
 
     def __init__(self, digests: tuple[str, ...], modes: dict, masks: dict,
@@ -208,36 +209,17 @@ def _resolve_modes(product: ProductDigest, modes: dict | None) -> dict:
     return modes
 
 
-def _key_masks(glob: str, rows: list, cols: list, tables: list) -> dict:
-    """Distinct masks of the record pairs rows x cols, in pair order; the
-    pairs within one group (rows is cols) run over i <= j."""
-    masks: dict = {}
-    same = rows is cols
-    for n, (i, label_i) in enumerate(rows):
-        for j, label_j in cols[n:] if same else cols:
-            m = 0
-            for bit, ids, values, width, pred, cache in tables:
-                key = ids[i] * width + ids[j]
-                v = cache.get(key)
-                if v is None:
-                    v = cache[key] = 0 if pred(glob, values[ids[i]], values[ids[j]]) else bit
-                m |= v
-            if m not in masks:
-                masks[m] = (label_i, label_j)
-                if not m:
-                    return masks
-    return masks
-
-
 def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> RaceReport:
     """One pass over every record pair of the solution's access
     accumulators, each component's predicate in the mode ``modes`` names
-    (default bespoke).  Each predicate runs once per distinct pair of
-    component values: every shipped ``mhp`` is pure, and the values repeat
-    heavily across records.  The report's keys are inserted in sorted
-    order: globals sorted, then the (site, type) groups of the sorted
-    records, each with itself and every later group.  ``product`` must be
-    the solution's own, ``sol.system.digest``; any other is refused."""
+    (default bespoke).  Per global, the records are sorted by (site, type,
+    formatted digest), and record ``i`` meets every record ``j >= i`` in
+    turn, so the keys are inserted in sorted order and each key's masks in
+    pair order.  A read-read pair is skipped, and so is every pair of a key
+    that already holds its 0 mask.  Each predicate runs once per distinct
+    pair of component values: every shipped ``mhp`` is pure, and the
+    values repeat heavily across records.  ``product`` must be the
+    solution's own, ``sol.system.digest``; any other is refused."""
     if product is not sol.system.digest:
         raise ValueError(f"product {product.name} is not the one the solution was solved for")
     modes = _resolve_modes(product, modes)
@@ -260,14 +242,25 @@ def detect(sol: Solution, product: ProductDigest, modes: dict | None = None) -> 
             index: dict = {}
             ids = [index.setdefault(r[3][i], len(index)) for r in records]
             tables.append((1 << i, ids, list(index), len(index), pred, {}))
-        groups = [
-            (site, [(i, r[2]) for i, r in members])
-            for site, members in itertools.groupby(enumerate(records), key=lambda x: x[1][:2])
-        ]
-        for g, (site_a, rows) in enumerate(groups):
-            for site_b, cols in groups[g:]:
-                if WRITE in (site_a[1], site_b[1]):
-                    masks[(glob, site_a, site_b)] = _key_masks(glob, rows, cols, tables)
+        sites = [((site, typ), typ == WRITE, label) for site, typ, label, _ in records]
+        for i, (site_a, write_a, label_a) in enumerate(sites):
+            for j, (site_b, write_b, label_b) in enumerate(sites[i:], i):
+                if not (write_a or write_b):
+                    continue
+                key_masks = masks.get((glob, site_a, site_b))
+                if key_masks is None:
+                    key_masks = masks[(glob, site_a, site_b)] = {}
+                elif 0 in key_masks:
+                    continue
+                m = 0
+                for bit, ids, values, width, pred, cache in tables:
+                    key = ids[i] * width + ids[j]
+                    v = cache.get(key)
+                    if v is None:
+                        v = cache[key] = 0 if pred(glob, values[ids[i]], values[ids[j]]) else bit
+                    m |= v
+                if m not in key_masks:
+                    key_masks[m] = (label_a, label_b)
     return RaceReport(tuple(c.name for c in product.components), modes, masks, record_counts)
 
 

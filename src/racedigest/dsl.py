@@ -24,6 +24,7 @@ from .model import (
     Edge,
     Program,
     ThreadPrototype,
+    ValidationError,
     fmt_action,
     is_atomicity_mutex,
     sorted_edges,
@@ -277,16 +278,22 @@ def parse_program(text: str) -> Program:
 
 
 def _append_exits(label: str, proto: ThreadPrototype) -> ThreadPrototype:
-    """Append an observable thread-exit edge at every sink node of ``label``."""
+    """Append an observable thread-exit edge at every sink node of ``label``
+    that no exit edge reaches, to a new node ``{label}.x{n}``.  A node of
+    that name already in ``label`` is refused: the edge would join it."""
     sources = {e.source for e in proto.edges}
     exit_targets = {e.target for e in proto.edges if e.action.kind == "exit"}
     edges = list(proto.edges)
     counter = 0
-    sinks = sorted(proto.nodes() - sources)
-    for n in sinks:
+    nodes = proto.nodes()
+    for n in sorted(nodes - sources):
         if n in exit_targets:
             continue
-        edges.append(Edge(n, Action("exit"), f"{label}.x{counter}"))
+        node = f"{label}.x{counter}"
+        if node in nodes:
+            raise ValidationError(
+                f"node {node!r} in {label!r} clashes with an exit node the parser adds")
+        edges.append(Edge(n, Action("exit"), node))
         counter += 1
     return ThreadPrototype(proto.start_node, frozenset(edges))
 

@@ -293,8 +293,11 @@ def instrument_atomicity(p: Program) -> Program:
     Each access edge ``(u, chi, v)`` becomes the three-edge sequence
     ``(u, lock m_g, s) . (s, chi, t) . (t, unlock m_g, v)`` with fresh nodes
     ``s`` (the access site) and ``t``, and an ``init m_g`` prologue for every
-    global is prepended to main.  Rejects programs that already mention a
-    reserved ``m_*`` mutex, which also makes double instrumentation an error.
+    global is prepended to main.  The added nodes are named
+    ``{label}.s{n}``, ``{label}.t{n}`` and ``main.i{n}``.  Rejects programs
+    that already mention a reserved ``m_*`` mutex, which also makes double
+    instrumentation an error, and programs with a node of one of those
+    names, which the added edges would silently join.
     """
     for e in p.all_edges():
         if e.action.kind in ("init", "lock", "unlock") and is_atomicity_mutex(e.action.target):
@@ -304,12 +307,14 @@ def instrument_atomicity(p: Program) -> Program:
     for label in sorted(p.prototypes):
         proto = p.prototypes[label]
         edges: list[Edge] = []
+        added: list[str] = []
         counter = 0
         for e in sorted_edges(proto.edges):
             if e.action.kind in ("read", "write"):
                 mg = atomicity_mutex(e.action.target)
                 site = f"{label}.s{counter}"
                 post = f"{label}.t{counter}"
+                added += (site, post)
                 counter += 1
                 edges.append(Edge(e.source, Action("lock", mg), site, line=e.line))
                 edges.append(Edge(site, e.action, post, line=e.line))
@@ -323,10 +328,15 @@ def instrument_atomicity(p: Program) -> Program:
             for i, g in enumerate(sorted(p.globals)):
                 nxt = f"main.i{i + 1}" if i + 1 < len(p.globals) else proto.start_node
                 prologue.append(Edge(cur, Action("init", atomicity_mutex(g)), nxt))
+                added.append(cur)
                 cur = nxt
             if prologue:
                 start = "main.i0"
                 edges.extend(prologue)
+        clash = sorted(proto.nodes().intersection(added))
+        if clash:
+            raise ValidationError(
+                f"node {clash[0]!r} in {label!r} clashes with a node the instrumentation adds")
         new_protos[label] = ThreadPrototype(start, frozenset(edges))
 
     out = Program(

@@ -23,6 +23,30 @@ GENERATED = {
 # steps past its exit
 CODE_AFTER_EXIT = "global g\n\nmain:\n  thread_exit\n  create t as e1\n  g = 1\n\nt:\n  g = 2\n"
 
+# main's explicit node main.i1 is named like the second node of the init
+# prologue, which would join it: main could then create t after init m_g,
+# before it locks a.  Rejected; with the node renamed, race-free.
+NODE_CLASH = """\
+global g
+global h
+mutex a
+
+main @ s0:
+  s0: init a -> s
+  s: lock a -> main.i1
+  main.i1: create t as e1 -> x
+  x: g = 1 -> y
+  y: unlock a -> z
+
+t @ t0:
+  t0: lock a -> t1
+  t1: g = 2 -> t2
+  t2: unlock a -> t3
+"""
+
+# main.x0 is named like the exit node the parser adds at the sink main.x0
+EXIT_NODE_CLASH = "global g\n\nmain @ a:\n  a: g = 1 -> main.x0\n"
+
 # t1 completes o, then hands the mutex a to t2, whose `pos ran o` passes
 # on that completion; main's write races with t2's
 ONCE_HANDOFF = """\

@@ -18,7 +18,8 @@ from racedigest.cli import main
 from racedigest.oracle import enumerate_traces
 from racedigest.solver import solve
 
-from tests.conftest import CODE_AFTER_EXIT, CORPUS_DIR, ONCE_HANDOFF, corpus_program
+from tests.conftest import (CODE_AFTER_EXIT, CORPUS_DIR, EXIT_NODE_CLASH, NODE_CLASH, ONCE_HANDOFF,
+                            corpus_program)
 
 SRC_DIR = CORPUS_DIR.parent / "src"
 
@@ -281,6 +282,31 @@ def test_code_after_thread_exit_exit_two(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (2, "")
     assert err == "error: code after thread_exit in 'main' (line 4)\n"
+
+
+@pytest.mark.parametrize("source, error", [
+    (NODE_CLASH, "node 'main.i1' in 'main' clashes with a node the instrumentation adds"),
+    ("global g\n\nmain @ a:\n  a: create t as e -> b\n\nt @ u:\n  u: g = 1 -> t.t0\n",
+     "node 't.t0' in 't' clashes with a node the instrumentation adds"),
+    (EXIT_NODE_CLASH, "node 'main.x0' in 'main' clashes with an exit node the parser adds"),
+], ids=["prologue", "access", "exit"])
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_a_node_named_like_an_added_node_exit_two(capsys, tmp_path, command, source, error):
+    path = tmp_path / "p.rlp"
+    path.write_text(source, encoding="utf-8")
+    assert run(capsys, command, str(path)) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("command, out", [
+    ("analyze", "digests: lockset, threadflag, tid, join, once\n"
+                "modes: join=bespoke, lockset=bespoke, once=bespoke, threadflag=bespoke, "
+                "tid=bespoke\nno potential races found\n"),
+    ("oracle", "no races within bounds\n"),
+])
+def test_the_node_clash_program_renamed_is_race_free(capsys, tmp_path, command, out):
+    path = tmp_path / "p.rlp"
+    path.write_text(NODE_CLASH.replace("main.i1", "mid"), encoding="utf-8")
+    assert run(capsys, command, str(path)) == (0, out, "")
 
 
 # Two thread ids printed alike when a create id held a separator: path

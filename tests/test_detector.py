@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from racedigest.detector import (BESPOKE, GENERIC, RaceReport, _key_masks, ablate, detect,
-                                 predicate_subsets)
-from racedigest.digests import CANONICAL_ORDER, ProductDigest, build_digests
+from racedigest.detector import BESPOKE, GENERIC, RaceReport, ablate, detect, predicate_subsets
+from racedigest.digests import CANONICAL_ORDER, Digest, ProductDigest, build_digests
 from racedigest.dsl import parse_program
 from racedigest.model import instrument_atomicity
 from racedigest.oracle import enumerate_traces, find_racy_pairs
-from racedigest.solver import build_system, solve
+from racedigest.solver import AccessRecord, ConstraintSystem, Solution, build_system, solve
 
 from perfbench.gen import locked_program
 from tests.reference_detector import distinct_site_pairs, reference_detect
@@ -171,14 +170,55 @@ def test_detect_and_ablate_refuse_a_foreign_product(prog1):
     assert detect(sol, product).flagged == {}
 
 
-def test_key_masks_of_two_groups_visit_pairs_below_the_diagonal():
-    """Between two distinct groups every row meets every column: here the
-    one pair no predicate excludes, records 1 and 2, is row 1 against
-    column 0, below the diagonal of the rows x cols grid."""
-    rows, cols = [(0, "a0"), (1, "a1")], [(2, "b0"), (3, "b1")]
-    table = (1, [0, 1, 2, 3], [0, 1, 2, 3], 4, lambda glob, x, y: {x, y} == {1, 2}, {})
-    masks = _key_masks("g", rows, cols, [table])
-    assert masks == {1: ("a0", "b0"), 0: ("a1", "b0")}
+class PairDigest(Digest):
+    """A test component over string values: its predicate excludes every
+    pair of values except those in ``parallel``."""
+
+    name = "pairs"
+
+    def __init__(self, parallel) -> None:
+        self.parallel = {frozenset(pair) for pair in parallel}
+
+    def mhp(self, glob, a, b):
+        return frozenset((a, b)) in self.parallel
+
+    def format_elem(self, elem):
+        return elem
+
+
+def hand_built_detect(records, parallel):
+    """``detect`` on a solution of one global ``g`` whose product has one
+    ``PairDigest``: ``records`` are (site, type, value) triples."""
+    product = ProductDigest((PairDigest(parallel),))
+    races = {"g": {AccessRecord(site, typ, (value,)) for site, typ, value in records}}
+    return detect(Solution(ConstraintSystem(None, product, None), {}, {}, races, 0), product)
+
+
+TWO_SITES = [("a", "W", "a0"), ("a", "W", "a1"), ("b", "W", "b0"), ("b", "W", "b1")]
+
+
+def test_two_sites_pair_every_record_of_one_with_every_record_of_the_other():
+    """Between two sites every record of the first meets every record of
+    the second: here the one pair no predicate excludes is the second
+    ``a`` record against the first ``b`` record.  Within one site a record
+    meets itself and every later record."""
+    masks = hand_built_detect(TWO_SITES, [("a1", "b0")]).masks
+    assert masks == {
+        ("g", ("a", "W"), ("a", "W")): {1: ("(a0)", "(a0)")},
+        ("g", ("a", "W"), ("b", "W")): {1: ("(a0)", "(b0)"), 0: ("(a1)", "(b0)")},
+        ("g", ("b", "W"), ("b", "W")): {1: ("(b0)", "(b0)")},
+    }
+
+
+def test_a_key_takes_no_pair_after_its_first_zero_mask():
+    """The first pair of (a, b) is unexcluded; the later excluded pairs
+    would make a new mask 1, but the key's masks end at its 0."""
+    masks = hand_built_detect(TWO_SITES, [("a0", "b0"), ("a0", "a0")]).masks
+    assert masks == {
+        ("g", ("a", "W"), ("a", "W")): {0: ("(a0)", "(a0)")},
+        ("g", ("a", "W"), ("b", "W")): {0: ("(a0)", "(b0)")},
+        ("g", ("b", "W"), ("b", "W")): {1: ("(b0)", "(b0)")},
+    }
 
 
 def test_report_metadata_and_witnesses(prog0):
