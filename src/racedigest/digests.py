@@ -436,7 +436,12 @@ class OnceDigest(Digest):
         if act.kind == "endO":
             return (active - {act.target}, completed | {act.target})
         if act.kind == "pos_ran":
-            return elem if act.target in completed else None
+            # outside o's block the endO it passes on may have reached the
+            # ego over a mutex dep, which the completed set does not follow;
+            # inside it, only over the once dep of its startO, which it does
+            if act.target in completed:
+                return elem
+            return None if act.target in active else (active, completed | {act.target})
         if act.kind == "neg_ran":
             return None if act.target in completed else elem
         return elem

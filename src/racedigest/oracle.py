@@ -189,10 +189,10 @@ class History(namedtuple("History", "held active created completed terminated se
     """What a local trace knows.  Of the ego thread: the mutexes it holds,
     the once variables it is inside (frozensets) and the create edges it
     took, in order (a tuple).  Of the computation, as frozensets: the once
-    variables known completed (along program order, create and once deps),
-    the instances known terminated (along program order and join deps) and
-    the ``(kind, target)`` of every init, initO and endO event in the trace
-    (``seen``).  ``_GUARDS`` reads it."""
+    variables of an endO or a passed ``pos ran`` along program order, create
+    and once deps (``completed``), the instances known terminated (along
+    program order and join deps) and the ``(kind, target)`` of every init,
+    initO and endO event in the trace (``seen``).  ``_GUARDS`` reads it."""
 
     __slots__ = ()
 
@@ -220,6 +220,8 @@ class History(namedtuple("History", "held active created completed terminated se
             active, completed = active | {x}, completed | src.completed
         elif kind == "endO":
             active, completed, seen = active - {x}, completed | {x}, seen | {(kind, x)}
+        elif kind == "pos_ran":
+            completed = completed | {x}
         elif kind == "create":
             created = created + (a.create_id,)
         elif kind == "join":
@@ -243,9 +245,11 @@ class LocalTrace(_Masks):
     The trace records the step that made it, which its masks fix: taking
     ``top`` from the trace ``before``, merging the trace ``observed`` at a
     lock, startO or join (else None).  At a child's start ``before`` is the
-    creator's trace before the create; main's start has None for both."""
+    creator's trace before the create; main's start has None for both.
+    The search, as it makes the trace, sets ``hidden`` (``_Search``) and
+    ``ready``, the edges the trace's history lets it take."""
 
-    __slots__ = ("top", "ego", "history", "before", "observed", "_hash")
+    __slots__ = ("top", "ego", "history", "before", "observed", "hidden", "ready", "_hash")
 
     def __init__(self, table: EventTable, event_mask: int, dep_mask: int, top: Event,
                  history: History, before: LocalTrace | None, observed: LocalTrace | None):
@@ -418,8 +422,7 @@ class _State:
     validate_program).  ``offers`` holds what an observing step can observe,
     keyed by the kind and label of the dep it adds (``_source``, ``_OFFER``):
     the trace of each free mutex, of each ready once variable and the final
-    trace of each exited instance not yet joined.  Each trace is held with its
-    hidden masks and the edges its history lets it take (``_Search``)."""
+    trace of each exited instance not yet joined."""
 
     __slots__ = ("last", "offers", "events", "deps")
 
@@ -438,15 +441,14 @@ def _source(t: LocalTrace, a: Action) -> tuple:
 class _Search:
     """What one run of the enumeration keeps besides its states.
 
-    The step memo holds the trace (and a create's child) each (trace, edge,
-    observed trace) makes, keyed on identities: each trace of the search is
-    the one object for its masks.  The masks of a trace fix its step, so a
-    memo miss is a new trace.
+    The step memo holds the trace each (trace, edge, observed trace) makes,
+    keyed on identities: each trace of the search is the one object for its
+    masks.  The masks of a trace fix its step, so a memo miss is a new trace.
 
     Races.  The ancestors of an access with its global's ``m_g`` deps
     dropped are its event, the ancestors of the trace before it and, unless
-    the step locks ``m_g``, those of the observed trace.  A state holds with
-    each trace the rest of its events, one mask per global (``hidden``).
+    the step locks ``m_g``, those of the observed trace.  Each trace holds
+    the rest of its events, one mask per global (``LocalTrace.hidden``).
     Of two accesses of a pomset, the search took the later from a state on
     its first path to the pomset that holds the earlier, which races with
     it unless among its ancestors.  So the step that first reaches a state
@@ -457,7 +459,8 @@ class _Search:
     def __init__(self, p: Program):
         self.table = EventTable()
         self.guarded: dict[tuple[str, int], list[Edge]] = {}  # see ready
-        self.memo: dict[tuple[int, int, int], tuple] = {}  # see take
+        self.memo: dict[tuple[int, int, int], LocalTrace] = {}  # see take
+        self.children: dict[int, LocalTrace] = {}  # id of a create's trace -> the child's
         self.traces: list[LocalTrace] = []  # the traces it made, in order
         self.visited: set[tuple[int, int]] = set()
         self.number = {g: k for k, g in enumerate(sorted(p.globals))}
@@ -486,34 +489,33 @@ class _Search:
         return edges
 
     def take(self, p: Program, before: LocalTrace, edge: Edge,
-             observed: LocalTrace | None) -> tuple:
+             observed: LocalTrace | None) -> LocalTrace:
         """The trace taking ``edge`` from ``before`` (observing ``observed``)
-        makes and, at a create, the child's start trace (else None), then
-        the ready edges of each."""
+        makes; a new one, and a create's child, get ``hidden`` and ``ready``."""
         key = (id(before), id(edge), id(observed))
-        made = self.memo.get(key)
-        if made is None:
-            after = _extend(before, edge, observed)
-            child = spawn(p, edge, before) if edge.action.is_creating else None
-            made = self.memo[key] = (after, child, self.ready(p, after),
-                                     child and self.ready(p, child))
+        after = self.memo.get(key)
+        if after is None:
+            after = self.memo[key] = _extend(before, edge, observed)
+            after.hidden = before.hidden if observed is None else self.hidden(before, edge, observed)
+            after.ready = self.ready(p, after)
             self.traces.append(after)
-            if child is not None:
+            if edge.action.is_creating:
+                child = self.children[id(after)] = spawn(p, edge, before)
+                child.hidden, child.ready = before.hidden, self.ready(p, child)
                 self.traces.append(child)
             if edge in self.site:
                 self.site_events[self.site[edge]] |= 1 << self.table.ids[after.top]
-        return made
+        return after
 
-    def hidden(self, before: LocalTrace, edge: Edge, observed: LocalTrace,
-               hb: tuple, ho: tuple) -> tuple:
+    def hidden(self, before: LocalTrace, edge: Edge, observed: LocalTrace) -> tuple:
         """The hidden masks of the trace an observing step over ``edge`` makes
-        from ``before`` and ``observed``, which hide ``hb`` and ``ho``: an event
-        of both stays hidden if both hide it; at a lock of ``m_g`` the events
-        ``observed`` adds are hidden."""
+        from ``before`` and ``observed``: an event of only one is hidden if
+        hidden there, one of both if both hide it, and at a lock of ``m_g``
+        every event ``observed`` adds."""
         eb, eo = before.event_mask, observed.event_mask
         dropped = self.dropped.get(edge)
         return tuple([b | eo & ~eb if k == dropped else b & ~eo | o & ~eb | b & o
-                      for k, b, o in zip(range(len(hb)), hb, ho)])
+                      for k, (b, o) in enumerate(zip(before.hidden, observed.hidden))])
 
     def decide(self, outside: int, hidden: tuple, edge: Edge):
         """Record the races of the access over ``edge`` with those of the
@@ -533,29 +535,28 @@ def _apply(p: Program, search: _Search, s: _State, instance: InstanceId,
     the search visited it: a visited successor costs memo lookups only."""
     a = edge.action
     kind = a.kind
-    before, hidden, _ = s.last[instance]
+    before = s.last[instance]
     observed = None
     if kind in _DEP_KIND:
         observed = s.offers[source := _source(before, a)]
-    after, child, ready, child_ready = search.take(p, before, edge, observed and observed[0])
+    after = search.take(p, before, edge, observed)
     events, deps = s.events | after.event_mask, s.deps | after.dep_mask
-    if child is not None:
-        events |= child.event_mask
-        deps |= child.dep_mask
+    if kind == "create":
+        child = search.children[id(after)]
+        events, deps = events | child.event_mask, deps | child.dep_mask
     if (events, deps) in search.visited:
         return None
     search.visited.add((events, deps))
     ns = _State(dict(s.last), dict(s.offers), events, deps)
     if observed is not None:
-        hidden = search.hidden(before, edge, observed[0], hidden, observed[1])
         del ns.offers[source]
-    held = ns.last[instance] = (after, hidden, ready)
+    ns.last[instance] = after
     if kind in _OFFER:
-        ns.offers[(_OFFER[kind], instance if kind == "exit" else a.target)] = held
+        ns.offers[(_OFFER[kind], instance if kind == "exit" else a.target)] = after
     elif kind == "create":
-        ns.last[child.ego] = (child, hidden, child_ready)
+        ns.last[child.ego] = child
     elif kind == "read" or kind == "write":
-        search.decide(s.events & ~after.event_mask, hidden, edge)
+        search.decide(s.events & ~after.event_mask, after.hidden, edge)
     return ns
 
 
@@ -606,8 +607,8 @@ def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | Non
     table = search.table
     start = table.event_id(Event(MAIN, 0, p.main().start_node, None))
     first = LocalTrace(table, 1 << start, 0, table.events[start], _START, None, None)
-    init = _State({MAIN: (first, (0,) * len(search.number), search.ready(p, first))}, {},
-                  1 << start, 0)
+    first.hidden, first.ready = (0,) * len(search.number), search.ready(p, first)
+    init = _State({MAIN: first}, {}, 1 << start, 0)
     pomsets: set[tuple[int, int]] = set()
     blocked: set[str] = set()
     # the nodes with an outgoing edge of a kind that is not persistent
@@ -619,11 +620,11 @@ def _explore(p: Program, depth: int, width: int, reduce: bool) -> TraceSet | Non
         n_actions = s.events.bit_count() - len(s.last)  # every event but the starts
         enabled: list[tuple[InstanceId, Edge]] = []
         mover = None
-        for instance, (t, _, ready) in sorted(s.last.items()):
+        for instance, t in sorted(s.last.items()):
             if mover is not None and len(s.last) < width:
                 break  # the others' steps are not taken, and none is blocked
             node = t.top.node
-            for edge in ready:
+            for edge in t.ready:
                 a = edge.action
                 if a.kind in _DEP_KIND and _source(t, a) not in s.offers:
                     continue
@@ -667,8 +668,10 @@ def bidirectionally_compatible(ts: TraceSet, site_a: str, site_b: str) -> bool:
     unlock/init of ``m_g`` (each sequence starts with a lock of ``m_g``, which
     observes it).  The exhaustive search recorded every step from every
     reachable trace, so a sequence runs from ``t0`` observing ``t1`` exactly
-    when its three steps are in ``ts.step_index()``.  A truncated ``ts`` lacks
-    steps past its bounds and is refused with ValueError."""
+    when its three steps are in ``ts.step_index()``.  A after B is implied,
+    so not run: less A's lock and its future, the state where B locks after
+    A runs B first, and then A's lock observing B is enabled.  A truncated
+    ``ts`` lacks steps past its bounds and is refused with ValueError."""
     if ts.truncated:
         raise ValueError("bidirectional compatibility needs an exhaustive trace set")
     steps = ts.step_index()
@@ -691,9 +694,6 @@ def bidirectionally_compatible(ts: TraceSet, site_a: str, site_b: str) -> bool:
         if a_first is None:
             continue
         for tb in starters_b:
-            if run(seq_b, tb, a_first) is None:
-                continue
-            b_first = run(seq_b, tb, tl)
-            if b_first is not None and run(seq_a, ta, b_first) is not None:
+            if run(seq_b, tb, a_first) is not None and run(seq_b, tb, tl) is not None:
                 return True
     return False

@@ -48,7 +48,8 @@ t @ t0:
 EXIT_NODE_CLASH = "global g\n\nmain @ a:\n  a: g = 1 -> main.x0\n"
 
 # t1 completes o, then hands the mutex a to t2, whose `pos ran o` passes
-# on that completion; main's write races with t2's
+# on that completion; main's write races with t2's (the corpus case
+# once_handoff, with a comment above it)
 ONCE_HANDOFF = """\
 global g
 mutex a

@@ -14,13 +14,14 @@ from tests.reference_oracle import causal_order, dep_to, po_pred
 
 def completed_at(t: LocalTrace) -> frozenset:
     """Completed-set knowledge flows only along program order, thread
-    creation, and once observations; other merges discard it."""
+    creation, and once observations; other merges discard it.  An endO
+    completes its variable, and so does a ``pos ran`` that passed."""
     done: dict = {}
     for e in causal_order(t.events, t.deps):  # predecessors first
         a, dep, pred = e.action, dep_to(t, e), po_pred(t, e)
         if pred is not None:
             out = done[pred]
-            if a.kind == "endO":
+            if a.kind in ("endO", "pos_ran"):
                 out = out | {a.target}
             elif a.kind == "startO":
                 out = out | done[dep.src]

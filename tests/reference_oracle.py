@@ -150,7 +150,7 @@ def history(events, deps, top: Event) -> History:
         return frozenset(x for x, kind in last.items() if kind == enter)
 
     completed = frozenset(e.action.target for e in _reaching(events, deps, top, ("create", "once"))
-                          if e.action is not None and e.action.kind == "endO")
+                          if e.action is not None and e.action.kind in ("endO", "pos_ran"))
     joins = _reaching(events, deps, top, ("join",))
     return History(
         held=inside("lock", "unlock"),

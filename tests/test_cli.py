@@ -373,8 +373,6 @@ def test_once_handoff_program_races_in_oracle(capsys, tmp_path):
     assert racy == {("g", "main.s0", "t2.s0")}
 
 
-@pytest.mark.xfail(strict=True, reason="the once digest carries no completion over a "
-                                       "mutex hand-off, so its `pos ran o` step fails")
 def test_analyze_flags_the_once_handoff_race(capsys, tmp_path):
     racy, flagged = _oracle_and_analyze(capsys, tmp_path)
     assert racy <= flagged

@@ -295,8 +295,8 @@ def test_soundness_judges_a_component_of_any_name(monkeypatch):
     assert cases[0].report().digests == tuple(
         "tid@eager-mayrun" if n == "tid" else n for n in CANONICAL_ORDER)
     section = run_soundness_suite(cases)
-    assert section.checks == 6561  # as with the shipped digests
-    assert len(section.failures) == 112
+    assert section.checks == 7047  # as with the shipped digests
+    assert len(section.failures) == 144
     assert all(" misses real races " in f or " flags more than " in f for f in section.failures)
     assert any("'tid@eager-mayrun'" in f for f in section.failures)
 
@@ -384,11 +384,11 @@ def test_conform_work_does_not_depend_on_the_process():
 
 
 CONFORM_CORPUS_REPORT = """\
-[pass] expectations: 52 checks
-[pass] soundness: 6561 checks
-[pass] laws: 8565 checks
-[pass] equivalence: 85 checks
-[pass] tid-subsumes-threadflag: 91 checks
+[pass] expectations: 56 checks
+[pass] soundness: 7047 checks
+[pass] laws: 10028 checks
+[pass] equivalence: 91 checks
+[pass] tid-subsumes-threadflag: 102 checks
 [pass] mutants: 5 checks
 all suites pass
 """

@@ -3,8 +3,10 @@ project depends on no linter: every name a module imports is used in it,
 every private name defined at module level (``_name``) is read in it,
 every function defined at module level reads each of its parameters,
 every public function or class defined at module level is read somewhere
-in the project outside its own definition, and every attribute stored on
-``self`` is read somewhere in the project."""
+in the project outside its own definition, every attribute stored on
+``self`` is read somewhere in the project, and so is every name a class
+declares in its ``__slots__``, as an attribute or an ``attrgetter``
+string."""
 
 from __future__ import annotations
 
@@ -164,6 +166,46 @@ def test_no_public_name_left_unread(module):
     assert [f"line {line}: {name}" for line, name in unread] == []
 
 
+def _slots(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each name string in a ``__slots__`` a class of the module declares,
+    with its line."""
+    out = []
+    for cls in ast.walk(tree):
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+                out += [(node.lineno, c.value) for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return out
+
+
+def _slot_reads(tree: ast.Module) -> set[str]:
+    """Each name the module reads as an attribute (``x.name``, ``x.name +=``)
+    or as a string argument of ``attrgetter``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            out.add(node.target.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "attrgetter"):
+            out.update(a.value for a in node.args if isinstance(a, ast.Constant))
+    return out
+
+
+@functools.cache
+def _project_slot_reads() -> frozenset[str]:
+    return frozenset().union(*map(_slot_reads, _project_trees()))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_slot_left_unread(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
+    read = _project_slot_reads()
+    assert [f"line {line}: {name}" for line, name in _slots(tree) if name not in read] == []
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_stored_attribute_left_unread(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"), filename=module)
@@ -184,6 +226,11 @@ def test_the_check_sees_what_it_looks_for():
                      "        self.n += 1\n        other.d = 4\n        print(self.b, 'c')\n")
     assert sorted(n for _, n in _stored(tree)) == ["a", "b", "c", "e", "n"]
     assert [n for _, n in _stored(tree) if n not in _attributes_read(tree)] == ["a", "e"]
+    tree = ast.parse("class S:\n    __slots__ = _f = ('a', 'b', 'c', 'd')\n"
+                     "    _by = attrgetter('b')\n\n\nclass T:\n    __slots__ = _f + ('e',)\n"
+                     "    __slots__ = ()\n\n\nprint(x.c, 'd', getattr(x, 'e'))\nx.a += 1\n")
+    assert [n for _, n in _slots(tree)] == ["a", "b", "c", "d", "e"]
+    assert [n for _, n in _slots(tree) if n not in _slot_reads(tree)] == ["d", "e"]
     tree = ast.parse("def f(n):\n    return f(n - 1)\n\n\ndef g():\n    pass\n\n\n"
                      "class C:\n    pass\n\n\nclass D:\n    pass\n\n\ndef _p():\n    pass\n")
     reads = _name_reads(tree) + _name_reads(ast.parse("from m import g\nx.C.y\n"))

@@ -247,9 +247,11 @@ def test_once_transfer_table():
     # completions learned from the observed trace
     merged = d.step_observing(Action("startO", "p"), empty, done)
     assert merged == (frozenset({"p"}), frozenset({"o"}))
-    # guards
-    assert d.step_local(Action("pos_ran", "o"), empty) is None
+    # guards: a `pos ran o` outside o's block may pass on a completion
+    # that reached the ego over a mutex dep, and then knows o completed
+    assert d.step_local(Action("pos_ran", "o"), started) is None
     assert d.step_local(Action("pos_ran", "o"), done) == done
+    assert d.step_local(Action("pos_ran", "o"), empty) == done
     assert d.step_local(Action("neg_ran", "o"), done) is None
     assert d.step_local(Action("neg_ran", "o"), empty) == empty
     # other observing actions keep only the ego pair
@@ -284,7 +286,7 @@ def test_product_pointwise_and_meet():
 
 def test_product_component_none_collapses():
     prod = ProductDigest(build_digests(["lockset", "once"]))
-    elem = (frozenset(), (frozenset(), frozenset()))
+    elem = (frozenset(), (frozenset({"o"}), frozenset()))
     assert prod.step_local(Action("pos_ran", "o"), elem) is None
 
 

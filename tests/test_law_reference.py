@@ -2,9 +2,8 @@
 when every trace was abstracted on its own and admissibility replayed each
 trace's step alone.  The harness abstracts each (ego, history) once and
 hands the three oracle-free laws its realized values.  On every
-corpus case, the generated programs (where many traces share an
-(ego, history)) and the once hand-off (where the once digest breaks the
-simulation law), and for every shipped digest, each registered mutant,
+corpus case and the generated programs (where many traces share an
+(ego, history)), and for every shipped digest, each registered mutant,
 the inexact-view digests, a digest whose predicate depends on argument
 order and three that break the initialization and creation laws, the
 harness must give the same ``LawReport``: the same check count and the
@@ -45,7 +44,7 @@ from racedigest.model import instrument_atomicity, is_atomicity_mutex
 from racedigest.oracle import enumerate_traces
 
 from tests import reference_laws as reference
-from tests.conftest import GENERATED, ONCE_HANDOFF
+from tests.conftest import GENERATED
 from tests.test_view_exactness import BlindOnce, BlindOverlapLockset, BlindThreadFlag, PathOnlyJoin
 
 
@@ -123,10 +122,10 @@ DIGESTS = _digests()
 
 @pytest.fixture(scope="module")
 def law_inputs(corpus_cases) -> list[tuple]:
-    """(name, program, trace set) of every corpus case, every generated
-    program and the once hand-off."""
+    """(name, program, trace set) of every corpus case and every generated
+    program."""
     out = [(case.name, case.program, case.traces()) for case in corpus_cases]
-    for name, src in {**GENERATED, "once-handoff": ONCE_HANDOFF}.items():
+    for name, src in GENERATED.items():
         program = instrument_atomicity(parse_program(src))
         out.append((name, program, enumerate_traces(program)))
     return out
@@ -251,8 +250,8 @@ def test_law_inputs_share_keys_and_break_simulation(law_inputs):
     for name in GENERATED:
         traces = by_name[name].traces
         assert len({(t.ego, t.history) for t in traces}) < len(traces), name
-    _, p, ts = next(x for x in law_inputs if x[0] == "once-handoff")
-    violations = reference.check_admissibility(DIGESTS["once"], p, ts).violations
+    _, p, ts = next(x for x in law_inputs if x[0] == "mutex_handoff_protected")
+    violations = reference.check_admissibility(DIGESTS["lockset@overlap-empty"], p, ts).violations
     assert [v.law for v in violations].count("simulation") > 0
     # the harness takes each distinct step once; here 143 steps are 39, and
     # two mutants break admissibility twice each
@@ -315,7 +314,7 @@ def test_product_law_suite_makes_few_transfer_calls(corpus_cases, monkeypatch):
 
         monkeypatch.setattr(ProductDigest, name, counted)
     section = run_law_suite(corpus_cases)
-    assert section.passed and section.checks == 8565
+    assert section.passed and section.checks == 10028
     # the product's laws follow from its components', so the suite checks
     # each component and never calls the product's transfer or predicate
     assert calls == Counter(), dict(calls)

@@ -18,7 +18,7 @@ import pytest
 
 from racedigest import oracle
 from racedigest.dsl import parse_program
-from racedigest.model import instrument_atomicity
+from racedigest.model import atomicity_mutex, instrument_atomicity
 from racedigest.oracle import enumerate_traces, find_racy_pairs
 
 from perfbench.gen import interleave_program as perfbench_interleave
@@ -79,6 +79,11 @@ GENERATED = {
                       "  create b as eb\n\na:\n  g = 1\n  once o\n    skip\n  end\n"
                       "  g = 3\n\nb:\n  x = g\n  pos ran o\n  create c as ec\n"
                       "  join ec\n  g = 2\n\nc:\n  skip\n",
+    # t's start node branches, so a child's start trace has two ready edges;
+    # main's write races with the write of t's branch B
+    "branching-start": "global g\nmutex a\n\nmain:\n  init a\n  create t as e1\n"
+                       "  lock a\n  unlock a\n  g = 1\n\nt:\n  goto A B\n  label A\n"
+                       "  lock a\n  unlock a\n  goto C\n  label B\n  g = 2\n  label C\n",
     # races that rest on a dep other than m_g: t2's `pos ran o` passes on
     # an endO that reaches it over a mutex a (below: over m_g) hand-off
     "once-handoff": ONCE_HANDOFF,
@@ -132,6 +137,26 @@ def test_oracle_matches_reference(name, bounds):
         for e in reference.causal_order(pom.events, pom.deps):
             assert reference.po_pred(pom, e) in placed | {None}
             placed.add(e)
+
+
+@pytest.mark.parametrize("name,bounds", INPUTS)
+def test_trace_fields_match_reference(name, bounds):
+    """Each recorded trace holds, per global ``g``, its events outside the
+    ancestors of its top once the mutex deps of ``m_g`` are dropped
+    (``hidden``), and the edges from its node whose guards pass on its
+    history (``ready``)."""
+    program, (depth, width) = _input(name, bounds)
+    ts = enumerate_traces(program, depth=depth, width=width)
+    for t in ts.traces:
+        hidden = []
+        for g in sorted(program.globals):
+            kept = {d for d in t.deps if (d.kind, d.label) != ("mutex", atomicity_mutex(g))}
+            past = reference.ancestors(t.events, kept)[t.top]
+            hidden.append(sum(1 << ts.table.ids[e] for e in t.events - past))
+        assert t.hidden == tuple(hidden), t
+        assert t.ready == [e for e in program.edges_from(t.top.node)
+                           if (guard := oracle._GUARDS.get(e.action.kind)) is None
+                           or guard(t.history, e.action.target)], t
 
 
 def observing_steps(program, ts):

@@ -148,13 +148,13 @@ def _write_pairs(p):
 
 
 def test_equivalence_reads_the_recorded_steps(monkeypatch):
-    """On the 85 corpus pairs the verdicts are those of the runs taken with
+    """On the 91 corpus pairs the verdicts are those of the runs taken with
     the reference steps, and no trace is made after the search: the one
     step index of each trace set serves every pair."""
     cases = load_corpus(CORPUS_DIR)
     want = {(case.name, *key): bidirectionally_compatible_by_reference(case.traces(), *key)
             for case in cases for key in _write_pairs(case.program)}
-    assert len(want) == 85 and any(want.values()) and not all(want.values())
+    assert len(want) == 91 and any(want.values()) and not all(want.values())
 
     index = {case.name: case.traces().step_index() for case in cases}
 
